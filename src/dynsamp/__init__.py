@@ -8,9 +8,10 @@ batch experiments from JSON configs.
 """
 
 from .errors import (CoincidentNodes, DynsampError, EvenM, GridMiss,
-                     HypothesisViolated, LengthMismatch, NoAdmissibleN,
-                     NonDivisibleLength, PreconditionViolated, RankDeficient,
-                     ShapeMismatch, SingularSystem, TailTooLarge, TooLarge)
+                     HypothesisViolated, LengthMismatch, MalformedSamples,
+                     NoAdmissibleN, NonDivisibleLength, PreconditionViolated,
+                     RankDeficient, ShapeMismatch, SingularSystem, TailTooLarge,
+                     TooLarge)
 from .spectral import dft, fold, frequency_grid, idft, shift, subsample
 from .filters import (Filter, check_symmetric_decreasing, evolve, filter_delta,
                       filter_from_spec, filter_heat, filter_raised_cosine,
@@ -31,7 +32,7 @@ from .stability import (BetaBound, NoiseTrialResult, StabilityReport,
 from .sis import (Generator, ReducibilityResult, SISSystem, build_sis_system,
                   choose_n, gaussian_response, heat_line_response,
                   identity_response, line_filter_from_spec, make_generator,
-                  n_is_admissible, periodic_response, periodize_phi,
+                  n_is_admissible, periodize_phi,
                   reducibility_check, riesz_bounds, sis_family, sis_forward,
                   sis_matrix, sis_reconstruct, sis_singular_set)
 

@@ -14,7 +14,6 @@ codes: 0 success, 1 config error, 2 guarantee violation.
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -97,6 +96,8 @@ def validate(config):
     if config.mode == "noise_sweep" and config.grid < 4 * config.m * config.n:
         v.append(f"noise_sweep needs grid >= 4*m*n = {4 * config.m * config.n}")
     if config.mode in ("stability_report", "bounds_table"):
+        if config.m % 2 == 0:
+            v.append(f"{config.mode} needs odd m")
         required = list(range(config.m))
         if omega and omega != required:
             v.append(f"the upper-bound estimates require the full extra sample set {required}")
@@ -142,11 +143,6 @@ def _write_report(path, obj):
         fh.write("\n")
 
 
-def _seeded_signal(L, seed):
-    rng = np.random.default_rng(seed)
-    return (rng.standard_normal(L) + 1j * rng.standard_normal(L)) / math.sqrt(2.0)
-
-
 def _filter_desc(spec):
     items = ",".join(f"{k}={spec[k]}" for k in sorted(spec) if k not in ("kind", "table"))
     return spec["kind"] + (f"({items})" if items else "")
@@ -154,7 +150,7 @@ def _filter_desc(spec):
 
 def _run_roundtrip(cfg, out):
     a = filter_from_spec(cfg.filter)
-    f = _seeded_signal(cfg.L, cfg.seed)
+    f = stab._seeded_signal(cfg.L, cfg.seed)
     N = cfg.N if cfg.N is not None else cfg.m
     omega = tuple(sorted(cfg.omega))
     samples = forward(f, a, cfg.m, N, cfg.n, omega)
@@ -208,7 +204,7 @@ def _run_stability_report(cfg, out):
 def _run_noise_sweep(cfg, out):
     a = filter_from_spec(cfg.filter)
     omega = tuple(sorted(cfg.omega)) or stab.minimal_omega(cfg.m)
-    f = _seeded_signal(cfg.L, cfg.seed)
+    f = stab._seeded_signal(cfg.L, cfg.seed)
     pinv_norm = stab.empirical_pinv_norm(a, cfg.m, cfg.n, omega, cfg.grid)
     rows = []
     means = []
@@ -246,7 +242,7 @@ def _run_sis_roundtrip(cfg, out):
         xis = [rho / (L // m) for rho in bad]
         n = sis_mod.choose_n(xis, n_max=15, n_min=2, tol=1.0 / (2.0 * L))
     omega = tuple(sorted(cfg.omega)) or tuple(range(1, m))
-    c = _seeded_signal(L, cfg.seed)
+    c = stab._seeded_signal(L, cfg.seed)
     samples = sis_mod.sis_forward(c, gen, a_hat, m, n, omega, P=cfg.P)
     rec = sis_mod.sis_reconstruct(samples, gen, a_hat, m, n, omega, K=cfg.K)
     rel = float(np.linalg.norm(rec - c) / np.linalg.norm(c))

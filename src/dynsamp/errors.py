@@ -13,6 +13,10 @@ class LengthMismatch(DynsampError):
     """Signal and filter lengths disagree."""
 
 
+class MalformedSamples(DynsampError):
+    """A sample set is malformed: a bad factor, non-finite values or a bad JSON field."""
+
+
 class ShapeMismatch(DynsampError):
     """Matrix shape is wrong for the requested operation."""
 

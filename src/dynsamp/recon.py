@@ -11,12 +11,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (LengthMismatch, NonDivisibleLength, PreconditionViolated,
-                     RankDeficient, SingularSystem, TooLarge)
+from .errors import (LengthMismatch, MalformedSamples, NonDivisibleLength,
+                     PreconditionViolated, SingularSystem, TooLarge)
 from . import spectral, systems
 from .filters import evolve
-
-_RCOND = 1e-10
 
 
 @dataclass
@@ -34,6 +32,8 @@ class SampleSet:
     omega: tuple = ()
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise MalformedSamples(f"factors must be positive, got m={self.m}, n={self.n}")
         self.y = [np.asarray(v, dtype=complex) for v in self.y]
         self.extras = {int(c): np.asarray(v, dtype=complex) for c, v in self.extras.items()}
         self.omega = tuple(sorted(int(c) for c in self.omega))
@@ -41,10 +41,15 @@ class SampleSet:
             raise ValueError("need at least one snapshot sequence")
         if len({len(v) for v in self.y}) != 1:
             raise LengthMismatch("snapshot sequences differ in length")
-        if self.extras and len({len(v) for v in self.extras.values()}) != 1:
-            raise LengthMismatch("extra sample sequences differ in length")
-        if set(self.extras) != set(self.omega):
+        if sorted(self.extras) != list(self.omega):
             raise ValueError("extras keys must match omega")
+        per_extra = len(self.y[0]) // self.n
+        if any(len(v) != per_extra for v in self.extras.values()):
+            raise LengthMismatch(f"each extras sequence must hold L/(m n) = {per_extra} samples")
+        for what, seqs in (("y", enumerate(self.y)), ("extras", self.extras.items())):
+            for key, v in seqs:
+                if not np.all(np.isfinite(v)):
+                    raise MalformedSamples(f"{what}[{key}] holds non-finite samples")
 
     @property
     def L(self):
@@ -69,16 +74,25 @@ class SampleSet:
 
     @classmethod
     def from_json(cls, text):
+        """Parse :meth:`to_json` output; a bad field raises MalformedSamples naming it."""
         obj = json.loads(text) if isinstance(text, str) else text
-        def unpairs(v):
-            return np.array([complex(re, im) for re, im in v])
-        return cls(
-            y=[unpairs(v) for v in obj["y"]],
-            extras={int(c): unpairs(v) for c, v in obj["extras"].items()},
-            m=int(obj["m"]),
-            n=int(obj["n"]),
-            omega=tuple(obj["omega"]),
-        )
+
+        def pairs(v):
+            return np.array([complex(re, im) for re, im in v], dtype=complex)
+
+        parse = {"m": int, "n": int, "omega": lambda v: tuple(int(c) for c in v),
+                 "y": lambda v: [pairs(s) for s in v],
+                 "extras": lambda v: {int(c): pairs(s) for c, s in v.items()}}
+        fields = {}
+        for key, convert in parse.items():
+            if key not in obj:
+                raise MalformedSamples(f"SampleSet JSON lacks field {key!r}")
+            try:
+                fields[key] = convert(obj[key])
+            except (AttributeError, TypeError, ValueError):
+                raise MalformedSamples(f"SampleSet JSON field {key!r} is malformed "
+                                       "(complex values are [re, im] pairs)") from None
+        return cls(**fields)
 
 
 def forward(f, a, m, N, n=1, omega=()):
@@ -97,12 +111,12 @@ def forward(f, a, m, N, n=1, omega=()):
     return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
 
 
-def reconstruct_plain(samples, a, m, smin_tol=1e-8, rcond=_RCOND):
+def reconstruct_plain(samples, a, m):
     """Recover the signal from the evolution snapshots alone.
 
     Needs at least m snapshot sequences and a grid with no (near-)singular
     frequency: indices whose smallest singular value drops below
-    ``smin_tol`` times the grid maximum abort the solve with
+    ``systems.SINGULAR_TOL`` times the grid maximum abort the solve with
     ``SingularSystem`` -- extra samples are required there.
     """
     if samples.m != m:
@@ -113,45 +127,52 @@ def reconstruct_plain(samples, a, m, smin_tol=1e-8, rcond=_RCOND):
     L = samples.L
     if L != a.L:
         raise LengthMismatch(f"samples imply length {L} != filter length {a.L}")
-    step = L // m
-    mats = systems.plain_family(systems.PlainSystem(a, m, N))
-    bad = systems.singular_indices(systems.smin_family(mats), smin_tol)
+    return _solve_plain(systems.plain_family(systems.PlainSystem(a, m, N)), samples)
+
+
+def _solve_plain(mats, samples):
+    """Solve the (L/m, N, m) plain family against the first N snapshot spectra."""
+    bad = systems.singular_indices(systems.smin_family(mats), systems.SINGULAR_TOL)
     if bad:
         raise SingularSystem(bad)
+    m = mats.shape[2]
+    y_hat = np.array([spectral.dft(v) for v in samples.y[:mats.shape[1]]])   # (N, L/m)
+    x = np.einsum("rml,lr->rm", np.linalg.pinv(mats, rcond=systems.RANK_TOL) * m, y_hat)
+    return spectral.idft(x.T.reshape(-1))     # x[rho, l] is f_hat(rho + l L/m)
 
-    y_hat = np.array([spectral.dft(v) for v in samples.y])     # (N, step)
+
+def _solve_extended(samples, table):
+    """Solve every packet of a sample set with extras; row j of the (m, L) node
+    table holds time step j (see :func:`systems.gather_blocks`)."""
+    m, n, L = samples.m, samples.n, samples.L
+    if L % (m * n):
+        raise NonDivisibleLength(f"factor {m * n} does not divide length {L}")
+    if samples.N < m:
+        raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {samples.N}")
+    P = L // (m * n)
+    idx = systems.packet_indices(L, m, n, np.arange(P))
+    # Right-hand sides (P, |omega| + m n): phased extras, then snapshot spectra.
+    extras = [np.exp(2j * np.pi * c * np.arange(P) / L) * spectral.dft(samples.extras[c])
+              for c in samples.omega]
+    y_hat = np.array([spectral.dft(v) for v in samples.y[:m]])          # (m, L/m)
+    snaps = y_hat[:, idx[..., 0]].transpose(1, 2, 0).reshape(P, -1)     # (P, n m)
+    rhs = np.hstack([np.array(extras, dtype=complex).reshape(-1, P).T, snaps])
+    _, x = systems.solve_packets(lambda part: systems.gather_blocks(table, idx[part]), P,
+                                 systems.phase_rows(m, n, samples.omega), rhs)
     f_hat = np.empty(L, dtype=complex)
-    pinvs = np.linalg.pinv(mats, rcond=rcond)
-    x = np.einsum("rml,lr->rm", pinvs * m, y_hat)              # solve A x = m * y per rho
-    idx = np.arange(step)[:, None] + np.arange(m)[None, :] * step
-    f_hat[idx] = x
+    f_hat[idx.reshape(P, -1)] = x
     return spectral.idft(f_hat)
 
 
-def _extended_rhs(y_hat, extras_hat, omega, m, n, L, rho):
-    """Right-hand side of the packet solve: phased extras then snapshot spectra."""
-    step = L // m
-    packet_step = L // (m * n)
-    rhs = []
-    for c in omega:
-        rhs.append(np.exp(2j * np.pi * c * rho / L) * extras_hat[c][rho])
-    for k in range(n):
-        col = (rho + k * packet_step) % step
-        for l in range(m):
-            rhs.append(y_hat[l][col])
-    return np.array(rhs)
-
-
-def reconstruct_extended(samples, a, m, n, omega, force=False,
-                         smin_tol=1e-10, rcond=_RCOND):
+def reconstruct_extended(samples, a, m, n, omega, force=False):
     """Recover the signal using evolution snapshots plus extra initial samples.
 
     Every frequency packet couples the m n spectrum values
     f_hat(rho + k L/(mn) + l L/m) and is solved in the least-squares sense.
     The guarantee regime needs odd n and omega containing 1..(m-1)/2; pass
     ``force=True`` to attempt the solve outside it.  A packet whose matrix
-    has smin below ``smin_tol`` times its largest singular value raises
-    ``RankDeficient``.
+    has smin below ``systems.RANK_TOL`` times its largest singular value
+    raises ``RankDeficient``.
     """
     omega = tuple(sorted(int(c) for c in omega))
     if (samples.m, samples.n, samples.omega) != (m, n, omega):
@@ -166,28 +187,7 @@ def reconstruct_extended(samples, a, m, n, omega, force=False,
     L = samples.L
     if L != a.L:
         raise LengthMismatch(f"samples imply length {L} != filter length {a.L}")
-    if L % (m * n):
-        raise NonDivisibleLength(f"factor {m * n} does not divide length {L}")
-    if samples.N < m:
-        raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {samples.N}")
-
-    step = L // m
-    packet_step = L // (m * n)
-    y_hat = [spectral.dft(samples.y[l]) for l in range(m)]
-    extras_hat = {c: spectral.dft(v) for c, v in samples.extras.items()}
-
-    f_hat = np.empty(L, dtype=complex)
-    for rho in range(packet_step):
-        A = systems.build_extended(a, m, n, omega, rho)
-        svals = np.linalg.svd(A, compute_uv=False)
-        if svals[-1] < smin_tol * svals[0]:
-            raise RankDeficient(rho)
-        rhs = _extended_rhs(y_hat, extras_hat, omega, m, n, L, rho)
-        x = np.linalg.lstsq(A, rhs, rcond=rcond)[0]
-        for k in range(n):
-            for l in range(m):
-                f_hat[rho + k * packet_step + l * step] = x[k * m + l]
-    return spectral.idft(f_hat)
+    return _solve_extended(samples, systems.power_rows(a.response, m))
 
 
 def dense_oracle(a, m, N, n=1, omega=(), max_size=512):
@@ -226,7 +226,7 @@ def stack_samples(samples):
     return np.concatenate(parts)
 
 
-def oracle_solve(a, samples, N=None, max_size=512, rcond=_RCOND):
+def oracle_solve(a, samples, N=None, max_size=512, rcond=systems.RANK_TOL):
     """Least-squares recovery through the dense time-domain matrix."""
     N = samples.N if N is None else N
     M = dense_oracle(a, samples.m, N, samples.n, samples.omega, max_size=max_size)

@@ -19,12 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (NoAdmissibleN, NonDivisibleLength,
-                     PreconditionViolated, RankDeficient, SingularSystem,
-                     TailTooLarge)
+                     PreconditionViolated, TailTooLarge)
 from . import spectral, systems
-from .recon import SampleSet
-
-_RCOND = 1e-10
+from .recon import SampleSet, _solve_extended, _solve_plain
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +131,6 @@ def heat_line_response(t):
     return gaussian_response(4.0 * np.pi ** 2 * t)
 
 
-def periodic_response(a):
-    """Wrap a grid filter's profile into a 1-periodic response on the line."""
-    return lambda nu: a.at(np.mod(np.asarray(nu, dtype=float), 1.0))
-
-
 def line_filter_from_spec(spec):
     """Line response from a JSON-style mapping."""
     kind = spec["kind"]
@@ -210,13 +202,11 @@ def sis_matrix(system, rho):
 
 def sis_family(system):
     """Stacked matrices over the grid, shape (L/m, m, m)."""
-    L, m = system.L, system.m
-    step = L // m
-    idx = np.arange(step)[:, None] + np.arange(m)[None, :] * step
-    return np.transpose(system.phi_hat[:, idx], (1, 0, 2))
+    idx = systems.packet_indices(system.L, system.m, 1, np.arange(system.L // system.m))
+    return systems.gather_blocks(system.phi_hat, idx)[:, 0]
 
 
-def sis_singular_set(system, tol=1e-8):
+def sis_singular_set(system, tol=systems.SINGULAR_TOL):
     """Grid indices where the integer-rate family loses rank (relative cutoff)."""
     return systems.singular_indices(systems.smin_family(sis_family(system)), tol)
 
@@ -224,16 +214,20 @@ def sis_singular_set(system, tol=1e-8):
 # ---------------------------------------------------------------------------
 # choice of the extra decimation factor
 
-def n_is_admissible(xis, n, tol=1e-9):
-    """True when no pairwise difference of the given frequencies equals k/n."""
-    xis = list(xis)
+def _first_violation(xis, n, tol):
+    """First pairwise difference of xis equal to some k/n (within tol), as (d, k), or None."""
     for i in range(len(xis)):
         for j in range(i + 1, len(xis)):
             d = abs(xis[i] - xis[j])
             for k in range(1, n):
                 if abs(d - k / n) <= tol:
-                    return False
-    return True
+                    return d, k
+    return None
+
+
+def n_is_admissible(xis, n, tol=1e-9):
+    """True when no pairwise difference of the given frequencies equals k/n."""
+    return _first_violation(list(xis), n, tol) is None
 
 
 def choose_n(singular_xis, n_max, n_min=1, tol=1e-9):
@@ -243,21 +237,10 @@ def choose_n(singular_xis, n_max, n_min=1, tol=1e-9):
     frequencies equals k/n for k = 1..n-1 (within tol).  Raises
     NoAdmissibleN with the violating differences when the cap is exhausted.
     """
+    xis = list(singular_xis)
     violations = {}
     for n in range(n_min, n_max + 1):
-        bad = None
-        xis = list(singular_xis)
-        for i in range(len(xis)):
-            for j in range(i + 1, len(xis)):
-                d = abs(xis[i] - xis[j])
-                for k in range(1, n):
-                    if abs(d - k / n) <= tol:
-                        bad = (d, k)
-                        break
-                if bad:
-                    break
-            if bad:
-                break
+        bad = _first_violation(xis, n, tol)
         if bad is None:
             return n
         violations[n] = bad
@@ -361,8 +344,7 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
 # ---------------------------------------------------------------------------
 # reconstruction at the integer rate
 
-def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False,
-                    tail_tol=1e-12, smin_tol=1e-10, rcond=_RCOND):
+def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False, tail_tol=1e-12):
     """Recover the coefficient sequence from a span sample set.
 
     With extra samples the packet solve mirrors the integer-sequence
@@ -376,53 +358,9 @@ def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False,
         raise PreconditionViolated("sample set parameters do not match the requested solve")
     L = samples.L
     system = build_sis_system(gen, a_hat, m, L, K, tail_tol)
-    step = L // m
-
     if not omega:
-        mats = sis_family(system)
-        bad = systems.singular_indices(systems.smin_family(mats), max(smin_tol, 1e-8))
-        if bad:
-            raise SingularSystem(bad)
-        y_hat = np.array([spectral.dft(v) for v in samples.y[:m]])
-        c_hat = np.empty(L, dtype=complex)
-        pinvs = np.linalg.pinv(mats, rcond=rcond)
-        x = np.einsum("rml,lr->rm", pinvs * m, y_hat)
-        idx = np.arange(step)[:, None] + np.arange(m)[None, :] * step
-        c_hat[idx] = x
-        return spectral.idft(c_hat)
-
+        return _solve_plain(sis_family(system), samples)
     if not force and not set(range(1, m)).issubset(omega):
         raise PreconditionViolated(
             f"span guarantee needs omega containing {list(range(1, m))} (use force=True)")
-    if L % (m * n):
-        raise NonDivisibleLength(f"factor {m * n} does not divide length {L}")
-    packet_step = L // (m * n)
-    y_hat = [spectral.dft(v) for v in samples.y[:m]]
-    extras_hat = {c: spectral.dft(v) for c, v in samples.extras.items()}
-
-    c_hat = np.empty(L, dtype=complex)
-    for rho in range(packet_step):
-        cols = np.concatenate([systems.node_indices(L, m, (rho + k * packet_step) % step)
-                               for k in range(n)])
-        A = np.zeros((len(omega) + m * n, m * n), dtype=complex)
-        phi0 = system.phi_hat[0, cols]
-        for i, cc in enumerate(omega):
-            row = np.concatenate([systems.u_row(cc, k, m, n) for k in range(n)])
-            A[i] = row * phi0 / (m * n)
-        off = len(omega)
-        for k in range(n):
-            block = system.phi_hat[:, cols[k * m:(k + 1) * m]]
-            A[off + k * m:off + (k + 1) * m, k * m:(k + 1) * m] = block / m
-        svals = np.linalg.svd(A, compute_uv=False)
-        if svals[-1] < smin_tol * svals[0]:
-            raise RankDeficient(rho)
-        rhs = []
-        for cc in omega:
-            rhs.append(np.exp(2j * np.pi * cc * rho / L) * extras_hat[cc][rho])
-        for k in range(n):
-            col = (rho + k * packet_step) % step
-            for j in range(m):
-                rhs.append(y_hat[j][col])
-        x = np.linalg.lstsq(A, np.array(rhs), rcond=rcond)[0]
-        c_hat[cols] = x
-    return spectral.idft(c_hat)
+    return _solve_extended(samples, system.phi_hat)

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import GridMiss, HypothesisViolated, RankDeficient
+from .errors import EvenM, GridMiss, HypothesisViolated, RankDeficient
 from . import systems
 from .recon import SampleSet, forward, reconstruct_extended
 
@@ -45,14 +45,13 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     """
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
-    worst = 0.0
-    for g in range(grid):
-        A = systems.build_extended_at(a, m, n, omega, g / grid)
-        smin = float(np.linalg.svd(A, compute_uv=False)[-1])
-        if smin <= 0.0:
-            raise RankDeficient(g, f"extended matrix singular at xi = {g}/{grid}")
-        worst = max(worst, 1.0 / smin)
-    return worst
+    xi = np.arange(grid) / grid
+    smin, _ = systems.solve_packets(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
+                                    grid, systems.phase_rows(m, n, omega))
+    if smin.min() <= 0.0:
+        g = int(np.argmin(smin))
+        raise RankDeficient(g, f"extended matrix singular at xi = {g}/{grid}")
+    return float((1.0 / smin).max())
 
 
 def _check_bound_hypotheses(a, n):
@@ -71,9 +70,19 @@ def guard_band_points(n, grid):
     """
     lo = 1.0 / (4.0 * n)
     ends = [lo, 0.5 - lo, 0.5 + lo, 1.0 - lo]
-    pts = [g / grid for g in range(grid)
-           if (ends[0] <= g / grid <= ends[1]) or (ends[2] <= g / grid <= ends[3])]
-    return np.array(sorted(set(pts + ends)))
+    g = np.arange(grid) / grid
+    inside = ((ends[0] <= g) & (g <= ends[1])) | ((ends[2] <= g) & (g <= ends[3]))
+    return np.array(sorted(set(g[inside].tolist() + ends)))
+
+
+def _band_nodes(a, m, n, grid):
+    """(points, m) node values at the guard-band points that beta1 and beta2 scan."""
+    if grid is None:
+        grid = max(720, 16 * m * n)
+    pts = guard_band_points(n, grid)
+    if len(pts) < 8 * m * n:
+        raise ValueError(f"need at least 8*m*n = {8 * m * n} points inside the band")
+    return systems.plain_nodes_at(a, m, pts)
 
 
 class BetaBound(NamedTuple):
@@ -96,15 +105,8 @@ def bound_beta1(a, m, n, grid=None):
     coherent comparisons should reuse the same grid for the empirical norm.
     """
     _check_bound_hypotheses(a, n)
-    if grid is None:
-        grid = max(720, 16 * m * n)
-    pts = guard_band_points(n, grid)
-    if len(pts) < 8 * m * n:
-        raise ValueError(f"need at least 8*m*n = {8 * m * n} points inside the band")
-    sup = 0.0
-    for xi in pts:
-        M = systems.build_plain_at(a, m, m, xi)
-        sup = max(sup, 1.0 / float(np.linalg.svd(M, compute_uv=False)[-1]))
+    mats = systems.power_rows(_band_nodes(a, m, n, grid), m)
+    sup = float((1.0 / systems.smin_family(mats)).max())
     beta1 = max(float(n), sup)
     return BetaBound(beta=beta1, bound=_bound_from_beta(m, n, beta1), detail=sup)
 
@@ -119,16 +121,9 @@ def bound_beta2(a, m, n, grid=None):
     _check_bound_hypotheses(a, n)
     if float(np.max(np.abs(a.response))) > 1.0 + _SUP_TOL:
         raise HypothesisViolated("beta2 needs sup |response| <= 1")
-    if grid is None:
-        grid = max(720, 16 * m * n)
-    pts = guard_band_points(n, grid)
-    if len(pts) < 8 * m * n:
-        raise ValueError(f"need at least 8*m*n = {8 * m * n} points inside the band")
-    delta = math.inf
-    for xi in pts:
-        nodes = systems.plain_nodes_at(a, m, xi)
-        gaps = np.abs(nodes[None, :] - nodes[:, None])
-        delta = min(delta, float(gaps[~np.eye(m, dtype=bool)].min()))
+    nodes = _band_nodes(a, m, n, grid)
+    gaps = np.abs(nodes[:, None, :] - nodes[:, :, None])
+    delta = float(gaps[:, ~np.eye(m, dtype=bool)].min())
     if delta <= 0.0:
         raise HypothesisViolated("coincident nodes inside the guard band")
     beta2 = max(float(n), (2.0 / delta) ** (m - 1))
@@ -340,8 +335,10 @@ def stability_report(a, m, n, filter_desc="", grid=720, seed=0,
     regime of the upper bounds) and at the minimal set {1..(m-1)/2} (the
     regime of the recovery guarantee and the lower bound).  ``sandwich_ok``
     asserts lower <= minimal, full <= minimal, and full below every upper
-    bound, each within a 1e-9 relative margin.
+    bound, each within a 1e-9 relative margin.  Needs odd m.
     """
+    if m % 2 == 0:
+        raise EvenM(f"stability_report needs odd m, got m={m}")
     om_full = full_omega(m)
     om_min = minimal_omega(m)
     emp_full = empirical_pinv_norm(a, m, n, om_full, grid)

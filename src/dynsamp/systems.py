@@ -11,7 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CoincidentNodes, EvenM, NonDivisibleLength, ShapeMismatch)
+from .errors import (CoincidentNodes, EvenM, NonDivisibleLength, RankDeficient,
+                     ShapeMismatch)
+
+# Relative singular-value cutoffs.  A grid index is singular when its smin is
+# below SINGULAR_TOL times the largest smin over the grid; a packet is rank
+# deficient when its smin is below RANK_TOL times its own largest singular value.
+SINGULAR_TOL = 1e-8
+RANK_TOL = 1e-10
+# Cap on each chunk of assembled packet matrices, so peak memory stays flat in L.
+_CHUNK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -78,19 +87,24 @@ def build_plain(a, m, N, rho):
         raise NonDivisibleLength(f"factor {m} does not divide filter length {L}")
     if N < 1:
         raise ValueError("need at least one time row")
-    nodes = a.response[node_indices(L, m, rho)]
-    return np.vander(nodes, N, increasing=True).T
+    return power_rows(a.response[node_indices(L, m, rho)], N)
 
 
 def build_plain_at(a, m, N, xi):
     """Same matrix with nodes evaluated off the grid at frequency xi."""
-    nodes = a.at((xi + np.arange(m)) / m)
-    return np.vander(nodes, N, increasing=True).T
+    return power_rows(plain_nodes_at(a, m, xi), N)
 
 
 def plain_nodes_at(a, m, xi):
-    """Transfer values at the m aliased nodes of frequency xi."""
-    return a.at((xi + np.arange(m)) / m)
+    """Transfer values at the m aliased nodes of frequency xi (scalar or array)."""
+    return a.at((np.asarray(xi)[..., None] + np.arange(m)) / m)
+
+
+def power_rows(nodes, N):
+    """Stack (..., N, m) whose row j holds nodes**j, formed as np.vander forms powers."""
+    nodes = np.asarray(nodes)
+    rows = np.vander(nodes.reshape(-1), N, increasing=True).reshape(nodes.shape + (N,))
+    return rows.swapaxes(-1, -2)
 
 
 def det_plain(system, rho):
@@ -138,7 +152,7 @@ def singular_indices(smins, tol):
     return [int(i) for i in np.nonzero(smins < tol * top)[0]]
 
 
-def singular_set(system, tol=1e-8):
+def singular_set(system, tol=SINGULAR_TOL):
     """Grid indices where the square plain system loses rank.
 
     The cutoff is relative: an index counts as singular when its smallest
@@ -200,6 +214,80 @@ def _check_extended_args(L, m, n, omega):
     return omega
 
 
+def phase_rows(m, n, omega):
+    """(|omega|, m n) phase rows: row i joins u_row(omega[i], k, m, n) over k."""
+    omega = sorted(int(c) for c in omega)
+    rows = [np.concatenate([u_row(c, k, m, n) for k in range(n)]) for c in omega]
+    return np.array(rows, dtype=complex).reshape(len(omega), m * n)
+
+
+def packet_indices(L, m, n, rho):
+    """(len(rho), n, m) L-grid node indices; block k of packet rho holds the
+    m aliased nodes of the L/m grid index (rho + k L/(m n)) mod L/m."""
+    step = L // m
+    cols = (np.asarray(rho)[:, None] + np.arange(n) * (step // n)) % step
+    return cols[..., None] + np.arange(m) * step
+
+
+def gather_blocks(table, idx):
+    """(P, n, m, m) blocks at :func:`packet_indices` idx of an (m, L) node table.
+
+    Row j of the table holds time step j: the j-th power of the grid response
+    (sequence pipeline) or the cross-spectrum Phi_hat_j (span pipeline).
+    """
+    return np.moveaxis(table[:, idx], 0, -2)
+
+
+def offgrid_blocks(a, m, n, xi):
+    """(len(xi), n, m, m) plain blocks at the shifted frequencies xi + k/n, off the grid."""
+    return power_rows(plain_nodes_at(a, m, np.asarray(xi)[:, None] + np.arange(n) / n), m)
+
+
+def extended_stack(blocks, phase):
+    """Stack (P, |omega| + m n, m n) of extended packet matrices.
+
+    Top: the :func:`phase_rows` weighted by row 0 of the (P, n, m, m) blocks,
+    scaled by 1/(m n).  Below: the blocks on the diagonal, scaled by 1/m.
+    """
+    P, n, m, _ = blocks.shape
+    off = len(phase)
+    A = np.zeros((P, off + m * n, m * n), dtype=complex)
+    A[:, :off] = phase * blocks[:, :, 0, :].reshape(P, 1, m * n) / (m * n)
+    for k in range(n):
+        A[:, off + k * m:off + (k + 1) * m, k * m:(k + 1) * m] = blocks[:, k] / m
+    return A
+
+
+def solve_packets(blocks_of, P, phase, rhs=None):
+    """Per-packet smin and, given (P, |omega| + m n) ``rhs``, least-squares solutions.
+
+    ``blocks_of(part)`` returns the blocks of the packets in slice ``part``;
+    each chunk of packets is assembled and decomposed by one batched SVD.
+    Returns (smin, x), x being None without rhs.  When solving, a packet with
+    smin below RANK_TOL times its largest singular value raises RankDeficient.
+    """
+    rows, cols = phase.shape[0] + phase.shape[1], phase.shape[1]
+    chunk = max(1, _CHUNK_BYTES // (16 * rows * cols))
+    smin = np.empty(P)
+    x = None if rhs is None else np.empty((P, cols), dtype=complex)
+    for start in range(0, P, chunk):
+        part = slice(start, min(start + chunk, P))
+        A = extended_stack(blocks_of(part), phase)
+        if rhs is None:
+            smin[part] = np.linalg.svd(A, compute_uv=False)[:, -1]
+            continue
+        U, s, Vh = np.linalg.svd(A, full_matrices=False)
+        del A               # at most one chunk's matrices and factors are alive
+        bad = np.flatnonzero(s[:, -1] < RANK_TOL * s[:, 0])
+        if bad.size:
+            raise RankDeficient(start + int(bad[0]))
+        smin[part] = s[:, -1]
+        coef = np.einsum("pji,pj->pi", U.conj(), rhs[part]) / s
+        x[part] = np.einsum("pji,pj->pi", Vh.conj(), coef)
+        del U, Vh
+    return smin, x
+
+
 def build_extended(a, m, n, omega, rho):
     """Extended (|omega| + m n) x (m n) matrix at grid frequency index rho.
 
@@ -212,30 +300,13 @@ def build_extended(a, m, n, omega, rho):
     step = L // m
     if rho < 0 or rho >= step:
         raise ValueError(f"rho must lie in [0, {step})")
-    packet_step = L // (m * n)
-    A = np.zeros((len(omega) + m * n, m * n), dtype=complex)
-    for i, c in enumerate(omega):
-        for k in range(n):
-            A[i, k * m:(k + 1) * m] = u_row(c, k, m, n) / (m * n)
-    off = len(omega)
-    for k in range(n):
-        block = build_plain(a, m, m, (rho + k * packet_step) % step)
-        A[off + k * m:off + (k + 1) * m, k * m:(k + 1) * m] = block / m
-    return A
+    blocks = power_rows(a.response[packet_indices(L, m, n, [rho])], m)
+    return extended_stack(blocks, phase_rows(m, n, omega))[0]
 
 
 def build_extended_at(a, m, n, omega, xi):
     """Extended matrix with blocks evaluated off the grid at frequency xi."""
-    omega = tuple(sorted(int(c) for c in omega))
-    A = np.zeros((len(omega) + m * n, m * n), dtype=complex)
-    for i, c in enumerate(omega):
-        for k in range(n):
-            A[i, k * m:(k + 1) * m] = u_row(c, k, m, n) / (m * n)
-    off = len(omega)
-    for k in range(n):
-        block = build_plain_at(a, m, m, xi + k / n)
-        A[off + k * m:off + (k + 1) * m, k * m:(k + 1) * m] = block / m
-    return A
+    return extended_stack(offgrid_blocks(a, m, n, [xi]), phase_rows(m, n, omega))[0]
 
 
 def build_extended_multi_time(a, m, n, omega, rho, times):
@@ -248,22 +319,11 @@ def build_extended_multi_time(a, m, n, omega, rho, times):
     """
     if times < 1:
         raise ValueError("times must be at least 1")
-    L = a.L
-    omega = _check_extended_args(L, m, n, omega)
     A = build_extended(a, m, n, omega, rho)
-    if times == 1:
-        return A
-    step = L // m
-    packet_step = L // (m * n)
-    rows = []
-    for t in range(1, times):
-        for c in omega:
-            row = np.zeros(m * n, dtype=complex)
-            for k in range(n):
-                nodes = a.response[node_indices(L, m, (rho + k * packet_step) % step)]
-                row[k * m:(k + 1) * m] = u_row(c, k, m, n) * nodes ** t / (m * n)
-            rows.append(row)
-    return np.vstack([A, np.array(rows)])
+    nodes = a.response[packet_indices(a.L, m, n, [rho])[0]].reshape(-1)
+    weights = power_rows(nodes, times)[1:, None, :]       # steps 1..times-1
+    rows = phase_rows(m, n, omega) * weights / (m * n)
+    return np.vstack([A, rows.reshape(-1, m * n)])
 
 
 def sine_test_matrices(m, n, k):

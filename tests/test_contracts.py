@@ -1,0 +1,79 @@
+"""Bad inputs raise a DynsampError that names the problem."""
+
+import json
+
+import numpy as np
+import pytest
+
+import dynsamp as ds
+import dynsamp.cli as cli
+from dynsamp.errors import DynsampError, EvenM, LengthMismatch
+
+L, M, N_EXTRA, OMEGA = 72, 3, 3, (1,)
+
+
+def samples():
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+    return ds.forward(f, ds.filter_raised_cosine(L, 1.0), M, M, N_EXTRA, OMEGA)
+
+
+def rebuild(s, y=None, extras=None, m=None):
+    return ds.SampleSet(y=s.y if y is None else y, extras=s.extras if extras is None else extras,
+                        m=s.m if m is None else m, n=s.n, omega=s.omega)
+
+
+def test_short_extras_rejected():
+    s = samples()
+    with pytest.raises(LengthMismatch, match="extras"):
+        rebuild(s, extras={1: s.extras[1][:-1]})
+
+
+def test_doubled_extras_rejected():
+    s = samples()
+    with pytest.raises(LengthMismatch, match="extras"):
+        rebuild(s, extras={1: np.concatenate([s.extras[1], s.extras[1]])})
+
+
+def test_nan_sample_rejected():
+    s = samples()
+    y = [v.copy() for v in s.y]
+    y[1][4] = np.nan
+    with pytest.raises(DynsampError, match=r"y\[1\]"):
+        rebuild(s, y=y)
+
+
+def test_nonpositive_m_rejected():
+    with pytest.raises(DynsampError, match="m=0"):
+        ds.SampleSet(y=[np.ones(4)], m=0)
+
+
+@pytest.mark.parametrize("key", ["m", "n", "omega", "y", "extras"])
+def test_from_json_missing_field_named(key):
+    obj = json.loads(samples().to_json())
+    del obj[key]
+    with pytest.raises(DynsampError, match=repr(key)):
+        ds.SampleSet.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("key, bad", [("y", [0.5, 1.0, 2.0]), ("extras", [[1.0]])])
+def test_from_json_bad_pair_named(key, bad):
+    obj = json.loads(samples().to_json())
+    if key == "y":
+        obj["y"][0][0] = bad
+    else:
+        obj["extras"]["1"][0] = bad
+    with pytest.raises(DynsampError, match=repr(key)):
+        ds.SampleSet.from_json(json.dumps(obj))
+
+
+def test_stability_report_rejects_even_m():
+    with pytest.raises(EvenM):
+        ds.stability_report(ds.filter_raised_cosine(64, 1.0), 4, 1, grid=64)
+
+
+@pytest.mark.parametrize("mode", ["stability_report", "bounds_table"])
+def test_validate_reports_even_m(mode):
+    cfg = cli.ExperimentConfig(mode=mode, filter={"kind": "raised_cosine", "L": 72, "p": 1.0},
+                               m=4, n=3, L=72)
+    assert any("odd m" in msg for msg in cli.validate(cfg))
