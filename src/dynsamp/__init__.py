@@ -17,8 +17,7 @@ from .filters import (Filter, check_symmetric_decreasing, evolve, filter_delta,
                       filter_from_spec, filter_heat, filter_raised_cosine,
                       filter_table)
 from .systems import (ExtendedSystem, KernelBasis, PlainSystem, SineMatrices,
-                      build_extended, build_extended_at,
-                      build_extended_multi_time, build_plain, build_plain_at,
+                      build_extended, build_extended_at, build_plain, build_plain_at,
                       det_plain, gautschi_bound_nodes, kernel_basis,
                       singular_set, sine_test_matrices, smin_plain, u_row)
 from .recon import (SampleSet, dense_oracle, forward, oracle_solve,

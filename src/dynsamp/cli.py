@@ -79,6 +79,10 @@ def validate(config):
         v.append("missing filter spec")
     if config.m < 1:
         v.append("m must be a positive integer")
+    if config.n < 1 and not (config.mode == "sis_roundtrip" and config.n == 0):
+        v.append("n must be a positive integer (sis_roundtrip also takes 0 to choose n)")
+    if config.mode == "roundtrip" and config.N is not None and config.N < config.m:
+        v.append(f"roundtrip needs N >= m = {config.m} snapshot sequences, got N={config.N}")
     if config.L % max(config.m, 1):
         v.append(f"L={config.L} is not divisible by m={config.m}")
     omega = list(config.omega)
@@ -103,6 +107,10 @@ def validate(config):
             v.append(f"the upper-bound estimates require the full extra sample set {required}")
     if config.mode == "noise_sweep" and not config.sigmas:
         v.append("noise_sweep needs a nonempty sigmas list")
+    uses_trials = config.mode == "noise_sweep" or (config.mode == "stability_report"
+                                                   and config.sigmas)
+    if uses_trials and config.trials < 1:
+        v.append(f"{config.mode} needs at least one noise trial, got trials={config.trials}")
     if config.mode == "sis_roundtrip":
         if not config.generator:
             v.append("sis_roundtrip needs a generator spec")
@@ -112,6 +120,8 @@ def validate(config):
         if config.seed is None:
             v.append("stochastic modes need an explicit seed")
     if config.mode == "bounds_table":
+        if not config.n_list:
+            v.append("bounds_table needs a nonempty n_list")
         if any(n < 1 or n % 2 == 0 for n in config.n_list):
             v.append("bounds_table needs odd entries in n_list")
         if config.filter and config.filter.get("kind") == "table":

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (LengthMismatch, MalformedSamples, NonDivisibleLength,
-                     PreconditionViolated, SingularSystem, TooLarge)
+                     PreconditionViolated, RankDeficient, SingularSystem, TooLarge)
 from . import spectral, systems
 from .filters import evolve
 
@@ -38,11 +38,12 @@ class SampleSet:
         self.extras = {int(c): np.asarray(v, dtype=complex) for c, v in self.extras.items()}
         self.omega = tuple(sorted(int(c) for c in self.omega))
         if not self.y:
-            raise ValueError("need at least one snapshot sequence")
+            raise MalformedSamples("need at least one snapshot sequence")
         if len({len(v) for v in self.y}) != 1:
             raise LengthMismatch("snapshot sequences differ in length")
         if sorted(self.extras) != list(self.omega):
-            raise ValueError("extras keys must match omega")
+            raise MalformedSamples(f"extras keys {sorted(self.extras)} must match "
+                                   f"omega {list(self.omega)}")
         per_extra = len(self.y[0]) // self.n
         if any(len(v) != per_extra for v in self.extras.values()):
             raise LengthMismatch(f"each extras sequence must hold L/(m n) = {per_extra} samples")
@@ -114,51 +115,54 @@ def forward(f, a, m, N, n=1, omega=()):
 def reconstruct_plain(samples, a, m):
     """Recover the signal from the evolution snapshots alone.
 
-    Needs at least m snapshot sequences and a grid with no (near-)singular
-    frequency: indices whose smallest singular value drops below
-    ``systems.SINGULAR_TOL`` times the grid maximum abort the solve with
-    ``SingularSystem`` -- extra samples are required there.
+    Needs at least m snapshot sequences and uses all of them.  A grid with
+    a (near-)singular frequency aborts the solve: indices whose smallest
+    singular value drops below ``systems.SINGULAR_TOL`` times the grid
+    maximum raise ``SingularSystem`` -- extra samples are required there.
     """
     if samples.m != m:
         raise PreconditionViolated(f"samples were taken with m={samples.m}, not {m}")
-    N = samples.N
-    if N < m:
-        raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {N}")
-    L = samples.L
-    if L != a.L:
-        raise LengthMismatch(f"samples imply length {L} != filter length {a.L}")
-    return _solve_plain(systems.plain_family(systems.PlainSystem(a, m, N)), samples)
+    return _solve(samples, systems.power_rows(a.response, samples.N), 1, None)
 
 
-def _solve_plain(mats, samples):
-    """Solve the (L/m, N, m) plain family against the first N snapshot spectra."""
-    bad = systems.singular_indices(systems.smin_family(mats), systems.SINGULAR_TOL)
-    if bad:
-        raise SingularSystem(bad)
-    m = mats.shape[2]
-    y_hat = np.array([spectral.dft(v) for v in samples.y[:mats.shape[1]]])   # (N, L/m)
-    x = np.einsum("rml,lr->rm", np.linalg.pinv(mats, rcond=systems.RANK_TOL) * m, y_hat)
-    return spectral.idft(x.T.reshape(-1))     # x[rho, l] is f_hat(rho + l L/m)
+def _solve(samples, table, n, omega):
+    """Solve every frequency packet against the first len(table) snapshots.
 
-
-def _solve_extended(samples, table):
-    """Solve every packet of a sample set with extras; row j of the (m, L) node
-    table holds time step j (see :func:`systems.gather_blocks`)."""
-    m, n, L = samples.m, samples.n, samples.L
-    if L % (m * n):
-        raise NonDivisibleLength(f"factor {m * n} does not divide length {L}")
+    Row j of the (N, L) node table holds time step j (see
+    :func:`systems.gather_blocks`); packet rho couples the spectrum values
+    f_hat(rho + k L/(m n) + l L/m).  ``omega=None`` marks the plain system
+    (n = 1, no extra rows), whose singular frequencies are judged against
+    the whole grid and raise ``SingularSystem``; otherwise a packet with
+    smin below ``systems.RANK_TOL`` times its largest singular value raises
+    ``RankDeficient``.
+    """
+    m, L = samples.m, samples.L
+    if L != table.shape[1]:
+        raise LengthMismatch(f"samples imply length {L} != filter length {table.shape[1]}")
     if samples.N < m:
         raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {samples.N}")
+    if L % (m * n):
+        raise NonDivisibleLength(f"factor {m * n} does not divide length {L}")
+    plain, omega = omega is None, omega or ()
     P = L // (m * n)
     idx = systems.packet_indices(L, m, n, np.arange(P))
-    # Right-hand sides (P, |omega| + m n): phased extras, then snapshot spectra.
+    # Right-hand sides (P, |omega| + n N): phased extras, then snapshot spectra.
     extras = [np.exp(2j * np.pi * c * np.arange(P) / L) * spectral.dft(samples.extras[c])
-              for c in samples.omega]
-    y_hat = np.array([spectral.dft(v) for v in samples.y[:m]])          # (m, L/m)
-    snaps = y_hat[:, idx[..., 0]].transpose(1, 2, 0).reshape(P, -1)     # (P, n m)
+              for c in omega]
+    y_hat = np.array([spectral.dft(v) for v in samples.y[:len(table)]])   # (N, L/m)
+    snaps = y_hat[:, idx[..., 0]].transpose(1, 2, 0).reshape(P, -1)     # (P, n N)
     rhs = np.hstack([np.array(extras, dtype=complex).reshape(-1, P).T, snaps])
-    _, x = systems.solve_packets(lambda part: systems.gather_blocks(table, idx[part]), P,
-                                 systems.phase_rows(m, n, samples.omega), rhs)
+    smin, smax, x = systems.solve_packets(
+        lambda part: systems.gather_blocks(table, idx[part]), P,
+        systems.phase_rows(m, n, omega), rhs)
+    if plain:
+        bad = systems.singular_indices(smin, systems.SINGULAR_TOL)
+        if bad:
+            raise SingularSystem(bad)
+    else:
+        bad = np.flatnonzero(smin < systems.RANK_TOL * smax)
+        if bad.size:
+            raise RankDeficient(int(bad[0]))
     f_hat = np.empty(L, dtype=complex)
     f_hat[idx.reshape(P, -1)] = x
     return spectral.idft(f_hat)
@@ -169,10 +173,12 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
 
     Every frequency packet couples the m n spectrum values
     f_hat(rho + k L/(mn) + l L/m) and is solved in the least-squares sense.
-    The guarantee regime needs odd n and omega containing 1..(m-1)/2; pass
-    ``force=True`` to attempt the solve outside it.  A packet whose matrix
-    has smin below ``systems.RANK_TOL`` times its largest singular value
-    raises ``RankDeficient``.
+    At least m snapshot sequences are needed; those beyond the first m are
+    stacked as extra least-squares rows.  The guarantee regime needs odd n
+    and omega containing 1..(m-1)/2; pass ``force=True`` to attempt the
+    solve outside it.  A packet whose matrix has smin below
+    ``systems.RANK_TOL`` times its largest singular value raises
+    ``RankDeficient``.
     """
     omega = tuple(sorted(int(c) for c in omega))
     if (samples.m, samples.n, samples.omega) != (m, n, omega):
@@ -184,10 +190,7 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
         if not needed.issubset(omega):
             raise PreconditionViolated(
                 f"guarantee regime needs omega containing {sorted(needed)} (use force=True)")
-    L = samples.L
-    if L != a.L:
-        raise LengthMismatch(f"samples imply length {L} != filter length {a.L}")
-    return _solve_extended(samples, systems.power_rows(a.response, m))
+    return _solve(samples, systems.power_rows(a.response, samples.N), n, omega)
 
 
 def dense_oracle(a, m, N, n=1, omega=(), max_size=512):

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import (NoAdmissibleN, NonDivisibleLength,
                      PreconditionViolated, TailTooLarge)
 from . import spectral, systems
-from .recon import SampleSet, _solve_extended, _solve_plain
+from .recon import SampleSet, _solve
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +347,7 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
 def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False, tail_tol=1e-12):
     """Recover the coefficient sequence from a span sample set.
 
+    Uses the first m snapshot sequences, one per cross-spectrum Phi_hat_j.
     With extra samples the packet solve mirrors the integer-sequence
     pipeline, except that the extra-sample rows carry the weight
     Phi_hat_0 at each column's frequency (the extras observe f, whose
@@ -359,8 +360,8 @@ def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False, tail_tol=1
     L = samples.L
     system = build_sis_system(gen, a_hat, m, L, K, tail_tol)
     if not omega:
-        return _solve_plain(sis_family(system), samples)
+        return _solve(samples, system.phi_hat, 1, None)
     if not force and not set(range(1, m)).issubset(omega):
         raise PreconditionViolated(
             f"span guarantee needs omega containing {list(range(1, m))} (use force=True)")
-    return _solve_extended(samples, system.phi_hat)
+    return _solve(samples, system.phi_hat, n, omega)

@@ -46,8 +46,8 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
     xi = np.arange(grid) / grid
-    smin, _ = systems.solve_packets(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
-                                    grid, systems.phase_rows(m, n, omega))
+    smin, _, _ = systems.solve_packets(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
+                                       grid, systems.phase_rows(m, n, omega))
     if smin.min() <= 0.0:
         g = int(np.argmin(smin))
         raise RankDeficient(g, f"extended matrix singular at xi = {g}/{grid}")

@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CoincidentNodes, EvenM, NonDivisibleLength, RankDeficient,
-                     ShapeMismatch)
+from .errors import CoincidentNodes, EvenM, NonDivisibleLength, ShapeMismatch
 
 # Relative singular-value cutoffs.  A grid index is singular when its smin is
 # below SINGULAR_TOL times the largest smin over the grid; a packet is rank
-# deficient when its smin is below RANK_TOL times its own largest singular value.
+# deficient (and its solve drops) singular values up to RANK_TOL times its largest.
 SINGULAR_TOL = 1e-8
 RANK_TOL = 1e-10
 # Cap on each chunk of assembled packet matrices, so peak memory stays flat in L.
@@ -127,15 +126,13 @@ def smin_plain(system, rho):
 
 
 def plain_family(system):
-    """Stacked matrices over the whole grid, shape (L/m, N, m)."""
+    """Stacked matrices over the whole grid, shape (L/m, N, m): the n = 1 packet blocks."""
     a, m, N = system.a, system.m, system.N
     L = a.L
     if m < 1 or L % m:
         raise NonDivisibleLength(f"factor {m} does not divide filter length {L}")
-    step = L // m
-    idx = np.arange(step)[:, None] + np.arange(m)[None, :] * step
-    nodes = a.response[idx]                                   # (step, m)
-    return nodes[:, None, :] ** np.arange(N)[None, :, None]   # (step, N, m)
+    idx = packet_indices(L, m, 1, np.arange(L // m))
+    return gather_blocks(power_rows(a.response, N), idx)[:, 0]
 
 
 def smin_family(mats):
@@ -230,7 +227,7 @@ def packet_indices(L, m, n, rho):
 
 
 def gather_blocks(table, idx):
-    """(P, n, m, m) blocks at :func:`packet_indices` idx of an (m, L) node table.
+    """(P, n, N, m) blocks at :func:`packet_indices` idx of an (N, L) node table.
 
     Row j of the table holds time step j: the j-th power of the grid response
     (sequence pipeline) or the cross-spectrum Phi_hat_j (span pipeline).
@@ -244,48 +241,48 @@ def offgrid_blocks(a, m, n, xi):
 
 
 def extended_stack(blocks, phase):
-    """Stack (P, |omega| + m n, m n) of extended packet matrices.
+    """Stack (P, |omega| + n N, m n) of extended packet matrices.
 
-    Top: the :func:`phase_rows` weighted by row 0 of the (P, n, m, m) blocks,
-    scaled by 1/(m n).  Below: the blocks on the diagonal, scaled by 1/m.
+    Top: the :func:`phase_rows` weighted by row 0 of the (P, n, N, m) blocks,
+    scaled by 1/(m n).  Below: the N x m blocks on the diagonal, scaled by 1/m.
     """
-    P, n, m, _ = blocks.shape
+    P, n, N, m = blocks.shape
     off = len(phase)
-    A = np.zeros((P, off + m * n, m * n), dtype=complex)
+    A = np.zeros((P, off + N * n, m * n), dtype=complex)
     A[:, :off] = phase * blocks[:, :, 0, :].reshape(P, 1, m * n) / (m * n)
     for k in range(n):
-        A[:, off + k * m:off + (k + 1) * m, k * m:(k + 1) * m] = blocks[:, k] / m
+        A[:, off + k * N:off + (k + 1) * N, k * m:(k + 1) * m] = blocks[:, k] / m
     return A
 
 
 def solve_packets(blocks_of, P, phase, rhs=None):
-    """Per-packet smin and, given (P, |omega| + m n) ``rhs``, least-squares solutions.
+    """Per-packet smin, smax and, given (P, rows) ``rhs``, minimum-norm solutions.
 
-    ``blocks_of(part)`` returns the blocks of the packets in slice ``part``;
-    each chunk of packets is assembled and decomposed by one batched SVD.
-    Returns (smin, x), x being None without rhs.  When solving, a packet with
-    smin below RANK_TOL times its largest singular value raises RankDeficient.
+    ``blocks_of(part)`` returns the blocks of the packets in slice ``part``
+    (square without rhs); each chunk is assembled and decomposed by one
+    batched SVD.  Singular values at or below RANK_TOL times the packet's
+    largest are dropped, as in a pseudoinverse with that cutoff.  Returns
+    (smin, smax, x), x being None without rhs; raises nothing.
     """
-    rows, cols = phase.shape[0] + phase.shape[1], phase.shape[1]
+    cols = phase.shape[1]
+    rows = len(phase) + cols if rhs is None else rhs.shape[1]
     chunk = max(1, _CHUNK_BYTES // (16 * rows * cols))
-    smin = np.empty(P)
+    smin, smax = np.empty(P), np.empty(P)
     x = None if rhs is None else np.empty((P, cols), dtype=complex)
     for start in range(0, P, chunk):
         part = slice(start, min(start + chunk, P))
         A = extended_stack(blocks_of(part), phase)
         if rhs is None:
-            smin[part] = np.linalg.svd(A, compute_uv=False)[:, -1]
-            continue
-        U, s, Vh = np.linalg.svd(A, full_matrices=False)
-        del A               # at most one chunk's matrices and factors are alive
-        bad = np.flatnonzero(s[:, -1] < RANK_TOL * s[:, 0])
-        if bad.size:
-            raise RankDeficient(start + int(bad[0]))
-        smin[part] = s[:, -1]
-        coef = np.einsum("pji,pj->pi", U.conj(), rhs[part]) / s
-        x[part] = np.einsum("pji,pj->pi", Vh.conj(), coef)
-        del U, Vh
-    return smin, x
+            s = np.linalg.svd(A, compute_uv=False)
+        else:
+            U, s, Vh = np.linalg.svd(A, full_matrices=False)
+            del A               # at most one chunk's matrices and factors are alive
+            proj = np.einsum("pji,pj->pi", U.conj(), rhs[part])
+            coef = np.divide(proj, s, out=np.zeros_like(proj), where=s > RANK_TOL * s[:, :1])
+            x[part] = np.einsum("pji,pj->pi", Vh.conj(), coef)
+            del U, Vh
+        smin[part], smax[part] = s[:, -1], s[:, 0]
+    return smin, smax, x
 
 
 def build_extended(a, m, n, omega, rho):
@@ -307,23 +304,6 @@ def build_extended(a, m, n, omega, rho):
 def build_extended_at(a, m, n, omega, xi):
     """Extended matrix with blocks evaluated off the grid at frequency xi."""
     return extended_stack(offgrid_blocks(a, m, n, [xi]), phase_rows(m, n, omega))[0]
-
-
-def build_extended_multi_time(a, m, n, omega, rho, times):
-    """Experimental variant: extra samples repeated at evolution steps 0..times-1.
-
-    Appends, for each step t >= 1, rows whose entries carry the extra-sample
-    phases weighted by the t-th power of the node transfer values.  More
-    rows can only improve the least-squares conditioning; no recovery
-    guarantee is claimed for the enlarged system.
-    """
-    if times < 1:
-        raise ValueError("times must be at least 1")
-    A = build_extended(a, m, n, omega, rho)
-    nodes = a.response[packet_indices(a.L, m, n, [rho])[0]].reshape(-1)
-    weights = power_rows(nodes, times)[1:, None, :]       # steps 1..times-1
-    rows = phase_rows(m, n, omega) * weights / (m * n)
-    return np.vstack([A, rows.reshape(-1, m * n)])
 
 
 def sine_test_matrices(m, n, k):

@@ -167,3 +167,43 @@ def test_guarantee_violation_exit_code(tmp_path):
                                omega=[], L=72, seed=0)
     code = cli.run(cfg, out_dir=tmp_path)
     assert code == 2
+
+
+def run_violations(tmp_path, capsys, **fields):
+    """Exit code of cli.run and the violations it reports on stderr."""
+    code = cli.run(cli.ExperimentConfig(**fields), out_dir=tmp_path)
+    err = capsys.readouterr().err
+    return code, json.loads(err).get("violations", []) if err else []
+
+
+def test_validate_rejects_negative_n(tmp_path, capsys):
+    code, msgs = run_violations(tmp_path, capsys, mode="roundtrip", filter=rc_filter(),
+                                m=3, n=-3, omega=[1], L=72)
+    assert code == 1 and any("n must be a positive integer" in m for m in msgs)
+
+
+def test_validate_rejects_too_few_snapshots(tmp_path, capsys):
+    code, msgs = run_violations(tmp_path, capsys, mode="roundtrip", filter=rc_filter(),
+                                m=3, n=3, N=2, omega=[1], L=72)
+    assert code == 1 and any("N >= m" in m for m in msgs)
+
+
+def test_validate_rejects_zero_trials(tmp_path, capsys):
+    code, msgs = run_violations(tmp_path, capsys, mode="noise_sweep", filter=rc_filter(),
+                                m=3, n=3, omega=[1], L=72, sigmas=[1e-3], trials=0)
+    assert code == 1 and any("noise trial" in m for m in msgs)
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_validate_rejects_empty_n_list(tmp_path, capsys):
+    code, msgs = run_violations(tmp_path, capsys, mode="bounds_table", filter=rc_filter(),
+                                m=3, L=72, n_list=[])
+    assert code == 1 and any("nonempty n_list" in m for m in msgs)
+
+
+def test_validate_keeps_n_zero_for_sis_roundtrip_only():
+    sis = cli.ExperimentConfig(mode="sis_roundtrip", generator={"kind": "sinc"},
+                               line_filter={"kind": "identity"}, m=3, n=0, L=72)
+    assert cli.validate(sis) == []
+    rt = cli.ExperimentConfig(mode="roundtrip", filter=rc_filter(), m=3, n=0, L=72)
+    assert any("n must be a positive integer" in m for m in cli.validate(rt))

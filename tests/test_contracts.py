@@ -7,7 +7,7 @@ import pytest
 
 import dynsamp as ds
 import dynsamp.cli as cli
-from dynsamp.errors import DynsampError, EvenM, LengthMismatch
+from dynsamp.errors import DynsampError, EvenM, LengthMismatch, MalformedSamples
 
 L, M, N_EXTRA, OMEGA = 72, 3, 3, (1,)
 
@@ -41,6 +41,19 @@ def test_nan_sample_rejected():
     y[1][4] = np.nan
     with pytest.raises(DynsampError, match=r"y\[1\]"):
         rebuild(s, y=y)
+
+
+def test_empty_snapshots_rejected():
+    with pytest.raises(MalformedSamples, match="snapshot"):
+        ds.SampleSet(y=[], m=M)
+
+
+@pytest.mark.parametrize("extras", [{}, {2: None}, {1: None, 2: None}])
+def test_extras_keys_not_matching_omega_rejected(extras):
+    s = samples()
+    extras = {c: s.extras[1] for c in extras}
+    with pytest.raises(MalformedSamples, match="omega"):
+        rebuild(s, extras=extras)
 
 
 def test_nonpositive_m_rejected():

@@ -222,3 +222,29 @@ def test_stack_samples_order_matches_oracle_rows():
     s = ds.forward(f, a, m, 2, n, (1, 2))
     M = ds.dense_oracle(a, m, 2, n, (1, 2))
     assert np.abs(M @ f - ds.stack_samples(s)).max() < 1e-10
+
+
+def test_extended_needs_m_snapshots():
+    # N < m would give wide packets (7 x 9 here) that pass the rank test
+    # and solve to a wrong signal; the precondition must reject them.
+    m, n, L = 3, 3, 72
+    a = ds.filter_raised_cosine(L, 1.0)
+    s = ds.forward(rand_signal(L, 14), a, m, m - 1, n, (1,))
+    with pytest.raises(PreconditionViolated, match="snapshot"):
+        ds.reconstruct_extended(s, a, m, n, (1,))
+
+
+def test_extended_stacks_snapshots_beyond_m():
+    m, n, L, omega = 3, 3, 72, (1,)
+    a = ds.filter_raised_cosine(L, 1.0)
+    f = rand_signal(L, 15)
+    s = ds.forward(f, a, m, m + 2, n, omega)
+    rec = ds.reconstruct_extended(s, a, m, n, omega)
+    assert np.linalg.norm(rec - f) <= 1e-12 * np.linalg.norm(f)
+    # corrupted late snapshots now enter the least-squares fit
+    y = [v + (5.0 if l >= m else 0.0) for l, v in enumerate(s.y)]
+    noisy = ds.SampleSet(y=y, extras=s.extras, m=m, n=n, omega=omega)
+    rec = ds.reconstruct_extended(noisy, a, m, n, omega)
+    assert np.linalg.norm(rec - f) > 1e-3 * np.linalg.norm(f)
+    ref = ds.oracle_solve(a, noisy)
+    assert np.linalg.norm(rec - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -220,6 +220,15 @@ def test_sis_plain_round_trip_asymmetric_filter():
     assert np.linalg.norm(rec - c) <= 1e-8 * np.linalg.norm(c)
 
 
+def test_sis_plain_needs_m_snapshots():
+    L, m = 48, 2
+    a_hat = lambda nu: np.exp(-(np.asarray(nu, dtype=float) - 0.26) ** 2).astype(complex)
+    s = ds.sis_forward(rand_coeffs(L, 2), SINC, a_hat, m, 1, ())
+    short = ds.SampleSet(y=s.y[:1], m=m)
+    with pytest.raises(PreconditionViolated, match="snapshot"):
+        ds.sis_reconstruct(short, SINC, a_hat, m, 1, (), K=8)
+
+
 def test_sis_plain_raises_on_singular_grid():
     L, m = 72, 3
     a_hat = ds.gaussian_response(2.0)

@@ -219,16 +219,6 @@ def test_system_bundles_expose_matrices():
     assert np.abs(ext.matrix_at(2 / 24) - ext.matrix(2)).max() < 1e-13
 
 
-def test_multi_time_extras_never_hurt():
-    a = ds.filter_raised_cosine(72, 1.0)
-    for rho in (0, 4, 11):
-        A1 = ds.build_extended_multi_time(a, 3, 3, (1,), rho, times=1)
-        A2 = ds.build_extended_multi_time(a, 3, 3, (1,), rho, times=3)
-        s1 = np.linalg.svd(A1, compute_uv=False)[-1]
-        s2 = np.linalg.svd(A2, compute_uv=False)[-1]
-        assert s2 >= s1 - 1e-15
-
-
 def test_sine_matrices_m3_closed_form():
     m, n = 3, 4
     for k in range(3):
