@@ -116,6 +116,10 @@ def validate(config):
             v.append("sis_roundtrip needs a generator spec")
         if not config.line_filter:
             v.append("sis_roundtrip needs a line_filter spec")
+        if config.P < 1:
+            v.append(f"sis_roundtrip needs P >= 1 fine samples per unit, got P={config.P}")
+        if config.K < 1:
+            v.append(f"sis_roundtrip needs a periodization half-width K >= 1, got K={config.K}")
     if config.mode in ("noise_sweep", "roundtrip", "sis_roundtrip", "stability_report"):
         if config.seed is None:
             v.append("stochastic modes need an explicit seed")

@@ -78,9 +78,12 @@ class Generator:
 
 def _bspline_time(x, order):
     # Centered cardinal B-spline: (order+1)-fold convolution of the unit box,
-    # supported on [-(order+1)/2, (order+1)/2].
+    # supported on [-(order+1)/2, (order+1)/2].  It is even and is summed at
+    # -|x|: right of the origin the truncated powers grow to (order+1)**order
+    # and cancel only up to rounding, while at -|x| they stay small, and
+    # outside the support every term is exactly 0.
     d = order
-    shiftx = x + (d + 1) / 2.0
+    shiftx = -np.abs(x) + (d + 1) / 2.0
     out = np.zeros_like(x, dtype=float)
     for k in range(d + 2):
         term = np.clip(shiftx - k, 0.0, None) ** d
@@ -146,28 +149,43 @@ def line_filter_from_spec(spec):
 # ---------------------------------------------------------------------------
 # periodization and the integer-rate system
 
+def _cross_spectra(gen, a_hat, js, L, K, tail_tol):
+    """Rows Phi_hat_j on the L-grid for each j in js, and their tails.
+
+    Evaluates phi_hat and a_hat once on the (L, 2K+1) table of shifted
+    frequencies; see periodize_phi for the tail rule.
+    """
+    if K < 1:
+        raise PreconditionViolated(f"periodization half-width K must be at least 1, got K={K}")
+    k = np.arange(-K, K + 1)
+    nu = (np.arange(L) / L)[:, None] + k[None, :]
+    phi = gen.fourier_at(nu).astype(complex)
+    avals = a_hat(nu) if any(js) else None
+    rows, tails = [], []
+    for j in js:
+        terms = phi * avals ** j if j else phi
+        vals = terms.sum(axis=1)
+        tail = float((np.abs(terms[:, 0]) + np.abs(terms[:, -1])).max())
+        scale = max(float(np.abs(vals).max()), 1e-300)
+        if tail > tail_tol * scale:
+            raise TailTooLarge(
+                f"|k|={K} term is {tail:.3e} > {tail_tol:.1e} * scale {scale:.3e}; increase K")
+        rows.append(vals)
+        tails.append(tail)
+    return rows, tails
+
+
 def periodize_phi(gen, a_hat, j, L, K, tail_tol=1e-12):
     """Periodized cross-spectrum of the j-step evolved generator on the L-grid.
 
     Returns (values, tail) where values[r] approximates
     sum_k a_hat(r/L + k)**j phi_hat(r/L + k) truncated at |k| <= K and tail
     is the largest |k| = K term magnitude over the grid.  Raises
-    TailTooLarge when that term exceeds ``tail_tol`` times the value scale.
+    TailTooLarge when that term exceeds ``tail_tol`` times the value scale,
+    and PreconditionViolated for K < 1.
     """
-    if K < 1:
-        raise ValueError("K must be at least 1")
-    k = np.arange(-K, K + 1)
-    nu = (np.arange(L) / L)[:, None] + k[None, :]
-    terms = gen.fourier_at(nu).astype(complex)
-    if j:
-        terms = terms * a_hat(nu) ** j
-    vals = terms.sum(axis=1)
-    tail = float((np.abs(terms[:, 0]) + np.abs(terms[:, -1])).max())
-    scale = max(float(np.abs(vals).max()), 1e-300)
-    if tail > tail_tol * scale:
-        raise TailTooLarge(
-            f"|k|={K} term is {tail:.3e} > {tail_tol:.1e} * scale {scale:.3e}; increase K")
-    return vals, tail
+    rows, tails = _cross_spectra(gen, a_hat, (j,), L, K, tail_tol)
+    return rows[0], tails[0]
 
 
 @dataclass
@@ -185,12 +203,7 @@ def build_sis_system(gen, a_hat, m, L, K, tail_tol=1e-12):
     """Assemble the m x m per-frequency family for time steps 0..m-1."""
     if m < 1 or L % m:
         raise NonDivisibleLength(f"factor {m} does not divide length {L}")
-    rows = []
-    tails = []
-    for j in range(m):
-        vals, tail = periodize_phi(gen, a_hat, j, L, K, tail_tol)
-        rows.append(vals)
-        tails.append(tail)
+    rows, tails = _cross_spectra(gen, a_hat, range(m), L, K, tail_tol)
     return SISSystem(m=m, L=L, phi_hat=np.array(rows), tail_bound=max(tails), K=K)
 
 
@@ -291,16 +304,21 @@ def reducibility_check(gen, a_hat, L, K, support_tol=1e-8, ratio_tol=1e-8):
 def _synthesize_fine(c, gen, P):
     """Values of f = sum_k c_k phi(. - k) on the grid s/P, s = 0..L*P-1.
 
-    Compactly supported generators are summed directly in the time domain
-    (exact).  Band-limited and table generators are synthesized from their
-    finite frequency content.
+    Compactly supported generators are summed exactly in the time domain,
+    one polyphase term per integer offset j that meets the support:
+    f(k + r/P) = sum_j c_{k-j} phi(j + r/P), in O(L P d) time and O(L P)
+    memory for a B-spline of order d.  Band-limited and table generators
+    are synthesized from their finite frequency content.
     """
     c = np.asarray(c, dtype=complex)
     L = len(c)
     if gen.compact_support:
-        x = np.arange(L * P) / P
-        offs = (x[:, None] - np.arange(L)[None, :] + L / 2.0) % L - L / 2.0
-        return gen.time_at(offs) @ c
+        half = (gen.order + 1) / 2.0
+        r = np.arange(P) / P
+        out = np.zeros((L, P), dtype=complex)
+        for j in range(math.floor(-half), math.ceil(half)):
+            out += np.roll(c, j)[:, None] * gen.time_at(j + r)[None, :]
+        return out.ravel()
     # Frequency route: Fourier coefficient q of the L-periodic f is
     # c_hat(q mod L) * phi_hat(q/L) / L for q in [-LP/2, LP/2).
     c_hat = spectral.dft(c)
@@ -323,6 +341,8 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     L = len(c)
     if m < 1 or L % m:
         raise NonDivisibleLength(f"factor {m} does not divide length {L}")
+    if P < 1:
+        raise PreconditionViolated(f"fine samples per unit P must be at least 1, got P={P}")
     omega = tuple(sorted(int(v) for v in omega))
     if omega and L % (m * n):
         raise NonDivisibleLength(f"extra factor {m * n} does not divide length {L}")

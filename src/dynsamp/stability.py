@@ -19,7 +19,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import EvenM, GridMiss, HypothesisViolated, RankDeficient
+from .errors import (EvenM, GridMiss, HypothesisViolated, PreconditionViolated,
+                     RankDeficient)
 from . import systems
 from .recon import SampleSet, forward, reconstruct_extended
 
@@ -207,8 +208,11 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, slack=0.10,
     per-entry RMS error sqrt(mean |f - f_rec|^2) averaged over trials.
     ``bound_ok`` compares the mean against the estimate with the given
     relative slack.  Reusing one seed across sigma values yields errors that
-    are exactly proportional to sigma.
+    are exactly proportional to sigma.  Raises PreconditionViolated for
+    trials < 1.
     """
+    if trials < 1:
+        raise PreconditionViolated(f"noise_trial needs at least one trial, got trials={trials}")
     f = np.asarray(f, dtype=complex)
     L = len(f)
     omega = tuple(sorted(int(c) for c in omega))

@@ -7,7 +7,8 @@ import pytest
 
 import dynsamp as ds
 import dynsamp.cli as cli
-from dynsamp.errors import DynsampError, EvenM, LengthMismatch, MalformedSamples
+from dynsamp.errors import (DynsampError, EvenM, LengthMismatch, MalformedSamples,
+                            PreconditionViolated)
 
 L, M, N_EXTRA, OMEGA = 72, 3, 3, (1,)
 
@@ -90,3 +91,35 @@ def test_validate_reports_even_m(mode):
     cfg = cli.ExperimentConfig(mode=mode, filter={"kind": "raised_cosine", "L": 72, "p": 1.0},
                                m=4, n=3, L=72)
     assert any("odd m" in msg for msg in cli.validate(cfg))
+
+
+BSPLINE = ds.make_generator({"kind": "bspline", "order": 3})
+
+
+def test_sis_forward_rejects_nonpositive_P():
+    with pytest.raises(PreconditionViolated, match="P=0"):
+        ds.sis_forward(np.ones(24), BSPLINE, ds.identity_response(), 3, P=0)
+
+
+def test_periodize_phi_rejects_nonpositive_K():
+    with pytest.raises(PreconditionViolated, match="K=0"):
+        ds.periodize_phi(BSPLINE, ds.identity_response(), 1, 24, 0)
+
+
+def test_build_sis_system_rejects_nonpositive_K():
+    with pytest.raises(PreconditionViolated, match="K=0"):
+        ds.build_sis_system(BSPLINE, ds.identity_response(), 3, 24, 0)
+
+
+@pytest.mark.parametrize("field, value", [("P", 0), ("K", 0)])
+def test_validate_reports_span_discretization(field, value):
+    cfg = cli.ExperimentConfig(mode="sis_roundtrip", generator={"kind": "bspline", "order": 3},
+                               line_filter={"kind": "identity"}, m=3, n=3, L=72,
+                               **{field: value})
+    assert any(f"{field}={value}" in msg for msg in cli.validate(cfg))
+
+
+def test_noise_trial_rejects_zero_trials():
+    f = np.ones(L, dtype=complex)
+    with pytest.raises(PreconditionViolated, match="trials=0"):
+        ds.noise_trial(f, ds.filter_raised_cosine(L, 1.0), M, N_EXTRA, OMEGA, 1e-3, trials=0)
