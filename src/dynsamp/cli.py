@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DynsampError
+from .errors import DynsampError, PreconditionViolated
 from . import sis as sis_mod
 from . import stability as stab
 from .filters import filter_from_spec
@@ -114,6 +114,11 @@ def validate(config):
     if config.mode == "sis_roundtrip":
         if not config.generator:
             v.append("sis_roundtrip needs a generator spec")
+        elif config.generator.get("kind") == "bspline":
+            try:
+                sis_mod._bspline_order(config.generator.get("order", 3))
+            except PreconditionViolated as exc:
+                v.append(str(exc))
         if not config.line_filter:
             v.append("sis_roundtrip needs a line_filter spec")
         if config.P < 1:
@@ -249,7 +254,7 @@ def _run_sis_roundtrip(cfg, out):
     gen = sis_mod.make_generator(cfg.generator)
     a_hat = sis_mod.line_filter_from_spec(cfg.line_filter)
     m, L = cfg.m, cfg.L
-    n = cfg.n
+    n, system = cfg.n, None
     if n == 0:
         system = sis_mod.build_sis_system(gen, a_hat, m, L, cfg.K)
         bad = sis_mod.sis_singular_set(system)
@@ -258,7 +263,7 @@ def _run_sis_roundtrip(cfg, out):
     omega = tuple(sorted(cfg.omega)) or tuple(range(1, m))
     c = stab._seeded_signal(L, cfg.seed)
     samples = sis_mod.sis_forward(c, gen, a_hat, m, n, omega, P=cfg.P)
-    rec = sis_mod.sis_reconstruct(samples, gen, a_hat, m, n, omega, K=cfg.K)
+    rec = sis_mod.sis_reconstruct(samples, gen, a_hat, m, n, omega, K=cfg.K, system=system)
     rel = float(np.linalg.norm(rec - c) / np.linalg.norm(c))
     ok = rel <= cfg.tolerance()
     report = {"mode": "sis_roundtrip", "config": _echo(cfg), "n_used": n,

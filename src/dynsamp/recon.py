@@ -7,6 +7,7 @@ least-squares system per frequency packet and reassembles the spectrum.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,6 +16,12 @@ from .errors import (LengthMismatch, MalformedSamples, NonDivisibleLength,
                      PreconditionViolated, RankDeficient, SingularSystem, TooLarge)
 from . import spectral, systems
 from .filters import evolve
+
+
+def _require_finite(name, values):
+    """Raise MalformedSamples naming ``name`` unless every sample is finite."""
+    if not np.all(np.isfinite(values)):
+        raise MalformedSamples(f"{name} holds non-finite samples")
 
 
 @dataclass
@@ -49,8 +56,7 @@ class SampleSet:
             raise LengthMismatch(f"each extras sequence must hold L/(m n) = {per_extra} samples")
         for what, seqs in (("y", enumerate(self.y)), ("extras", self.extras.items())):
             for key, v in seqs:
-                if not np.all(np.isfinite(v)):
-                    raise MalformedSamples(f"{what}[{key}] holds non-finite samples")
+                _require_finite(f"{what}[{key}]", v)
 
     @property
     def L(self):
@@ -122,39 +128,38 @@ def reconstruct_plain(samples, a, m):
     """
     if samples.m != m:
         raise PreconditionViolated(f"samples were taken with m={samples.m}, not {m}")
-    return _solve(samples, systems.power_rows(a.response, samples.N), 1, None)
+    return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
+                  1, None)
 
 
-def _solve(samples, table, n, omega):
+def _solve(y, extras, m, table, n, omega):
     """Solve every frequency packet against the first len(table) snapshots.
 
-    Row j of the (N, L) node table holds time step j (see
-    :func:`systems.gather_blocks`); packet rho couples the spectrum values
-    f_hat(rho + k L/(m n) + l L/m).  ``omega=None`` marks the plain system
-    (n = 1, no extra rows), whose singular frequencies are judged against
-    the whole grid and raise ``SingularSystem``; otherwise a packet with
-    smin below ``systems.RANK_TOL`` times its largest singular value raises
+    ``y`` lists the N snapshot sequences, each (..., L/m), and ``extras``
+    maps each shift in omega to its (..., L/(m n)) samples; an optional
+    leading trial axis of length T makes every trial a right-hand side of
+    the same packet decompositions, and the result is (..., L).  Row j of the
+    (N, L) node table holds time step j (see :func:`systems.gather_blocks`);
+    packet rho couples the spectrum values f_hat(rho + k L/(m n) + l L/m).
+    ``omega=None`` marks the plain system (n = 1, no extra rows), whose
+    singular frequencies are judged against the whole grid and raise
+    ``SingularSystem``; otherwise a packet with smin below
+    ``systems.RANK_TOL`` times its largest singular value raises
     ``RankDeficient``.
     """
-    m, L = samples.m, samples.L
+    N, trials, L = len(y), y[0].shape[:-1], y[0].shape[-1] * m
     if L != table.shape[1]:
         raise LengthMismatch(f"samples imply length {L} != filter length {table.shape[1]}")
-    if samples.N < m:
-        raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {samples.N}")
+    if N < m:
+        raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {N}")
     if L % (m * n):
         raise NonDivisibleLength(f"factor {m * n} does not divide length {L}")
     plain, omega = omega is None, omega or ()
-    P = L // (m * n)
+    P, T = L // (m * n), math.prod(trials)
     idx = systems.packet_indices(L, m, n, np.arange(P))
-    # Right-hand sides (P, |omega| + n N): phased extras, then snapshot spectra.
-    extras = [np.exp(2j * np.pi * c * np.arange(P) / L) * spectral.dft(samples.extras[c])
-              for c in omega]
-    y_hat = np.array([spectral.dft(v) for v in samples.y[:len(table)]])   # (N, L/m)
-    snaps = y_hat[:, idx[..., 0]].transpose(1, 2, 0).reshape(P, -1)     # (P, n N)
-    rhs = np.hstack([np.array(extras, dtype=complex).reshape(-1, P).T, snaps])
     smin, smax, x = systems.solve_packets(
         lambda part: systems.gather_blocks(table, idx[part]), P,
-        systems.phase_rows(m, n, omega), rhs)
+        systems.phase_rows(m, n, omega), _rhs(y[:len(table)], extras, omega, idx, L, T))
     if plain:
         bad = systems.singular_indices(smin, systems.SINGULAR_TOL)
         if bad:
@@ -163,9 +168,21 @@ def _solve(samples, table, n, omega):
         bad = np.flatnonzero(smin < systems.RANK_TOL * smax)
         if bad.size:
             raise RankDeficient(int(bad[0]))
-    f_hat = np.empty(L, dtype=complex)
-    f_hat[idx.reshape(P, -1)] = x
-    return spectral.idft(f_hat)
+    f_hat = np.empty((T, L), dtype=complex)
+    f_hat[:, idx.reshape(P, -1)] = x.transpose(2, 0, 1)
+    return spectral.idft(f_hat).reshape(trials + (L,))
+
+
+def _rhs(y, extras, omega, idx, L, T):
+    """(P, |omega| + n N, T) right-hand sides of :func:`_solve` for the
+    packets at ``idx``: the phased extras, then the snapshot spectra.  The
+    spectra are freed on return, before the solve allocates its own arrays."""
+    P = len(idx)
+    phased = np.array([np.exp(2j * np.pi * c * np.arange(P) / L) * spectral.dft(extras[c])
+                       for c in omega], dtype=complex).reshape(len(omega), T, P)
+    y_hat = spectral.dft(np.reshape(y, (len(y), T, -1)))                # (N, T, L/m)
+    snaps = y_hat.transpose(2, 0, 1)[idx[..., 0]]                       # (P, n, N, T)
+    return np.concatenate([phased.transpose(2, 0, 1), snaps.reshape(P, -1, T)], axis=1)
 
 
 def reconstruct_extended(samples, a, m, n, omega, force=False):
@@ -180,6 +197,15 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
     ``systems.RANK_TOL`` times its largest singular value raises
     ``RankDeficient``.
     """
+    omega = _guarantee_regime(samples, m, n, omega, force)
+    return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
+                  n, omega)
+
+
+def _guarantee_regime(samples, m, n, omega, force=False):
+    """Sorted omega, once the sample set matches (m, n, omega) and, unless
+    ``force``, n is odd and omega contains 1..(m-1)/2; PreconditionViolated
+    otherwise."""
     omega = tuple(sorted(int(c) for c in omega))
     if (samples.m, samples.n, samples.omega) != (m, n, omega):
         raise PreconditionViolated("sample set parameters do not match the requested solve")
@@ -190,7 +216,7 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
         if not needed.issubset(omega):
             raise PreconditionViolated(
                 f"guarantee regime needs omega containing {sorted(needed)} (use force=True)")
-    return _solve(samples, systems.power_rows(a.response, samples.N), n, omega)
+    return omega
 
 
 def dense_oracle(a, m, N, n=1, omega=(), max_size=512):

@@ -14,6 +14,7 @@ independent route against which the reconstruction is validated.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,8 @@ class Generator:
     """Generator of the shift-invariant span.
 
     kind "sinc" is the half-open band indicator (transform chi_[-1/2, 1/2));
-    kind "bspline" is the centered cardinal B-spline of the given order;
+    kind "bspline" is the centered cardinal B-spline of the given order, a
+    nonnegative integer (order 0 is the unit box on [-1/2, 1/2));
     kind "table" holds explicit transform samples on the grid q/table_L for
     |q| <= table_K * table_L.
     """
@@ -42,6 +44,10 @@ class Generator:
     table: np.ndarray = None
     table_L: int = None
     table_K: int = None
+
+    def __post_init__(self):
+        if self.kind == "bspline":
+            self.order = _bspline_order(self.order)
 
     def fourier_at(self, nu):
         """Transform value(s) at real frequency nu."""
@@ -76,13 +82,24 @@ class Generator:
         return self.kind == "bspline"
 
 
+def _bspline_order(order):
+    """The order as an int; PreconditionViolated unless it is a nonnegative integer."""
+    if (isinstance(order, bool) or not isinstance(order, numbers.Real)
+            or not float(order).is_integer() or order < 0):
+        raise PreconditionViolated(f"B-spline order must be a nonnegative integer, got {order!r}")
+    return int(order)
+
+
 def _bspline_time(x, order):
     # Centered cardinal B-spline: (order+1)-fold convolution of the unit box,
-    # supported on [-(order+1)/2, (order+1)/2].  It is even and is summed at
-    # -|x|: right of the origin the truncated powers grow to (order+1)**order
-    # and cancel only up to rounding, while at -|x| they stay small, and
-    # outside the support every term is exactly 0.
+    # supported on [-(order+1)/2, (order+1)/2].  Order 0 is the box itself,
+    # taken half-open on [-1/2, 1/2) like the sinc band.  From order 1 on it
+    # is even and is summed at -|x|: right of the origin the truncated powers
+    # grow to (order+1)**order and cancel only up to rounding, while at -|x|
+    # they stay small, and outside the support every term is exactly 0.
     d = order
+    if d == 0:
+        return ((x >= -0.5) & (x < 0.5)).astype(float)
     shiftx = -np.abs(x) + (d + 1) / 2.0
     out = np.zeros_like(x, dtype=float)
     for k in range(d + 2):
@@ -92,12 +109,16 @@ def _bspline_time(x, order):
 
 
 def make_generator(spec):
-    """Generator from a JSON-style mapping, e.g. {"kind": "bspline", "order": 3}."""
+    """Generator from a JSON-style mapping, e.g. {"kind": "bspline", "order": 3}.
+
+    A B-spline order that is not a nonnegative integer raises
+    PreconditionViolated.
+    """
     kind = spec["kind"]
     if kind == "sinc":
         return Generator(kind="sinc")
     if kind == "bspline":
-        return Generator(kind="bspline", order=int(spec.get("order", 3)))
+        return Generator(kind="bspline", order=spec.get("order", 3))
     if kind == "table":
         table = np.array([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
                           for v in spec["fourier_values"]])
@@ -364,7 +385,8 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
 # ---------------------------------------------------------------------------
 # reconstruction at the integer rate
 
-def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False, tail_tol=1e-12):
+def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False, tail_tol=1e-12,
+                    system=None):
     """Recover the coefficient sequence from a span sample set.
 
     Uses the first m snapshot sequences, one per cross-spectrum Phi_hat_j.
@@ -372,16 +394,22 @@ def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False, tail_tol=1
     pipeline, except that the extra-sample rows carry the weight
     Phi_hat_0 at each column's frequency (the extras observe f, whose
     spectrum is c_hat * Phi_hat_0).  The guarantee regime expects omega to
-    contain 1..m-1; pass force=True to attempt other sets.
+    contain 1..m-1; pass force=True to attempt other sets.  ``system``
+    reuses a :func:`build_sis_system` result for the same (m, L, K)
+    instead of building it again.
     """
     omega = tuple(sorted(int(v) for v in omega))
     if (samples.m, samples.n, samples.omega) != (m, n, omega):
         raise PreconditionViolated("sample set parameters do not match the requested solve")
     L = samples.L
-    system = build_sis_system(gen, a_hat, m, L, K, tail_tol)
+    if system is None:
+        system = build_sis_system(gen, a_hat, m, L, K, tail_tol)
+    elif (system.m, system.L, system.K) != (m, L, K):
+        raise PreconditionViolated(f"system was built for (m, L, K) = "
+                                   f"{(system.m, system.L, system.K)}, not {(m, L, K)}")
     if not omega:
-        return _solve(samples, system.phi_hat, 1, None)
+        return _solve(samples.y, samples.extras, m, system.phi_hat, 1, None)
     if not force and not set(range(1, m)).issubset(omega):
         raise PreconditionViolated(
             f"span guarantee needs omega containing {list(range(1, m))} (use force=True)")
-    return _solve(samples, system.phi_hat, n, omega)
+    return _solve(samples.y, samples.extras, m, system.phi_hat, n, omega)

@@ -22,9 +22,12 @@ import numpy as np
 from .errors import (EvenM, GridMiss, HypothesisViolated, PreconditionViolated,
                      RankDeficient)
 from . import systems
-from .recon import SampleSet, forward, reconstruct_extended
+from .recon import _guarantee_regime, _require_finite, _solve, forward
 
 _SUP_TOL = 1e-12
+# Cap on one length-L complex array per trial of a noise_trial block; the
+# block's working arrays are a few such arrays, so memory stays O(L).
+_TRIAL_BLOCK_BYTES = 512 * 1024
 
 
 def minimal_omega(m):
@@ -208,42 +211,59 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, slack=0.10,
     per-entry RMS error sqrt(mean |f - f_rec|^2) averaged over trials.
     ``bound_ok`` compares the mean against the estimate with the given
     relative slack.  Reusing one seed across sigma values yields errors that
-    are exactly proportional to sigma.  Raises PreconditionViolated for
-    trials < 1.
+    are exactly proportional to sigma.  Trials are solved in blocks, each
+    block as right-hand sides of one decomposition per packet chunk; the
+    noise is drawn per trial, per sequence, real part then imaginary part,
+    whatever the block size.  Raises PreconditionViolated for trials < 1
+    and outside the guarantee regime of :func:`reconstruct_extended`, and
+    MalformedSamples for non-finite noisy samples.
     """
     if trials < 1:
         raise PreconditionViolated(f"noise_trial needs at least one trial, got trials={trials}")
     f = np.asarray(f, dtype=complex)
     L = len(f)
-    omega = tuple(sorted(int(c) for c in omega))
     samples = forward(f, a, m, m, n, omega)
+    omega = _guarantee_regime(samples, m, n, omega)
     if pinv_norm is None:
         if grid is None:
             grid = max(720, 4 * m * n)
         pinv_norm = empirical_pinv_norm(a, m, n, omega, grid)
     bound = pinv_norm * sigma / math.sqrt(m)
 
+    table = systems.power_rows(a.response, m)
+    block = max(1, _TRIAL_BLOCK_BYTES // (16 * L))
     rng = np.random.default_rng(seed)
-    scale = sigma / math.sqrt(2.0)
     errors = np.empty(trials)
-    for t in range(trials):
-        noisy_y = []
-        for v in samples.y:
-            noise = rng.standard_normal(len(v)) + 1j * rng.standard_normal(len(v))
-            noisy_y.append(v + scale * noise)
-        noisy_extras = {}
-        for c in samples.omega:
-            v = samples.extras[c]
-            noise = rng.standard_normal(len(v)) + 1j * rng.standard_normal(len(v))
-            noisy_extras[c] = v + scale * noise
-        noisy = SampleSet(y=noisy_y, extras=noisy_extras, m=m, n=n, omega=omega)
-        rec = reconstruct_extended(noisy, a, m, n, omega)
-        errors[t] = np.linalg.norm(rec - f) / math.sqrt(L)
+    for start in range(0, trials, block):
+        noisy = _noisy_block(samples, rng, min(block, trials - start), sigma)
+        rec = _solve(noisy[:m], dict(zip(omega, noisy[m:])), m, table, n, omega)
+        errors[start:start + len(rec)] = [np.linalg.norm(row) / math.sqrt(L) for row in rec - f]
+        del noisy, rec          # so the next block's arrays replace these, not join them
     mean_error = float(errors.mean())
     if sigma == 0.0:
         return NoiseTrialResult(mean_error, True, 0.0, 0.0)
     ratio = mean_error / bound
     return NoiseTrialResult(mean_error, ratio <= 1.0 + slack, bound, ratio)
+
+
+def _noisy_block(samples, rng, T, sigma):
+    """T noisy copies of every sequence, snapshots then extras, each (T, len).
+
+    Trial t takes the draws a per-trial loop would: sequence by sequence,
+    the real parts then the imaginary parts of its noise.  Non-finite
+    results raise MalformedSamples, as in a SampleSet.
+    """
+    names = [f"y[{l}]" for l in range(samples.N)] + [f"extras[{c}]" for c in samples.omega]
+    seqs = samples.y + [samples.extras[c] for c in samples.omega]
+    ends = np.cumsum([2 * len(v) for v in seqs])
+    draws = rng.standard_normal((T, ends[-1]))
+    scale = sigma / math.sqrt(2.0)
+    noisy = []
+    for name, v, end in zip(names, seqs, ends):
+        re, im = draws[:, end - 2 * len(v):end - len(v)], draws[:, end - len(v):end]
+        noisy.append(v + scale * (re + 1j * im))
+        _require_finite(name, noisy[-1])
+    return noisy
 
 
 def proportionality_deviation(sigmas, errors):

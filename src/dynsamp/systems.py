@@ -256,19 +256,28 @@ def extended_stack(blocks, phase):
 
 
 def solve_packets(blocks_of, P, phase, rhs=None):
-    """Per-packet smin, smax and, given (P, rows) ``rhs``, minimum-norm solutions.
+    """Per-packet smin, smax and, given ``rhs``, minimum-norm solutions.
 
+    ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
+    say), all solved against the one decomposition; x is (P, cols, T).
     ``blocks_of(part)`` returns the blocks of the packets in slice ``part``
     (square without rhs); each chunk is assembled and decomposed by one
-    batched SVD.  Singular values at or below RANK_TOL times the packet's
-    largest are dropped, as in a pseudoinverse with that cutoff.  Returns
-    (smin, smax, x), x being None without rhs; raises nothing.
+    batched SVD, and the chunk size counts the T columns as well.  Singular
+    values at or below RANK_TOL times the packet's largest are dropped, as
+    in a pseudoinverse with that cutoff.  Returns (smin, smax, x), x being
+    None without rhs; raises nothing.
     """
     cols = phase.shape[1]
-    rows = len(phase) + cols if rhs is None else rhs.shape[1]
-    chunk = max(1, _CHUNK_BYTES // (16 * rows * cols))
+    if rhs is None:
+        rows, trials = len(phase) + cols, 0
+    else:
+        _, rows, trials = rhs.shape
+        # Trials ahead of rows and columns, so that both contractions below
+        # run over a contiguous axis.
+        b = rhs.transpose(0, 2, 1)
+        x = np.empty((P, trials, cols), dtype=complex)
+    chunk = max(1, _CHUNK_BYTES // (16 * rows * (cols + trials)))
     smin, smax = np.empty(P), np.empty(P)
-    x = None if rhs is None else np.empty((P, cols), dtype=complex)
     for start in range(0, P, chunk):
         part = slice(start, min(start + chunk, P))
         A = extended_stack(blocks_of(part), phase)
@@ -277,12 +286,15 @@ def solve_packets(blocks_of, P, phase, rhs=None):
         else:
             U, s, Vh = np.linalg.svd(A, full_matrices=False)
             del A               # at most one chunk's matrices and factors are alive
-            proj = np.einsum("pji,pj->pi", U.conj(), rhs[part])
-            coef = np.divide(proj, s, out=np.zeros_like(proj), where=s > RANK_TOL * s[:, :1])
-            x[part] = np.einsum("pji,pj->pi", Vh.conj(), coef)
+            proj = np.einsum("pij,ptj->pti", np.conjugate(U.transpose(0, 2, 1), order="C"),
+                             np.ascontiguousarray(b[part]))
+            keep = (s > RANK_TOL * s[:, :1])[:, None, :]
+            coef = np.divide(proj, s[:, None, :], out=np.zeros_like(proj), where=keep)
+            x[part] = np.einsum("pij,ptj->pti", np.conjugate(Vh.transpose(0, 2, 1), order="C"),
+                                coef)
             del U, Vh
         smin[part], smax[part] = s[:, -1], s[:, 0]
-    return smin, smax, x
+    return smin, smax, None if rhs is None else x.transpose(0, 2, 1)
 
 
 def build_extended(a, m, n, omega, rho):

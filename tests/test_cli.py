@@ -131,6 +131,22 @@ def test_sis_roundtrip_mode(tmp_path):
     assert report["rel_error"] < 1e-6
 
 
+def test_sis_roundtrip_builds_span_system_once(tmp_path, monkeypatch):
+    builds = []
+    build = cli.sis_mod.build_sis_system
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(cli.sis_mod, "build_sis_system", counting)
+    cfg = cli.ExperimentConfig(mode="sis_roundtrip",
+                               generator={"kind": "bspline", "order": 3},
+                               line_filter={"kind": "gaussian", "alpha": 2.0},
+                               m=3, n=0, L=72, seed=5)
+    assert cli.run(cfg, out_dir=tmp_path) == 0
+    assert len(builds) == 1
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = cli.ExperimentConfig(mode="roundtrip", filter=None, m=3, L=72)
     assert cli.run(cfg, out_dir=tmp_path) == 1

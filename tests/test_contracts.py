@@ -123,3 +123,40 @@ def test_noise_trial_rejects_zero_trials():
     f = np.ones(L, dtype=complex)
     with pytest.raises(PreconditionViolated, match="trials=0"):
         ds.noise_trial(f, ds.filter_raised_cosine(L, 1.0), M, N_EXTRA, OMEGA, 1e-3, trials=0)
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, "3", True])
+def test_make_generator_rejects_bad_bspline_order(order):
+    with pytest.raises(PreconditionViolated, match="order"):
+        ds.make_generator({"kind": "bspline", "order": order})
+
+
+def test_bspline_order_zero_is_unit_box():
+    gen = ds.make_generator({"kind": "bspline", "order": 0})
+    x = np.array([-0.75, -0.5, -0.25, 0.0, 0.25, 0.4999, 0.5, 0.75])
+    assert np.array_equal(gen.time_at(x), [0, 1, 1, 1, 1, 1, 0, 0])
+
+
+def test_bspline_order_zero_synthesis_holds_each_coefficient():
+    # f = sum_k c_k box(. - k) is c_k on [k - 1/2, k + 1/2): at k + r/P it
+    # reads c_k for r/P < 1/2 and c_{k+1} from 1/2 on.
+    c = np.arange(1.0, 7.0)
+    fine = ds.sis._synthesize_fine(c, ds.make_generator({"kind": "bspline", "order": 0}), 4)
+    expected = np.stack([c, c, np.roll(c, -1), np.roll(c, -1)], axis=1).ravel()
+    assert np.array_equal(fine, expected)
+
+
+@pytest.mark.parametrize("order", [-1, 2.5])
+def test_validate_reports_bad_bspline_order(tmp_path, order):
+    cfg = cli.ExperimentConfig(mode="sis_roundtrip", generator={"kind": "bspline", "order": order},
+                               line_filter={"kind": "identity"}, m=3, n=3, L=72)
+    assert any("B-spline order" in msg for msg in cli.validate(cfg))
+    assert cli.run(cfg, out_dir=tmp_path) == 1
+
+
+def test_sis_reconstruct_rejects_system_of_other_size():
+    a_hat = ds.gaussian_response(2.0)
+    s = ds.sis_forward(np.ones(72), BSPLINE, a_hat, 3, 3, (1, 2), P=4)
+    system = ds.build_sis_system(BSPLINE, a_hat, 3, 144, 384)
+    with pytest.raises(PreconditionViolated, match="built for"):
+        ds.sis_reconstruct(s, BSPLINE, a_hat, 3, 3, (1, 2), K=384, system=system)
