@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DynsampError, PreconditionViolated
 from . import sis as sis_mod
+from . import spectral
 from . import stability as stab
 from .filters import filter_from_spec
 from .recon import forward, reconstruct_extended, reconstruct_plain
@@ -83,25 +84,30 @@ def validate(config):
         v.append("n must be a positive integer (sis_roundtrip also takes 0 to choose n)")
     if config.mode == "roundtrip" and config.N is not None and config.N < config.m:
         v.append(f"roundtrip needs N >= m = {config.m} snapshot sequences, got N={config.N}")
-    if config.L % max(config.m, 1):
-        v.append(f"L={config.L} is not divisible by m={config.m}")
     omega = list(config.omega)
     uses_extras = config.mode == "roundtrip" and omega
     uses_extras = uses_extras or config.mode in ("stability_report", "sis_roundtrip",
                                                  "noise_sweep")
-    if uses_extras and config.L % (config.m * max(config.n, 1)):
-        v.append(f"L={config.L} is not divisible by m*n={config.m * config.n}")
+    if config.m >= 1:
+        # sis_roundtrip's n = 0 picks n at run time, and omega's range depends on it
+        shifts = omega if uses_extras and config.n >= 1 else []
+        try:
+            spectral._layout(config.L, config.m, max(config.n, 1), shifts, packets=uses_extras)
+        except DynsampError as exc:
+            v.append(str(exc))
     if config.mode in ("stability_report", "bounds_table", "noise_sweep") or omega:
         if config.n % 2 == 0:
             v.append("the stable-recovery guarantee requires odd n")
+    if config.mode in ("stability_report", "bounds_table", "noise_sweep") or (
+            config.mode == "roundtrip" and omega):
+        if config.m % 2 == 0:
+            v.append(f"{config.mode} needs odd m")
     if config.mode == "stability_report" and config.grid < 16 * config.m * config.n:
         v.append(f"stability_report needs grid >= 16*m*n = {16 * config.m * config.n} "
                  "to resolve the guard band")
     if config.mode == "noise_sweep" and config.grid < 4 * config.m * config.n:
         v.append(f"noise_sweep needs grid >= 4*m*n = {4 * config.m * config.n}")
     if config.mode in ("stability_report", "bounds_table"):
-        if config.m % 2 == 0:
-            v.append(f"{config.mode} needs odd m")
         required = list(range(config.m))
         if omega and omega != required:
             v.append(f"the upper-bound estimates require the full extra sample set {required}")
@@ -171,8 +177,8 @@ def _run_roundtrip(cfg, out):
     a = filter_from_spec(cfg.filter)
     f = stab._seeded_signal(cfg.L, cfg.seed)
     N = cfg.N if cfg.N is not None else cfg.m
-    omega = tuple(sorted(cfg.omega))
-    samples = forward(f, a, cfg.m, N, cfg.n, omega)
+    samples = forward(f, a, cfg.m, N, cfg.n, cfg.omega)
+    omega = samples.omega
     if omega:
         rec = reconstruct_extended(samples, a, cfg.m, cfg.n, omega)
     else:
@@ -193,7 +199,7 @@ def _run_singular_scan(cfg, out):
     system = PlainSystem(a, cfg.m, cfg.m)
     smins = smin_family(plain_family(system))
     step = cfg.L // cfg.m
-    dets = [abs(det_plain(system, rho)) for rho in range(step)]
+    dets = np.abs(det_plain(system, np.arange(step)))
     bad = singular_indices(smins, cfg.tolerance())
     xis = [rho / step for rho in bad]
     _write_csv(out / "spectrum.csv", ["xi", "smin", "det_magnitude"],
@@ -222,7 +228,7 @@ def _run_stability_report(cfg, out):
 
 def _run_noise_sweep(cfg, out):
     a = filter_from_spec(cfg.filter)
-    omega = tuple(sorted(cfg.omega)) or stab.minimal_omega(cfg.m)
+    omega = tuple(cfg.omega) or stab.minimal_omega(cfg.m)
     f = stab._seeded_signal(cfg.L, cfg.seed)
     pinv_norm = stab.empirical_pinv_norm(a, cfg.m, cfg.n, omega, cfg.grid)
     rows = []
@@ -260,7 +266,7 @@ def _run_sis_roundtrip(cfg, out):
         bad = sis_mod.sis_singular_set(system)
         xis = [rho / (L // m) for rho in bad]
         n = sis_mod.choose_n(xis, n_max=15, n_min=2, tol=1.0 / (2.0 * L))
-    omega = tuple(sorted(cfg.omega)) or tuple(range(1, m))
+    omega = tuple(cfg.omega) or tuple(range(1, m))
     c = stab._seeded_signal(L, cfg.seed)
     samples = sis_mod.sis_forward(c, gen, a_hat, m, n, omega, P=cfg.P)
     rec = sis_mod.sis_reconstruct(samples, gen, a_hat, m, n, omega, K=cfg.K, system=system)

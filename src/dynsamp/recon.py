@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (LengthMismatch, MalformedSamples, NonDivisibleLength,
-                     PreconditionViolated, RankDeficient, SingularSystem, TooLarge)
+from .errors import (EvenM, LengthMismatch, MalformedSamples, PreconditionViolated,
+                     RankDeficient, SingularSystem, TooLarge)
 from . import spectral, systems
 from .filters import evolve
 
@@ -39,15 +39,13 @@ class SampleSet:
     omega: tuple = ()
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise MalformedSamples(f"factors must be positive, got m={self.m}, n={self.n}")
         self.y = [np.asarray(v, dtype=complex) for v in self.y]
         self.extras = {int(c): np.asarray(v, dtype=complex) for c, v in self.extras.items()}
-        self.omega = tuple(sorted(int(c) for c in self.omega))
         if not self.y:
             raise MalformedSamples("need at least one snapshot sequence")
         if len({len(v) for v in self.y}) != 1:
             raise LengthMismatch("snapshot sequences differ in length")
+        self.omega = spectral._layout(self.L, self.m, self.n, self.omega)
         if sorted(self.extras) != list(self.omega):
             raise MalformedSamples(f"extras keys {sorted(self.extras)} must match "
                                    f"omega {list(self.omega)}")
@@ -87,7 +85,7 @@ class SampleSet:
         def pairs(v):
             return np.array([complex(re, im) for re, im in v], dtype=complex)
 
-        parse = {"m": int, "n": int, "omega": lambda v: tuple(int(c) for c in v),
+        parse = {"m": int, "n": int, "omega": tuple,
                  "y": lambda v: [pairs(s) for s in v],
                  "extras": lambda v: {int(c): pairs(s) for c, s in v.items()}}
         fields = {}
@@ -108,11 +106,7 @@ def forward(f, a, m, N, n=1, omega=()):
     L = len(f)
     if L != a.L:
         raise LengthMismatch(f"signal length {L} != filter length {a.L}")
-    if m < 1 or L % m:
-        raise NonDivisibleLength(f"factor {m} does not divide length {L}")
-    omega = tuple(sorted(int(c) for c in omega))
-    if omega and L % (m * n):
-        raise NonDivisibleLength(f"extra factor {m * n} does not divide length {L}")
+    omega = spectral._layout(L, m, n, omega)
     y = [spectral.subsample(evolve(f, a, l), m) for l in range(N)]
     extras = {c: spectral.subsample(spectral.shift(f, c), m * n) for c in omega}
     return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
@@ -152,9 +146,7 @@ def _solve(y, extras, m, table, n, omega):
         raise LengthMismatch(f"samples imply length {L} != filter length {table.shape[1]}")
     if N < m:
         raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {N}")
-    if L % (m * n):
-        raise NonDivisibleLength(f"factor {m * n} does not divide length {L}")
-    plain, omega = omega is None, omega or ()
+    plain, omega = omega is None, spectral._layout(L, m, n, omega or (), packets=True)
     P, T = L // (m * n), math.prod(trials)
     idx = systems.packet_indices(L, m, n, np.arange(P))
     smin, smax, x = systems.solve_packets(
@@ -191,11 +183,11 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
     Every frequency packet couples the m n spectrum values
     f_hat(rho + k L/(mn) + l L/m) and is solved in the least-squares sense.
     At least m snapshot sequences are needed; those beyond the first m are
-    stacked as extra least-squares rows.  The guarantee regime needs odd n
-    and omega containing 1..(m-1)/2; pass ``force=True`` to attempt the
-    solve outside it.  A packet whose matrix has smin below
-    ``systems.RANK_TOL`` times its largest singular value raises
-    ``RankDeficient``.
+    stacked as extra least-squares rows.  The guarantee regime needs odd m
+    (EvenM otherwise), odd n and omega containing 1..(m-1)/2; pass
+    ``force=True`` to attempt the solve outside it.  A packet whose matrix
+    has smin below ``systems.RANK_TOL`` times its largest singular value
+    raises ``RankDeficient``.
     """
     omega = _guarantee_regime(samples, m, n, omega, force)
     return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
@@ -204,12 +196,14 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
 
 def _guarantee_regime(samples, m, n, omega, force=False):
     """Sorted omega, once the sample set matches (m, n, omega) and, unless
-    ``force``, n is odd and omega contains 1..(m-1)/2; PreconditionViolated
-    otherwise."""
-    omega = tuple(sorted(int(c) for c in omega))
-    if (samples.m, samples.n, samples.omega) != (m, n, omega):
+    ``force``, m and n are odd and omega contains 1..(m-1)/2.  Raises
+    EvenM for even m and PreconditionViolated otherwise."""
+    if ((samples.m, samples.n) != (m, n)
+            or samples.omega != (omega := spectral._layout(samples.L, m, n, omega))):
         raise PreconditionViolated("sample set parameters do not match the requested solve")
     if not force:
+        if m % 2 == 0:
+            raise EvenM(f"guarantee regime needs odd m, got m={m} (use force=True to override)")
         if n % 2 == 0:
             raise PreconditionViolated("guarantee regime needs odd n (use force=True to override)")
         needed = set(range(1, (m - 1) // 2 + 1))
@@ -229,11 +223,7 @@ def dense_oracle(a, m, N, n=1, omega=(), max_size=512):
     L = a.L
     if L > max_size:
         raise TooLarge(f"dense oracle capped at L={max_size}, got {L}")
-    if m < 1 or L % m:
-        raise NonDivisibleLength(f"factor {m} does not divide length {L}")
-    omega = tuple(sorted(int(c) for c in omega))
-    if omega and L % (m * n):
-        raise NonDivisibleLength(f"extra factor {m * n} does not divide length {L}")
+    omega = spectral._layout(L, m, n, omega)
     rows = []
     t = np.arange(L)
     for l in range(N):

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NoAdmissibleN, NonDivisibleLength,
-                     PreconditionViolated, TailTooLarge)
+from .errors import NoAdmissibleN, PreconditionViolated, TailTooLarge
 from . import spectral, systems
-from .recon import SampleSet, _solve
+from .recon import SampleSet, _guarantee_regime, _solve
 
 
 # ---------------------------------------------------------------------------
@@ -222,22 +221,19 @@ class SISSystem:
 
 def build_sis_system(gen, a_hat, m, L, K, tail_tol=1e-12):
     """Assemble the m x m per-frequency family for time steps 0..m-1."""
-    if m < 1 or L % m:
-        raise NonDivisibleLength(f"factor {m} does not divide length {L}")
+    spectral._layout(L, m)
     rows, tails = _cross_spectra(gen, a_hat, range(m), L, K, tail_tol)
     return SISSystem(m=m, L=L, phi_hat=np.array(rows), tail_bound=max(tails), K=K)
 
 
 def sis_matrix(system, rho):
     """m x m matrix at grid index rho: entry (j, l) = Phi_hat_j((xi + l)/m)."""
-    idx = systems.node_indices(system.L, system.m, rho)
-    return system.phi_hat[:, idx]
+    return systems._grid_family(system.phi_hat, system.m, [rho])[0]
 
 
 def sis_family(system):
     """Stacked matrices over the grid, shape (L/m, m, m)."""
-    idx = systems.packet_indices(system.L, system.m, 1, np.arange(system.L // system.m))
-    return systems.gather_blocks(system.phi_hat, idx)[:, 0]
+    return systems._grid_family(system.phi_hat, system.m)
 
 
 def sis_singular_set(system, tol=systems.SINGULAR_TOL):
@@ -360,13 +356,9 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     """
     c = np.asarray(c, dtype=complex)
     L = len(c)
-    if m < 1 or L % m:
-        raise NonDivisibleLength(f"factor {m} does not divide length {L}")
+    omega = spectral._layout(L, m, n, omega)
     if P < 1:
         raise PreconditionViolated(f"fine samples per unit P must be at least 1, got P={P}")
-    omega = tuple(sorted(int(v) for v in omega))
-    if omega and L % (m * n):
-        raise NonDivisibleLength(f"extra factor {m * n} does not divide length {L}")
     f_fine = _synthesize_fine(c, gen, P)
     LP = L * P
     F = np.fft.fft(f_fine)
@@ -398,9 +390,8 @@ def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False, tail_tol=1
     reuses a :func:`build_sis_system` result for the same (m, L, K)
     instead of building it again.
     """
-    omega = tuple(sorted(int(v) for v in omega))
-    if (samples.m, samples.n, samples.omega) != (m, n, omega):
-        raise PreconditionViolated("sample set parameters do not match the requested solve")
+    # Only the sample-set match: the span regime differs and is checked below.
+    omega = _guarantee_regime(samples, m, n, omega, force=True)
     L = samples.L
     if system is None:
         system = build_sis_system(gen, a_hat, m, L, K, tail_tol)

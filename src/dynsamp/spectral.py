@@ -11,9 +11,34 @@ sits at the grid point r/L of [0, 1).  Every formula elsewhere in the
 package assumes this convention.
 """
 
+import operator
+
 import numpy as np
 
-from .errors import NonDivisibleLength
+from .errors import MalformedSamples, NonDivisibleLength
+
+
+def _layout(L, m, n=1, omega=(), packets=False):
+    """Sorted omega, once (L, m, n, omega) is a valid sampling layout.
+
+    The layout is m-fold coarse snapshots of a length-L signal plus, for each
+    shift c in omega, extra initial samples on the lattice m n Z - c.  It
+    needs m, n >= 1 and m | L; extras, and the n-block packets of the
+    extended solve (``packets``), also need m n | L.  omega must hold
+    distinct integers in [0, m n).  Raises NonDivisibleLength for a bad
+    factor and MalformedSamples naming omega for a bad omega.
+    """
+    try:
+        omega = sorted(operator.index(c) for c in omega)
+    except TypeError:
+        raise MalformedSamples(f"omega must hold integer shifts, got {omega!r}") from None
+    wide = bool(omega) or packets
+    if m < 1 or n < 1 or L % (m * n if wide else m):
+        raise NonDivisibleLength(f"need m, n >= 1 and L divisible by {'m*n' if wide else 'm'}, "
+                                 f"got L={L}, m={m}, n={n}")
+    if len(set(omega)) < len(omega) or (omega and not 0 <= omega[0] <= omega[-1] < m * n):
+        raise MalformedSamples(f"omega {omega} must hold distinct shifts in [0, {m * n})")
+    return tuple(omega)
 
 
 def dft(x):
@@ -41,9 +66,7 @@ def subsample(x, m):
     ``(1/m) sum_l x_hat(rho + l L/m)``.
     """
     x = np.asarray(x)
-    L = len(x)
-    if m < 1 or L % m:
-        raise NonDivisibleLength(f"factor {m} does not divide length {L}")
+    _layout(len(x), m)
     return x[::m].copy()
 
 
@@ -61,7 +84,5 @@ def fold(s, m):
     Returns an (m, L/m) array.
     """
     s = np.asarray(s, dtype=complex)
-    L = len(s)
-    if m < 1 or L % m:
-        raise NonDivisibleLength(f"factor {m} does not divide length {L}")
-    return s.reshape(m, L // m) / np.sqrt(m)
+    _layout(len(s), m)
+    return s.reshape(m, len(s) // m) / np.sqrt(m)

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentNodes, EvenM, NonDivisibleLength, ShapeMismatch
+from .errors import CoincidentNodes, EvenM, ShapeMismatch
+from . import spectral
 
 # Relative singular-value cutoffs.  A grid index is singular when its smin is
 # below SINGULAR_TOL times the largest smin over the grid; a packet is rank
@@ -29,28 +30,6 @@ class PlainSystem:
     a: object
     m: int
     N: int
-
-    def matrix(self, rho):
-        return build_plain(self.a, self.m, self.N, rho)
-
-    def matrix_at(self, xi):
-        return build_plain_at(self.a, self.m, self.N, xi)
-
-
-@dataclass
-class ExtendedSystem:
-    """Parameter bundle for the extended (extra-sample) family."""
-
-    a: object
-    m: int
-    n: int
-    omega: tuple
-
-    def matrix(self, rho):
-        return build_extended(self.a, self.m, self.n, self.omega, rho)
-
-    def matrix_at(self, xi):
-        return build_extended_at(self.a, self.m, self.n, self.omega, xi)
 
 
 @dataclass
@@ -71,22 +50,22 @@ class SineMatrices:
     smin_D: float
 
 
-def node_indices(L, m, rho):
-    """L-grid indices of the m aliased nodes coupled at grid frequency rho."""
-    step = L // m
-    if rho < 0 or rho >= step:
-        raise ValueError(f"rho must lie in [0, {step})")
-    return rho + np.arange(m) * step
+def _grid_family(table, m, rho=None):
+    """(len(rho), N, m) matrices of an (N, L) node table (see :func:`gather_blocks`)
+    at the L/m-grid indices rho, all of them by default: entry (j, l) of
+    matrix rho is table[j, rho + l L/m].  Both pipelines' plain systems."""
+    L = table.shape[1]
+    spectral._layout(L, m)
+    if rho is None:
+        rho = np.arange(L // m)
+    return gather_blocks(table, packet_indices(L, m, 1, rho))[:, 0]
 
 
 def build_plain(a, m, N, rho):
     """N x m matrix with entry (r, l) = response[rho + l*(L/m)]**r, exact grid lookups."""
-    L = a.L
-    if m < 1 or L % m:
-        raise NonDivisibleLength(f"factor {m} does not divide filter length {L}")
     if N < 1:
         raise ValueError("need at least one time row")
-    return power_rows(a.response[node_indices(L, m, rho)], N)
+    return _grid_family(power_rows(a.response, N), m, [rho])[0]
 
 
 def build_plain_at(a, m, N, xi):
@@ -107,16 +86,16 @@ def power_rows(nodes, N):
 
 
 def det_plain(system, rho):
-    """Determinant via the node-product formula; exact for the power structure."""
+    """Determinant via the node-product formula; exact for the power structure.
+
+    rho is one grid index or an array of them, with one determinant each.
+    """
     if system.N != system.m:
         raise ShapeMismatch(f"determinant needs a square system, got N={system.N}, m={system.m}")
-    L = system.a.L
-    nodes = system.a.response[node_indices(L, system.m, rho)]
-    det = 1.0 + 0.0j
-    for i in range(system.m):
-        for j in range(i + 1, system.m):
-            det *= nodes[j] - nodes[i]
-    return det
+    nodes = _grid_family(system.a.response[None], system.m, np.atleast_1d(rho))[:, 0]
+    i, j = np.triu_indices(system.m, 1)
+    dets = np.prod(nodes[:, j] - nodes[:, i], axis=1)
+    return dets if np.ndim(rho) else dets[0]
 
 
 def smin_plain(system, rho):
@@ -127,12 +106,7 @@ def smin_plain(system, rho):
 
 def plain_family(system):
     """Stacked matrices over the whole grid, shape (L/m, N, m): the n = 1 packet blocks."""
-    a, m, N = system.a, system.m, system.N
-    L = a.L
-    if m < 1 or L % m:
-        raise NonDivisibleLength(f"factor {m} does not divide filter length {L}")
-    idx = packet_indices(L, m, 1, np.arange(L // m))
-    return gather_blocks(power_rows(a.response, N), idx)[:, 0]
+    return _grid_family(power_rows(system.a.response, system.N), system.m)
 
 
 def smin_family(mats):
@@ -200,20 +174,10 @@ def u_row(c, k, m, n):
     return np.exp(-2j * np.pi * c * k / (m * n)) * np.exp(-2j * np.pi * c * np.arange(m) / m)
 
 
-def _check_extended_args(L, m, n, omega):
-    if m < 1 or n < 1 or L % (m * n):
-        raise NonDivisibleLength(f"m*n = {m * n} does not divide length {L}")
-    omega = tuple(sorted(int(c) for c in omega))
-    if len(set(omega)) != len(omega):
-        raise ValueError("omega must not contain duplicates")
-    if omega and not (0 <= omega[0] and omega[-1] < m * n):
-        raise ValueError(f"omega entries must lie in [0, {m * n})")
-    return omega
-
-
 def phase_rows(m, n, omega):
-    """(|omega|, m n) phase rows: row i joins u_row(omega[i], k, m, n) over k."""
-    omega = sorted(int(c) for c in omega)
+    """(|omega|, m n) phase rows: row i joins u_row(omega[i], k, m, n) over k, omega sorted."""
+    # No grid here: a length of m n holds one packet, so only m, n and omega are checked.
+    omega = spectral._layout(m * n, m, n, omega)
     rows = [np.concatenate([u_row(c, k, m, n) for k in range(n)]) for c in omega]
     return np.array(rows, dtype=complex).reshape(len(omega), m * n)
 
@@ -222,7 +186,10 @@ def packet_indices(L, m, n, rho):
     """(len(rho), n, m) L-grid node indices; block k of packet rho holds the
     m aliased nodes of the L/m grid index (rho + k L/(m n)) mod L/m."""
     step = L // m
-    cols = (np.asarray(rho)[:, None] + np.arange(n) * (step // n)) % step
+    rho = np.asarray(rho)
+    if rho.size and (rho.min() < 0 or rho.max() >= step):
+        raise ValueError(f"rho must lie in [0, {step})")
+    cols = (rho[:, None] + np.arange(n) * (step // n)) % step
     return cols[..., None] + np.arange(m) * step
 
 
@@ -304,12 +271,8 @@ def build_extended(a, m, n, omega, rho):
     block diagonal of the n square plain matrices at the shifted
     frequencies xi + k/n, each scaled by 1/m.  rho indexes the L/m grid.
     """
-    L = a.L
-    omega = _check_extended_args(L, m, n, omega)
-    step = L // m
-    if rho < 0 or rho >= step:
-        raise ValueError(f"rho must lie in [0, {step})")
-    blocks = power_rows(a.response[packet_indices(L, m, n, [rho])], m)
+    omega = spectral._layout(a.L, m, n, omega, packets=True)
+    blocks = power_rows(a.response[packet_indices(a.L, m, n, [rho])], m)
     return extended_stack(blocks, phase_rows(m, n, omega))[0]
 
 
@@ -351,11 +314,6 @@ def gautschi_bound_nodes(nodes):
     off = ~np.eye(m, dtype=bool)
     if np.any(diffs[off] == 0.0):
         raise CoincidentNodes("nodes coincide; separation bound undefined")
-    best = 0.0
-    for i in range(m):
-        prod = 1.0
-        for j in range(m):
-            if j != i:
-                prod *= (1.0 + abs(nodes[j])) / diffs[i, j]
-        best = max(best, prod)
-    return float(np.sqrt(m) * best)
+    i, j = np.nonzero(off)          # row by row, j != i in increasing order
+    prods = np.prod(((1.0 + np.abs(nodes[j])) / diffs[i, j]).reshape(m, m - 1), axis=1)
+    return float(np.sqrt(m) * prods.max())

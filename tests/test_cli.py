@@ -3,6 +3,7 @@
 import csv
 import json
 
+import pytest
 
 import dynsamp.cli as cli
 
@@ -209,6 +210,20 @@ def test_validate_rejects_zero_trials(tmp_path, capsys):
                                 m=3, n=3, omega=[1], L=72, sigmas=[1e-3], trials=0)
     assert code == 1 and any("noise trial" in m for m in msgs)
     assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("omega", [[9], [1, 1], [-1]])
+def test_validate_rejects_bad_omega(tmp_path, capsys, omega):
+    code, msgs = run_violations(tmp_path, capsys, mode="roundtrip", filter=rc_filter(),
+                                m=3, n=3, omega=omega, L=72)
+    assert code == 1 and any("omega" in m and "[0, 9)" in m for m in msgs)
+
+
+@pytest.mark.parametrize("mode, omega", [("noise_sweep", []), ("roundtrip", [1])])
+def test_validate_rejects_even_m_with_extras(tmp_path, capsys, mode, omega):
+    code, msgs = run_violations(tmp_path, capsys, mode=mode, filter=rc_filter(), m=4, n=3,
+                                omega=omega, L=72, sigmas=[1e-3])
+    assert code == 1 and any("odd m" in m for m in msgs)
 
 
 def test_validate_rejects_empty_n_list(tmp_path, capsys):

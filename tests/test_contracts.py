@@ -7,8 +7,9 @@ import pytest
 
 import dynsamp as ds
 import dynsamp.cli as cli
+from dynsamp import recon, systems
 from dynsamp.errors import (DynsampError, EvenM, LengthMismatch, MalformedSamples,
-                            PreconditionViolated)
+                            NonDivisibleLength, PreconditionViolated)
 
 L, M, N_EXTRA, OMEGA = 72, 3, 3, (1,)
 
@@ -81,9 +82,25 @@ def test_from_json_bad_pair_named(key, bad):
         ds.SampleSet.from_json(json.dumps(obj))
 
 
+def test_from_json_fractional_shift_rejected():
+    obj = json.loads(samples().to_json())
+    obj["omega"] = [1.7]
+    with pytest.raises(MalformedSamples, match="omega"):
+        ds.SampleSet.from_json(json.dumps(obj))
+
+
 def test_stability_report_rejects_even_m():
     with pytest.raises(EvenM):
         ds.stability_report(ds.filter_raised_cosine(64, 1.0), 4, 1, grid=64)
+
+
+def test_extended_solves_reject_even_m():
+    # m = 4 holds the guarantee shifts {1}, yet packet 3 is rank deficient
+    a, f = ds.filter_raised_cosine(L, 1.0), np.ones(L, dtype=complex)
+    with pytest.raises(EvenM, match="m=4"):
+        ds.reconstruct_extended(ds.forward(f, a, 4, 4, 3, (1,)), a, 4, 3, (1,))
+    with pytest.raises(EvenM, match="m=4"):
+        ds.noise_trial(f, a, 4, 3, (1,), 1e-3, trials=2, pinv_norm=1.0)
 
 
 @pytest.mark.parametrize("mode", ["stability_report", "bounds_table"])
@@ -160,3 +177,78 @@ def test_sis_reconstruct_rejects_system_of_other_size():
     system = ds.build_sis_system(BSPLINE, a_hat, 3, 144, 384)
     with pytest.raises(PreconditionViolated, match="built for"):
         ds.sis_reconstruct(s, BSPLINE, a_hat, 3, 3, (1, 2), K=384, system=system)
+
+
+# One table of bad sampling layouts (L, m, n, omega) over every entry point
+# that takes one; each raises the named error of spectral._layout, or
+# PreconditionViolated where a solve is asked for another (m, n) than its
+# sample set's.
+LAYOUTS = {
+    "m does not divide L": ((72, 5, 1, ()), NonDivisibleLength),
+    "m n does not divide L": ((72, 3, 5, (1,)), NonDivisibleLength),
+    "n = 0 with extras": ((72, 3, 0, (1,)), NonDivisibleLength),
+    "duplicated omega": ((72, 3, 3, (1, 1)), MalformedSamples),
+    "omega >= m n": ((72, 3, 3, (9,)), MalformedSamples),
+}
+SINC = ds.make_generator({"kind": "sinc"})
+ID = ds.identity_response()
+
+
+def rc(L):
+    return ds.filter_raised_cosine(L, 1.0)
+
+
+def raw_samples(L, m, n, omega):
+    """Sequences of the layout's lengths, unchecked: (y, extras)."""
+    return ([np.zeros(L // m, dtype=complex)] * m,
+            {c: np.zeros(L // (m * max(n, 1)), dtype=complex) for c in omega})
+
+
+def valid_samples():
+    """A sample set at (72, 3, 3, (1,)), for the solves that take one."""
+    return ds.forward(np.ones(72), rc(72), 3, 3, 3, (1,))
+
+
+# entry points that take only m: a bad omega or n cannot reach them
+M_ONLY = {
+    "subsample": lambda L, m, n, om: ds.subsample(np.zeros(L), m),
+    "fold": lambda L, m, n, om: ds.fold(np.zeros(L), m),
+    "build_plain": lambda L, m, n, om: ds.build_plain(rc(L), m, m, 0),
+    "plain_family": lambda L, m, n, om: systems.plain_family(ds.PlainSystem(rc(L), m, m)),
+    "build_sis_system": lambda L, m, n, om: ds.build_sis_system(SINC, ID, m, L, 8),
+}
+# entry points whose L comes from their sample data, so m always divides it
+FROM_DATA = {
+    "SampleSet": lambda L, m, n, om: ds.SampleSet(*raw_samples(L, m, n, om), m=m, n=n, omega=om),
+    "_solve": lambda L, m, n, om: recon._solve(*raw_samples(L, m, n, om), m,
+                                                np.ones((m, L // m * m)), n, om),
+}
+FULL = {
+    "forward": lambda L, m, n, om: ds.forward(np.zeros(L), rc(L), m, m, n, om),
+    "dense_oracle": lambda L, m, n, om: ds.dense_oracle(rc(L), m, m, n, om),
+    "build_extended": lambda L, m, n, om: ds.build_extended(rc(L), m, n, om, 0),
+    "sis_forward": lambda L, m, n, om: ds.sis_forward(np.zeros(L), SINC, ID, m, n, om, P=2),
+}
+# entry points that match a request against valid_samples(): another (m, n)
+# is a mismatch before it is a bad layout
+MATCHED = {
+    "reconstruct_extended": lambda L, m, n, om: ds.reconstruct_extended(
+        valid_samples(), rc(72), m, n, om),
+    "sis_reconstruct": lambda L, m, n, om: ds.sis_reconstruct(
+        valid_samples(), SINC, ID, m, n, om, K=8),
+}
+BAD_LAYOUT_CASES = (
+    [(e, "m does not divide L") for e in M_ONLY]
+    + [(e, c) for e in FULL for c in LAYOUTS]
+    + [(e, c) for e in FROM_DATA for c in LAYOUTS if c != "m does not divide L"]
+    + [(e, c) for e in MATCHED for c in LAYOUTS])
+
+
+@pytest.mark.parametrize("entry, case", BAD_LAYOUT_CASES)
+def test_bad_layout_raises_named_error(entry, case):
+    (L, m, n, omega), error = LAYOUTS[case]
+    if entry in MATCHED and (m, n) != (3, 3):
+        error = PreconditionViolated
+    call = {**M_ONLY, **FROM_DATA, **FULL, **MATCHED}[entry]
+    with pytest.raises(error, match="omega" if error is MalformedSamples else None):
+        call(L, m, n, omega)

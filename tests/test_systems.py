@@ -46,6 +46,20 @@ def test_build_plain_rejects_nondivisor():
         ds.build_plain(a, 3, 3, 0)
 
 
+@pytest.mark.parametrize("rho", [-1, 24])
+def test_grid_index_out_of_range_rejected(rho):
+    # without the check the index would wrap around the L/m = 24 grid
+    a = ds.filter_raised_cosine(72, 1.0)
+    system = ds.build_sis_system(ds.make_generator({"kind": "sinc"}), ds.identity_response(),
+                                 3, 72, 8)
+    for call in (lambda: ds.build_plain(a, 3, 3, rho),
+                 lambda: ds.det_plain(ds.PlainSystem(a, 3, 3), rho),
+                 lambda: ds.build_extended(a, 3, 3, (1,), rho),
+                 lambda: ds.sis_matrix(system, rho)):
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 24\)"):
+            call()
+
+
 def test_columns_are_geometric_progressions():
     a = ds.filter_heat(20, 0.5)
     M = ds.build_plain(a, 4, 6, 2)
@@ -210,15 +224,6 @@ def test_extended_at_matches_grid():
     assert np.abs(A1 - A2).max() < 1e-13
 
 
-def test_system_bundles_expose_matrices():
-    a = ds.filter_raised_cosine(72, 1.0)
-    plain = ds.PlainSystem(a, 3, 4)
-    assert np.array_equal(plain.matrix(2), ds.build_plain(a, 3, 4, 2))
-    ext = ds.ExtendedSystem(a, 3, 3, (1,))
-    assert np.array_equal(ext.matrix(2), ds.build_extended(a, 3, 3, (1,), 2))
-    assert np.abs(ext.matrix_at(2 / 24) - ext.matrix(2)).max() < 1e-13
-
-
 def test_sine_matrices_m3_closed_form():
     m, n = 3, 4
     for k in range(3):
@@ -278,3 +283,55 @@ def test_gautschi_coincident_nodes():
 def test_gautschi_diverges_near_collision():
     small = ds.gautschi_bound_nodes([0.0, 1e-9, 0.5])
     assert small > 1e8
+
+
+# The Python double loops that det_plain and gautschi_bound_nodes replaced,
+# kept as references.
+
+def loop_det(nodes):
+    det = 1.0 + 0.0j
+    for i in range(len(nodes)):
+        for j in range(i + 1, len(nodes)):
+            det *= nodes[j] - nodes[i]
+    return det
+
+
+def loop_gautschi(nodes):
+    nodes = np.asarray(nodes, dtype=complex)
+    m = len(nodes)
+    diffs = np.abs(nodes[None, :] - nodes[:, None])
+    best = 0.0
+    for i in range(m):
+        prod = 1.0
+        for j in range(m):
+            if j != i:
+                prod *= (1.0 + abs(nodes[j])) / diffs[i, j]
+        best = max(best, prod)
+    return float(np.sqrt(m) * best)
+
+
+def complex_table(L):
+    xi = np.arange(L) / L
+    return ds.filter_table(np.exp(-2j * np.pi * xi) * (2 + np.cos(2 * np.pi * xi)) / 3)
+
+
+@pytest.mark.parametrize("a, m, rel", [
+    (ds.filter_raised_cosine(2304, 1.0), 3, 0.0),
+    (ds.filter_heat(840, 0.5), 5, 0.0),
+    # numpy's vector complex arithmetic may round differently from the scalar loop
+    (complex_table(280), 5, 1e-15),
+    (complex_table(280), 7, 1e-15),
+])
+def test_node_products_match_loops(a, m, rel):
+    system = ds.PlainSystem(a, m, m)
+    step = a.L // m
+    dets = ds.det_plain(system, np.arange(step))
+    for rho in range(step):
+        nodes = a.response[rho + np.arange(m) * step]
+        ref = loop_det(nodes)
+        for det in (ds.det_plain(system, rho), dets[rho]):
+            assert abs(det - ref) <= rel * abs(ref)
+        if a.symmetric_decreasing and rho in (0, step // 2):
+            continue                      # coincident nodes at the degenerate frequencies
+        bound, ref = ds.gautschi_bound_nodes(nodes), loop_gautschi(nodes)
+        assert abs(bound - ref) <= rel * ref
