@@ -7,7 +7,8 @@ matrix replaces powers of a grid response by the periodized cross-spectra
 
     Phi_hat_j(xi) = sum_k a_hat(xi + k)**j * phi_hat(xi + k),
 
-truncated at |k| <= K with a reported tail estimate.  The forward path
+truncated at |k| <= K with a reported tail estimate; for a B-spline, Phi_hat_0
+is the exact Poisson sum over its integer samples.  The forward path
 never uses those periodizations: it synthesizes f on a fine grid of P
 samples per unit, evolves in the fine frequency domain, and samples -- an
 independent route against which the reconstruction is validated.
@@ -169,22 +170,85 @@ def line_filter_from_spec(spec):
 # ---------------------------------------------------------------------------
 # periodization and the integer-rate system
 
+_FIRST_BLOCK = 16          # shifts per side in the first outward block; each next one doubles
+_BLOCK_STOP = 2.0 ** -60
+
+
+def _bspline_poisson_row(order, L):
+    """Phi_hat_0 of a B-spline on the L-grid, by Poisson summation.
+
+    sum_k phi_hat(xi + k) = sum_n beta(n) exp(-2 pi i n xi), and only the
+    integers |n| <= (order+1)/2 meet the support.  beta is even, so the sum
+    is beta(0) + 2 sum_{n>=1} beta(n) cos(2 pi n xi), with the phase n r / L
+    reduced in integers.  Exact up to rounding, with no K.
+    """
+    beta = _bspline_time(np.arange((order + 1) // 2 + 1, dtype=float), order)
+    r = np.arange(L)
+    row = np.full(L, beta[0])
+    for n in range(1, len(beta)):
+        row += 2.0 * beta[n] * np.cos(2 * np.pi * (n * r % L) / L)
+    return row.astype(complex)
+
+
+def _outward_sums(gen, a_hat, js, L, K):
+    """{j: sum over |k| <= K of phi_hat(xi + k) a_hat(xi + k)**j} for j in js.
+
+    The shifts are summed outward from k = 0 in blocks of 16, 32, 64, ...
+    per side.  A row stops after a block in which every term is at most
+    2**-60 times the largest |partial sum| the row has reached, or at
+    |k| = K.  The stop assumes that the terms keep decaying in |k| past such
+    a block, the hypothesis the K tail rule already makes.  A finite band
+    (sinc, table) ends one block after its last live shift, and the terms
+    it leaves out are exact zeros.
+    """
+    xi = np.arange(L) / L
+    rows = {j: np.zeros(L, dtype=complex) for j in js}
+    peak = dict.fromkeys(js, 0.0)
+    live = list(js)
+    lo, width = 0, _FIRST_BLOCK
+    while live and lo <= K:
+        hi = min(lo + width, K + 1)
+        k = np.arange(1 - hi, hi)
+        k = k[np.abs(k) >= lo]
+        nu = xi[:, None] + k[None, :]
+        phi = gen.fourier_at(nu)
+        avals = a_hat(nu) if any(live) else None
+        # Block arrays are freed as soon as possible and the power is taken in
+        # place: the peak is a few arrays of one block, O(L * width).
+        del nu
+        for j in list(live):
+            if j:
+                terms = avals ** j
+                terms *= phi
+            else:
+                terms = phi
+            rows[j] += terms.sum(axis=1)
+            peak[j] = max(peak[j], float(np.abs(rows[j]).max()))
+            if np.abs(terms).max() <= _BLOCK_STOP * peak[j]:
+                live.remove(j)
+            del terms
+        lo, width = hi, 2 * width
+    return rows
+
+
 def _cross_spectra(gen, a_hat, js, L, K, tail_tol):
     """Rows Phi_hat_j on the L-grid for each j in js, and their tails.
 
-    Evaluates phi_hat and a_hat once on the (L, 2K+1) table of shifted
-    frequencies; see periodize_phi for the tail rule.
+    The tail of a row is its largest |k| = K term, from the two edge
+    columns alone; see periodize_phi for the tail rule.  Row 0 of a
+    B-spline is its exact Poisson sum; every other row is an outward block
+    sum truncated at |k| <= K.  No (L, 2K+1) table is formed.
     """
     if K < 1:
         raise PreconditionViolated(f"periodization half-width K must be at least 1, got K={K}")
-    k = np.arange(-K, K + 1)
-    nu = (np.arange(L) / L)[:, None] + k[None, :]
-    phi = gen.fourier_at(nu).astype(complex)
-    avals = a_hat(nu) if any(js) else None
+    sums = _outward_sums(gen, a_hat, [j for j in js if j or gen.kind != "bspline"], L, K)
+    edges = (np.arange(L) / L)[:, None] + np.array([-K, K])[None, :]
+    phi = gen.fourier_at(edges)
+    avals = a_hat(edges) if any(js) else None
     rows, tails = [], []
     for j in js:
+        vals = sums[j] if j in sums else _bspline_poisson_row(gen.order, L)
         terms = phi * avals ** j if j else phi
-        vals = terms.sum(axis=1)
         tail = float((np.abs(terms[:, 0]) + np.abs(terms[:, -1])).max())
         scale = max(float(np.abs(vals).max()), 1e-300)
         if tail > tail_tol * scale:
@@ -199,8 +263,10 @@ def periodize_phi(gen, a_hat, j, L, K, tail_tol=1e-12):
     """Periodized cross-spectrum of the j-step evolved generator on the L-grid.
 
     Returns (values, tail) where values[r] approximates
-    sum_k a_hat(r/L + k)**j phi_hat(r/L + k) truncated at |k| <= K and tail
-    is the largest |k| = K term magnitude over the grid.  Raises
+    sum_k a_hat(r/L + k)**j phi_hat(r/L + k) truncated at |k| <= K (the sum
+    stops earlier once its terms are negligible; for a B-spline and j = 0 it
+    is exact, with no truncation) and tail is the largest |k| = K term
+    magnitude over the grid.  Raises
     TailTooLarge when that term exceeds ``tail_tol`` times the value scale,
     and PreconditionViolated for K < 1.
     """

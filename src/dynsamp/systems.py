@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentNodes, EvenM, ShapeMismatch
+from .errors import CoincidentNodes, EvenM, GridMiss, MalformedSamples, ShapeMismatch
 from . import spectral
 
 # Relative singular-value cutoffs.  A grid index is singular when its smin is
@@ -167,10 +167,11 @@ def kernel_basis(m, at):
 def u_row(c, k, m, n):
     """Length-m row of unit-modulus extra-sample phases.
 
-    Entry l equals exp(-2 pi i c k / (m n)) * exp(-2 pi i c l / m).
+    Entry l equals exp(-2 pi i c k / (m n)) * exp(-2 pi i c l / m).  A shift
+    outside [0, m n) raises MalformedSamples naming it.
     """
     if not 0 <= c < m * n:
-        raise ValueError(f"shift c={c} outside [0, {m * n})")
+        raise MalformedSamples(f"shift c={c} must lie in [0, {m * n})")
     return np.exp(-2j * np.pi * c * k / (m * n)) * np.exp(-2j * np.pi * c * np.arange(m) / m)
 
 
@@ -184,11 +185,15 @@ def phase_rows(m, n, omega):
 
 def packet_indices(L, m, n, rho):
     """(len(rho), n, m) L-grid node indices; block k of packet rho holds the
-    m aliased nodes of the L/m grid index (rho + k L/(m n)) mod L/m."""
+    m aliased nodes of the L/m grid index (rho + k L/(m n)) mod L/m.
+
+    A grid index outside [0, L/m) raises GridMiss naming it.
+    """
     step = L // m
     rho = np.asarray(rho)
     if rho.size and (rho.min() < 0 or rho.max() >= step):
-        raise ValueError(f"rho must lie in [0, {step})")
+        bad = int(rho.min()) if rho.min() < 0 else int(rho.max())
+        raise GridMiss(f"rho must lie in [0, {step}), got rho={bad}")
     cols = (rho[:, None] + np.arange(n) * (step // n)) % step
     return cols[..., None] + np.arange(m) * step
 

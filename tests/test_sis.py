@@ -1,5 +1,8 @@
 """Generator span layer: periodization, reducibility, n selection, round trips."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -57,11 +60,41 @@ def test_periodize_bspline_identity_evolution():
     vals, tail = ds.periodize_phi(BSPLINE, ds.identity_response(), 0, L, K)
     xi = np.arange(L) / L
     expect = (2 + np.cos(2 * np.pi * xi)) / 3
-    # residual is the omitted quartic tail, roughly (K/3) * edge term
-    assert np.abs(vals - expect).max() < 1e-9
-    assert np.abs(vals - expect).max() < K * tail
+    # row 0 is that Poisson sum itself, so only rounding is left: no
+    # truncation at K, although the tail is still reported
+    assert np.abs(vals - expect).max() < 1e-15
+    assert 0 < tail < 1e-12
     assert np.abs(vals.imag).max() < 1e-14
     assert np.all(vals.real > 0)
+
+
+def bspline_at_integer(order, x):
+    """beta^order(x) as an exact Fraction, from the truncated-power formula."""
+    half = Fraction(order + 1, 2)
+    total = Fraction(0)
+    for k in range(order + 2):
+        u = x + half - k
+        if u > 0:
+            total += (-1) ** k * math.comb(order + 1, k) * u ** order
+    return total / math.factorial(order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5])
+def test_periodize_bspline_row0_is_exact_poisson_sum(order):
+    # Poisson summation: sum_k phi_hat(xi + k) = sum_n beta(n) exp(-2 pi i n xi),
+    # with the integer samples beta(n) taken in exact rational arithmetic
+    L = 60
+    gen = ds.make_generator({"kind": "bspline", "order": order})
+    samples = {n: bspline_at_integer(order, n) for n in range(-order - 1, order + 2)}
+    assert sum(samples.values()) == 1
+    xi = np.arange(L) / L
+    expect = sum(float(b) * np.exp(-2j * np.pi * n * xi) for n, b in samples.items() if b)
+    a_hat = ds.gaussian_response(2.0)
+    for K in (1, 64, 384):             # the value does not depend on K; the tail does
+        vals, _ = ds.periodize_phi(gen, a_hat, 0, L, K, tail_tol=np.inf)
+        assert np.abs(vals - expect).max() < 1e-15
+        system = ds.build_sis_system(gen, a_hat, 3, L, K, tail_tol=np.inf)
+        assert np.array_equal(system.phi_hat[0], vals)
 
 
 def test_periodize_interpolating_generator_flat():
@@ -246,6 +279,18 @@ def test_sis_extended_round_trip_bspline():
     s = ds.sis_forward(c, BSPLINE, a_hat, m, n, omega)
     rec = ds.sis_reconstruct(s, BSPLINE, a_hat, m, n, omega, K=384)
     assert np.linalg.norm(rec - c) <= 1e-6 * np.linalg.norm(c)
+
+
+def test_sis_extended_round_trip_bspline_converges_with_P():
+    # Row 0 carries no truncation error, so refining the forward route's fine
+    # grid drives the round trip to rounding level (3.1e-12); with the row
+    # truncated at K = 384 it stalled at 3.0e-9.
+    L, m, n, omega = 72, 3, 3, (1, 2)
+    a_hat = ds.gaussian_response(2.0)
+    c = rand_coeffs(L, 4)
+    s = ds.sis_forward(c, BSPLINE, a_hat, m, n, omega, P=768)
+    rec = ds.sis_reconstruct(s, BSPLINE, a_hat, m, n, omega, K=384)
+    assert np.linalg.norm(rec - c) < 1e-11 * np.linalg.norm(c)
 
 
 def test_sis_extended_guard_on_omega():

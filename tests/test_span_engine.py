@@ -2,16 +2,23 @@
 
 The references below are the former implementations: the dense B-spline
 synthesis, which sums every coefficient against a wrapped offset matrix of
-size (L P) x L, and the periodization that evaluated the generator and the
-line response once per time step.  The polyphase synthesis adds the same
-terms in another order and must agree to 1e-13 relative; the single-table
-periodization does the same arithmetic and must agree bitwise.
+size (L P) x L, and the periodization that summed the whole (L, 2K+1) table
+of shifted frequencies.  The polyphase synthesis adds the same terms in
+another order and must agree to 1e-13 relative.  The periodization now sums
+the shifts outward in blocks and stops a row once a block is negligible, and
+takes row 0 of a B-spline from its Poisson sum.  Its tails are the same edge
+terms and must agree bitwise.  Sinc and band-limited table rows keep at most
+two nonzero terms per grid point, whose sum does not depend on the order, so
+they must agree bitwise too.  Other B-spline rows add the same terms in
+another order and must agree to 1e-15 of the row max; row 0 differs from the
+reference only by the reference's own truncation at K.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dynsamp as ds
 from dynsamp import sis
@@ -92,6 +99,16 @@ def test_sis_forward_memory_linear_in_L_P():
 # ---------------------------------------------------------------------------
 # periodization
 
+def assert_row_matches_reference(gen, j, K, vals, ref, ref_tail):
+    """Row j of gen against the full-table row, to the tolerance of the module docstring."""
+    if gen.kind != "bspline":
+        assert np.array_equal(vals, ref)
+    elif j:
+        assert np.abs(vals - ref).max() <= 1e-15 * np.abs(ref).max()
+    else:
+        assert np.abs(vals - ref).max() <= K * ref_tail
+
+
 @pytest.mark.parametrize("gen, a_hat, m, L, K", [
     (ds.make_generator({"kind": "bspline", "order": 3}), ds.gaussian_response(2.0), 3, 72, 384),
     (ds.make_generator({"kind": "bspline", "order": 5}), ds.heat_line_response(0.05), 5, 40, 64),
@@ -101,9 +118,67 @@ def test_sis_system_equals_periodize_rows_bitwise(gen, a_hat, m, L, K):
     system = ds.build_sis_system(gen, a_hat, m, L, K)
     refs = [ref_periodize_phi(gen, a_hat, j, L, K) for j in range(m)]
     rows = [ds.periodize_phi(gen, a_hat, j, L, K) for j in range(m)]
-    assert np.array_equal(system.phi_hat, np.array([v for v, _ in refs]))
     assert np.array_equal(system.phi_hat, np.array([v for v, _ in rows]))
     assert system.tail_bound == max(t for _, t in refs) == max(t for _, t in rows)
+    for j, ((_, tail), (ref, ref_tail)) in enumerate(zip(rows, refs)):
+        assert tail == ref_tail
+        assert_row_matches_reference(gen, j, K, system.phi_hat[j], ref, ref_tail)
+
+
+def band_table_generator(L, seed):
+    """Table generator with random values on the band [-1, 1): two live shifts per grid point."""
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal(2 * L + 1) + 1j * rng.standard_normal(2 * L + 1)
+    table[-1] = 0.0                                  # q = L, the frequency 1
+    return sis.Generator(kind="table", table=table, table_L=L, table_K=1)
+
+
+@st.composite
+def periodization_cases(draw):
+    """(gen, a_hat, j, L, K): a random generator, line filter, row and size."""
+    L = draw(st.integers(2, 96))
+    kind = draw(st.sampled_from(["bspline", "bspline", "sinc", "table"]))   # B-splines twice
+    if kind == "bspline":
+        gen = ds.make_generator({"kind": "bspline", "order": draw(st.integers(1, 5))})
+    elif kind == "sinc":
+        gen = ds.make_generator({"kind": "sinc"})
+    else:
+        gen = band_table_generator(L, draw(st.integers(0, 2**16)))
+    a_hat = draw(st.sampled_from([
+        lambda: ds.identity_response(),
+        lambda: ds.gaussian_response(draw(st.floats(0.01, 8.0))),
+        lambda: ds.heat_line_response(draw(st.floats(1e-4, 0.5))),
+    ]))()
+    j = draw(st.integers(1 if kind == "bspline" else 0, 5))
+    return gen, a_hat, j, L, draw(st.integers(1, 400))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(periodization_cases())
+def test_periodize_matches_full_table_reference(case):
+    gen, a_hat, j, L, K = case
+    try:
+        ref, ref_tail = ref_periodize_phi(gen, a_hat, j, L, K)
+    except TailTooLarge:
+        with pytest.raises(TailTooLarge):
+            ds.periodize_phi(gen, a_hat, j, L, K)
+        return
+    vals, tail = ds.periodize_phi(gen, a_hat, j, L, K)
+    assert tail == ref_tail
+    assert_row_matches_reference(gen, j, K, vals, ref, ref_tail)
+
+
+def test_sis_system_memory_does_not_grow_with_K():
+    # The (L, 2K+1) table needed 2304 x 769 complex values here: a 128 MB peak.
+    gen, a_hat = ds.make_generator({"kind": "sinc"}), ds.gaussian_response(2.0)
+    tracemalloc.start()
+    try:
+        system = ds.build_sis_system(gen, a_hat, 3, 2304, 384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert system.phi_hat.shape == (3, 2304)
 
 
 def test_sis_system_tail_guard_like_periodize():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import dynsamp as ds
-from dynsamp.errors import (CoincidentNodes, EvenM, NonDivisibleLength,
-                            ShapeMismatch)
+from dynsamp.errors import (CoincidentNodes, EvenM, GridMiss, MalformedSamples,
+                            NonDivisibleLength, ShapeMismatch)
 
 
 def test_build_plain_delta_all_ones():
@@ -56,8 +56,14 @@ def test_grid_index_out_of_range_rejected(rho):
                  lambda: ds.det_plain(ds.PlainSystem(a, 3, 3), rho),
                  lambda: ds.build_extended(a, 3, 3, (1,), rho),
                  lambda: ds.sis_matrix(system, rho)):
-        with pytest.raises(ValueError, match=r"rho must lie in \[0, 24\)"):
+        with pytest.raises(GridMiss, match=rf"rho must lie in \[0, 24\), got rho={rho}"):
             call()
+
+
+@pytest.mark.parametrize("c", [-1, 9])
+def test_u_row_shift_out_of_range_rejected(c):
+    with pytest.raises(MalformedSamples, match=rf"shift c={c} must lie in \[0, 9\)"):
+        ds.u_row(c, 0, 3, 3)
 
 
 def test_columns_are_geometric_progressions():
