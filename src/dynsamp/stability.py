@@ -46,16 +46,48 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     Scans xi = g/grid for g = 0..grid-1 and returns max 1/smin of the scaled
     extended matrix.  The grid must resolve the packet structure
     (at least 4 m n points).
+
+    Two exact maps leave the singular values unchanged, so only one grid
+    index per orbit is decomposed (see :func:`_orbit_count`).  The
+    shift xi -> xi + 1/n holds for every filter and is used when n divides
+    grid.  The mirror xi -> 1 - xi holds for a Hermitian response,
+    a(-xi) = conj(a(xi)), and is used when the grid response satisfies it
+    bitwise; a response Hermitian only to rounding takes the shift-only
+    scan.  Members of an orbit agree up to rounding, so the result may move
+    in the last digits against a full-grid scan.  A singular matrix raises
+    RankDeficient naming the smallest grid index of the worst orbit.
     """
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
-    xi = np.arange(grid) / grid
+    xi = np.arange(_orbit_count(a, n, grid)) / grid
     smin, _, _ = systems.solve_packets(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
-                                       grid, systems.phase_rows(m, n, omega))
+                                       len(xi), systems.phase_rows(m, n, omega))
     if smin.min() <= 0.0:
         g = int(np.argmin(smin))
         raise RankDeficient(g, f"extended matrix singular at xi = {g}/{grid}")
     return float((1.0 / smin).max())
+
+
+def _is_hermitian(response):
+    """True when response[-r mod L] == conj(response[r]) holds exactly for every r."""
+    r = np.asarray(response)
+    return bool(np.array_equal(r[-np.arange(len(r)) % len(r)], np.conj(r)))
+
+
+def _orbit_count(a, n, grid):
+    """Number of orbits of the scan's grid indices 0..grid-1; their smallest
+    members are 0..count-1.
+
+    The extended matrix at xi + 1/n is Q A(xi) Pi, with Q unitary (row
+    phases and a block-row permutation) and Pi a column permutation; for a
+    Hermitian response the matrix at 1 - xi is D conj(A(xi)) Pi'.  Both
+    keep the singular values.  With p = grid/n when n divides grid (else
+    p = grid), g shares its decomposition with g mod p and, for a bitwise
+    Hermitian grid response, with -g mod p: the smallest members are
+    0..p-1, or 0..p/2 with the mirror.
+    """
+    p = grid // n if grid % n == 0 else grid
+    return p // 2 + 1 if _is_hermitian(a.response) else p
 
 
 def _check_bound_hypotheses(a, n):

@@ -2,16 +2,19 @@
 
 The reference functions below are the former per-packet implementations:
 each matrix assembled entry by entry from ``u_row`` and ``np.vander``, and
-each packet decomposed or solved on its own.  Assembly and the conditioning
-scans do the same arithmetic as the engine and must agree bitwise; the
-solves use an SVD in place of ``lstsq`` and must agree to 1e-12.
+each packet decomposed or solved on its own.  Assembly and the guard-band
+scans do the same arithmetic as the engine and must agree bitwise.  The
+pseudoinverse-norm scan decomposes one grid point per symmetry orbit, so it
+agrees with the full-grid loop to 1e-13, and bitwise when no symmetry
+applies.  The solves use an SVD in place of ``lstsq`` and must agree to 1e-12.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dynsamp as ds
-from dynsamp import systems
+from dynsamp import stability, systems
 from dynsamp.errors import RankDeficient
 
 BSPLINE = ds.make_generator({"kind": "bspline", "order": 3})
@@ -188,19 +191,128 @@ def test_phi_hat_stack_matches_loop_bitwise():
 
 
 # ---------------------------------------------------------------------------
-# scans: exact (empirical_pinv_norm, and the guard-band scans of beta1/beta2)
+# scans: guard-band scans exact, the pseudoinverse-norm scan to 1e-13
+
+def complex_tap_filter(L):
+    """exp(-2 pi i xi)(2 + cos 2 pi xi + 0.6 sin 2 pi xi)/3: complex taps, not Hermitian."""
+    xi = np.arange(L) / L
+    return ds.filter_table(np.exp(-2j * np.pi * xi)
+                           * (2 + np.cos(2 * np.pi * xi) + 0.6 * np.sin(2 * np.pi * xi)) / 3)
+
 
 @pytest.mark.parametrize("a, m, n, grid", [
-    (ds.filter_raised_cosine(72, 1.0), 3, 3, 720),
-    (ds.filter_heat(840, 0.5), 5, 7, 720),
+    (ds.filter_raised_cosine(72, 1.0), 3, 3, 720),    # shift and mirror
+    (ds.filter_heat(840, 0.5), 5, 7, 720),            # mirror only: 7 does not divide 720
+    (complex_tap_filter(72), 3, 7, 720),              # neither: the full scan, bitwise
 ])
 def test_scans_equal_loop_values(a, m, n, grid):
+    rel = 0.0 if stability._orbit_count(a, n, grid) == grid else 1e-13
     for omega in (ds.full_omega(m), ds.minimal_omega(m)):
-        assert ds.empirical_pinv_norm(a, m, n, omega, grid) == \
-            ref_empirical_pinv_norm(a, m, n, omega, grid)
-    assert np.array_equal(ds.guard_band_points(n, grid), ref_guard_band_points(n, grid))
-    assert ds.bound_beta1(a, m, n, grid).detail == ref_beta1_sup(a, m, n, grid)
-    assert ds.bound_beta2(a, m, n, grid).detail == ref_beta2_delta(a, m, n, grid)
+        ref = ref_empirical_pinv_norm(a, m, n, omega, grid)
+        assert abs(ds.empirical_pinv_norm(a, m, n, omega, grid) - ref) <= rel * ref
+    if a.symmetric_decreasing:
+        assert np.array_equal(ds.guard_band_points(n, grid), ref_guard_band_points(n, grid))
+        assert ds.bound_beta1(a, m, n, grid).detail == ref_beta1_sup(a, m, n, grid)
+        assert ds.bound_beta2(a, m, n, grid).detail == ref_beta2_delta(a, m, n, grid)
+
+
+# ---------------------------------------------------------------------------
+# scan symmetries: the two maps behind one SVD per orbit
+
+SYMMETRY_PROPS = settings(derandomize=True, max_examples=60, deadline=None)
+
+
+def plain_filter(L):
+    """exp(-2 pi i xi)(2 + cos 2 pi xi)/3: Hermitian, not even; its table only to rounding."""
+    xi = np.arange(L) / L
+    return ds.filter_table(np.exp(-2j * np.pi * xi) * (2 + np.cos(2 * np.pi * xi)) / 3)
+
+
+FILTERS = {
+    "raised_cosine": ds.filter_raised_cosine,
+    "heat": ds.filter_heat,
+    "plain": lambda L, u: plain_filter(L),
+    "complex_taps": lambda L, u: complex_tap_filter(L),
+}
+
+
+@st.composite
+def scan_points(draw, kinds):
+    """(filter, m, n, omega, xi): odd m <= 7, n <= 15, omega a valid extra-sample set."""
+    m = draw(st.sampled_from([1, 3, 5, 7]))
+    n = draw(st.integers(1, 15))
+    omega = tuple(sorted(draw(st.sets(st.integers(0, m * n - 1), max_size=m))))
+    a = FILTERS[draw(st.sampled_from(kinds))](draw(st.integers(8, 96)),
+                                               draw(st.floats(0.25, 2.0)))
+    return a, m, n, omega, draw(st.floats(0.0, 1.0, exclude_max=True))
+
+
+def singular_values(a, m, n, omega, xi):
+    return np.linalg.svd(ds.build_extended_at(a, m, n, omega, xi), compute_uv=False)
+
+
+def mirror_gap(a, m, n, omega, xi):
+    """Largest singular-value difference between xi and 1 - xi, relative to the largest."""
+    s = singular_values(a, m, n, omega, xi)
+    return np.abs(s - singular_values(a, m, n, omega, 1.0 - xi)).max() / s[0]
+
+
+@SYMMETRY_PROPS
+@given(scan_points(["raised_cosine", "heat", "complex_taps"]))
+def test_shift_by_one_over_n_keeps_singular_values(point):
+    a, m, n, omega, xi = point
+    s = singular_values(a, m, n, omega, xi)
+    assert np.abs(s - singular_values(a, m, n, omega, xi + 1.0 / n)).max() <= 1e-12 * s[0]
+
+
+@SYMMETRY_PROPS
+@given(scan_points(["raised_cosine", "heat", "plain"]))
+def test_mirror_keeps_singular_values_for_hermitian_filters(point):
+    assert mirror_gap(*point) <= 1e-12
+
+
+def test_hermitian_check_is_bitwise():
+    L = 72
+    for a in (ds.filter_raised_cosine(L, 1.0), ds.filter_heat(L, 0.5), ds.filter_delta(L)):
+        assert stability._is_hermitian(a.response)
+    r = plain_filter(L).response
+    exact = r.copy()
+    exact[L // 2 + 1:] = np.conj(r[1:L - L // 2][::-1])
+    exact[[0, L // 2]] = exact[[0, L // 2]].real
+    assert stability._is_hermitian(exact)
+    assert stability._orbit_count(ds.filter_table(exact), 3, 720) == 720 // 3 // 2 + 1
+    # Hermitian only to rounding: the check rejects it, so the scan uses the shift alone.
+    for size in (72, 576, 2304, 9216, 36864):
+        assert not stability._is_hermitian(plain_filter(size).response)
+    assert stability._orbit_count(plain_filter(72), 3, 720) == 720 // 3
+    # Complex taps: not Hermitian, and the mirror really fails there.
+    a = complex_tap_filter(L)
+    assert not stability._is_hermitian(a.response)
+    assert mirror_gap(a, 3, 3, (1,), 0.2) > 1e-3
+
+
+@pytest.mark.parametrize("a, n, count", [
+    (ds.filter_raised_cosine(72, 1.0), 3, 121),      # shift and mirror
+    (ds.filter_raised_cosine(72, 1.0), 7, 361),      # mirror only
+    (ds.filter_raised_cosine(72, 1.0), 15, 25),      # shift and mirror
+    (complex_tap_filter(72), 5, 144),                # shift only
+    (complex_tap_filter(72), 7, 720),                # neither
+])
+def test_orbit_count_matches_orbit_closure(a, n, count):
+    grid = 720
+    maps = [lambda g: (g + grid // n) % grid] if grid % n == 0 else []
+    if stability._is_hermitian(a.response):
+        maps.append(lambda g: -g % grid)
+    smallest = set()
+    for g in range(grid):
+        orbit, todo = {g}, [g]
+        while todo:
+            h = todo.pop()
+            todo += [k for k in (f(h) for f in maps) if k not in orbit]
+            orbit.update(todo)
+        smallest.add(min(orbit))
+    assert sorted(smallest) == list(range(count))
+    assert stability._orbit_count(a, n, grid) == count
 
 
 # ---------------------------------------------------------------------------
