@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DynsampError, PreconditionViolated
+from .errors import DynsampError
 from . import sis as sis_mod
 from . import spectral
 from . import stability as stab
@@ -29,10 +29,11 @@ from .recon import forward, reconstruct_extended, reconstruct_plain
 from .systems import PlainSystem, det_plain, plain_family, smin_family, singular_indices
 
 
-MODES = ("roundtrip", "singular_scan", "stability_report", "noise_sweep",
-         "sis_roundtrip", "bounds_table")
-
 _MODE_TOL = {"roundtrip": 1e-8, "singular_scan": 1e-8, "sis_roundtrip": 1e-6}
+
+# scalar config fields that a flag of the same name overrides
+_OVERRIDES = {"m": int, "n": int, "N": int, "L": int, "grid": int, "trials": int,
+              "seed": int, "P": int, "K": int, "tol": float}
 
 
 @dataclass
@@ -68,16 +69,46 @@ class ExperimentConfig:
         return self.tol if self.tol is not None else _MODE_TOL.get(self.mode, 1e-8)
 
 
+def _parse_spec(name, parse, spec, violations):
+    """The library's parse of a config spec; None, with a violation added, if it fails."""
+    try:
+        return parse(spec)
+    except KeyError as exc:
+        violations.append(f"{name} spec lacks field {exc.args[0]!r}")
+    except (TypeError, ValueError, DynsampError) as exc:
+        violations.append(f"bad {name} spec: {exc}")
+    return None
+
+
 def validate(config):
     """All config violations as human-readable messages (empty list = valid)."""
     v = []
     if config.mode not in MODES:
         v.append(f"unknown mode {config.mode!r}; expected one of {MODES}")
         return v
-    needs_filter = config.mode in ("roundtrip", "singular_scan", "stability_report",
-                                   "noise_sweep", "bounds_table")
-    if needs_filter and not config.filter:
+    if config.mode == "sis_roundtrip":
+        for name, parse in (("generator", sis_mod.make_generator),
+                            ("line_filter", sis_mod.line_filter_from_spec)):
+            if getattr(config, name):
+                _parse_spec(name, parse, getattr(config, name), v)
+            else:
+                v.append(f"sis_roundtrip needs a {name} spec")
+        if config.P < 1:
+            v.append(f"sis_roundtrip needs P >= 1 fine samples per unit, got P={config.P}")
+        if config.K < 1:
+            v.append(f"sis_roundtrip needs a periodization half-width K >= 1, got K={config.K}")
+    elif not config.filter:
         v.append("missing filter spec")
+    elif config.mode == "bounds_table":
+        # bounds_table sets the filter's L itself, for each n
+        a = _parse_spec("filter", lambda spec: filter_from_spec(dict(spec, L=config.L)),
+                        config.filter, v)
+        if a is not None and a.kind == "table":
+            v.append("bounds_table regenerates the filter per n and needs a closed-form kind")
+    else:
+        a = _parse_spec("filter", filter_from_spec, config.filter, v)
+        if a is not None and a.L != config.L:
+            v.append(f"the filter has L = {a.L} but the config has L = {config.L}")
     if config.m < 1:
         v.append("m must be a positive integer")
     if config.n < 1 and not (config.mode == "sis_roundtrip" and config.n == 0):
@@ -95,13 +126,13 @@ def validate(config):
             spectral._layout(config.L, config.m, max(config.n, 1), shifts, packets=uses_extras)
         except DynsampError as exc:
             v.append(str(exc))
-    if config.mode in ("stability_report", "bounds_table", "noise_sweep") or omega:
-        if config.n % 2 == 0:
-            v.append("the stable-recovery guarantee requires odd n")
-    if config.mode in ("stability_report", "bounds_table", "noise_sweep") or (
-            config.mode == "roundtrip" and omega):
-        if config.m % 2 == 0:
-            v.append(f"{config.mode} needs odd m")
+    # the stable-recovery guarantee of the extended solve; the span solve needs neither
+    guarantee = config.mode in ("stability_report", "bounds_table", "noise_sweep") or (
+        config.mode == "roundtrip" and omega)
+    if guarantee and config.n % 2 == 0:
+        v.append("the stable-recovery guarantee requires odd n")
+    if guarantee and config.m % 2 == 0:
+        v.append(f"{config.mode} needs odd m")
     if config.mode == "stability_report" and config.grid < 16 * config.m * config.n:
         v.append(f"stability_report needs grid >= 16*m*n = {16 * config.m * config.n} "
                  "to resolve the guard band")
@@ -117,20 +148,6 @@ def validate(config):
                                                    and config.sigmas)
     if uses_trials and config.trials < 1:
         v.append(f"{config.mode} needs at least one noise trial, got trials={config.trials}")
-    if config.mode == "sis_roundtrip":
-        if not config.generator:
-            v.append("sis_roundtrip needs a generator spec")
-        elif config.generator.get("kind") == "bspline":
-            try:
-                sis_mod._bspline_order(config.generator.get("order", 3))
-            except PreconditionViolated as exc:
-                v.append(str(exc))
-        if not config.line_filter:
-            v.append("sis_roundtrip needs a line_filter spec")
-        if config.P < 1:
-            v.append(f"sis_roundtrip needs P >= 1 fine samples per unit, got P={config.P}")
-        if config.K < 1:
-            v.append(f"sis_roundtrip needs a periodization half-width K >= 1, got K={config.K}")
     if config.mode in ("noise_sweep", "roundtrip", "sis_roundtrip", "stability_report"):
         if config.seed is None:
             v.append("stochastic modes need an explicit seed")
@@ -139,8 +156,6 @@ def validate(config):
             v.append("bounds_table needs a nonempty n_list")
         if any(n < 1 or n % 2 == 0 for n in config.n_list):
             v.append("bounds_table needs odd entries in n_list")
-        if config.filter and config.filter.get("kind") == "table":
-            v.append("bounds_table regenerates the filter per n and needs a closed-form kind")
     return v
 
 
@@ -162,18 +177,14 @@ def _write_csv(path, header, rows):
             w.writerow([_fmt(x) for x in row])
 
 
-def _write_report(path, obj):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _filter_desc(spec):
     items = ",".join(f"{k}={spec[k]}" for k in sorted(spec) if k not in ("kind", "table"))
     return spec["kind"] + (f"({items})" if items else "")
 
 
-def _run_roundtrip(cfg, out):
+# Each mode computes and writes nothing: it returns (report fields, tables, ok),
+# where tables maps a file name to (header, rows) and ok picks exit code 0 or 2.
+def _run_roundtrip(cfg):
     a = filter_from_spec(cfg.filter)
     f = stab._seeded_signal(cfg.L, cfg.seed)
     N = cfg.N if cfg.N is not None else cfg.m
@@ -185,16 +196,13 @@ def _run_roundtrip(cfg, out):
         rec = reconstruct_plain(samples, a, cfg.m)
     rel = float(np.linalg.norm(rec - f) / np.linalg.norm(f))
     ok = rel <= cfg.tolerance()
-    report = {"mode": "roundtrip", "config": _echo(cfg), "rel_error": rel,
-              "tolerance": cfg.tolerance(), "pass": ok}
-    _write_report(out / "report.json", report)
-    _write_csv(out / "table.csv",
-               ["m", "n", "N", "L", "omega_size", "seed", "rel_error", "pass"],
-               [[cfg.m, cfg.n, N, cfg.L, len(omega), cfg.seed, rel, ok]])
-    return 0 if ok else 2
+    return ({"rel_error": rel, "tolerance": cfg.tolerance(), "pass": ok},
+            {"table.csv": (["m", "n", "N", "L", "omega_size", "seed", "rel_error", "pass"],
+                           [[cfg.m, cfg.n, N, cfg.L, len(omega), cfg.seed, rel, ok]])},
+            ok)
 
 
-def _run_singular_scan(cfg, out):
+def _run_singular_scan(cfg):
     a = filter_from_spec(cfg.filter)
     system = PlainSystem(a, cfg.m, cfg.m)
     smins = smin_family(plain_family(system))
@@ -202,35 +210,33 @@ def _run_singular_scan(cfg, out):
     dets = np.abs(det_plain(system, np.arange(step)))
     bad = singular_indices(smins, cfg.tolerance())
     xis = [rho / step for rho in bad]
-    _write_csv(out / "spectrum.csv", ["xi", "smin", "det_magnitude"],
-               [[rho / step, float(smins[rho]), dets[rho]] for rho in range(step)])
-    _write_csv(out / "table.csv", ["singular_xi", "grid_index"],
-               [[x, rho] for x, rho in zip(xis, bad)])
-    report = {"mode": "singular_scan", "config": _echo(cfg),
-              "singular_xi": xis, "singular_indices": bad,
-              "grid_points": step, "tolerance": cfg.tolerance()}
-    _write_report(out / "report.json", report)
-    return 0
+    return ({"singular_xi": xis, "singular_indices": bad, "grid_points": step,
+             "tolerance": cfg.tolerance()},
+            {"spectrum.csv": (["xi", "smin", "det_magnitude"],
+                              [[rho / step, float(smins[rho]), dets[rho]] for rho in range(step)]),
+             "table.csv": (["singular_xi", "grid_index"], [[x, rho] for x, rho in zip(xis, bad)])},
+            True)
 
 
-def _run_stability_report(cfg, out):
+def _run_stability_report(cfg):
     a = filter_from_spec(cfg.filter)
     sigma = cfg.sigmas[0] if cfg.sigmas else None
     rep = stab.stability_report(a, cfg.m, cfg.n, filter_desc=_filter_desc(cfg.filter),
                                 grid=cfg.grid, seed=cfg.seed, noise_sigma=sigma,
                                 trials=cfg.trials)
-    report = {"mode": "stability_report", "config": _echo(cfg)}
-    report.update(rep.to_json_dict())
-    _write_report(out / "report.json", report)
-    _write_csv(out / "table.csv", stab.StabilityReport.CSV_HEADER, [rep.csv_row()])
-    return 0 if rep.sandwich_ok else 2
+    # the report's config block is the library's, not the CLI echo
+    return (rep.to_json_dict(),
+            {"table.csv": (stab.StabilityReport.CSV_HEADER, [rep.csv_row()])},
+            rep.sandwich_ok)
 
 
-def _run_noise_sweep(cfg, out):
+def _run_noise_sweep(cfg):
     a = filter_from_spec(cfg.filter)
     omega = tuple(cfg.omega) or stab.minimal_omega(cfg.m)
     f = stab._seeded_signal(cfg.L, cfg.seed)
     pinv_norm = stab.empirical_pinv_norm(a, cfg.m, cfg.n, omega, cfg.grid)
+    header = ["m", "n", "L", "omega_size", "sigma", "trials", "seed",
+              "mean_error", "bound", "ratio", "bound_ok"]
     rows = []
     means = []
     all_ok = True
@@ -243,20 +249,14 @@ def _run_noise_sweep(cfg, out):
         all_ok = all_ok and res.bound_ok
     slope_dev = stab.proportionality_deviation(cfg.sigmas, means)
     linear = slope_dev <= 0.05
-    report = {"mode": "noise_sweep", "config": _echo(cfg),
-              "pinv_norm": pinv_norm,
-              "rows": [dict(zip(["m", "n", "L", "omega_size", "sigma", "trials", "seed",
-                                 "mean_error", "bound", "ratio", "bound_ok"], r)) for r in rows],
-              "slope_deviation": slope_dev, "linear": linear,
-              "pass": bool(all_ok and linear)}
-    _write_report(out / "report.json", report)
-    _write_csv(out / "table.csv",
-               ["m", "n", "L", "omega_size", "sigma", "trials", "seed",
-                "mean_error", "bound", "ratio", "bound_ok"], rows)
-    return 0 if (all_ok and linear) else 2
+    ok = bool(all_ok and linear)
+    return ({"pinv_norm": pinv_norm, "rows": [dict(zip(header, r)) for r in rows],
+             "slope_deviation": slope_dev, "linear": linear, "pass": ok},
+            {"table.csv": (header, rows)},
+            ok)
 
 
-def _run_sis_roundtrip(cfg, out):
+def _run_sis_roundtrip(cfg):
     gen = sis_mod.make_generator(cfg.generator)
     a_hat = sis_mod.line_filter_from_spec(cfg.line_filter)
     m, L = cfg.m, cfg.L
@@ -272,18 +272,16 @@ def _run_sis_roundtrip(cfg, out):
     rec = sis_mod.sis_reconstruct(samples, gen, a_hat, m, n, omega, K=cfg.K, system=system)
     rel = float(np.linalg.norm(rec - c) / np.linalg.norm(c))
     ok = rel <= cfg.tolerance()
-    report = {"mode": "sis_roundtrip", "config": _echo(cfg), "n_used": n,
-              "rel_error": rel, "tolerance": cfg.tolerance(), "pass": ok}
-    _write_report(out / "report.json", report)
-    _write_csv(out / "table.csv",
-               ["m", "n", "L", "omega_size", "P", "K", "seed", "rel_error", "pass"],
-               [[m, n, L, len(omega), cfg.P, cfg.K, cfg.seed, rel, ok]])
-    return 0 if ok else 2
+    return ({"n_used": n, "rel_error": rel, "tolerance": cfg.tolerance(), "pass": ok},
+            {"table.csv": (["m", "n", "L", "omega_size", "P", "K", "seed", "rel_error", "pass"],
+                           [[m, n, L, len(omega), cfg.P, cfg.K, cfg.seed, rel, ok]])},
+            ok)
 
 
-def _run_bounds_table(cfg, out):
+def _run_bounds_table(cfg):
     spec = dict(cfg.filter)
     m = cfg.m
+    header = ["m", "n", "L", "grid", "lower_bound", "empirical_minimal", "beta1_bound"]
     rows = []
     lowers = []
     for n in cfg.n_list:
@@ -297,16 +295,10 @@ def _run_bounds_table(cfg, out):
         rows.append([m, n, L, grid, lower, emp_min, b1.bound])
         lowers.append(lower)
     increasing = all(b > a for a, b in zip(lowers, lowers[1:]))
-    report = {"mode": "bounds_table", "config": _echo(cfg),
-              "rows": [dict(zip(["m", "n", "L", "grid", "lower_bound",
-                                 "empirical_minimal", "beta1_bound"], r)) for r in rows],
-              "lower_bound_strictly_increasing": increasing,
-              "pass": increasing}
-    _write_report(out / "report.json", report)
-    _write_csv(out / "table.csv",
-               ["m", "n", "L", "grid", "lower_bound", "empirical_minimal", "beta1_bound"],
-               rows)
-    return 0 if increasing else 2
+    return ({"rows": [dict(zip(header, r)) for r in rows],
+             "lower_bound_strictly_increasing": increasing, "pass": increasing},
+            {"table.csv": (header, rows)},
+            increasing)
 
 
 _RUNNERS = {
@@ -318,6 +310,8 @@ _RUNNERS = {
     "bounds_table": _run_bounds_table,
 }
 
+MODES = tuple(_RUNNERS)
+
 
 def _echo(cfg):
     d = {f.name: getattr(cfg, f.name) for f in fields(cfg)}
@@ -325,25 +319,36 @@ def _echo(cfg):
     return d
 
 
+def _fail(code, error, **detail):
+    """Print one JSON error line on stderr; returns the exit code."""
+    print(json.dumps({"error": error, **detail}, sort_keys=True), file=sys.stderr)
+    return code
+
+
 def run(config, out_dir=None):
-    """Validate and execute one experiment; returns the process exit code."""
+    """Validate and execute one experiment; returns the process exit code.
+
+    The files are written only after the mode has finished, so a config
+    error or a mode that raises leaves none behind.
+    """
     violations = validate(config)
     if violations:
-        print(json.dumps({"error": "ConfigError", "violations": violations},
-                         sort_keys=True), file=sys.stderr)
-        return 1
+        return _fail(1, "ConfigError", violations=violations)
+    try:
+        report_fields, tables, ok = _RUNNERS[config.mode](config)
+    except DynsampError as exc:
+        return _fail(2, type(exc).__name__, message=str(exc))
+    except ValueError as exc:
+        return _fail(1, "ConfigError", message=str(exc))
     out = Path(out_dir if out_dir is not None else config.out)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        return _RUNNERS[config.mode](config, out)
-    except DynsampError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 1
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
+    with open(out / "report.json", "w") as fh:
+        json.dump({"mode": config.mode, "config": _echo(config), **report_fields}, fh,
+                  indent=2, sort_keys=True)
+        fh.write("\n")
+    return 0 if ok else 2
 
 
 def _build_parser():
@@ -352,9 +357,8 @@ def _build_parser():
     p.add_argument("mode", choices=MODES)
     p.add_argument("--config", required=True, help="path to a JSON config file")
     p.add_argument("--out", default=None, help="output directory (default: config 'out')")
-    for name in ("m", "n", "N", "L", "grid", "trials", "seed", "P", "K"):
-        p.add_argument(f"--{name}", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    for name, kind in _OVERRIDES.items():
+        p.add_argument(f"--{name}", type=kind, default=None)
     return p
 
 
@@ -363,21 +367,13 @@ def main(argv=None):
     try:
         with open(args.config) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 1
-    obj["mode"] = args.mode
-    try:
+        obj["mode"] = args.mode
         cfg = ExperimentConfig.from_dict(obj)
-    except (TypeError, ValueError) as exc:
-        print(json.dumps({"error": "ConfigError", "message": str(exc)},
-                         sort_keys=True), file=sys.stderr)
-        return 1
-    for name in ("m", "n", "N", "L", "grid", "trials", "seed", "P", "K", "tol"):
-        val = getattr(args, name)
-        if val is not None:
-            setattr(cfg, name, val)
+    except (OSError, TypeError, ValueError) as exc:
+        return _fail(1, "ConfigError", message=str(exc))
+    for name in _OVERRIDES:
+        if getattr(args, name) is not None:
+            setattr(cfg, name, getattr(args, name))
     return run(cfg, out_dir=args.out)
 
 

@@ -238,3 +238,78 @@ def test_validate_keeps_n_zero_for_sis_roundtrip_only():
     assert cli.validate(sis) == []
     rt = cli.ExperimentConfig(mode="roundtrip", filter=rc_filter(), m=3, n=0, L=72)
     assert any("n must be a positive integer" in m for m in cli.validate(rt))
+
+
+def test_sis_roundtrip_chooses_n_with_explicit_omega(tmp_path):
+    # the span solve needs no odd n, and n = 0 is chosen at run time
+    cfg = cli.ExperimentConfig(mode="sis_roundtrip",
+                               generator={"kind": "bspline", "order": 3},
+                               line_filter={"kind": "gaussian", "alpha": 2.0},
+                               m=3, n=0, omega=[1, 2], L=72, seed=5)
+    assert cli.run(cfg, out_dir=tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["n_used"] == 3 and report["pass"]
+
+
+@pytest.mark.parametrize("mode", ["singular_scan", "roundtrip"])
+def test_filter_length_must_match_config(tmp_path, capsys, mode):
+    out = tmp_path / "out"
+    code, msgs = run_violations(out, capsys, mode=mode, filter=rc_filter(144), m=3, n=3,
+                                omega=[1], L=72)
+    assert code == 1 and any("L = 144" in m and "L = 72" in m for m in msgs)
+    assert not out.exists()
+
+
+def test_bounds_table_takes_any_filter_length(tmp_path):
+    cfg = cli.ExperimentConfig(mode="bounds_table", filter=rc_filter(144), m=3, L=72,
+                               n_list=[3])
+    assert cli.validate(cfg) == []
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(mode="roundtrip", filter={"kind": "heat", "L": 72}, n=3, omega=[1]),
+     "filter spec lacks field 't'"),
+    (dict(mode="sis_roundtrip", generator={"kind": "table", "L": 72}, n=0,
+          line_filter={"kind": "identity"}),
+     "generator spec lacks field 'fourier_values'"),
+    (dict(mode="sis_roundtrip", generator={"kind": "sinc"}, n=0,
+          line_filter={"kind": "gaussian"}),
+     "line_filter spec lacks field 'alpha'"),
+])
+def test_spec_missing_field_is_config_error(tmp_path, capsys, fields, message):
+    code, msgs = run_violations(tmp_path, capsys, m=3, L=72, **fields)
+    assert code == 1 and message in msgs
+
+
+def test_unknown_spec_kind_is_violation(tmp_path, capsys):
+    code, msgs = run_violations(tmp_path, capsys, mode="singular_scan",
+                                filter={"kind": "boxcar", "L": 72}, m=3, L=72)
+    assert code == 1 and any("unknown filter kind 'boxcar'" in m for m in msgs)
+
+
+def test_stability_report_config_block_is_the_library_one(tmp_path):
+    cfg = cli.ExperimentConfig(mode="stability_report", filter=rc_filter(), m=3,
+                               n=3, L=72, grid=720, seed=4)
+    assert cli.run(cfg, out_dir=tmp_path) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert set(report["config"]) == {"m", "n", "omega", "filter", "L", "grid", "seed"}
+    assert report["mode"] == "stability_report"
+
+
+def test_failing_mode_writes_no_files(tmp_path, capsys):
+    cfg = cli.ExperimentConfig(mode="roundtrip", filter=rc_filter(), m=3, n=1,
+                               omega=[], L=72, seed=0)
+    assert cli.run(cfg, out_dir=tmp_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "SingularSystem"
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_main_overrides_tol_and_N(tmp_path):
+    path = write_config(tmp_path, {"filter": rc_filter(36), "m": 3, "n": 3,
+                                   "omega": [1], "L": 36, "seed": 1})
+    code = cli.main(["roundtrip", "--config", path, "--out", str(tmp_path / "o"),
+                     "--tol", "1e-6", "--N", "4"])
+    assert code == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    assert report["tolerance"] == 1e-6 and report["config"]["N"] == 4
