@@ -22,18 +22,14 @@ import numpy as np
 
 from .errors import DynsampError
 from . import sis as sis_mod
-from . import spectral
+from . import spectral, systems
 from . import stability as stab
 from .filters import filter_from_spec
 from .recon import forward, reconstruct_extended, reconstruct_plain
 from .systems import PlainSystem, det_plain, plain_family, smin_family, singular_indices
 
 
-_MODE_TOL = {"roundtrip": 1e-8, "singular_scan": 1e-8, "sis_roundtrip": 1e-6}
-
-# scalar config fields that a flag of the same name overrides
-_OVERRIDES = {"m": int, "n": int, "N": int, "L": int, "grid": int, "trials": int,
-              "seed": int, "P": int, "K": int, "tol": float}
+_MODE_TOL = {"roundtrip": 1e-8, "singular_scan": systems.SINGULAR_TOL, "sis_roundtrip": 1e-6}
 
 
 @dataclass
@@ -49,11 +45,11 @@ class ExperimentConfig:
     sigmas: list = field(default_factory=list)
     trials: int = 200
     seed: int = 0
-    tol: float = None
     generator: dict = None
     line_filter: dict = None
     P: int = 48
     K: int = 384
+    tol: float = None
     n_list: list = field(default_factory=lambda: [3, 7, 15])
     out: str = "."
 
@@ -66,7 +62,40 @@ class ExperimentConfig:
         return cls(**obj)
 
     def tolerance(self):
-        return self.tol if self.tol is not None else _MODE_TOL.get(self.mode, 1e-8)
+        return self.tol if self.tol is not None else _MODE_TOL[self.mode]
+
+
+# scalar config fields that a flag of the same name overrides
+_OVERRIDES = {f.name: f.type for f in fields(ExperimentConfig) if f.type in (int, float)}
+
+
+# JSON types a field of each annotation takes, and their name in a violation
+_JSON_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"),
+               str: (str, "a string"), list: ((list, tuple), "a list")}
+_ENTRY_TYPES = {"sigmas": float, "n_list": int}
+
+
+def _is_json(x, t):
+    """True when x has the JSON type of annotation t; a bool is no number."""
+    return not isinstance(x, bool) and isinstance(x, _JSON_TYPES[t][0])
+
+
+def _type_violations(config):
+    """Fields whose value does not have the JSON type of their annotation.
+
+    Spec objects are left to the library parsers.  None passes where it is
+    the default, and for seed, which validate reports per mode."""
+    v = []
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is dict or (value is None and (f.default is None or f.name == "seed")):
+            continue
+        entry = _ENTRY_TYPES.get(f.name)
+        if not _is_json(value, f.type):
+            v.append(f"{f.name} must be {_JSON_TYPES[f.type][1]}, got {value!r}")
+        elif entry and not all(_is_json(x, entry) for x in value):
+            v.append(f"{f.name} entries must each be {_JSON_TYPES[entry][1]}, got {value!r}")
+    return v
 
 
 def _parse_spec(name, parse, spec, violations):
@@ -81,8 +110,12 @@ def _parse_spec(name, parse, spec, violations):
 
 
 def validate(config):
-    """All config violations as human-readable messages (empty list = valid)."""
-    v = []
+    """All config violations as human-readable messages (empty list = valid).
+
+    A field of the wrong JSON type is reported alone, before any other rule."""
+    v = _type_violations(config)
+    if v:
+        return v
     if config.mode not in MODES:
         v.append(f"unknown mode {config.mode!r}; expected one of {MODES}")
         return v
@@ -329,9 +362,15 @@ def run(config, out_dir=None):
     """Validate and execute one experiment; returns the process exit code.
 
     The files are written only after the mode has finished, so a config
-    error or a mode that raises leaves none behind.
+    error or a mode that raises leaves none behind.  An output path that
+    exists but is no directory is a config error; an OSError while writing
+    is reported under its own name, with exit code 1.
     """
     violations = validate(config)
+    if not violations:
+        out = Path(out_dir if out_dir is not None else config.out)
+        if out.exists() and not out.is_dir():
+            violations = [f"output path {str(out)!r} exists and is not a directory"]
     if violations:
         return _fail(1, "ConfigError", violations=violations)
     try:
@@ -340,14 +379,16 @@ def run(config, out_dir=None):
         return _fail(2, type(exc).__name__, message=str(exc))
     except ValueError as exc:
         return _fail(1, "ConfigError", message=str(exc))
-    out = Path(out_dir if out_dir is not None else config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        _write_csv(out / name, header, rows)
-    with open(out / "report.json", "w") as fh:
-        json.dump({"mode": config.mode, "config": _echo(config), **report_fields}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, (header, rows) in tables.items():
+            _write_csv(out / name, header, rows)
+        with open(out / "report.json", "w") as fh:
+            json.dump({"mode": config.mode, "config": _echo(config), **report_fields}, fh,
+                      indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        return _fail(1, type(exc).__name__, message=str(exc))
     return 0 if ok else 2
 
 

@@ -163,26 +163,26 @@ def evolve(f, a, l):
     return spectral.idft(spectral.dft(f) * a.response ** l)
 
 
-def check_symmetric_decreasing(a, real_tol=_REAL_TOL, tie_tol=_TIE_TOL):
+def check_symmetric_decreasing(a):
     """Test whether a response is real, even, and strictly decreasing on [0, 1/2].
 
     Returns (ok, first_violation_index).  The index points at the first grid
-    entry where a check fails: a complex or asymmetric entry, or the first
-    point that fails to continue the strict decrease.  Decreases smaller
-    than ``tie_tol`` count as violations.
+    entry where a check fails: a complex or asymmetric entry (off by more
+    than _REAL_TOL = 1e-12 of max(1, max |response|)), or the first point
+    that fails to continue the strict decrease by more than _TIE_TOL = 1e-14.
     """
     r = a.response
     L = len(r)
     scale = max(1.0, float(np.max(np.abs(r))))
     for i in range(L):
-        if abs(r[i].imag) > real_tol * scale:
+        if abs(r[i].imag) > _REAL_TOL * scale:
             return False, i
     vals = r.real
     for i in range(1, L):
-        if abs(vals[i] - vals[L - i]) > real_tol * scale:
+        if abs(vals[i] - vals[L - i]) > _REAL_TOL * scale:
             return False, i
     for i in range(L // 2):
-        if not vals[i] - vals[i + 1] > tie_tol:
+        if not vals[i] - vals[i + 1] > _TIE_TOL:
             return False, i + 1
     return True, None
 

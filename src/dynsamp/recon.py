@@ -213,16 +213,16 @@ def _guarantee_regime(samples, m, n, omega, force=False):
     return omega
 
 
-def dense_oracle(a, m, N, n=1, omega=(), max_size=512):
+def dense_oracle(a, m, N, n=1, omega=()):
     """Explicit time-domain matrix mapping the signal to all stacked samples.
 
     Row order matches :func:`stack_samples`: the N snapshot blocks first
     (each L/m rows), then one block of L/(m n) rows per shift in sorted
-    omega.  Intended as a brute-force cross-check, hence the size cap.
+    omega.  A brute-force cross-check, hence the cap: L > 512 raises TooLarge.
     """
     L = a.L
-    if L > max_size:
-        raise TooLarge(f"dense oracle capped at L={max_size}, got {L}")
+    if L > 512:
+        raise TooLarge(f"dense oracle capped at L=512, got {L}")
     omega = spectral._layout(L, m, n, omega)
     rows = []
     t = np.arange(L)
@@ -245,8 +245,8 @@ def stack_samples(samples):
     return np.concatenate(parts)
 
 
-def oracle_solve(a, samples, N=None, max_size=512, rcond=systems.RANK_TOL):
-    """Least-squares recovery through the dense time-domain matrix."""
-    N = samples.N if N is None else N
-    M = dense_oracle(a, samples.m, N, samples.n, samples.omega, max_size=max_size)
-    return np.linalg.lstsq(M, stack_samples(samples), rcond=rcond)[0]
+def oracle_solve(a, samples):
+    """Least-squares recovery through the dense time-domain matrix of every
+    snapshot, with ``systems.RANK_TOL`` as the relative rank cutoff."""
+    M = dense_oracle(a, samples.m, samples.N, samples.n, samples.omega)
+    return np.linalg.lstsq(M, stack_samples(samples), rcond=systems.RANK_TOL)[0]

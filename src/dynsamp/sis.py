@@ -172,6 +172,7 @@ def line_filter_from_spec(spec):
 
 _FIRST_BLOCK = 16          # shifts per side in the first outward block; each next one doubles
 _BLOCK_STOP = 2.0 ** -60
+TAIL_TOL = 1e-12           # largest |k| = K term allowed, relative to the row (periodize_phi)
 
 
 def _bspline_poisson_row(order, L):
@@ -259,7 +260,7 @@ def _cross_spectra(gen, a_hat, js, L, K, tail_tol):
     return rows, tails
 
 
-def periodize_phi(gen, a_hat, j, L, K, tail_tol=1e-12):
+def periodize_phi(gen, a_hat, j, L, K, tail_tol=TAIL_TOL):
     """Periodized cross-spectrum of the j-step evolved generator on the L-grid.
 
     Returns (values, tail) where values[r] approximates
@@ -285,7 +286,7 @@ class SISSystem:
     K: int = 0
 
 
-def build_sis_system(gen, a_hat, m, L, K, tail_tol=1e-12):
+def build_sis_system(gen, a_hat, m, L, K, tail_tol=TAIL_TOL):
     """Assemble the m x m per-frequency family for time steps 0..m-1."""
     spectral._layout(L, m)
     rows, tails = _cross_spectra(gen, a_hat, range(m), L, K, tail_tol)
@@ -302,13 +303,16 @@ def sis_family(system):
     return systems._grid_family(system.phi_hat, system.m)
 
 
-def sis_singular_set(system, tol=systems.SINGULAR_TOL):
-    """Grid indices where the integer-rate family loses rank (relative cutoff)."""
-    return systems.singular_indices(systems.smin_family(sis_family(system)), tol)
+def sis_singular_set(system):
+    """Grid indices where the integer-rate family loses rank (``systems.SINGULAR_TOL``)."""
+    return systems.singular_indices(systems.smin_family(sis_family(system)), systems.SINGULAR_TOL)
 
 
 # ---------------------------------------------------------------------------
 # choice of the extra decimation factor
+
+ADMISSIBLE_TOL = 1e-9      # a frequency difference this close to some k/n rules n out
+
 
 def _first_violation(xis, n, tol):
     """First pairwise difference of xis equal to some k/n (within tol), as (d, k), or None."""
@@ -321,12 +325,12 @@ def _first_violation(xis, n, tol):
     return None
 
 
-def n_is_admissible(xis, n, tol=1e-9):
+def n_is_admissible(xis, n, tol=ADMISSIBLE_TOL):
     """True when no pairwise difference of the given frequencies equals k/n."""
     return _first_violation(list(xis), n, tol) is None
 
 
-def choose_n(singular_xis, n_max, n_min=1, tol=1e-9):
+def choose_n(singular_xis, n_max, n_min=1, tol=ADMISSIBLE_TOL):
     """Smallest admissible extra decimation factor in [n_min, n_max].
 
     A factor n is admissible when no pairwise difference of the singular
@@ -353,13 +357,14 @@ class ReducibilityResult:
     witness: tuple = None          # (xi, k) where the ratio test failed
 
 
-def reducibility_check(gen, a_hat, L, K, support_tol=1e-8, ratio_tol=1e-8):
+def reducibility_check(gen, a_hat, L, K):
     """Test whether evolution preserves the generator's span.
 
     The span is preserved exactly when a_hat(xi + k) is constant over the k
     with phi_hat(xi + k) != 0, for (almost) every xi; the constant defines
-    the equivalent integer-rate response b_hat(xi).  Returns the b_hat grid
-    values on success, or the first witness (xi, k) where the ratio deviates.
+    the equivalent integer-rate response b_hat(xi) (support: |phi_hat| above
+    1e-8 of its peak; deviation: above 1e-8 max(1, |b_hat|)).  Returns the
+    b_hat grid values on success, or the first witness (xi, k) where it fails.
     """
     k = np.arange(-K, K + 1)
     xi = np.arange(L) / L
@@ -369,13 +374,13 @@ def reducibility_check(gen, a_hat, L, K, support_tol=1e-8, ratio_tol=1e-8):
     phi_scale = float(np.abs(phi).max())
     b_hat = np.zeros(L, dtype=complex)
     for r in range(L):
-        live = np.abs(phi[r]) > support_tol * phi_scale
+        live = np.abs(phi[r]) > 1e-8 * phi_scale
         if not np.any(live):
             continue
         anchor = np.argmax(np.abs(phi[r]))
         b_hat[r] = avals[r, anchor]
         dev = np.abs(avals[r, live] - b_hat[r])
-        if dev.max() > ratio_tol * max(1.0, abs(b_hat[r])):
+        if dev.max() > 1e-8 * max(1.0, abs(b_hat[r])):
             k_bad = int(k[live][int(np.argmax(dev))])
             return ReducibilityResult(reducible=False, witness=(float(xi[r]), k_bad))
     return ReducibilityResult(reducible=True, b_hat=b_hat)
@@ -443,30 +448,27 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
 # ---------------------------------------------------------------------------
 # reconstruction at the integer rate
 
-def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, force=False, tail_tol=1e-12,
-                    system=None):
+def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, system=None):
     """Recover the coefficient sequence from a span sample set.
 
     Uses the first m snapshot sequences, one per cross-spectrum Phi_hat_j.
     With extra samples the packet solve mirrors the integer-sequence
     pipeline, except that the extra-sample rows carry the weight
     Phi_hat_0 at each column's frequency (the extras observe f, whose
-    spectrum is c_hat * Phi_hat_0).  The guarantee regime expects omega to
-    contain 1..m-1; pass force=True to attempt other sets.  ``system``
-    reuses a :func:`build_sis_system` result for the same (m, L, K)
-    instead of building it again.
+    spectrum is c_hat * Phi_hat_0).  A nonempty omega must contain 1..m-1.
+    ``system`` reuses a :func:`build_sis_system` result for the same
+    (m, L, K) instead of building it again.
     """
     # Only the sample-set match: the span regime differs and is checked below.
     omega = _guarantee_regime(samples, m, n, omega, force=True)
     L = samples.L
     if system is None:
-        system = build_sis_system(gen, a_hat, m, L, K, tail_tol)
+        system = build_sis_system(gen, a_hat, m, L, K)
     elif (system.m, system.L, system.K) != (m, L, K):
         raise PreconditionViolated(f"system was built for (m, L, K) = "
                                    f"{(system.m, system.L, system.K)}, not {(m, L, K)}")
     if not omega:
         return _solve(samples.y, samples.extras, m, system.phi_hat, 1, None)
-    if not force and not set(range(1, m)).issubset(omega):
-        raise PreconditionViolated(
-            f"span guarantee needs omega containing {list(range(1, m))} (use force=True)")
+    if not set(range(1, m)).issubset(omega):
+        raise PreconditionViolated(f"span guarantee needs omega containing {list(range(1, m))}")
     return _solve(samples.y, samples.extras, m, system.phi_hat, n, omega)

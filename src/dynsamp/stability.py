@@ -9,8 +9,8 @@ and runs a seeded Monte-Carlo harness against the error estimate
 
 The upper bounds apply to the full extra-sample set omega = {0..m-1}; the
 recovery guarantee and the lower bound use the minimal set
-omega = {1..(m-1)/2}.  The two regimes are distinct and the bound
-functions reject other sets rather than compare incomparable quantities.
+omega = {1..(m-1)/2}.  The two regimes are distinct: the bound functions
+take no omega, and stability_report measures the empirical norm in both.
 """
 
 import math
@@ -234,15 +234,15 @@ class NoiseTrialResult(NamedTuple):
     ratio: float
 
 
-def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, slack=0.10,
-                grid=None, pinv_norm=None):
+def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, pinv_norm=None):
     """Monte-Carlo check of the noise error estimate ||A^+|| sigma / sqrt(m).
 
     Perturbs every sample entry with circular complex Gaussian noise of
     variance sigma**2 (seeded, deterministic), reconstructs, and reports the
     per-entry RMS error sqrt(mean |f - f_rec|^2) averaged over trials.
-    ``bound_ok`` compares the mean against the estimate with the given
-    relative slack.  Reusing one seed across sigma values yields errors that
+    ``bound_ok`` holds when the mean is at most 1.10 times the estimate.
+    Without ``pinv_norm`` the norm is scanned on max(720, 4 m n) grid
+    points.  Reusing one seed across sigma values yields errors that
     are exactly proportional to sigma.  Trials are solved in blocks, each
     block as right-hand sides of one decomposition per packet chunk; the
     noise is drawn per trial, per sequence, real part then imaginary part,
@@ -257,9 +257,7 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, slack=0.10,
     samples = forward(f, a, m, m, n, omega)
     omega = _guarantee_regime(samples, m, n, omega)
     if pinv_norm is None:
-        if grid is None:
-            grid = max(720, 4 * m * n)
-        pinv_norm = empirical_pinv_norm(a, m, n, omega, grid)
+        pinv_norm = empirical_pinv_norm(a, m, n, omega, max(720, 4 * m * n))
     bound = pinv_norm * sigma / math.sqrt(m)
 
     table = systems.power_rows(a.response, m)
@@ -275,7 +273,7 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, slack=0.10,
     if sigma == 0.0:
         return NoiseTrialResult(mean_error, True, 0.0, 0.0)
     ratio = mean_error / bound
-    return NoiseTrialResult(mean_error, ratio <= 1.0 + slack, bound, ratio)
+    return NoiseTrialResult(mean_error, ratio <= 1.10, bound, ratio)
 
 
 def _noisy_block(samples, rng, T, sigma):

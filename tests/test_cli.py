@@ -313,3 +313,58 @@ def test_main_overrides_tol_and_N(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["tolerance"] == 1e-6 and report["config"]["N"] == 4
+
+
+README_ROUNDTRIP = {"filter": rc_filter(), "m": 3, "n": 3, "omega": [1], "L": 72, "seed": 11}
+README_NOISE = {"filter": rc_filter(), "m": 3, "n": 3, "omega": [1], "L": 72, "grid": 720,
+                "sigmas": [1e-4, 1e-3, 1e-2], "trials": 200, "seed": 42}
+
+
+BASES = {"roundtrip": README_ROUNDTRIP, "noise_sweep": README_NOISE,
+         "bounds_table": {"filter": rc_filter(), "m": 3, "L": 72}}
+
+
+@pytest.mark.parametrize("mode, bad", [
+    ("roundtrip", {"m": "3"}),
+    ("roundtrip", {"m": 3.0}),
+    ("roundtrip", {"n": True}),
+    ("roundtrip", {"seed": "11"}),
+    ("roundtrip", {"omega": 1}),
+    ("roundtrip", {"tol": "1e-8"}),
+    ("roundtrip", {"out": 5}),
+    ("noise_sweep", {"sigmas": ["x"]}),
+    ("noise_sweep", {"sigmas": [1e-3, False]}),
+    ("noise_sweep", {"grid": None}),
+    ("bounds_table", {"n_list": [3, 7.0]}),
+], ids=lambda v: v if isinstance(v, str) else "{}={!r}".format(*next(iter(v.items()))))
+def test_wrong_json_type_is_config_error(tmp_path, capsys, mode, bad):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, dict(BASES[mode], **bad))
+    assert cli.main([mode, "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    report = json.loads(err)
+    (field,) = bad
+    assert report["error"] == "ConfigError"
+    assert any(m.startswith(f"{field} ") for m in report["violations"])
+    assert not out.exists()
+
+
+def test_json_types_accept_ints_for_floats_and_default_nones():
+    cfg = cli.ExperimentConfig.from_dict(dict(README_NOISE, mode="noise_sweep", sigmas=[0, 1e-3],
+                                              tol=1, N=None))
+    assert cli.validate(cfg) == []
+
+
+@pytest.mark.parametrize("sub, error", [(None, "ConfigError"), ("sub", "NotADirectoryError")])
+def test_out_path_through_a_regular_file(tmp_path, capsys, sub, error):
+    # a plain file as --out is rejected before the mode runs; a path below one
+    # fails while writing, and both end in one JSON line, not a traceback
+    target = tmp_path / "plain.txt"
+    target.write_text("keep me\n")
+    out = target / sub if sub else target
+    path = write_config(tmp_path, README_ROUNDTRIP)
+    assert cli.main(["roundtrip", "--config", path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and json.loads(err)["error"] == error
+    assert target.read_text() == "keep me\n"

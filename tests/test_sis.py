@@ -156,6 +156,32 @@ def test_reducibility_identity_filter():
     assert np.abs(res.b_hat - 1.0).max() < 1e-12
 
 
+def table_generator(alias, bump=0.0):
+    """L = 4, K = 1 table: transform 1 at q = 0..3, ``alias`` at the k = -1 shifts
+    q = -4..-1, and 0 at q = 4; the line response is 1 + bump for nu < 0, else 1."""
+    values = [alias] * 4 + [1.0] * 4 + [0.0]
+    gen = ds.make_generator({"kind": "table", "L": 4, "K": 1, "fourier_values": values})
+    return gen, lambda nu: np.where(np.asarray(nu) < 0, 1.0 + bump, 1.0).astype(complex)
+
+
+@pytest.mark.parametrize("alias, reducible", [(1e-7, False), (1e-9, True)])
+def test_reducibility_support_cutoff(alias, reducible):
+    # shifts above 1e-8 of the transform peak count as support
+    gen, _ = table_generator(alias)
+    res = ds.reducibility_check(gen, ds.gaussian_response(1.0), 4, K=1)
+    assert res.reducible is reducible
+    assert res.witness == (None if reducible else (0.0, -1))
+
+
+@pytest.mark.parametrize("bump, reducible", [(1e-7, False), (1e-9, True)])
+def test_reducibility_ratio_cutoff(bump, reducible):
+    # a response that differs across live shifts by more than 1e-8 is not reducible
+    gen, a_hat = table_generator(0.5, bump)
+    res = ds.reducibility_check(gen, a_hat, 4, K=1)
+    assert res.reducible is reducible
+    assert res.witness == (None if reducible else (0.0, -1))
+
+
 def test_reducibility_bspline_gaussian_fails_with_witness():
     res = ds.reducibility_check(BSPLINE, ds.gaussian_response(1.0), 36, K=8)
     assert not res.reducible

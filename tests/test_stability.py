@@ -197,6 +197,17 @@ def test_noise_trial_bound_holds():
     assert res.mean_error <= 1.1 * res.bound
 
 
+def test_noise_trial_fixed_grid_and_slack():
+    # without pinv_norm the norm comes from a 720-point scan; bound_ok allows 10% slack
+    f, sigma = rand_signal(72, 3), 1e-3
+    res = ds.noise_trial(f, RC72, 3, 3, (1,), sigma, trials=20, seed=5)
+    assert res.bound == ds.empirical_pinv_norm(RC72, 3, 3, (1,), 720) * sigma / np.sqrt(3)
+    for ratio, ok in ((1.09, True), (1.11, False)):
+        pinv = res.mean_error * np.sqrt(3) / (sigma * ratio)
+        r = ds.noise_trial(f, RC72, 3, 3, (1,), sigma, trials=20, seed=5, pinv_norm=pinv)
+        assert r.ratio == pytest.approx(ratio, rel=1e-12) and r.bound_ok == ok
+
+
 def test_noise_error_linear_in_sigma():
     f = rand_signal(72, 42)
     pinv = ds.empirical_pinv_norm(RC72, 3, 3, (1,), 720)
