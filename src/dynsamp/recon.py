@@ -140,6 +140,14 @@ def _solve(y, extras, m, table, n, omega):
     ``SingularSystem``; otherwise a packet with smin below
     ``systems.RANK_TOL`` times its largest singular value raises
     ``RankDeficient``.
+
+    A bitwise Hermitian table, table[:, -r mod L] == conj(table[:, r]),
+    gives A(P - rho) = D R conj(A(rho)) Pi: Pi reverses the m n columns, R
+    the n snapshot blocks, and D multiplies extras row c by
+    exp(2 pi i c/(m n)).  Then only packets 0..P//2 are decomposed, and
+    packet P - rho is solved with the factors of packet rho: its right-hand
+    side is gathered as R^T conj(D) b and its solution scattered through Pi.
+    Both come down to the node indices of packet rho negated mod L.
     """
     N, trials, L = len(y), y[0].shape[:-1], y[0].shape[-1] * m
     if L != table.shape[1]:
@@ -148,10 +156,19 @@ def _solve(y, extras, m, table, n, omega):
         raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {N}")
     plain, omega = omega is None, spectral._layout(L, m, n, omega or (), packets=True)
     P, T = L // (m * n), math.prod(trials)
-    idx = systems.packet_indices(L, m, n, np.arange(P))
+    rho = np.arange(P)
+    # Signed packet q per solve: q >= 0 is packet q, q < 0 packet P + q
+    # solved with the factors of packet -q; packet p uses those of src[p].
+    q, src = rho, rho
+    if systems._is_hermitian(table):
+        q = np.concatenate([rho[:P // 2 + 1], -rho[1:(P + 1) // 2]])
+        src = np.minimum(rho, P - rho)
+    idx = systems.packet_indices(L, m, n, np.abs(q))
+    idx[q < 0] = -idx[q < 0] % L
     smin, smax, x = systems.solve_packets(
-        lambda part: systems.gather_blocks(table, idx[part]), P,
-        systems.phase_rows(m, n, omega), _rhs(y[:len(table)], extras, omega, idx, L, T))
+        lambda part: systems.gather_blocks(table, idx[part]), np.count_nonzero(q >= 0),
+        systems.phase_rows(m, n, omega), _rhs(y[:len(table)], extras, omega, idx, q, L, T))
+    smin, smax = smin[src], smax[src]
     if plain:
         bad = systems.singular_indices(smin, systems.SINGULAR_TOL)
         if bad:
@@ -165,15 +182,16 @@ def _solve(y, extras, m, table, n, omega):
     return spectral.idft(f_hat).reshape(trials + (L,))
 
 
-def _rhs(y, extras, omega, idx, L, T):
-    """(P, |omega| + n N, T) right-hand sides of :func:`_solve` for the
-    packets at ``idx``: the phased extras, then the snapshot spectra.  The
-    spectra are freed on return, before the solve allocates its own arrays."""
+def _rhs(y, extras, omega, idx, q, L, T):
+    """(P, |omega| + n N, T) right-hand sides of :func:`_solve` for the signed
+    packets ``q`` at node indices ``idx``: the phased extras, then the
+    snapshot spectra.  The spectra are freed on return, before the solve
+    allocates its own arrays."""
     P = len(idx)
-    phased = np.array([np.exp(2j * np.pi * c * np.arange(P) / L) * spectral.dft(extras[c])
+    phased = np.array([np.exp(2j * np.pi * c * q / L) * spectral.dft(extras[c])[..., q % P]
                        for c in omega], dtype=complex).reshape(len(omega), T, P)
     y_hat = spectral.dft(np.reshape(y, (len(y), T, -1)))                # (N, T, L/m)
-    snaps = y_hat.transpose(2, 0, 1)[idx[..., 0]]                       # (P, n, N, T)
+    snaps = y_hat.transpose(2, 0, 1)[idx[..., 0] % y_hat.shape[-1]]     # (P, n, N, T)
     return np.concatenate([phased.transpose(2, 0, 1), snaps.reshape(P, -1, T)], axis=1)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (EvenM, GridMiss, HypothesisViolated, PreconditionViolated,
                      RankDeficient)
 from . import systems
+from .systems import _is_hermitian
 from .recon import _guarantee_regime, _require_finite, _solve, forward
 
 _SUP_TOL = 1e-12
@@ -66,12 +67,6 @@ def empirical_pinv_norm(a, m, n, omega, grid):
         g = int(np.argmin(smin))
         raise RankDeficient(g, f"extended matrix singular at xi = {g}/{grid}")
     return float((1.0 / smin).max())
-
-
-def _is_hermitian(response):
-    """True when response[-r mod L] == conj(response[r]) holds exactly for every r."""
-    r = np.asarray(response)
-    return bool(np.array_equal(r[-np.arange(len(r)) % len(r)], np.conj(r)))
 
 
 def _orbit_count(a, n, grid):
@@ -273,7 +268,7 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, pinv_norm=None):
     if sigma == 0.0:
         return NoiseTrialResult(mean_error, True, 0.0, 0.0)
     ratio = mean_error / bound
-    return NoiseTrialResult(mean_error, ratio <= 1.10, bound, ratio)
+    return NoiseTrialResult(mean_error, bool(ratio <= 1.10), bound, ratio)
 
 
 def _noisy_block(samples, rng, T, sigma):

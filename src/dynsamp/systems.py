@@ -230,14 +230,19 @@ def extended_stack(blocks, phase):
 def solve_packets(blocks_of, P, phase, rhs=None):
     """Per-packet smin, smax and, given ``rhs``, minimum-norm solutions.
 
-    ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
-    say), all solved against the one decomposition; x is (P, cols, T).
-    ``blocks_of(part)`` returns the blocks of the packets in slice ``part``
-    (square without rhs); each chunk is assembled and decomposed by one
-    batched SVD, and the chunk size counts the T columns as well.  Singular
+    ``rhs`` is (P + M, rows, T): T right-hand sides per packet (noise trials,
+    say), all solved against the one decomposition; x is (P + M, cols, T).
+    Rows P.. of ``rhs``, M < P of them, are mirror right-hand sides: row
+    P - 1 + i is solved with the factors of packet i, not conjugated,
+    x = Vh^T S^+ U^T b, which is the solve against conj(A(i)) (see
+    :func:`recon._solve`).  ``blocks_of(part)`` returns the blocks of the
+    packets in slice ``part`` (square without rhs); each chunk is assembled
+    and decomposed by one batched SVD, and the chunk size counts the T
+    columns as well (mirror rows add at most as many again).  Singular
     values at or below RANK_TOL times the packet's largest are dropped, as
-    in a pseudoinverse with that cutoff.  Returns (smin, smax, x), x being
-    None without rhs; raises nothing.
+    in a pseudoinverse with that cutoff.  Returns (smin, smax, x), smin and
+    smax over the P decomposed packets, x being None without rhs; raises
+    nothing.
     """
     cols = phase.shape[1]
     if rhs is None:
@@ -247,7 +252,7 @@ def solve_packets(blocks_of, P, phase, rhs=None):
         # Trials ahead of rows and columns, so that both contractions below
         # run over a contiguous axis.
         b = rhs.transpose(0, 2, 1)
-        x = np.empty((P, trials, cols), dtype=complex)
+        x = np.empty((len(rhs), trials, cols), dtype=complex)
     chunk = max(1, _CHUNK_BYTES // (16 * rows * (cols + trials)))
     smin, smax = np.empty(P), np.empty(P)
     for start in range(0, P, chunk):
@@ -258,15 +263,40 @@ def solve_packets(blocks_of, P, phase, rhs=None):
         else:
             U, s, Vh = np.linalg.svd(A, full_matrices=False)
             del A               # at most one chunk's matrices and factors are alive
-            proj = np.einsum("pij,ptj->pti", np.conjugate(U.transpose(0, 2, 1), order="C"),
-                             np.ascontiguousarray(b[part]))
-            keep = (s > RANK_TOL * s[:, :1])[:, None, :]
-            coef = np.divide(proj, s[:, None, :], out=np.zeros_like(proj), where=keep)
-            x[part] = np.einsum("pij,ptj->pti", np.conjugate(Vh.transpose(0, 2, 1), order="C"),
-                                coef)
+            x[part] = _pinv_apply(U, s, Vh, b[part])
+            # Rows P - 1 + lo.. mirror this chunk's packets lo..hi - 1; packet 0 has none.
+            lo, hi = max(start, 1), min(part.stop, len(rhs) - P + 1)
+            if lo < hi:
+                own = slice(lo - start, hi - start)
+                x[P - 1 + lo:P - 1 + hi] = _pinv_apply(U[own], s[own], Vh[own],
+                                                       b[P - 1 + lo:P - 1 + hi], conj=False)
             del U, Vh
         smin[part], smax[part] = s[:, -1], s[:, 0]
     return smin, smax, None if rhs is None else x.transpose(0, 2, 1)
+
+
+def _pinv_apply(U, s, Vh, b, conj=True):
+    """(p, T, cols) solutions Vh' S^+ U' b of (p, T, rows) b, ' being the
+    conjugate transpose, or with ``conj=False`` the transpose, which solves
+    against conj(U S Vh).  Singular values at or below RANK_TOL times the
+    largest are dropped."""
+    def tr(M):
+        M = M.transpose(0, 2, 1)
+        return np.conjugate(M, order="C") if conj else np.ascontiguousarray(M)
+    proj = np.einsum("pij,ptj->pti", tr(U), np.ascontiguousarray(b))
+    keep = (s > RANK_TOL * s[:, :1])[:, None, :]
+    coef = np.divide(proj, s[:, None, :], out=np.zeros_like(proj), where=keep)
+    return np.einsum("pij,ptj->pti", tr(Vh), coef)
+
+
+def _is_hermitian(values):
+    """True when values[..., -r mod L] == conj(values[..., r]) holds exactly for
+    every r, L being the length of the last axis: a response or a node table.
+    Row by row against the reversed view, so that a table costs one row of
+    scratch and stops at its first miss."""
+    v = np.asarray(values)
+    return all(row[0] == np.conj(row[0]) and np.array_equal(row[:0:-1], np.conj(row[1:]))
+               for row in v.reshape(-1, v.shape[-1]))
 
 
 def build_extended(a, m, n, omega, rho):

@@ -6,7 +6,10 @@ each packet decomposed or solved on its own.  Assembly and the guard-band
 scans do the same arithmetic as the engine and must agree bitwise.  The
 pseudoinverse-norm scan decomposes one grid point per symmetry orbit, so it
 agrees with the full-grid loop to 1e-13, and bitwise when no symmetry
-applies.  The solves use an SVD in place of ``lstsq`` and must agree to 1e-12.
+applies.  The solves use an SVD in place of ``lstsq`` and must agree to 1e-12,
+also where a bitwise Hermitian table lets packet P - rho reuse the factors of
+packet rho; a table without that symmetry must solve every packet, bitwise as
+an all-packet solve through the same engine.
 """
 
 import numpy as np
@@ -14,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dynsamp as ds
-from dynsamp import stability, systems
-from dynsamp.errors import RankDeficient
+from dynsamp import recon, stability, systems
+from dynsamp.errors import RankDeficient, SingularSystem
 
 BSPLINE = ds.make_generator({"kind": "bspline", "order": 3})
 
@@ -28,14 +31,16 @@ def rand_signal(L, seed):
 # ---------------------------------------------------------------------------
 # reference loops
 
-def ref_vander(nodes):
-    return np.vander(nodes, len(nodes), increasing=True).T
+def ref_vander(nodes, N=None):
+    return np.vander(nodes, N or len(nodes), increasing=True).T
 
 
 def ref_extended(m, n, omega, block_at, weight=None):
     """Old assembler: phase rows (optionally weighted) on top, blocks below."""
     omega = sorted(omega)
-    A = np.zeros((len(omega) + m * n, m * n), dtype=complex)
+    blocks = [block_at(k) for k in range(n)]
+    N = len(blocks[0])
+    A = np.zeros((len(omega) + N * n, m * n), dtype=complex)
     for i, c in enumerate(omega):
         for k in range(n):
             row = ds.u_row(c, k, m, n)
@@ -43,16 +48,16 @@ def ref_extended(m, n, omega, block_at, weight=None):
                 row = row * weight[k * m:(k + 1) * m]
             A[i, k * m:(k + 1) * m] = row / (m * n)
     off = len(omega)
-    for k in range(n):
-        A[off + k * m:off + (k + 1) * m, k * m:(k + 1) * m] = block_at(k) / m
+    for k, block in enumerate(blocks):
+        A[off + k * N:off + (k + 1) * N, k * m:(k + 1) * m] = block / m
     return A
 
 
-def ref_build_extended(a, m, n, omega, rho):
+def ref_build_extended(a, m, n, omega, rho, N=None):
     L = a.L
     step, packet_step = L // m, L // (m * n)
     return ref_extended(m, n, omega, lambda k: ref_vander(
-        a.response[(rho + k * packet_step) % step + np.arange(m) * step]))
+        a.response[(rho + k * packet_step) % step + np.arange(m) * step], N))
 
 
 def ref_build_extended_at(a, m, n, omega, xi):
@@ -76,7 +81,7 @@ def ref_rhs(samples, rho):
            for c in samples.omega]
     for k in range(n):
         col = (rho + k * packet_step) % step
-        rhs.extend(ds.dft(samples.y[l])[col] for l in range(m))
+        rhs.extend(ds.dft(samples.y[l])[col] for l in range(samples.N))
     return np.array(rhs)
 
 
@@ -93,14 +98,14 @@ def ref_solve(samples, packet):
     return ds.idft(f_hat)
 
 
-def ref_grid_packet(a, m, n, omega):
+def ref_grid_packet(a, m, n, omega, N=None):
     L = a.L
     step, packet_step = L // m, L // (m * n)
 
     def packet(rho):
         cols = np.concatenate([(rho + k * packet_step) + np.arange(m) * step
                                for k in range(n)])
-        return ref_build_extended(a, m, n, omega, rho), cols
+        return ref_build_extended(a, m, n, omega, rho, N), cols
     return packet
 
 
@@ -360,3 +365,187 @@ def test_sis_reconstruct_matches_lstsq_loop():
     system = ds.build_sis_system(gen, a_hat, m, L, K=8)
     ref = ref_solve(s, lambda rho: ref_sis_packet(system, m, n, omega, rho))
     assert np.linalg.norm(rec - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# mirrored solve: packet P - rho reuses the factors of packet rho
+
+def noisy_samples(L, m, n, omega, N, seed):
+    """A sample set of the right shape holding noise: every packet is inconsistent."""
+    rng = np.random.default_rng(seed)
+    return ds.SampleSet(y=[rand_signal(L // m, rng.integers(2**16)) for _ in range(N)],
+                        extras={c: rand_signal(L // (m * n), rng.integers(2**16)) for c in omega},
+                        m=m, n=n, omega=omega)
+
+
+def mirror_chunk(m, n, omega, N):
+    """Packets per chunk of a one-trial solve with N snapshot rows."""
+    rows, cols = len(omega) + n * N, m * n
+    return systems._CHUNK_BYTES // (16 * rows * (cols + 1))
+
+
+def exactly_hermitian(response):
+    """The response with its upper half replaced by the conjugated lower half."""
+    L = len(response)
+    exact = np.array(response, dtype=complex)
+    exact[L // 2 + 1:] = np.conj(exact[1:L - L // 2][::-1])
+    exact[[0, L // 2]] = exact[[0, L // 2]].real
+    return exact
+
+
+def RCOS(L):
+    return ds.filter_raised_cosine(L, 1.0)
+
+
+def HEAT(L):
+    return ds.filter_heat(L, 0.5)
+
+
+@pytest.mark.parametrize("make, m, n, omega, N, P", [
+    (RCOS, 3, 3, (1,), 3, 8),
+    (RCOS, 3, 3, (0, 1, 2), 3, 8),
+    (HEAT, 5, 7, (1, 2), 5, 16),
+    (HEAT, 5, 7, (1, 2), 7, 16),           # N = m + 2 snapshot rows
+    (RCOS, 3, 3, (1,), 5, 9),
+    (RCOS, 3, 3, (1,), 3, 1),
+    (RCOS, 3, 3, (1,), 3, 2),
+    (RCOS, 3, 3, (1,), 3, 3),
+    (RCOS, 3, 3, (1,), 3, "odd chunks"),
+    (RCOS, 3, 3, (1,), 3, "even chunks"),
+])
+def test_mirrored_solve_matches_lstsq_loop(make, m, n, omega, N, P):
+    if isinstance(P, str):
+        # 2 P/2 + 1 > chunk: the decomposed packets and their mirrors both
+        # cross a chunk boundary.
+        P = 2 * mirror_chunk(m, n, omega, N) + (7 if P == "odd chunks" else 8)
+        assert P // 2 + 1 > mirror_chunk(m, n, omega, N)
+    L = m * n * P
+    a = make(L)
+    assert systems._is_hermitian(systems.power_rows(a.response, N))
+    s = noisy_samples(L, m, n, omega, N, P)
+    rec = ds.reconstruct_extended(s, a, m, n, omega, force=True)
+    ref = ref_solve(s, ref_grid_packet(a, m, n, omega, N))
+    assert np.linalg.norm(rec - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mirrored_noise_trials_match_lstsq_loop():
+    L, m, n, omega, T, sigma = 72, 3, 3, (1,), 6, 1e-2
+    a = RCOS(L)
+    f = rand_signal(L, 4)
+    samples = ds.forward(f, a, m, m, n, omega)
+    noisy = stability._noisy_block(samples, np.random.default_rng(5), T, sigma)
+    rec = recon._solve(noisy[:m], dict(zip(omega, noisy[m:])), m,
+                       systems.power_rows(a.response, m), n, omega)
+    errors = []
+    for t in range(T):
+        trial = ds.SampleSet(y=[v[t] for v in noisy[:m]],
+                             extras={c: v[t] for c, v in zip(omega, noisy[m:])},
+                             m=m, n=n, omega=omega)
+        ref = ref_solve(trial, ref_grid_packet(a, m, n, omega))
+        assert np.linalg.norm(rec[t] - ref) <= 1e-12 * np.linalg.norm(ref)
+        errors.append(np.linalg.norm(ref - f) / np.sqrt(L))
+    res = ds.noise_trial(f, a, m, n, omega, sigma, trials=T, seed=5, pinv_norm=30.0)
+    assert abs(res.mean_error - np.mean(errors)) <= 1e-12 * np.mean(errors)
+
+
+def test_mirror_rank_deficient_names_first_packet_like_loop():
+    m, n = 3, 3
+    chunk = mirror_chunk(m, n, (), m)
+    P = 2 * (chunk + 5)
+    L = m * n * P
+    response = exactly_hermitian(plain_filter(L).response)
+    bad = chunk + 2                               # decomposed in the second chunk
+    i0, i1 = systems.packet_indices(L, m, n, [bad])[0, 0, :2]
+    response[i1] = response[i0]                   # coincident nodes in packet bad ...
+    response[-i1 % L] = response[-i0 % L]         # ... and, kept Hermitian, in P - bad
+    a = ds.filter_table(response)
+    assert systems._is_hermitian(a.response)
+    s = noisy_samples(L, m, n, (), m, 6)
+    with pytest.raises(RankDeficient) as new:
+        ds.reconstruct_extended(s, a, m, n, (), force=True)
+    with pytest.raises(RankDeficient) as old:
+        ref_solve(s, ref_grid_packet(a, m, n, ()))
+    assert new.value.rho == old.value.rho == bad
+
+
+# The second L puts P = L/3 plain packets past two chunks of 3 x 3 one-trial
+# solves, so that P/2 + 1 decomposed packets cross a chunk boundary.
+@pytest.mark.parametrize("L", [72, 3 * 2 * (systems._CHUNK_BYTES // (16 * 3 * 4)) + 6])
+def test_mirrored_plain_solve_lists_singular_set(L):
+    m = 3
+    a = RCOS(L)
+    expected = systems.singular_set(systems.PlainSystem(a, m, m))
+    assert expected == [0, L // (2 * m)]
+    with pytest.raises(SingularSystem) as err:
+        ds.reconstruct_plain(ds.forward(rand_signal(L, 7), a, m, m), a, m)
+    assert err.value.indices == expected
+
+
+def all_packet_solve(samples, table, n, omega):
+    """Every packet decomposed, as without the mirror, through the same engine."""
+    m, L = samples.m, samples.L
+    P = L // (m * n)
+    idx = systems.packet_indices(L, m, n, np.arange(P))
+    rhs = recon._rhs(samples.y[:len(table)], samples.extras, omega, idx, np.arange(P), L, 1)
+    _, _, x = systems.solve_packets(lambda part: systems.gather_blocks(table, idx[part]), P,
+                                    systems.phase_rows(m, n, omega), rhs)
+    f_hat = np.empty((1, L), dtype=complex)
+    f_hat[:, idx.reshape(P, -1)] = x.transpose(2, 0, 1)
+    return ds.idft(f_hat).reshape(L)
+
+
+@pytest.mark.parametrize("make", [plain_filter, complex_tap_filter])
+@pytest.mark.parametrize("L", [72, 576, 2304])
+def test_non_hermitian_tables_solve_every_packet(make, L):
+    a = make(L)
+    table = systems.power_rows(a.response, 3)
+    assert not systems._is_hermitian(table)
+    s = noisy_samples(L, 3, 1, (), 3, 8)
+    assert np.array_equal(ds.reconstruct_plain(s, a, 3), all_packet_solve(s, table, 1, ()))
+    s = noisy_samples(L, 3, 3, (1, 2), 3, 9)
+    assert np.array_equal(ds.reconstruct_extended(s, a, 3, 3, (1, 2), force=True),
+                          all_packet_solve(s, table, 3, (1, 2)))
+
+
+@pytest.mark.parametrize("gen", [BSPLINE, ds.make_generator({"kind": "sinc"})])
+@pytest.mark.parametrize("L", [72, 576, 2304])
+def test_span_tables_solve_every_packet(gen, L):
+    m, n, omega = 3, 3, (1, 2)
+    system = ds.build_sis_system(gen, ds.gaussian_response(2.0), m, L, K=384)
+    assert not systems._is_hermitian(system.phi_hat)
+    s = noisy_samples(L, m, n, omega, m, 10)
+    rec = ds.sis_reconstruct(s, gen, ds.gaussian_response(2.0), m, n, omega, K=384,
+                             system=system)
+    assert np.array_equal(rec, all_packet_solve(s, system.phi_hat, n, omega))
+
+
+@pytest.mark.parametrize("a, P, decomposed", [
+    (RCOS(72), 8, 5),
+    (RCOS(81), 9, 5),
+    (plain_filter(72), 8, 8),
+])
+def test_solve_decomposes_one_packet_per_mirror_pair(monkeypatch, a, P, decomposed):
+    seen = []
+    solve = systems.solve_packets
+
+    def spy(blocks_of, count, phase, rhs=None):
+        seen.append((count, len(rhs)))
+        return solve(blocks_of, count, phase, rhs)
+    monkeypatch.setattr(systems, "solve_packets", spy)
+    ds.reconstruct_extended(noisy_samples(a.L, 3, 3, (1,), 3, 11), a, 3, 3, (1,), force=True)
+    assert seen == [(decomposed, P)]
+
+
+def test_hermitian_check_covers_every_row_and_the_real_bins():
+    L = 72
+    exact = exactly_hermitian(plain_filter(L).response)
+    table = systems.power_rows(exact, 4)
+    assert systems._is_hermitian(table)
+    for r in (0, L // 2):                  # bins that must be real
+        bent = exact.copy()
+        bent[r] += 1e-3j
+        assert not systems._is_hermitian(bent)
+    bent = table.copy()
+    bent[3, 5] *= 1 + 1e-15                # the last row only
+    assert not systems._is_hermitian(bent)
+    assert systems._is_hermitian(bent[:3])

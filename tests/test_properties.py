@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import dynsamp as ds
+from dynsamp import systems
 
 PROPS = settings(derandomize=True, max_examples=30, deadline=None)
 
@@ -69,6 +70,35 @@ def test_plain_solve_equals_oracle_least_squares(cfg):
     a, m, n, omega, N, seed = cfg
     s = random_samples(a, m, n, omega, N, seed)
     assert close(ds.reconstruct_plain(s, a, m), ds.oracle_solve(a, s))
+
+
+@st.composite
+def even_tap_configs(draw):
+    """(a, m, N, seed) with a real, even response t0 + 2 t1 cos 2 pi xi + 2 t2 cos 4 pi xi,
+    bitwise even on the grid.  Its nodes a(xi) and a(xi + 1/2) differ by
+    4 t1 cos 2 pi xi, so m = 2 with L/2 odd (no grid point at 1/4), or m = 1,
+    keeps every plain packet regular."""
+    m = draw(st.sampled_from([1, 2]))
+    L = 2 * (2 * draw(st.integers(1, 15)) + 1) if m == 2 else draw(st.integers(1, 40))
+    t0 = draw(st.floats(-1.0, 1.0))
+    t1 = draw(st.floats(0.2, 0.5)) * draw(st.sampled_from([-1.0, 1.0]))
+    t2 = draw(st.floats(-0.2, 0.2))
+    xi = np.arange(L // 2 + 1) / L
+    half = t0 + 2.0 * t1 * np.cos(2.0 * np.pi * xi) + 2.0 * t2 * np.cos(4.0 * np.pi * xi)
+    a = ds.filter_table(np.concatenate([half, half[1:(L + 1) // 2][::-1]]))
+    return a, m, m + draw(st.integers(0, 2)), draw(st.integers(0, 2**16))
+
+
+@PROPS
+@given(even_tap_configs())
+def test_mirrored_plain_solve_equals_oracle(cfg):
+    # A bitwise Hermitian response takes the mirrored solve, one SVD per
+    # packet pair; without extras it is still the time-domain least squares.
+    a, m, N, seed = cfg
+    assert systems._is_hermitian(a.response)
+    s = random_samples(a, m, 1, (), N, seed)
+    orc = ds.oracle_solve(a, s)
+    assert np.linalg.norm(ds.reconstruct_plain(s, a, m) - orc) <= 1e-12 * np.linalg.norm(orc)
 
 
 @PROPS

@@ -1,5 +1,7 @@
 """Pseudoinverse norms, explicit bounds, lower bound, noise harness."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,17 @@ def test_noise_trial_fixed_grid_and_slack():
         pinv = res.mean_error * np.sqrt(3) / (sigma * ratio)
         r = ds.noise_trial(f, RC72, 3, 3, (1,), sigma, trials=20, seed=5, pinv_norm=pinv)
         assert r.ratio == pytest.approx(ratio, rel=1e-12) and r.bound_ok == ok
+
+
+@pytest.mark.parametrize("pinv", [30.0, np.float64(30.0), np.float64(0.1)])
+def test_noise_trial_bound_ok_is_a_python_bool(pinv):
+    # A numpy-float pinv_norm makes the ratio a numpy float; the flag stays a
+    # bool, so a result row goes through json.
+    r = ds.noise_trial(rand_signal(72, 2), RC72, 3, 3, (1,), 1e-3, trials=4, seed=3,
+                       pinv_norm=pinv)
+    assert type(r.bound_ok) is bool
+    assert r.bound_ok == (pinv == 30.0)
+    assert json.loads(json.dumps(r._asdict()))["bound_ok"] is r.bound_ok
 
 
 def test_noise_error_linear_in_sigma():
