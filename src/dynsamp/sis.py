@@ -9,9 +9,11 @@ matrix replaces powers of a grid response by the periodized cross-spectra
 
 truncated at |k| <= K with a reported tail estimate; for a B-spline, Phi_hat_0
 is the exact Poisson sum over its integer samples.  The forward path
-never uses those periodizations: it synthesizes f on a fine grid of P
-samples per unit, evolves in the fine frequency domain, and samples -- an
-independent route against which the reconstruction is validated.
+never uses those periodizations.  For B-spline and table generators it
+synthesizes f on a fine grid of P samples per unit, evolves in the fine
+frequency domain, and samples -- an independent route against which the
+reconstruction is validated.  A sinc span is band-limited to [-1/2, 1/2),
+so its integer samples are exact L-point transforms and no fine grid enters.
 """
 
 import math
@@ -395,8 +397,10 @@ def _synthesize_fine(c, gen, P):
     Compactly supported generators are summed exactly in the time domain,
     one polyphase term per integer offset j that meets the support:
     f(k + r/P) = sum_j c_{k-j} phi(j + r/P), in O(L P d) time and O(L P)
-    memory for a B-spline of order d.  Band-limited and table generators
-    are synthesized from their finite frequency content.
+    memory for a B-spline of order d.  Table generators are synthesized
+    from their finite frequency content at q/L for the bins q in
+    [-LP/2, LP/2) of an even L P; with table_K >= P/2 that range cuts the
+    table's band.  sis_forward does not call this for sinc.
     """
     c = np.asarray(c, dtype=complex)
     L = len(c)
@@ -420,27 +424,38 @@ def _synthesize_fine(c, gen, P):
 def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     """Coarse samples of the evolving span signal, plus extra initial samples.
 
-    Synthesizes f on a fine grid of P points per unit, evolves by
-    multiplying the fine spectrum with the line response, and samples the
-    integers: y_l(k) = (a^l * f)(m k) for l = 0..m-1, extras
-    z_c(k) = f(m n k - c).
+    Returns y_l(k) = (a^l * f)(m k) for l = 0..m-1 and extras
+    z_c(k) = f(m n k - c).  A sinc span is band-limited to [-1/2, 1/2), so
+    its integer samples are exact L-point transforms and P plays no part:
+    y_l = S_m idft(c_hat a_hat(q/L)**l) over the signed bins q of that band,
+    and f(k) = c_k.  B-spline and table spans are synthesized on a fine grid
+    of P points per unit, evolved by multiplying the fine spectrum with the
+    line response, and sampled at the integers.
     """
     c = np.asarray(c, dtype=complex)
     L = len(c)
     omega = spectral._layout(L, m, n, omega)
     if P < 1:
         raise PreconditionViolated(f"fine samples per unit P must be at least 1, got P={P}")
-    f_fine = _synthesize_fine(c, gen, P)
-    LP = L * P
-    F = np.fft.fft(f_fine)
-    bins = np.arange(LP)
-    q = np.where(bins < LP // 2, bins, bins - LP)
-    avals = a_hat(q / L)
-    y = []
-    for l in range(m):
-        w = np.fft.ifft(F * avals ** l)[::P]     # integer samples of a^l * f
-        y.append(w[::m].copy())
-    f_int = f_fine[::P]
+    if gen.kind == "sinc":
+        # Signed bins of the half-open band: bin L/2 of an even L is xi = -1/2.
+        r = np.arange(L)
+        avals = a_hat(np.where(r < L - L // 2, r, r - L) / L)
+        c_hat = spectral.dft(c)
+        y = [spectral.idft(c_hat * avals ** l)[::m].copy() for l in range(m)]
+        f_int = c
+    else:
+        f_fine = _synthesize_fine(c, gen, P)
+        LP = L * P
+        F = np.fft.fft(f_fine)
+        bins = np.arange(LP)
+        q = np.where(bins < LP // 2, bins, bins - LP)
+        avals = a_hat(q / L)
+        y = []
+        for l in range(m):
+            w = np.fft.ifft(F * avals ** l)[::P]     # integer samples of a^l * f
+            y.append(w[::m].copy())
+        f_int = f_fine[::P]
     extras = {cc: spectral.subsample(spectral.shift(f_int, cc), m * n) for cc in omega}
     return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
 

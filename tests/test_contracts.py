@@ -118,6 +118,15 @@ def test_sis_forward_rejects_nonpositive_P():
         ds.sis_forward(np.ones(24), BSPLINE, ds.identity_response(), 3, P=0)
 
 
+@pytest.mark.parametrize("spec", [{"kind": "sinc"},
+                                  {"kind": "table", "L": 1, "K": 1, "fourier_values": [0, 1, 0]}],
+                         ids=["sinc", "table"])
+def test_sis_forward_rejects_nonpositive_P_every_generator(spec):
+    # The sinc route never reads P, and still checks it.
+    with pytest.raises(PreconditionViolated, match="P=-1"):
+        ds.sis_forward(np.ones(24), ds.make_generator(spec), ds.identity_response(), 3, P=-1)
+
+
 def test_periodize_phi_rejects_nonpositive_K():
     with pytest.raises(PreconditionViolated, match="K=0"):
         ds.periodize_phi(BSPLINE, ds.identity_response(), 1, 24, 0)

@@ -261,9 +261,35 @@ def test_sis_forward_sinc_matches_sequence_pipeline():
     s_sis = ds.sis_forward(c, SINC, a_hat, m, n, omega)
     s_seq = ds.forward(c, b, m, m, n, omega)
     for u, v in zip(s_sis.y, s_seq.y):
-        assert np.abs(u - v).max() < 1e-8
+        assert np.abs(u - v).max() < 1e-13
     for cc in omega:
-        assert np.abs(s_sis.extras[cc] - s_seq.extras[cc]).max() < 1e-8
+        assert np.abs(s_sis.extras[cc] - s_seq.extras[cc]).max() < 1e-13
+
+
+def test_sis_forward_sinc_band_edge_is_minus_half():
+    # c_k = (-1)^k lives on bin L/2 alone, which the half-open band
+    # [-1/2, 1/2) evaluates at xi = -1/2; the asymmetric filter tells -1/2
+    # from +1/2.
+    L, m = 48, 3
+    a_hat = lambda nu: np.exp(-(np.asarray(nu, dtype=float) - 0.26) ** 2).astype(complex)
+    c = (-1.0) ** np.arange(L)
+    s = ds.sis_forward(c, SINC, a_hat, m, 1, ())
+    for l, y in enumerate(s.y):
+        expected = a_hat(-0.5) ** l * (-1.0) ** (m * np.arange(L // m))
+        assert np.abs(y - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("L", [72, 75])
+@pytest.mark.parametrize("P", [1, 48])
+def test_sis_forward_sinc_interpolates(L, P):
+    # sinc(k) = delta_k, so f(k) = c_k: the t = 0 snapshot and the extras
+    # read the coefficients at every L and P.
+    m, n, omega = 3, 1, (1, 2)
+    c = rand_coeffs(L, 7)
+    s = ds.sis_forward(c, SINC, ds.gaussian_response(2.0), m, n, omega, P=P)
+    assert np.abs(s.y[0] - c[::m]).max() <= 4e-15 * np.abs(c).max()
+    for cc in omega:
+        assert np.array_equal(s.extras[cc], np.roll(c, cc)[::m * n])
 
 
 def test_sis_plain_round_trip_asymmetric_filter():

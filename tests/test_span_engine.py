@@ -11,7 +11,9 @@ terms and must agree bitwise.  Sinc and band-limited table rows keep at most
 two nonzero terms per grid point, whose sum does not depend on the order, so
 they must agree bitwise too.  Other B-spline rows add the same terms in
 another order and must agree to 1e-15 of the row max; row 0 differs from the
-reference only by the reference's own truncation at K.
+reference only by the reference's own truncation at K.  The sinc forward
+route takes L-point transforms in place of the fine grid's L P-point ones;
+both evaluate the same band, so they must agree to 1e-14 relative.
 """
 
 import tracemalloc
@@ -23,6 +25,9 @@ from hypothesis import given, settings, strategies as st
 import dynsamp as ds
 from dynsamp import sis
 from dynsamp.errors import TailTooLarge
+
+
+SINC = ds.make_generator({"kind": "sinc"})
 
 
 def rand_coeffs(L, seed):
@@ -52,6 +57,20 @@ def ref_periodize_phi(gen, a_hat, j, L, K, tail_tol=1e-12):
     if tail > tail_tol * scale:
         raise TailTooLarge("reference tail check")
     return vals, tail
+
+
+def ref_fine_forward(c, gen, a_hat, m, n, omega, P):
+    """Snapshots and extras of f synthesized on the fine grid s/P, s < L P."""
+    L = len(c)
+    f_fine = sis._synthesize_fine(c, gen, P)
+    LP = L * P
+    bins = np.arange(LP)
+    q = np.where(bins < LP // 2, bins, bins - LP)
+    F = np.fft.fft(f_fine)
+    avals = a_hat(q / L)
+    y = [np.fft.ifft(F * avals ** l)[::P][::m] for l in range(m)]
+    f_int = f_fine[::P]
+    return y, {cc: np.roll(f_int, cc)[::m * n] for cc in omega}
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +113,54 @@ def test_sis_forward_memory_linear_in_L_P():
         tracemalloc.stop()
     assert peak < 300 * 2**20
     assert len(s.y) == 3 and len(s.y[0]) == L // 3
+
+
+def test_sis_forward_sinc_memory_linear_in_L():
+    # The fine route held several L P-point spectra: a 189.5 MiB peak here.
+    L, P = 36864, 48
+    c = rand_coeffs(L, 0)
+    tracemalloc.start()
+    try:
+        s = ds.sis_forward(c, SINC, ds.gaussian_response(2.0), 3, 3, (1, 2), P=P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert len(s.y) == 3 and len(s.y[0]) == L // 3
+
+
+# The fine route splits its L P bins at LP // 2.  For an odd L at P = 1 that
+# puts the top bin (L - 1)/2 of the sinc band at -(L + 1)/2, outside the band,
+# and drops it, so that pair is left out here; test_sis.py's
+# test_sis_forward_sinc_interpolates covers it.
+@pytest.mark.parametrize("L, P", [(L, P) for L in (72, 75, 576) for P in (1, 4, 48)
+                                  if not (L % 2 and P == 1)])
+@pytest.mark.parametrize("with_extras", [False, True], ids=["plain", "extras"])
+def test_sis_forward_sinc_matches_fine_route(L, P, with_extras):
+    m, n = 3, 3 if L % 9 == 0 else 5
+    omega = (1, 2) if with_extras else ()
+    # A Gaussian times a delay of 0.3: complex and not Hermitian on the band.
+    a_hat = lambda nu: np.exp(-2.0 * nu ** 2 - 0.6j * np.pi * nu)
+    c = rand_coeffs(L, L + P)
+    s = ds.sis_forward(c, SINC, a_hat, m, n, omega, P=P)
+    y, extras = ref_fine_forward(c, SINC, a_hat, m, n, omega, P)
+    scale = np.abs(c).max()
+    assert sorted(s.extras) == list(omega)
+    for u, v in zip(s.y, y, strict=True):
+        assert np.abs(u - v).max() <= 1e-14 * scale
+    for cc in omega:
+        assert np.abs(s.extras[cc] - extras[cc]).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("L", [72, 75])
+def test_sis_forward_sinc_bitwise_independent_of_P(L):
+    a_hat = ds.gaussian_response(2.0)
+    c = rand_coeffs(L, 3)
+    ref = ds.sis_forward(c, SINC, a_hat, 3, 1, (1, 2), P=1)
+    for P in (2, 4, 7, 48):
+        s = ds.sis_forward(c, SINC, a_hat, 3, 1, (1, 2), P=P)
+        assert all(np.array_equal(u, v) for u, v in zip(s.y, ref.y, strict=True))
+        assert all(np.array_equal(s.extras[cc], ref.extras[cc]) for cc in (1, 2))
 
 
 # ---------------------------------------------------------------------------
