@@ -7,8 +7,10 @@ matrix replaces powers of a grid response by the periodized cross-spectra
 
     Phi_hat_j(xi) = sum_k a_hat(xi + k)**j * phi_hat(xi + k),
 
-truncated at |k| <= K with a reported tail estimate; for a B-spline, Phi_hat_0
-is the exact Poisson sum over its integer samples.  The forward path
+truncated at |k| <= K with a reported tail estimate.  The sinc and table
+transforms vanish outside a known band, so only the few shifts k that can
+meet it are summed; for a B-spline, Phi_hat_0 is the exact Poisson sum over
+its integer samples.  The forward path
 never uses those periodizations.  For B-spline and table generators it
 synthesizes f on a fine grid of P samples per unit, evolves in the fine
 frequency domain, and samples -- an independent route against which the
@@ -83,6 +85,20 @@ class Generator:
     def compact_support(self):
         return self.kind == "bspline"
 
+    def live_shifts(self, K):
+        """Largest |k| <= K at which phi_hat(xi + k) can be nonzero for xi in [0, 1).
+
+        The transform vanishes exactly outside a known band for sinc
+        ([-1/2, 1/2): only k = -1, 0 can meet it, so |k| <= 1) and for a
+        table (|nu| <= table_K, so |k| <= table_K).  A B-spline transform has
+        no such bound, and K itself is returned.
+        """
+        if self.kind == "sinc":
+            return min(K, 1)
+        if self.kind == "table":
+            return min(K, self.table_K)
+        return K
+
 
 def _bspline_order(order):
     """The order as an int; PreconditionViolated unless it is a nonnegative integer."""
@@ -132,8 +148,12 @@ def make_generator(spec):
 
 
 def riesz_bounds(gen, L, K):
-    """Min and max over the grid of sum_k |phi_hat(xi + k)|^2 (|k| <= K)."""
-    k = np.arange(-K, K + 1)
+    """Min and max over the grid of sum_k |phi_hat(xi + k)|^2 (|k| <= K).
+
+    Only the terms |k| <= gen.live_shifts(K) are formed; the others are 0.
+    """
+    kmax = gen.live_shifts(K)
+    k = np.arange(-kmax, kmax + 1)
     nu = (np.arange(L) / L)[:, None] + k[None, :]
     s = (np.abs(gen.fourier_at(nu)) ** 2).sum(axis=1)
     return float(s.min()), float(s.max())
@@ -197,13 +217,14 @@ def _outward_sums(gen, a_hat, js, L, K):
     """{j: sum over |k| <= K of phi_hat(xi + k) a_hat(xi + k)**j} for j in js.
 
     The shifts are summed outward from k = 0 in blocks of 16, 32, 64, ...
-    per side.  A row stops after a block in which every term is at most
-    2**-60 times the largest |partial sum| the row has reached, or at
-    |k| = K.  The stop assumes that the terms keep decaying in |k| past such
-    a block, the hypothesis the K tail rule already makes.  A finite band
-    (sinc, table) ends one block after its last live shift, and the terms
-    it leaves out are exact zeros.
+    per side, up to |k| = gen.live_shifts(K): a band-limited generator
+    (sinc, table) stops at its last shift that can meet the band, and the
+    terms it leaves out are exact zeros.  A row also stops after a block in
+    which every term is at most 2**-60 times the largest |partial sum| the
+    row has reached.  That stop assumes that the terms keep decaying in |k|
+    past such a block, the hypothesis the K tail rule already makes.
     """
+    K = gen.live_shifts(K)
     xi = np.arange(L) / L
     rows = {j: np.zeros(L, dtype=complex) for j in js}
     peak = dict.fromkeys(js, 0.0)
@@ -266,10 +287,12 @@ def periodize_phi(gen, a_hat, j, L, K, tail_tol=TAIL_TOL):
     """Periodized cross-spectrum of the j-step evolved generator on the L-grid.
 
     Returns (values, tail) where values[r] approximates
-    sum_k a_hat(r/L + k)**j phi_hat(r/L + k) truncated at |k| <= K (the sum
-    stops earlier once its terms are negligible; for a B-spline and j = 0 it
-    is exact, with no truncation) and tail is the largest |k| = K term
-    magnitude over the grid.  Raises
+    sum_k a_hat(r/L + k)**j phi_hat(r/L + k) truncated at |k| <= K and tail
+    is the largest |k| = K term magnitude over the grid.  The sum skips the
+    shifts that cannot meet a sinc or table band (Generator.live_shifts),
+    whose terms are exact zeros, and stops early once its terms are
+    negligible; for a B-spline and j = 0 it is exact, with no truncation.
+    Raises
     TailTooLarge when that term exceeds ``tail_tol`` times the value scale,
     and PreconditionViolated for K < 1.
     """
@@ -367,8 +390,11 @@ def reducibility_check(gen, a_hat, L, K):
     the equivalent integer-rate response b_hat(xi) (support: |phi_hat| above
     1e-8 of its peak; deviation: above 1e-8 max(1, |b_hat|)).  Returns the
     b_hat grid values on success, or the first witness (xi, k) where it fails.
+    Only the shifts |k| <= gen.live_shifts(K) are formed; the others have a
+    zero transform and are never support.
     """
-    k = np.arange(-K, K + 1)
+    kmax = gen.live_shifts(K)
+    k = np.arange(-kmax, kmax + 1)
     xi = np.arange(L) / L
     nu = xi[:, None] + k[None, :]
     phi = gen.fourier_at(nu)
@@ -391,6 +417,16 @@ def reducibility_check(gen, a_hat, L, K):
 # ---------------------------------------------------------------------------
 # forward sampling via fine-grid synthesis
 
+def _signed_bins(N):
+    """Signed frequency index of each of N DFT bins: the half-open range [-N/2, N/2).
+
+    Bin b is b below N - N // 2 and b - N from there on, so that an even N
+    puts bin N/2 at -N/2 and an odd N keeps (N - 1)/2 at +(N - 1)/2.
+    """
+    b = np.arange(N)
+    return np.where(b < N - N // 2, b, b - N)
+
+
 def _synthesize_fine(c, gen, P):
     """Values of f = sum_k c_k phi(. - k) on the grid s/P, s = 0..L*P-1.
 
@@ -398,9 +434,9 @@ def _synthesize_fine(c, gen, P):
     one polyphase term per integer offset j that meets the support:
     f(k + r/P) = sum_j c_{k-j} phi(j + r/P), in O(L P d) time and O(L P)
     memory for a B-spline of order d.  Table generators are synthesized
-    from their finite frequency content at q/L for the bins q in
-    [-LP/2, LP/2) of an even L P; with table_K >= P/2 that range cuts the
-    table's band.  sis_forward does not call this for sinc.
+    from their finite frequency content at q/L for the signed bins q in
+    [-LP/2, LP/2); with table_K >= P/2 that range cuts the table's band.
+    sis_forward does not call this for sinc.
     """
     c = np.asarray(c, dtype=complex)
     L = len(c)
@@ -415,8 +451,7 @@ def _synthesize_fine(c, gen, P):
     # c_hat(q mod L) * phi_hat(q/L) / L for q in [-LP/2, LP/2).
     c_hat = spectral.dft(c)
     LP = L * P
-    bins = np.arange(LP)
-    q = np.where(bins < LP // 2, bins, bins - LP)
+    q = _signed_bins(LP)
     coeff = c_hat[np.mod(q, L)] * gen.fourier_at(q / L) / L
     return np.fft.ifft(coeff) * LP
 
@@ -438,19 +473,14 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     if P < 1:
         raise PreconditionViolated(f"fine samples per unit P must be at least 1, got P={P}")
     if gen.kind == "sinc":
-        # Signed bins of the half-open band: bin L/2 of an even L is xi = -1/2.
-        r = np.arange(L)
-        avals = a_hat(np.where(r < L - L // 2, r, r - L) / L)
+        avals = a_hat(_signed_bins(L) / L)        # the band [-1/2, 1/2)
         c_hat = spectral.dft(c)
         y = [spectral.idft(c_hat * avals ** l)[::m].copy() for l in range(m)]
         f_int = c
     else:
         f_fine = _synthesize_fine(c, gen, P)
-        LP = L * P
         F = np.fft.fft(f_fine)
-        bins = np.arange(LP)
-        q = np.where(bins < LP // 2, bins, bins - LP)
-        avals = a_hat(q / L)
+        avals = a_hat(_signed_bins(L * P) / L)
         y = []
         for l in range(m):
             w = np.fft.ifft(F * avals ** l)[::P]     # integer samples of a^l * f

@@ -166,20 +166,23 @@ def table_generator(alias, bump=0.0):
 
 @pytest.mark.parametrize("alias, reducible", [(1e-7, False), (1e-9, True)])
 def test_reducibility_support_cutoff(alias, reducible):
-    # shifts above 1e-8 of the transform peak count as support
+    # shifts above 1e-8 of the transform peak count as support; a K past
+    # table_K adds only shifts outside the table's band
     gen, _ = table_generator(alias)
-    res = ds.reducibility_check(gen, ds.gaussian_response(1.0), 4, K=1)
-    assert res.reducible is reducible
-    assert res.witness == (None if reducible else (0.0, -1))
+    for K in (1, 8):
+        res = ds.reducibility_check(gen, ds.gaussian_response(1.0), 4, K=K)
+        assert res.reducible is reducible
+        assert res.witness == (None if reducible else (0.0, -1))
 
 
 @pytest.mark.parametrize("bump, reducible", [(1e-7, False), (1e-9, True)])
 def test_reducibility_ratio_cutoff(bump, reducible):
     # a response that differs across live shifts by more than 1e-8 is not reducible
     gen, a_hat = table_generator(0.5, bump)
-    res = ds.reducibility_check(gen, a_hat, 4, K=1)
-    assert res.reducible is reducible
-    assert res.witness == (None if reducible else (0.0, -1))
+    for K in (1, 8):
+        res = ds.reducibility_check(gen, a_hat, 4, K=K)
+        assert res.reducible is reducible
+        assert res.witness == (None if reducible else (0.0, -1))
 
 
 def test_reducibility_bspline_gaussian_fails_with_witness():
@@ -290,6 +293,26 @@ def test_sis_forward_sinc_interpolates(L, P):
     assert np.abs(s.y[0] - c[::m]).max() <= 4e-15 * np.abs(c).max()
     for cc in omega:
         assert np.array_equal(s.extras[cc], np.roll(c, cc)[::m * n])
+
+
+def band_indicator_table(L):
+    """Table generator (table_L = L, table_K = 1) equal to the sinc band [-1/2, 1/2)."""
+    q = np.arange(-L, L + 1)
+    values = ((q >= -(L / 2)) & (q < L / 2)).astype(float)
+    return ds.make_generator({"kind": "table", "L": L, "K": 1, "fourier_values": list(values)})
+
+
+@pytest.mark.parametrize("L, P", [(75, 1), (75, 3), (72, 1), (72, 48)])
+def test_sis_forward_band_indicator_table_interpolates(L, P):
+    # The fine route splits its L P bins into the half-open [-LP/2, LP/2).
+    # For an odd L P a split at LP // 2 put bin (LP - 1)/2 at -(LP + 1)/(2L):
+    # at L = 75, P = 1 that dropped the top band bin, and f(k) missed c_k by 0.27.
+    m, n, omega = 3, 1, (1, 2)
+    c = rand_coeffs(L, 7)
+    s = ds.sis_forward(c, band_indicator_table(L), ds.gaussian_response(2.0), m, n, omega, P=P)
+    assert np.abs(s.y[0] - c[::m]).max() <= 1e-14 * np.abs(c).max()
+    for cc in omega:
+        assert np.abs(s.extras[cc] - np.roll(c, cc)[::m * n]).max() <= 1e-14 * np.abs(c).max()
 
 
 def test_sis_plain_round_trip_asymmetric_filter():

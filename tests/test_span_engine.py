@@ -9,13 +9,15 @@ the shifts outward in blocks and stops a row once a block is negligible, and
 takes row 0 of a B-spline from its Poisson sum.  Its tails are the same edge
 terms and must agree bitwise.  Sinc and band-limited table rows keep at most
 two nonzero terms per grid point, whose sum does not depend on the order, so
-they must agree bitwise too.  Other B-spline rows add the same terms in
-another order and must agree to 1e-15 of the row max; row 0 differs from the
-reference only by the reference's own truncation at K.  The sinc forward
+they must agree bitwise too; a table with more live shifts may add them in
+another order and must agree to 1e-15 of the row max.  So must the other
+B-spline rows, which add the same terms in another order; row 0 differs from
+the reference only by the reference's own truncation at K.  The sinc forward
 route takes L-point transforms in place of the fine grid's L P-point ones;
 both evaluate the same band, so they must agree to 1e-14 relative.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,7 +67,7 @@ def ref_fine_forward(c, gen, a_hat, m, n, omega, P):
     f_fine = sis._synthesize_fine(c, gen, P)
     LP = L * P
     bins = np.arange(LP)
-    q = np.where(bins < LP // 2, bins, bins - LP)
+    q = np.where(bins < LP - LP // 2, bins, bins - LP)
     F = np.fft.fft(f_fine)
     avals = a_hat(q / L)
     y = [np.fft.ifft(F * avals ** l)[::P][::m] for l in range(m)]
@@ -129,12 +131,7 @@ def test_sis_forward_sinc_memory_linear_in_L():
     assert len(s.y) == 3 and len(s.y[0]) == L // 3
 
 
-# The fine route splits its L P bins at LP // 2.  For an odd L at P = 1 that
-# puts the top bin (L - 1)/2 of the sinc band at -(L + 1)/2, outside the band,
-# and drops it, so that pair is left out here; test_sis.py's
-# test_sis_forward_sinc_interpolates covers it.
-@pytest.mark.parametrize("L, P", [(L, P) for L in (72, 75, 576) for P in (1, 4, 48)
-                                  if not (L % 2 and P == 1)])
+@pytest.mark.parametrize("L, P", [(L, P) for L in (72, 75, 576) for P in (1, 4, 48)])
 @pytest.mark.parametrize("with_extras", [False, True], ids=["plain", "extras"])
 def test_sis_forward_sinc_matches_fine_route(L, P, with_extras):
     m, n = 3, 3 if L % 9 == 0 else 5
@@ -192,12 +189,16 @@ def test_sis_system_equals_periodize_rows_bitwise(gen, a_hat, m, L, K):
         assert_row_matches_reference(gen, j, K, system.phi_hat[j], ref, ref_tail)
 
 
-def band_table_generator(L, seed):
-    """Table generator with random values on the band [-1, 1): two live shifts per grid point."""
+def band_table_generator(L, seed, table_K=1):
+    """Table generator with random values on the band [-table_K, table_K).
+
+    Every grid point meets 2 table_K live shifts: two for the default table_K = 1.
+    """
     rng = np.random.default_rng(seed)
-    table = rng.standard_normal(2 * L + 1) + 1j * rng.standard_normal(2 * L + 1)
-    table[-1] = 0.0                                  # q = L, the frequency 1
-    return sis.Generator(kind="table", table=table, table_L=L, table_K=1)
+    size = 2 * table_K * L + 1
+    table = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    table[-1] = 0.0                                  # q = table_K L, the frequency table_K
+    return sis.Generator(kind="table", table=table, table_L=L, table_K=table_K)
 
 
 @st.composite
@@ -256,3 +257,73 @@ def test_sis_system_tail_guard_like_periodize():
         ds.periodize_phi(gen, a_hat, 0, 24, 4)
     with pytest.raises(TailTooLarge):
         ds.build_sis_system(gen, a_hat, 3, 24, 4)
+
+
+class RecordingResponse:
+    """Line response that records the shift k = floor(nu) of every frequency it is asked for."""
+
+    def __init__(self, a_hat):
+        self.a_hat, self.shifts = a_hat, set()
+
+    def __call__(self, nu):
+        self.shifts.update(np.floor(nu).astype(int).ravel().tolist())
+        return self.a_hat(nu)
+
+
+@pytest.mark.parametrize("gen, live", [
+    (SINC, range(-1, 2)),
+    (band_table_generator(24, 0), range(-1, 2)),
+    (band_table_generator(24, 1, table_K=3), range(-3, 4)),
+    (ds.make_generator({"kind": "bspline", "order": 3}), range(-47, 48)),
+], ids=["sinc", "table_K=1", "table_K=3", "bspline3"])
+def test_build_sis_system_evaluates_only_live_shifts(gen, live):
+    # The grid is xi + k with xi in [0, 1), so floor(nu) is the shift k.  Apart
+    # from the edge shifts +-K of the tail check, a sinc row asks a_hat only for
+    # nu in [-1, 2) and a table row only for |nu| <= table_K + 1.  A B-spline
+    # row runs its blocks of 31 and 64 shifts, the second of them its stop block.
+    K = 384
+    a_hat = RecordingResponse(ds.gaussian_response(2.0))
+    ds.build_sis_system(gen, a_hat, 3, 24, K)
+    assert a_hat.shifts == set(live) | {-K, K}
+
+
+@pytest.mark.parametrize("call", [
+    lambda a_hat: ds.build_sis_system(SINC, a_hat, 3, 2304, 384),
+    lambda a_hat: ds.riesz_bounds(SINC, 2304, 384),
+    lambda a_hat: ds.reducibility_check(SINC, a_hat, 2304, 384),
+], ids=["build_sis_system", "riesz_bounds", "reducibility_check"])
+def test_sinc_span_memory_does_not_grow_with_K(call):
+    # Only the shifts k = -1, 0 meet the sinc band.  Summing or tabulating every
+    # |k| <= K peaked at 6.9, 40.6 and 67.6 MiB here.
+    tracemalloc.start()
+    try:
+        call(ds.gaussian_response(2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_periodize_wide_table_matches_reference(j):
+    # Six live shifts per grid point, which the outward sum may add in another order.
+    gen, a_hat, L, K = band_table_generator(24, 5, table_K=3), ds.gaussian_response(0.3), 24, 40
+    vals, tail = ds.periodize_phi(gen, a_hat, j, L, K)
+    ref, ref_tail = ref_periodize_phi(gen, a_hat, j, L, K)
+    assert tail == ref_tail == 0.0
+    assert np.abs(vals - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+def test_table_band_wider_than_K_raises_on_the_reference_tail():
+    # table_K = 5 > K = 3: the |k| = 3 terms are live, and the tail rule fires
+    # on the same edge term and row scale as the full-table sum.
+    gen, a_hat, L, K = band_table_generator(24, 9, table_K=5), ds.gaussian_response(0.01), 24, 3
+    msgs = []
+    for j in range(3):
+        ref, tail = ref_periodize_phi(gen, a_hat, j, L, K, tail_tol=np.inf)
+        msgs.append(f"|k|={K} term is {tail:.3e} > {sis.TAIL_TOL:.1e} * "
+                    f"scale {np.abs(ref).max():.3e}; increase K")
+        with pytest.raises(TailTooLarge, match=re.escape(msgs[-1])):
+            ds.periodize_phi(gen, a_hat, j, L, K)
+    with pytest.raises(TailTooLarge, match=re.escape(msgs[0])):
+        ds.build_sis_system(gen, a_hat, 3, L, K)
