@@ -42,7 +42,7 @@ class SingularSystem(DynsampError):
 
 
 class RankDeficient(DynsampError):
-    """An extended solve met a rank-deficient packet matrix."""
+    """A packet solve met a rank-deficient packet matrix."""
 
     def __init__(self, rho, message=None):
         self.rho = rho

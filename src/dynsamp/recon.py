@@ -119,6 +119,8 @@ def reconstruct_plain(samples, a, m):
     a (near-)singular frequency aborts the solve: indices whose smallest
     singular value drops below ``systems.SINGULAR_TOL`` times the grid
     maximum raise ``SingularSystem`` -- extra samples are required there.
+    Past that check, a packet whose smallest singular value is at most
+    ``systems.RANK_TOL`` times its largest raises ``RankDeficient``.
     """
     if samples.m != m:
         raise PreconditionViolated(f"samples were taken with m={samples.m}, not {m}")
@@ -136,18 +138,19 @@ def _solve(y, extras, m, table, n, omega):
     (N, L) node table holds time step j (see :func:`systems.gather_blocks`);
     packet rho couples the spectrum values f_hat(rho + k L/(m n) + l L/m).
     ``omega=None`` marks the plain system (n = 1, no extra rows), whose
-    singular frequencies are judged against the whole grid and raise
-    ``SingularSystem``; otherwise a packet with smin below
+    singular frequencies are judged against the whole grid first and raise
+    ``SingularSystem``.  Then, on either system, a packet with smin at most
     ``systems.RANK_TOL`` times its largest singular value raises
     ``RankDeficient``.
 
     A bitwise Hermitian table, table[:, -r mod L] == conj(table[:, r]),
     gives A(P - rho) = D R conj(A(rho)) Pi: Pi reverses the m n columns, R
     the n snapshot blocks, and D multiplies extras row c by
-    exp(2 pi i c/(m n)).  Then only packets 0..P//2 are decomposed, and
-    packet P - rho is solved with the factors of packet rho: its right-hand
-    side is gathered as R^T conj(D) b and its solution scattered through Pi.
-    Both come down to the node indices of packet rho negated mod L.
+    exp(2 pi i c/(m n)).  Then only packets 0..P//2 are factored, and
+    packet P - rho is solved as conjugated right-hand-side columns of packet
+    rho (see :func:`systems.solve_packets`): its right-hand side is gathered
+    as R^T conj(D) b and its solution scattered through Pi.  Both come down
+    to the node indices of packet rho negated mod L.
     """
     N, trials, L = len(y), y[0].shape[:-1], y[0].shape[-1] * m
     if L != table.shape[1]:
@@ -158,7 +161,7 @@ def _solve(y, extras, m, table, n, omega):
     P, T = L // (m * n), math.prod(trials)
     rho = np.arange(P)
     # Signed packet q per solve: q >= 0 is packet q, q < 0 packet P + q
-    # solved with the factors of packet -q; packet p uses those of src[p].
+    # solved with the factorization of packet -q; packet p uses that of src[p].
     q, src = rho, rho
     if systems._is_hermitian(table):
         q = np.concatenate([rho[:P // 2 + 1], -rho[1:(P + 1) // 2]])
@@ -173,10 +176,9 @@ def _solve(y, extras, m, table, n, omega):
         bad = systems.singular_indices(smin, systems.SINGULAR_TOL)
         if bad:
             raise SingularSystem(bad)
-    else:
-        bad = np.flatnonzero(smin < systems.RANK_TOL * smax)
-        if bad.size:
-            raise RankDeficient(int(bad[0]))
+    bad = np.flatnonzero(smin <= systems.RANK_TOL * smax)
+    if bad.size:
+        raise RankDeficient(int(bad[0]))
     f_hat = np.empty((T, L), dtype=complex)
     f_hat[:, idx.reshape(P, -1)] = x.transpose(2, 0, 1)
     return spectral.idft(f_hat).reshape(trials + (L,))
@@ -204,7 +206,7 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
     stacked as extra least-squares rows.  The guarantee regime needs odd m
     (EvenM otherwise), odd n and omega containing 1..(m-1)/2; pass
     ``force=True`` to attempt the solve outside it.  A packet whose matrix
-    has smin below ``systems.RANK_TOL`` times its largest singular value
+    has smin at most ``systems.RANK_TOL`` times its largest singular value
     raises ``RankDeficient``.
     """
     omega = _guarantee_regime(samples, m, n, omega, force)

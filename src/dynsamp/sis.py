@@ -255,13 +255,17 @@ def _outward_sums(gen, a_hat, js, L, K):
     return rows
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cross_spectra(gen, a_hat, js, L, K, tail_tol):
     """Rows Phi_hat_j on the L-grid for each j in js, and their tails.
 
     The tail of a row is its largest |k| = K term, from the two edge
     columns alone; see periodize_phi for the tail rule.  Row 0 of a
     B-spline is its exact Poisson sum; every other row is an outward block
-    sum truncated at |k| <= K.  No (L, 2K+1) table is formed.
+    sum truncated at |k| <= K.  No (L, 2K+1) table is formed.  A row or
+    tail that is not finite, as under a line response that grows until it
+    overflows, raises TailTooLarge naming the row; the overflow itself is
+    not warned about, since that error reports it.
     """
     if K < 1:
         raise PreconditionViolated(f"periodization half-width K must be at least 1, got K={K}")
@@ -274,6 +278,10 @@ def _cross_spectra(gen, a_hat, js, L, K, tail_tol):
         vals = sums[j] if j in sums else _bspline_poisson_row(gen.order, L)
         terms = phi * avals ** j if j else phi
         tail = float((np.abs(terms[:, 0]) + np.abs(terms[:, -1])).max())
+        if not (np.isfinite(tail) and np.all(np.isfinite(vals))):
+            raise TailTooLarge(f"row j={j} of the cross-spectra or its |k|={K} tail is not "
+                               "finite: the line response or the generator overflows "
+                               "on |nu| <= K + 1")
         scale = max(float(np.abs(vals).max()), 1e-300)
         if tail > tail_tol * scale:
             raise TailTooLarge(
@@ -391,26 +399,29 @@ def reducibility_check(gen, a_hat, L, K):
     1e-8 of its peak; deviation: above 1e-8 max(1, |b_hat|)).  Returns the
     b_hat grid values on success, or the first witness (xi, k) where it fails.
     Only the shifts |k| <= gen.live_shifts(K) are formed; the others have a
-    zero transform and are never support.
+    zero transform and are never support.  All grid rows are tested at once
+    on that (L, 2 gen.live_shifts(K) + 1) table; the witness is the first
+    failing row and, in it, the first shift of largest deviation.
     """
     kmax = gen.live_shifts(K)
     k = np.arange(-kmax, kmax + 1)
     xi = np.arange(L) / L
     nu = xi[:, None] + k[None, :]
-    phi = gen.fourier_at(nu)
+    phi = np.abs(gen.fourier_at(nu))
     avals = a_hat(nu)
-    phi_scale = float(np.abs(phi).max())
+    del nu
+    live = phi > 1e-8 * phi.max()
+    rows = np.flatnonzero(live.any(axis=1))
     b_hat = np.zeros(L, dtype=complex)
-    for r in range(L):
-        live = np.abs(phi[r]) > 1e-8 * phi_scale
-        if not np.any(live):
-            continue
-        anchor = np.argmax(np.abs(phi[r]))
-        b_hat[r] = avals[r, anchor]
-        dev = np.abs(avals[r, live] - b_hat[r])
-        if dev.max() > 1e-8 * max(1.0, abs(b_hat[r])):
-            k_bad = int(k[live][int(np.argmax(dev))])
-            return ReducibilityResult(reducible=False, witness=(float(xi[r]), k_bad))
+    b_hat[rows] = avals[rows, np.argmax(phi[rows], axis=1)]
+    dev = np.full(phi.shape, -np.inf)
+    np.abs(np.subtract(avals, b_hat[:, None], out=np.zeros(phi.shape, dtype=complex),
+                       where=live), out=dev, where=live)
+    bad = np.flatnonzero(dev.max(axis=1) > 1e-8 * np.maximum(1.0, np.abs(b_hat)))
+    if bad.size:
+        r = bad[0]
+        witness = (float(xi[r]), int(k[np.argmax(dev[r])]))
+        return ReducibilityResult(reducible=False, witness=witness)
     return ReducibilityResult(reducible=True, b_hat=b_hat)
 
 

@@ -16,10 +16,11 @@ from . import spectral
 
 # Relative singular-value cutoffs.  A grid index is singular when its smin is
 # below SINGULAR_TOL times the largest smin over the grid; a packet is rank
-# deficient (and its solve drops) singular values up to RANK_TOL times its largest.
+# deficient, and is not solved, when its smin is at most RANK_TOL times its largest.
 SINGULAR_TOL = 1e-8
 RANK_TOL = 1e-10
-# Cap on each chunk of assembled packet matrices, so peak memory stays flat in L.
+# Cap on each chunk of assembled packet matrices with their right-hand sides,
+# so peak memory stays flat in L.
 _CHUNK_BYTES = 256 * 1024
 
 
@@ -228,65 +229,61 @@ def extended_stack(blocks, phase):
 
 
 def solve_packets(blocks_of, P, phase, rhs=None):
-    """Per-packet smin, smax and, given ``rhs``, minimum-norm solutions.
+    """Per-packet smin, smax and, given ``rhs``, least-squares solutions.
 
     ``rhs`` is (P + M, rows, T): T right-hand sides per packet (noise trials,
-    say), all solved against the one decomposition; x is (P + M, cols, T).
+    say), all solved against the one factorization; x is (P + M, cols, T).
     Rows P.. of ``rhs``, M < P of them, are mirror right-hand sides: row
-    P - 1 + i is solved with the factors of packet i, not conjugated,
-    x = Vh^T S^+ U^T b, which is the solve against conj(A(i)) (see
-    :func:`recon._solve`).  ``blocks_of(part)`` returns the blocks of the
-    packets in slice ``part`` (square without rhs); each chunk is assembled
-    and decomposed by one batched SVD, and the chunk size counts the T
-    columns as well (mirror rows add at most as many again).  Singular
-    values at or below RANK_TOL times the packet's largest are dropped, as
-    in a pseudoinverse with that cutoff.  Returns (smin, smax, x), smin and
-    smax over the P decomposed packets, x being None without rhs; raises
-    nothing.
+    P - 1 + i is solved against conj(A(i)) (see :func:`recon._solve`), as
+    the conjugate of the solve of A(i) against the conjugated row.
+    ``blocks_of(part)`` returns the blocks of the packets in slice ``part``
+    (square without rhs), and each chunk of packets is assembled at once.
+    Without rhs a chunk takes one batched SVD without vectors.  With rhs a
+    tall packet takes one QR of [A | b | conj(b_mirror)], whose R holds
+    Q^H b in its last columns, and smin, smax come from the SVD without
+    vectors of the square R (a square packet is its own R); then
+    x = R^-1 Q^H b.  The chunk size counts the right-hand-side columns as
+    well.  A packet with smin <= RANK_TOL times smax is rank deficient and
+    is not solved: its x is NaN.  Returns (smin, smax, x), smin and smax
+    over the P factored packets, x being None without rhs; raises nothing.
     """
     cols = phase.shape[1]
     if rhs is None:
-        rows, trials = len(phase) + cols, 0
+        rows, extra = len(phase) + cols, 0
     else:
         _, rows, trials = rhs.shape
-        # Trials ahead of rows and columns, so that both contractions below
-        # run over a contiguous axis.
-        b = rhs.transpose(0, 2, 1)
-        x = np.empty((len(rhs), trials, cols), dtype=complex)
-    chunk = max(1, _CHUNK_BYTES // (16 * rows * (cols + trials)))
+        extra = trials * (2 if len(rhs) > P else 1)
+        x = np.empty((len(rhs), cols, trials), dtype=complex)
+    chunk = max(1, _CHUNK_BYTES // (16 * rows * (cols + extra)))
     smin, smax = np.empty(P), np.empty(P)
     for start in range(0, P, chunk):
         part = slice(start, min(start + chunk, P))
         A = extended_stack(blocks_of(part), phase)
-        if rhs is None:
-            s = np.linalg.svd(A, compute_uv=False)
-        else:
-            U, s, Vh = np.linalg.svd(A, full_matrices=False)
-            del A               # at most one chunk's matrices and factors are alive
-            x[part] = _pinv_apply(U, s, Vh, b[part])
+        if rhs is not None:
             # Rows P - 1 + lo.. mirror this chunk's packets lo..hi - 1; packet 0 has none.
             lo, hi = max(start, 1), min(part.stop, len(rhs) - P + 1)
+            A = np.concatenate([A, rhs[part], np.zeros(A.shape[:2] + (extra - trials,))], axis=2)
             if lo < hi:
-                own = slice(lo - start, hi - start)
-                x[P - 1 + lo:P - 1 + hi] = _pinv_apply(U[own], s[own], Vh[own],
-                                                       b[P - 1 + lo:P - 1 + hi], conj=False)
-            del U, Vh
+                A[lo - start:hi - start, :, cols + trials:] = np.conj(rhs[P - 1 + lo:P - 1 + hi])
+            if rows > cols:
+                # The raw factor, transposed back, holds R on and above its
+                # diagonal and the reflectors below; clearing them in the
+                # square part only spares mode "r" a copy of the whole chunk.
+                A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
+                A[..., :cols] = np.triu(A[..., :cols])
+            A, b = A[..., :cols], A[..., cols:]
+        s = np.linalg.svd(A, compute_uv=False)
         smin[part], smax[part] = s[:, -1], s[:, 0]
-    return smin, smax, None if rhs is None else x.transpose(0, 2, 1)
-
-
-def _pinv_apply(U, s, Vh, b, conj=True):
-    """(p, T, cols) solutions Vh' S^+ U' b of (p, T, rows) b, ' being the
-    conjugate transpose, or with ``conj=False`` the transpose, which solves
-    against conj(U S Vh).  Singular values at or below RANK_TOL times the
-    largest are dropped."""
-    def tr(M):
-        M = M.transpose(0, 2, 1)
-        return np.conjugate(M, order="C") if conj else np.ascontiguousarray(M)
-    proj = np.einsum("pij,ptj->pti", tr(U), np.ascontiguousarray(b))
-    keep = (s > RANK_TOL * s[:, :1])[:, None, :]
-    coef = np.divide(proj, s[:, None, :], out=np.zeros_like(proj), where=keep)
-    return np.einsum("pij,ptj->pti", tr(Vh), coef)
+        if rhs is not None:
+            # A rank-deficient packet solves against the identity, then reads NaN.
+            ok = smin[part] > RANK_TOL * smax[part]
+            y = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(cols)), b)
+            y[~ok] = np.nan
+            x[part] = y[..., :trials]
+            if lo < hi:
+                np.conjugate(y[lo - start:hi - start, :, trials:], out=x[P - 1 + lo:P - 1 + hi])
+            del A, b, y         # at most one chunk's factors and solutions are alive
+    return smin, smax, None if rhs is None else x
 
 
 def _is_hermitian(values):

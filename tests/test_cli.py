@@ -305,6 +305,20 @@ def test_failing_mode_writes_no_files(tmp_path, capsys):
     assert not (tmp_path / "table.csv").exists()
 
 
+@pytest.mark.parametrize("generator", [{"kind": "bspline", "order": 3}, {"kind": "sinc"}])
+def test_growing_line_filter_is_one_tail_error_line(tmp_path, capfd, generator):
+    # The file descriptors are captured, so LAPACK's own error lines would show.
+    cfg = cli.ExperimentConfig(mode="sis_roundtrip", generator=generator,
+                               line_filter={"kind": "gaussian", "alpha": -0.01},
+                               m=3, n=0, L=24, seed=5)
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    out, err = capfd.readouterr()
+    lines = err.splitlines()
+    assert len(lines) == 1 and out == ""
+    assert json.loads(lines[0])["error"] == "TailTooLarge"
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_overrides_tol_and_N(tmp_path):
     path = write_config(tmp_path, {"filter": rc_filter(36), "m": 3, "n": 3,
                                    "omega": [1], "L": 36, "seed": 1})

@@ -6,11 +6,16 @@ each packet decomposed or solved on its own.  Assembly and the guard-band
 scans do the same arithmetic as the engine and must agree bitwise.  The
 pseudoinverse-norm scan decomposes one grid point per symmetry orbit, so it
 agrees with the full-grid loop to 1e-13, and bitwise when no symmetry
-applies.  The solves use an SVD in place of ``lstsq`` and must agree to 1e-12,
-also where a bitwise Hermitian table lets packet P - rho reuse the factors of
-packet rho; a table without that symmetry must solve every packet, bitwise as
-an all-packet solve through the same engine.
+applies.  The solves use one QR of [A | b] in place of ``lstsq`` and must
+agree to 1e-12, also where a bitwise Hermitian table lets packet P - rho ride
+along with packet rho as conjugated right-hand-side columns; a table without
+that symmetry must solve every packet, bitwise as an all-packet solve through
+the same engine.
 """
+
+import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynsamp as ds
 from dynsamp import recon, stability, systems
+from dynsamp import cli
 from dynsamp.errors import RankDeficient, SingularSystem
 
 BSPLINE = ds.make_generator({"kind": "bspline", "order": 3})
@@ -549,3 +555,144 @@ def test_hermitian_check_covers_every_row_and_the_real_bins():
     bent[3, 5] *= 1 + 1e-15                # the last row only
     assert not systems._is_hermitian(bent)
     assert systems._is_hermitian(bent[:3])
+
+
+# ---------------------------------------------------------------------------
+# the QR solve: one QR of [A | b | conj(b_mirror)] and an SVD of R without vectors
+
+def rand_complex(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+@st.composite
+def random_packets(draw):
+    """(blocks, phase, rhs, chunk): P random complex packets, tall (extras
+    rows or N > m) or square, T >= 1 trials, M < P mirror rows and a chunk
+    of 1..P + 1 packets.  The blocks lean on 3 I, so every packet is well
+    conditioned; the right-hand sides fit no packet exactly."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    N, extras = m + draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    P = draw(st.integers(1, 9))
+    M, T = draw(st.integers(0, P - 1)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    blocks = rand_complex(rng, (P, n, N, m))
+    blocks[:, :, :m] += 3 * np.eye(m)
+    phase = rand_complex(rng, (extras, m * n))
+    rhs = rand_complex(rng, (P + M, extras + n * N, T))
+    return blocks, phase, rhs, draw(st.integers(1, P + 1))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(random_packets())
+def test_qr_solve_matches_lstsq_loop(case):
+    blocks, phase, rhs, chunk = case
+    P, (rows, T), cols = len(blocks), rhs.shape[1:], phase.shape[1]
+    extra = T * (2 if len(rhs) > P else 1)
+    # The chunk counts the T columns of b and, with mirror rows, T more.
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + extra)):
+        smin, smax, x = systems.solve_packets(lambda part: blocks[part], P, phase, rhs)
+    A = systems.extended_stack(blocks, phase)
+    s = np.linalg.svd(A, compute_uv=False)
+    assert np.all(np.abs(smin - s[:, -1]) <= 1e-12 * s[:, 0])
+    assert np.all(np.abs(smax - s[:, 0]) <= 1e-12 * s[:, 0])
+    assert x.shape == (len(rhs), cols, T)
+    for i in range(len(rhs)):
+        # Row P - 1 + i mirrors packet i: the solve against conj(A(i)).
+        Ai = A[i] if i < P else np.conj(A[i - P + 1])
+        ref = np.linalg.lstsq(Ai, rhs[i], rcond=None)[0]
+        assert np.linalg.norm(x[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_qr_solve_leaves_rank_deficient_packets_unsolved():
+    rng = np.random.default_rng(3)
+    blocks = rand_complex(rng, (4, 1, 3, 3))
+    blocks[2, 0, 2] = blocks[2, 0, 1]                  # an exactly singular packet
+    rhs = rand_complex(rng, (6, 3, 2))                  # rows 4, 5 mirror packets 1, 2
+    smin, smax, x = systems.solve_packets(lambda part: blocks[part], 4,
+                                          np.zeros((0, 3)), rhs)
+    assert np.flatnonzero(smin <= systems.RANK_TOL * smax).tolist() == [2]
+    assert np.isnan(x[[2, 5]]).all() and np.isfinite(x[[0, 1, 3, 4]]).all()
+
+
+def big_node_filter(L, m, bad):
+    """plain_filter with the m nodes of plain packet ``bad`` set to 1e6, -1e6
+    and 0.5: that packet has smin/smax about 7e-13, far below RANK_TOL, while
+    its smin of about 1 is no outlier on the grid."""
+    response = plain_filter(L).response.copy()
+    response[systems.packet_indices(L, m, 1, [bad])[0, 0]] = [1e6, -1e6, 0.5]
+    return ds.filter_table(response)
+
+
+def test_plain_rank_deficient_packet_raises_after_grid_check():
+    L, m, bad = 72, 3, 5
+    a = big_node_filter(L, m, bad)
+    s = np.linalg.svd(systems.plain_family(systems.PlainSystem(a, m, m)), compute_uv=False)
+    assert systems.singular_indices(s[:, -1], systems.SINGULAR_TOL) == []
+    assert np.flatnonzero(s[:, -1] <= systems.RANK_TOL * s[:, 0]).tolist() == [bad]
+    with pytest.raises(RankDeficient) as err:
+        ds.reconstruct_plain(ds.forward(rand_signal(L, 3), a, m, m), a, m)
+    assert err.value.rho == bad
+
+
+def coincident_filter(L, m, n, bad, count=2):
+    """plain_filter with the first ``count`` nodes of block 0 of packet ``bad``
+    made equal: a block of rank m - count + 1, exactly singular."""
+    response = plain_filter(L).response.copy()
+    idx = systems.packet_indices(L, m, n, [bad])[0, 0]
+    response[idx[1:count]] = response[idx[0]]
+    return ds.filter_table(response)
+
+
+@pytest.mark.parametrize("n, omega, error", [
+    (1, None, SingularSystem),
+    (3, (), RankDeficient),
+    (3, (0,), RankDeficient),        # the c = 0 extras row cannot tell equal nodes apart
+])
+@pytest.mark.parametrize("N", [3, 5])          # square and tall packets
+def test_singular_packets_end_in_named_errors(n, omega, error, N):
+    L, m, bad = 72, 3, 2
+    a = coincident_filter(L, m, n, bad)
+    s = ds.forward(rand_signal(L, 4), a, m, N, n, omega or ())
+    with pytest.raises(error) as err:
+        if omega is None:
+            ds.reconstruct_plain(s, a, m)
+        else:
+            ds.reconstruct_extended(s, a, m, n, omega, force=True)
+    assert (err.value.indices if error is SingularSystem else [err.value.rho]) == [bad]
+
+
+def test_singular_packets_end_in_named_errors_through_the_cli(tmp_path, capfd):
+    L = 72
+    # Three equal nodes leave a rank deficiency of 2, more than the one extras row repairs.
+    table = [[z.real, z.imag] for z in coincident_filter(L, 3, 3, 2, count=3).response]
+    seen = []
+    for n, omega in ((1, []), (3, [1])):
+        cfg = cli.ExperimentConfig(mode="roundtrip", filter={"kind": "table", "table": table},
+                                   m=3, n=n, omega=omega, L=L, seed=1)
+        code = cli.run(cfg, out_dir=tmp_path / str(n))
+        seen.append((code, json.loads(capfd.readouterr().err)["error"]))
+    assert seen == [(2, "SingularSystem"), (2, "RankDeficient")]
+
+
+def test_qr_solve_memory_flat_in_packets():
+    # Beyond its (P + M, cols, T) output the solve holds about two chunks of
+    # [A | b | conj(b_mirror)] (the QR's input and working copy), whatever P:
+    # with 2 T = 32 right-hand-side columns beside 9 matrix columns, a chunk
+    # that counted only the matrix would hold 4.5 times as many bytes.
+    m, n, omega, T = 3, 3, (1,), 16
+    rng = np.random.default_rng(7)
+    excess = []
+    for P in (64, 4096):
+        L = m * n * P
+        table = systems.power_rows(ds.filter_raised_cosine(L, 1.0).response, m)
+        idx = systems.packet_indices(L, m, n, np.arange(P // 2 + 1))
+        rhs = rand_complex(rng, (P, len(omega) + n * m, T))
+        tracemalloc.start()
+        try:
+            _, _, x = systems.solve_packets(lambda part: systems.gather_blocks(table, idx[part]),
+                                            P // 2 + 1, systems.phase_rows(m, n, omega), rhs)
+            excess.append(tracemalloc.get_traced_memory()[1] - x.nbytes)
+        finally:
+            tracemalloc.stop()
+    assert excess[1] <= 3 * systems._CHUNK_BYTES
+    assert excess[1] <= 1.25 * excess[0] + 2 * systems._CHUNK_BYTES

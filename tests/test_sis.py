@@ -108,6 +108,16 @@ def test_periodize_tail_guard():
         ds.periodize_phi(BSPLINE, ds.identity_response(), 0, 24, K=4)
 
 
+@pytest.mark.parametrize("gen", [BSPLINE, SINC])
+def test_growing_line_filter_raises_tail_too_large(gen):
+    # exp(0.01 nu^2) overflows long before |nu| = K: the B-spline row 1 turns
+    # inf, and the sinc edge terms 0 * inf turn NaN (a tail that read 0.0).
+    with pytest.raises(TailTooLarge, match=r"row j=1 .* not finite"):
+        ds.build_sis_system(gen, ds.gaussian_response(-0.01), 3, 24, K=384)
+    with pytest.raises(TailTooLarge, match=r"row j=2 .* not finite"):
+        ds.periodize_phi(gen, ds.gaussian_response(-0.01), 2, 24, K=384)
+
+
 def test_periodize_tails_decrease_with_K():
     tails = []
     for K in (64, 128, 256, 512):
@@ -183,6 +193,59 @@ def test_reducibility_ratio_cutoff(bump, reducible):
         res = ds.reducibility_check(gen, a_hat, 4, K=K)
         assert res.reducible is reducible
         assert res.witness == (None if reducible else (0.0, -1))
+
+
+def ref_reducibility_check(gen, a_hat, L, K):
+    """The row-by-row loop that reducibility_check replaced."""
+    kmax = gen.live_shifts(K)
+    k = np.arange(-kmax, kmax + 1)
+    xi = np.arange(L) / L
+    nu = xi[:, None] + k[None, :]
+    phi = gen.fourier_at(nu)
+    avals = a_hat(nu)
+    phi_scale = float(np.abs(phi).max())
+    b_hat = np.zeros(L, dtype=complex)
+    for r in range(L):
+        live = np.abs(phi[r]) > 1e-8 * phi_scale
+        if not np.any(live):
+            continue
+        anchor = np.argmax(np.abs(phi[r]))
+        b_hat[r] = avals[r, anchor]
+        dev = np.abs(avals[r, live] - b_hat[r])
+        if dev.max() > 1e-8 * max(1.0, abs(b_hat[r])):
+            k_bad = int(k[live][int(np.argmax(dev))])
+            return False, None, (float(xi[r]), k_bad)
+    return True, b_hat, None
+
+
+def tie_response(nu):
+    """Equal deviation at k = -1 and k = 1 from the k = 0 value, from row 5 on."""
+    nu = np.asarray(nu, dtype=float)
+    return np.where((np.abs(np.rint(nu)) == 1) & (nu - np.rint(nu) >= 5 / 24), 2.0, 1.0)
+
+
+@pytest.mark.parametrize("gen, a_hat, L, K", [
+    (SINC, ds.gaussian_response(0.9), 48, 6),
+    (SINC, ds.gaussian_response(2.0), 2304, 384),
+    (BSPLINE, ds.identity_response(), 36, 8),
+    (BSPLINE, ds.gaussian_response(1.0), 36, 8),
+    (BSPLINE, tie_response, 24, 4),
+    (ds.make_generator({"kind": "bspline", "order": 0}), ds.gaussian_response(1.0), 24, 4),
+    (table_generator(1e-7)[0], ds.gaussian_response(1.0), 4, 8),
+    (table_generator(1e-9)[0], ds.gaussian_response(1.0), 4, 8),
+    (*table_generator(0.5, 1e-7), 4, 1),
+    (*table_generator(0.5, 1e-9), 4, 1),
+    (table_generator(0.0)[0], lambda nu: np.ones(np.shape(nu)), 4, 1),   # a real response
+])
+def test_reducibility_check_matches_row_loop(gen, a_hat, L, K):
+    reducible, b_hat, witness = ref_reducibility_check(gen, a_hat, L, K)
+    res = ds.reducibility_check(gen, a_hat, L, K)
+    assert res.reducible is reducible
+    assert res.witness == witness
+    if reducible:
+        assert res.b_hat.dtype == b_hat.dtype and np.array_equal(res.b_hat, b_hat)
+    else:
+        assert res.b_hat is None
 
 
 def test_reducibility_bspline_gaussian_fails_with_witness():
