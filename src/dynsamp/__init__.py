@@ -32,7 +32,7 @@ from .sis import (Generator, ReducibilityResult, SISSystem, build_sis_system,
                   choose_n, gaussian_response, heat_line_response,
                   identity_response, line_filter_from_spec, make_generator,
                   n_is_admissible, periodize_phi,
-                  reducibility_check, riesz_bounds, sis_family, sis_forward,
+                  reducibility_check, sis_family, sis_forward,
                   sis_matrix, sis_reconstruct, sis_singular_set)
 
 __version__ = "0.1.0"

@@ -181,6 +181,8 @@ def validate(config):
                                                    and config.sigmas)
     if uses_trials and config.trials < 1:
         v.append(f"{config.mode} needs at least one noise trial, got trials={config.trials}")
+    if uses_trials and not all(np.isfinite(s) and s >= 0 for s in config.sigmas):
+        v.append(f"{config.mode} needs finite sigmas >= 0, got {config.sigmas}")
     if config.mode in ("noise_sweep", "roundtrip", "sis_roundtrip", "stability_report"):
         if config.seed is None:
             v.append("stochastic modes need an explicit seed")

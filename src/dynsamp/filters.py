@@ -171,19 +171,16 @@ def check_symmetric_decreasing(a):
     than _REAL_TOL = 1e-12 of max(1, max |response|)), or the first point
     that fails to continue the strict decrease by more than _TIE_TOL = 1e-14.
     """
-    r = a.response
-    L = len(r)
-    scale = max(1.0, float(np.max(np.abs(r))))
-    for i in range(L):
-        if abs(r[i].imag) > _REAL_TOL * scale:
-            return False, i
+    r, half = a.response, len(a.response) // 2
+    tol = _REAL_TOL * max(1.0, float(np.max(np.abs(r))))
     vals = r.real
-    for i in range(1, L):
-        if abs(vals[i] - vals[L - i]) > _REAL_TOL * scale:
-            return False, i
-    for i in range(L // 2):
-        if not vals[i] - vals[i + 1] > _TIE_TOL:
-            return False, i + 1
+    # (offset, failures) per check, in the order they are judged: entry i of
+    # the symmetry check is grid index i + 1, as is entry i of the decrease.
+    for offset, fails in ((0, np.abs(r.imag) > tol),
+                          (1, np.abs(vals[1:] - vals[:0:-1]) > tol),
+                          (1, ~(vals[:half] - vals[1:half + 1] > _TIE_TOL))):
+        if fails.any():
+            return False, offset + int(np.argmax(fails))
     return True, None
 
 

@@ -147,10 +147,10 @@ def _solve(y, extras, m, table, n, omega):
     gives A(P - rho) = D R conj(A(rho)) Pi: Pi reverses the m n columns, R
     the n snapshot blocks, and D multiplies extras row c by
     exp(2 pi i c/(m n)).  Then only packets 0..P//2 are factored, and
-    packet P - rho is solved as conjugated right-hand-side columns of packet
-    rho (see :func:`systems.solve_packets`): its right-hand side is gathered
-    as R^T conj(D) b and its solution scattered through Pi.  Both come down
-    to the node indices of packet rho negated mod L.
+    packet P - rho is solved as conjugated right-hand-side columns of
+    packet rho (see :func:`_rhs`): its right-hand side is gathered as
+    R^T conj(D) b, and its solution, conjugated back, is scattered through
+    Pi.  Both come down to the node indices of packet rho negated mod L.
     """
     N, trials, L = len(y), y[0].shape[:-1], y[0].shape[-1] * m
     if L != table.shape[1]:
@@ -168,8 +168,9 @@ def _solve(y, extras, m, table, n, omega):
         src = np.minimum(rho, P - rho)
     idx = systems.packet_indices(L, m, n, np.abs(q))
     idx[q < 0] = -idx[q < 0] % L
+    D = np.count_nonzero(q >= 0)
     smin, smax, x = systems.solve_packets(
-        lambda part: systems.gather_blocks(table, idx[part]), np.count_nonzero(q >= 0),
+        lambda part: systems.gather_blocks(table, idx[part]), D,
         systems.phase_rows(m, n, omega), _rhs(y[:len(table)], extras, omega, idx, q, L, T))
     smin, smax = smin[src], smax[src]
     if plain:
@@ -180,21 +181,34 @@ def _solve(y, extras, m, table, n, omega):
     if bad.size:
         raise RankDeficient(int(bad[0]))
     f_hat = np.empty((T, L), dtype=complex)
-    f_hat[:, idx.reshape(P, -1)] = x.transpose(2, 0, 1)
+    f_hat[:, idx[:D].reshape(D, -1)] = x[..., :T].transpose(2, 0, 1)
+    if D < P:
+        mirror = x[1:P - D + 1, :, T:]
+        np.conjugate(mirror, out=mirror)
+        f_hat[:, idx[D:].reshape(P - D, -1)] = mirror.transpose(2, 0, 1)
     return spectral.idft(f_hat).reshape(trials + (L,))
 
 
 def _rhs(y, extras, omega, idx, q, L, T):
-    """(P, |omega| + n N, T) right-hand sides of :func:`_solve` for the signed
-    packets ``q`` at node indices ``idx``: the phased extras, then the
-    snapshot spectra.  The spectra are freed on return, before the solve
-    allocates its own arrays."""
-    P = len(idx)
+    """Right-hand sides of :func:`_solve` for the signed packets ``q`` at node
+    indices ``idx``: the phased extras, then the snapshot spectra, T columns
+    per packet.  Without mirror packets (q < 0) they are (P, rows, T).  With
+    them they are (D, rows, 2T) over the D factored packets: columns T.. of
+    packet i hold the conjugated right-hand side of packet P - i, zero for
+    packets 0 and P/2, which have no mirror.  The snapshot spectra are freed
+    before the buffer is allocated, their gathered copy on return."""
+    P, D, off = len(q), np.count_nonzero(q >= 0), len(omega)
     phased = np.array([np.exp(2j * np.pi * c * q / L) * spectral.dft(extras[c])[..., q % P]
-                       for c in omega], dtype=complex).reshape(len(omega), T, P)
+                       for c in omega], dtype=complex).reshape(off, T, P).transpose(2, 0, 1)
     y_hat = spectral.dft(np.reshape(y, (len(y), T, -1)))                # (N, T, L/m)
-    snaps = y_hat.transpose(2, 0, 1)[idx[..., 0] % y_hat.shape[-1]]     # (P, n, N, T)
-    return np.concatenate([phased.transpose(2, 0, 1), snaps.reshape(P, -1, T)], axis=1)
+    snaps = y_hat.transpose(2, 0, 1)[idx[..., 0] % y_hat.shape[-1]].reshape(P, -1, T)
+    del y_hat
+    b = np.zeros((D, off + snaps.shape[1], T if D == P else 2 * T), dtype=complex)
+    b[:, :off, :T], b[:, off:, :T] = phased[:D], snaps[:D]
+    if D < P:
+        np.conjugate(phased[D:], out=b[1:P - D + 1, :off, T:])
+        np.conjugate(snaps[D:], out=b[1:P - D + 1, off:, T:])
+    return b
 
 
 def reconstruct_extended(samples, a, m, n, omega, force=False):

@@ -147,18 +147,6 @@ def make_generator(spec):
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def riesz_bounds(gen, L, K):
-    """Min and max over the grid of sum_k |phi_hat(xi + k)|^2 (|k| <= K).
-
-    Only the terms |k| <= gen.live_shifts(K) are formed; the others are 0.
-    """
-    kmax = gen.live_shifts(K)
-    k = np.arange(-kmax, kmax + 1)
-    nu = (np.arange(L) / L)[:, None] + k[None, :]
-    s = (np.abs(gen.fourier_at(nu)) ** 2).sum(axis=1)
-    return float(s.min()), float(s.max())
-
-
 # ---------------------------------------------------------------------------
 # line filters (frequency responses on the real line)
 

@@ -92,6 +92,15 @@ def _check_bound_hypotheses(a, n):
         raise HypothesisViolated("bounds need odd n")
 
 
+def _check_unit_sup(a, bound):
+    if float(np.max(np.abs(a.response))) > 1.0 + _SUP_TOL:
+        raise HypothesisViolated(f"{bound} needs sup |response| <= 1")
+
+
+def _grid(m, n, grid):
+    return max(720, 16 * m * n) if grid is None else grid
+
+
 def guard_band_points(n, grid):
     """Grid points at distance >= 1/(4n) from the degenerate frequencies 0, 1/2, 1.
 
@@ -108,9 +117,7 @@ def guard_band_points(n, grid):
 
 def _band_nodes(a, m, n, grid):
     """(points, m) node values at the guard-band points that beta1 and beta2 scan."""
-    if grid is None:
-        grid = max(720, 16 * m * n)
-    pts = guard_band_points(n, grid)
+    pts = guard_band_points(n, _grid(m, n, grid))
     if len(pts) < 8 * m * n:
         raise ValueError(f"need at least 8*m*n = {8 * m * n} points inside the band")
     return systems.plain_nodes_at(a, m, pts)
@@ -126,6 +133,16 @@ class BetaBound(NamedTuple):
 
 def _bound_from_beta(m, n, beta):
     return m * beta * (1.0 + m * math.sqrt(n - 1.0))
+
+
+def _power_bound(m, n, base, detail):
+    """Bound of beta = max(n, base^(m-1)) with the variant
+    max(n, sqrt(m) base^(m-1)) of the underlying Vandermonde estimate."""
+    beta = max(float(n), base ** (m - 1))
+    beta_inf = max(float(n), math.sqrt(m) * base ** (m - 1))
+    return BetaBound(beta=beta, bound=_bound_from_beta(m, n, beta),
+                     beta_inflated=beta_inf, bound_inflated=_bound_from_beta(m, n, beta_inf),
+                     detail=detail)
 
 
 def bound_beta1(a, m, n, grid=None):
@@ -150,18 +167,13 @@ def bound_beta2(a, m, n, grid=None):
     the inflated bound is the safe side of that discrepancy.
     """
     _check_bound_hypotheses(a, n)
-    if float(np.max(np.abs(a.response))) > 1.0 + _SUP_TOL:
-        raise HypothesisViolated("beta2 needs sup |response| <= 1")
+    _check_unit_sup(a, "beta2")
     nodes = _band_nodes(a, m, n, grid)
     gaps = np.abs(nodes[:, None, :] - nodes[:, :, None])
     delta = float(gaps[:, ~np.eye(m, dtype=bool)].min())
     if delta <= 0.0:
         raise HypothesisViolated("coincident nodes inside the guard band")
-    beta2 = max(float(n), (2.0 / delta) ** (m - 1))
-    beta2_inf = max(float(n), math.sqrt(m) * (2.0 / delta) ** (m - 1))
-    return BetaBound(beta=beta2, bound=_bound_from_beta(m, n, beta2),
-                     beta_inflated=beta2_inf, bound_inflated=_bound_from_beta(m, n, beta2_inf),
-                     detail=delta)
+    return _power_bound(m, n, 2.0 / delta, delta)
 
 
 def bound_beta3(a, m, n, grid=None):
@@ -173,12 +185,9 @@ def bound_beta3(a, m, n, grid=None):
     1/(8 m n L).  Returns the plain and sqrt(m)-inflated variants.
     """
     _check_bound_hypotheses(a, n)
-    if float(np.max(np.abs(a.response))) > 1.0 + _SUP_TOL:
-        raise HypothesisViolated("beta3 needs sup |response| <= 1")
-    if grid is None:
-        grid = max(720, 16 * m * n)
+    _check_unit_sup(a, "beta3")
     lo = 1.0 / (4.0 * m * n)
-    pts = np.linspace(lo, 0.5 - lo, max(8 * m * n, grid) + 1)
+    pts = np.linspace(lo, 0.5 - lo, max(8 * m * n, _grid(m, n, grid)) + 1)
     if a.has_closed_form_derivative:
         dvals = np.abs(a.deriv_at(pts))
     else:
@@ -187,11 +196,7 @@ def bound_beta3(a, m, n, grid=None):
     gamma = float(dvals.min())
     if gamma <= 1e-13:
         raise HypothesisViolated("response slope vanishes inside [1/(4mn), 1/2 - 1/(4mn)]")
-    beta3 = max(float(n), (4.0 * m * n / gamma) ** (m - 1))
-    beta3_inf = max(float(n), math.sqrt(m) * (4.0 * m * n / gamma) ** (m - 1))
-    return BetaBound(beta=beta3, bound=_bound_from_beta(m, n, beta3),
-                     beta_inflated=beta3_inf, bound_inflated=_bound_from_beta(m, n, beta3_inf),
-                     detail=gamma)
+    return _power_bound(m, n, 4.0 * m * n / gamma, gamma)
 
 
 def gautschi_bound(a, m, xi):
@@ -241,12 +246,15 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, pinv_norm=None):
     are exactly proportional to sigma.  Trials are solved in blocks, each
     block as right-hand sides of one decomposition per packet chunk; the
     noise is drawn per trial, per sequence, real part then imaginary part,
-    whatever the block size.  Raises PreconditionViolated for trials < 1
-    and outside the guarantee regime of :func:`reconstruct_extended`, and
-    MalformedSamples for non-finite noisy samples.
+    whatever the block size.  Raises PreconditionViolated for trials < 1,
+    for a negative sigma and outside the guarantee regime of
+    :func:`reconstruct_extended`, and MalformedSamples for non-finite noisy
+    samples.
     """
     if trials < 1:
         raise PreconditionViolated(f"noise_trial needs at least one trial, got trials={trials}")
+    if sigma < 0:
+        raise PreconditionViolated(f"noise_trial needs sigma >= 0, got sigma={sigma}")
     f = np.asarray(f, dtype=complex)
     L = len(f)
     samples = forward(f, a, m, m, n, omega)

@@ -231,40 +231,31 @@ def extended_stack(blocks, phase):
 def solve_packets(blocks_of, P, phase, rhs=None):
     """Per-packet smin, smax and, given ``rhs``, least-squares solutions.
 
-    ``rhs`` is (P + M, rows, T): T right-hand sides per packet (noise trials,
-    say), all solved against the one factorization; x is (P + M, cols, T).
-    Rows P.. of ``rhs``, M < P of them, are mirror right-hand sides: row
-    P - 1 + i is solved against conj(A(i)) (see :func:`recon._solve`), as
-    the conjugate of the solve of A(i) against the conjugated row.
+    ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
+    say), all solved against the one factorization; x is (P, cols, T).
     ``blocks_of(part)`` returns the blocks of the packets in slice ``part``
     (square without rhs), and each chunk of packets is assembled at once.
     Without rhs a chunk takes one batched SVD without vectors.  With rhs a
-    tall packet takes one QR of [A | b | conj(b_mirror)], whose R holds
-    Q^H b in its last columns, and smin, smax come from the SVD without
-    vectors of the square R (a square packet is its own R); then
-    x = R^-1 Q^H b.  The chunk size counts the right-hand-side columns as
-    well.  A packet with smin <= RANK_TOL times smax is rank deficient and
-    is not solved: its x is NaN.  Returns (smin, smax, x), smin and smax
-    over the P factored packets, x being None without rhs; raises nothing.
+    tall packet takes one QR of [A | b], whose R holds Q^H b in its last
+    columns, and smin, smax come from the SVD without vectors of the square
+    R (a square packet is its own R); then x = R^-1 Q^H b.  The chunk size
+    counts the right-hand-side columns as well.  A packet with smin <=
+    RANK_TOL times smax is rank deficient and is not solved: its x is NaN.
+    Returns (smin, smax, x), x being None without rhs; raises nothing.
     """
     cols = phase.shape[1]
     if rhs is None:
-        rows, extra = len(phase) + cols, 0
+        rows, trials = len(phase) + cols, 0
     else:
         _, rows, trials = rhs.shape
-        extra = trials * (2 if len(rhs) > P else 1)
-        x = np.empty((len(rhs), cols, trials), dtype=complex)
-    chunk = max(1, _CHUNK_BYTES // (16 * rows * (cols + extra)))
+        x = np.empty((P, cols, trials), dtype=complex)
+    chunk = max(1, _CHUNK_BYTES // (16 * rows * (cols + trials)))
     smin, smax = np.empty(P), np.empty(P)
     for start in range(0, P, chunk):
         part = slice(start, min(start + chunk, P))
         A = extended_stack(blocks_of(part), phase)
         if rhs is not None:
-            # Rows P - 1 + lo.. mirror this chunk's packets lo..hi - 1; packet 0 has none.
-            lo, hi = max(start, 1), min(part.stop, len(rhs) - P + 1)
-            A = np.concatenate([A, rhs[part], np.zeros(A.shape[:2] + (extra - trials,))], axis=2)
-            if lo < hi:
-                A[lo - start:hi - start, :, cols + trials:] = np.conj(rhs[P - 1 + lo:P - 1 + hi])
+            A = np.concatenate([A, rhs[part]], axis=2)
             if rows > cols:
                 # The raw factor, transposed back, holds R on and above its
                 # diagonal and the reflectors below; clearing them in the
@@ -277,12 +268,9 @@ def solve_packets(blocks_of, P, phase, rhs=None):
         if rhs is not None:
             # A rank-deficient packet solves against the identity, then reads NaN.
             ok = smin[part] > RANK_TOL * smax[part]
-            y = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(cols)), b)
-            y[~ok] = np.nan
-            x[part] = y[..., :trials]
-            if lo < hi:
-                np.conjugate(y[lo - start:hi - start, :, trials:], out=x[P - 1 + lo:P - 1 + hi])
-            del A, b, y         # at most one chunk's factors and solutions are alive
+            x[part] = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(cols)), b)
+            x[part][~ok] = np.nan
+            del A, b            # at most one chunk's factors are alive
     return smin, smax, None if rhs is None else x
 
 

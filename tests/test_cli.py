@@ -212,6 +212,21 @@ def test_validate_rejects_zero_trials(tmp_path, capsys):
     assert not (tmp_path / "table.csv").exists()
 
 
+@pytest.mark.parametrize("mode, sigmas", [
+    ("noise_sweep", [-1e-3, -1e-2]),
+    ("noise_sweep", [1e-3, float("nan")]),
+    ("stability_report", [-1e-3]),
+    ("stability_report", [float("inf")]),
+])
+def test_validate_rejects_negative_or_non_finite_sigma(tmp_path, capsys, mode, sigmas):
+    # A negative sigma used to exit 0 with a negative bound and "pass": true.
+    code, msgs = run_violations(tmp_path, capsys, mode=mode, filter=rc_filter(), m=3, n=3,
+                                omega=[1] if mode == "noise_sweep" else [], L=72,
+                                sigmas=sigmas, trials=3, seed=1)
+    assert code == 1 and msgs == [f"{mode} needs finite sigmas >= 0, got {sigmas}"]
+    assert not (tmp_path / "table.csv").exists()
+
+
 @pytest.mark.parametrize("omega", [[9], [1, 1], [-1]])
 def test_validate_rejects_bad_omega(tmp_path, capsys, omega):
     code, msgs = run_violations(tmp_path, capsys, mode="roundtrip", filter=rc_filter(),

@@ -395,7 +395,8 @@ def exactly_hermitian(response):
     L = len(response)
     exact = np.array(response, dtype=complex)
     exact[L // 2 + 1:] = np.conj(exact[1:L - L // 2][::-1])
-    exact[[0, L // 2]] = exact[[0, L // 2]].real
+    real = [0, L // 2] if L % 2 == 0 else [0]    # the bins that are their own mirror
+    exact[real] = exact[real].real
     return exact
 
 
@@ -535,11 +536,12 @@ def test_solve_decomposes_one_packet_per_mirror_pair(monkeypatch, a, P, decompos
     solve = systems.solve_packets
 
     def spy(blocks_of, count, phase, rhs=None):
-        seen.append((count, len(rhs)))
+        seen.append((count, rhs.shape))
         return solve(blocks_of, count, phase, rhs)
     monkeypatch.setattr(systems, "solve_packets", spy)
     ds.reconstruct_extended(noisy_samples(a.L, 3, 3, (1,), 3, 11), a, 3, 3, (1,), force=True)
-    assert seen == [(decomposed, P)]
+    # One trial: a second column per factored packet holds its mirror's right-hand side.
+    assert seen == [(decomposed, (decomposed, 1 + 3 * 3, 1 if decomposed == P else 2))]
 
 
 def test_hermitian_check_covers_every_row_and_the_real_bins():
@@ -558,7 +560,7 @@ def test_hermitian_check_covers_every_row_and_the_real_bins():
 
 
 # ---------------------------------------------------------------------------
-# the QR solve: one QR of [A | b | conj(b_mirror)] and an SVD of R without vectors
+# the QR solve: one QR of [A | b] and an SVD of R without vectors
 
 def rand_complex(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
@@ -567,18 +569,17 @@ def rand_complex(rng, shape):
 @st.composite
 def random_packets(draw):
     """(blocks, phase, rhs, chunk): P random complex packets, tall (extras
-    rows or N > m) or square, T >= 1 trials, M < P mirror rows and a chunk
-    of 1..P + 1 packets.  The blocks lean on 3 I, so every packet is well
-    conditioned; the right-hand sides fit no packet exactly."""
+    rows or N > m) or square, T >= 1 trials and a chunk of 1..P + 1
+    packets.  The blocks lean on 3 I, so every packet is well conditioned;
+    the right-hand sides fit no packet exactly."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     N, extras = m + draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    P = draw(st.integers(1, 9))
-    M, T = draw(st.integers(0, P - 1)), draw(st.integers(1, 3))
+    P, T = draw(st.integers(1, 9)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
     blocks = rand_complex(rng, (P, n, N, m))
     blocks[:, :, :m] += 3 * np.eye(m)
     phase = rand_complex(rng, (extras, m * n))
-    rhs = rand_complex(rng, (P + M, extras + n * N, T))
+    rhs = rand_complex(rng, (P, extras + n * N, T))
     return blocks, phase, rhs, draw(st.integers(1, P + 1))
 
 
@@ -587,19 +588,16 @@ def random_packets(draw):
 def test_qr_solve_matches_lstsq_loop(case):
     blocks, phase, rhs, chunk = case
     P, (rows, T), cols = len(blocks), rhs.shape[1:], phase.shape[1]
-    extra = T * (2 if len(rhs) > P else 1)
-    # The chunk counts the T columns of b and, with mirror rows, T more.
-    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + extra)):
+    # The chunk counts the T columns of b.
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + T)):
         smin, smax, x = systems.solve_packets(lambda part: blocks[part], P, phase, rhs)
     A = systems.extended_stack(blocks, phase)
     s = np.linalg.svd(A, compute_uv=False)
     assert np.all(np.abs(smin - s[:, -1]) <= 1e-12 * s[:, 0])
     assert np.all(np.abs(smax - s[:, 0]) <= 1e-12 * s[:, 0])
-    assert x.shape == (len(rhs), cols, T)
-    for i in range(len(rhs)):
-        # Row P - 1 + i mirrors packet i: the solve against conj(A(i)).
-        Ai = A[i] if i < P else np.conj(A[i - P + 1])
-        ref = np.linalg.lstsq(Ai, rhs[i], rcond=None)[0]
+    assert x.shape == (P, cols, T)
+    for i in range(P):
+        ref = np.linalg.lstsq(A[i], rhs[i], rcond=None)[0]
         assert np.linalg.norm(x[i] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -607,11 +605,48 @@ def test_qr_solve_leaves_rank_deficient_packets_unsolved():
     rng = np.random.default_rng(3)
     blocks = rand_complex(rng, (4, 1, 3, 3))
     blocks[2, 0, 2] = blocks[2, 0, 1]                  # an exactly singular packet
-    rhs = rand_complex(rng, (6, 3, 2))                  # rows 4, 5 mirror packets 1, 2
+    rhs = rand_complex(rng, (4, 3, 2))
     smin, smax, x = systems.solve_packets(lambda part: blocks[part], 4,
                                           np.zeros((0, 3)), rhs)
     assert np.flatnonzero(smin <= systems.RANK_TOL * smax).tolist() == [2]
-    assert np.isnan(x[[2, 5]]).all() and np.isfinite(x[[0, 1, 3, 4]]).all()
+    assert np.isnan(x[2]).all() and np.isfinite(x[[0, 1, 3]]).all()
+
+
+@st.composite
+def hermitian_solves(draw):
+    """(trial sample sets, table, n, omega, chunk): an (N, L) table whose rows,
+    powers of plain_filter perturbed at random, are each made exactly
+    Hermitian; odd or even P; T = 1..3 trials of noise samples; and a chunk
+    of 1..D + 1 of the D = P//2 + 1 factored packets."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    P, T = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    N, L = m + draw(st.integers(0, 2)), m * n * P
+    omega = tuple(sorted(draw(st.sets(st.integers(0, m * n - 1), max_size=2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    base = plain_filter(L).response
+    table = np.array([exactly_hermitian(base ** j + 0.1 * rand_complex(rng, L))
+                      for j in range(N)])
+    trials = [noisy_samples(L, m, n, omega, N, rng.integers(2**16)) for _ in range(T)]
+    return trials, table, n, omega, draw(st.integers(1, P // 2 + 2))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(hermitian_solves())
+def test_mirrored_solve_matches_all_packet_solve(case):
+    trials, table, n, omega, chunk = case
+    m, L, T = trials[0].m, trials[0].L, len(trials)
+    P = L // (m * n)
+    assert systems._is_hermitian(table)
+    y = [np.array([s.y[j] for s in trials]) for j in range(len(table))]
+    extras = {c: np.array([s.extras[c] for s in trials]) for c in omega}
+    rows, cols = len(omega) + n * len(table), m * n
+    width = T if P <= 2 else 2 * T           # packets 1..(P - 1)//2 carry a mirror
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
+        rec = recon._solve(y, extras, m, table, n, omega)
+    assert rec.shape == (T, L)
+    for t, s in enumerate(trials):
+        ref = all_packet_solve(s, table, n, omega)
+        assert np.linalg.norm(rec[t] - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def big_node_filter(L, m, bad):
@@ -675,22 +710,23 @@ def test_singular_packets_end_in_named_errors_through_the_cli(tmp_path, capfd):
 
 
 def test_qr_solve_memory_flat_in_packets():
-    # Beyond its (P + M, cols, T) output the solve holds about two chunks of
-    # [A | b | conj(b_mirror)] (the QR's input and working copy), whatever P:
-    # with 2 T = 32 right-hand-side columns beside 9 matrix columns, a chunk
-    # that counted only the matrix would hold 4.5 times as many bytes.
+    # Beyond its (D, cols, 2 T) output the solve holds about two chunks of
+    # [A | b] (the QR's input and working copy), whatever P: with 2 T = 32
+    # right-hand-side columns per packet, as a mirrored solve of T trials
+    # passes, beside 9 matrix columns, a chunk that counted only the matrix
+    # would hold 4.5 times as many bytes.
     m, n, omega, T = 3, 3, (1,), 16
     rng = np.random.default_rng(7)
     excess = []
     for P in (64, 4096):
-        L = m * n * P
+        L, D = m * n * P, P // 2 + 1
         table = systems.power_rows(ds.filter_raised_cosine(L, 1.0).response, m)
-        idx = systems.packet_indices(L, m, n, np.arange(P // 2 + 1))
-        rhs = rand_complex(rng, (P, len(omega) + n * m, T))
+        idx = systems.packet_indices(L, m, n, np.arange(D))
+        rhs = rand_complex(rng, (D, len(omega) + n * m, 2 * T))
         tracemalloc.start()
         try:
             _, _, x = systems.solve_packets(lambda part: systems.gather_blocks(table, idx[part]),
-                                            P // 2 + 1, systems.phase_rows(m, n, omega), rhs)
+                                            D, systems.phase_rows(m, n, omega), rhs)
             excess.append(tracemalloc.get_traced_memory()[1] - x.nbytes)
         finally:
             tracemalloc.stop()

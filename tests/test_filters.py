@@ -180,3 +180,55 @@ def test_deriv_closed_forms():
     h = ds.filter_heat(12, 0.3)
     num = (h.at(xs + 1e-6) - h.at(xs - 1e-6)) / 2e-6
     assert np.abs(h.deriv_at(xs) - num).max() < 1e-6
+
+
+def ref_check_symmetric_decreasing(a):
+    """The former loop version of ds.check_symmetric_decreasing."""
+    r = a.response
+    L = len(r)
+    scale = max(1.0, float(np.max(np.abs(r))))
+    for i in range(L):
+        if abs(r[i].imag) > 1e-12 * scale:
+            return False, i
+    vals = r.real
+    for i in range(1, L):
+        if abs(vals[i] - vals[L - i]) > 1e-12 * scale:
+            return False, i
+    for i in range(L // 2):
+        if not vals[i] - vals[i + 1] > 1e-14:
+            return False, i + 1
+    return True, None
+
+
+def even_decreasing(L):
+    """An exactly even response, strictly decreasing on [0, 1/2]."""
+    half = np.linspace(1.0, 0.1, L // 2 + 1)
+    return np.concatenate([half, half[1:L - L // 2][::-1]]).astype(complex)
+
+
+def spoil(r, kind, i):
+    r = r.copy()
+    if kind == "complex":
+        r[i] += 1e-9j
+    elif kind == "asymmetric":
+        r[i] += 1e-9
+    elif kind == "tie":                  # r[i] = r[i - 1], mirrored to stay even
+        j = min(max(i, 1), len(r) // 2)
+        r[[j, -j]] = r[j - 1]
+    return r
+
+
+@pytest.mark.parametrize("L", [1, 2, 11, 12])
+@pytest.mark.parametrize("kind", ["complex", "asymmetric", "tie"])
+def test_symmetric_decreasing_check_matches_loop(L, kind):
+    seen = set()
+    # The first, middle and last indices of each check's range.
+    for i in sorted({i for i in (0, 1, L // 4, L // 2, L - 2, L - 1) if 0 <= i < L}):
+        for r in (even_decreasing(L), spoil(even_decreasing(L), kind, i),
+                  spoil(spoil(even_decreasing(L), "tie", L - 1 - i), kind, i)):
+            a = ds.Filter(r)
+            got = ds.check_symmetric_decreasing(a)
+            assert got == ref_check_symmetric_decreasing(a)
+            seen.add(got)
+    assert (True, None) in seen and (L < 2 or len(seen) > 1)
+

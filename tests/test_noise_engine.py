@@ -134,6 +134,14 @@ def test_missing_guarantee_shifts_rejected():
         ds.noise_trial(rand_signal(840, 0), a, 5, 7, (1,), 1e-3, trials=3, pinv_norm=1.0)
 
 
+@pytest.mark.parametrize("sigma", [-0.5, -1e-3, -np.inf])
+def test_negative_sigma_rejected(sigma):
+    # A negative sigma used to pass the bound check with a negative bound.
+    a = ds.filter_raised_cosine(72, 1.0)
+    with pytest.raises(PreconditionViolated, match="sigma"):
+        ds.noise_trial(rand_signal(72, 0), a, 3, 3, (1,), sigma, trials=3, pinv_norm=1.0)
+
+
 def test_non_finite_noise_rejected():
     a = ds.filter_raised_cosine(72, 1.0)
     with pytest.raises(MalformedSamples, match=r"y\[0\]"):

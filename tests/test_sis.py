@@ -36,13 +36,6 @@ def test_sinc_band_indicator_half_open():
     assert np.array_equal(SINC.fourier_at(nu), [1, 1, 1, 1, 0, 0])
 
 
-def test_riesz_bounds_positive():
-    lo, hi = ds.riesz_bounds(BSPLINE, 48, 16)
-    assert 0 < lo <= hi <= 1.0 + 1e-12
-    lo_s, hi_s = ds.riesz_bounds(SINC, 48, 4)
-    assert lo_s == pytest.approx(1.0) and hi_s == pytest.approx(1.0)
-
-
 def test_periodize_sinc_keeps_single_alias():
     L, K = 24, 6
     a_hat = ds.gaussian_response(1.3)
