@@ -16,10 +16,10 @@ from .spectral import dft, fold, frequency_grid, idft, shift, subsample
 from .filters import (Filter, check_symmetric_decreasing, evolve, filter_delta,
                       filter_from_spec, filter_heat, filter_raised_cosine,
                       filter_table)
-from .systems import (KernelBasis, PlainSystem, SineMatrices,
+from .systems import (KernelBasis, PlainSystem,
                       build_extended, build_extended_at, build_plain, build_plain_at,
                       det_plain, gautschi_bound_nodes, kernel_basis,
-                      singular_set, sine_test_matrices, smin_plain, u_row)
+                      singular_set, smin_plain, u_row)
 from .recon import (SampleSet, dense_oracle, forward, oracle_solve,
                     reconstruct_extended, reconstruct_plain, stack_samples)
 from .stability import (BetaBound, NoiseTrialResult, StabilityReport,

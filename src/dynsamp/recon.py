@@ -139,9 +139,14 @@ def _solve(y, extras, m, table, n, omega):
     packet rho couples the spectrum values f_hat(rho + k L/(m n) + l L/m).
     ``omega=None`` marks the plain system (n = 1, no extra rows), whose
     singular frequencies are judged against the whole grid first and raise
-    ``SingularSystem``.  Then, on either system, a packet with smin at most
-    ``systems.RANK_TOL`` times its largest singular value raises
-    ``RankDeficient``.
+    ``SingularSystem``.  The solve returns smin and smax as brackets (see
+    :func:`systems.solve_packets`), exact for a chunk that fails the
+    certificate; the grid passes when the lowest smin is at least twice
+    ``systems.SINGULAR_TOL`` times the highest smax, and otherwise one exact
+    scan of the packets (an SVD without vectors of each matrix) decides.
+    Then, on either system, a packet with smin at most ``systems.RANK_TOL``
+    times its largest singular value raises ``RankDeficient``; a certified
+    packet never does.
 
     A bitwise Hermitian table, table[:, -r mod L] == conj(table[:, r]),
     gives A(P - rho) = D R conj(A(rho)) Pi: Pi reverses the m n columns, R
@@ -169,12 +174,17 @@ def _solve(y, extras, m, table, n, omega):
     idx = systems.packet_indices(L, m, n, np.abs(q))
     idx[q < 0] = -idx[q < 0] % L
     D = np.count_nonzero(q >= 0)
+    phase = systems.phase_rows(m, n, omega)
+
+    def blocks_of(part):
+        return systems.gather_blocks(table, idx[part])
     smin, smax, x = systems.solve_packets(
-        lambda part: systems.gather_blocks(table, idx[part]), D,
-        systems.phase_rows(m, n, omega), _rhs(y[:len(table)], extras, omega, idx, q, L, T))
+        blocks_of, D, phase, _rhs(y[:len(table)], extras, omega, idx, q, L, T))
     smin, smax = smin[src], smax[src]
-    if plain:
-        bad = systems.singular_indices(smin, systems.SINGULAR_TOL)
+    cleared = 2 * systems.SINGULAR_TOL * smax.max()
+    if plain and not (cleared > 0 and smin.min() >= cleared):
+        bad = systems.singular_indices(systems.solve_packets(blocks_of, D, phase)[0][src],
+                                       systems.SINGULAR_TOL)
         if bad:
             raise SingularSystem(bad)
     bad = np.flatnonzero(smin <= systems.RANK_TOL * smax)

@@ -207,9 +207,12 @@ def gautschi_bound(a, m, xi):
 def lower_bound_stablow(a, m, n, omega=None):
     """Lower bound m * ||A_m^{-1}(1/n)|| on the pseudoinverse norm.
 
-    Valid for the minimal extra-sample set (|omega| = (m-1)/2).  The
-    frequency 1/n must land on the matrix grid, i.e. m n must divide L.
+    Valid for the minimal extra-sample set (|omega| = (m-1)/2), so only for
+    odd m: an even m raises EvenM naming it.  The frequency 1/n must land on
+    the matrix grid, i.e. m n must divide L.
     """
+    if m % 2 == 0:
+        raise EvenM(f"lower bound needs odd m, got m={m}")
     if m == 1:
         return 0.0
     if omega is None:
@@ -247,14 +250,14 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, pinv_norm=None):
     block as right-hand sides of one decomposition per packet chunk; the
     noise is drawn per trial, per sequence, real part then imaginary part,
     whatever the block size.  Raises PreconditionViolated for trials < 1,
-    for a negative sigma and outside the guarantee regime of
+    for a negative or non-finite sigma, and outside the guarantee regime of
     :func:`reconstruct_extended`, and MalformedSamples for non-finite noisy
     samples.
     """
     if trials < 1:
         raise PreconditionViolated(f"noise_trial needs at least one trial, got trials={trials}")
-    if sigma < 0:
-        raise PreconditionViolated(f"noise_trial needs sigma >= 0, got sigma={sigma}")
+    if not 0 <= sigma < math.inf:
+        raise PreconditionViolated(f"noise_trial needs a finite sigma >= 0, got sigma={sigma}")
     f = np.asarray(f, dtype=complex)
     L = len(f)
     samples = forward(f, a, m, m, n, omega)

@@ -19,6 +19,12 @@ from . import spectral
 # deficient, and is not solved, when its smin is at most RANK_TOL times its largest.
 SINGULAR_TOL = 1e-8
 RANK_TOL = 1e-10
+# Shift of the well-conditioning certificate: a packet whose c x c triangle R
+# has R^H R - CERT_SHIFT c^2 eps ||R||_F^2 I positive definite in floating
+# point has smin >= sqrt(CERT_SHIFT/2) c sqrt(eps) ||R||_F, since forming and
+# factoring the Gram matrix errs by at most 2 c^2 (eps/2) ||R||_F^2 (Higham,
+# Accuracy and Stability of Numerical Algorithms, Thm 10.7).
+CERT_SHIFT = 64
 # Cap on each chunk of assembled packet matrices with their right-hand sides,
 # so peak memory stays flat in L.
 _CHUNK_BYTES = 256 * 1024
@@ -39,16 +45,6 @@ class KernelBasis:
 
     vectors: list
     at_frequency: float
-
-
-@dataclass
-class SineMatrices:
-    """Kernel-repair products U_k V and U_k W with their smallest singular values."""
-
-    B: np.ndarray
-    D: np.ndarray
-    smin_B: float
-    smin_D: float
 
 
 def _grid_family(table, m, rho=None):
@@ -233,19 +229,25 @@ def solve_packets(blocks_of, P, phase, rhs=None):
 
     ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
     say), all solved against the one factorization; x is (P, cols, T).
-    ``blocks_of(part)`` returns the blocks of the packets in slice ``part``
-    (square without rhs), and each chunk of packets is assembled at once.
-    Without rhs a chunk takes one batched SVD without vectors.  With rhs a
-    tall packet takes one QR of [A | b], whose R holds Q^H b in its last
-    columns, and smin, smax come from the SVD without vectors of the square
-    R (a square packet is its own R); then x = R^-1 Q^H b.  The chunk size
+    ``blocks_of(part)`` returns the (n, N, m) blocks of the packets in slice
+    ``part``, and each chunk of packets is assembled at once.
+    Without rhs a chunk takes one batched SVD without vectors, and smin,
+    smax are exact.  With rhs a tall packet takes one QR of [A | b], whose R
+    holds Q^H b in its last columns (a square packet is its own R), and the
+    chunk takes one batched Cholesky test of R^H R - tau I, tau =
+    ``CERT_SHIFT`` c^2 eps ||R||_F^2 for c = cols.  If every packet passes,
+    smin = sqrt(tau/2) and smax = ||R||_F bracket the singular values from
+    below and above; otherwise the chunk takes the SVD without vectors of R
+    and its smin, smax are exact.  Then x = R^-1 Q^H b.  The chunk size
     counts the right-hand-side columns as well.  A packet with smin <=
-    RANK_TOL times smax is rank deficient and is not solved: its x is NaN.
+    RANK_TOL times smax is rank deficient and is not solved: its x is NaN;
+    a certified packet never is, as sqrt(tau/2) > 8e-8 ||R||_F.
     Returns (smin, smax, x), x being None without rhs; raises nothing.
     """
     cols = phase.shape[1]
     if rhs is None:
-        rows, trials = len(phase) + cols, 0
+        _, n, N, _ = blocks_of(slice(0, 1)).shape
+        rows, trials = len(phase) + n * N, 0
     else:
         _, rows, trials = rhs.shape
         x = np.empty((P, cols, trials), dtype=complex)
@@ -263,8 +265,11 @@ def solve_packets(blocks_of, P, phase, rhs=None):
                 A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
                 A[..., :cols] = np.triu(A[..., :cols])
             A, b = A[..., :cols], A[..., cols:]
-        s = np.linalg.svd(A, compute_uv=False)
-        smin[part], smax[part] = s[:, -1], s[:, 0]
+        brackets = None if rhs is None else _certify(A)
+        if brackets is None:
+            s = np.linalg.svd(A, compute_uv=False)
+            brackets = s[:, -1], s[:, 0]
+        smin[part], smax[part] = brackets
         if rhs is not None:
             # A rank-deficient packet solves against the identity, then reads NaN.
             ok = smin[part] > RANK_TOL * smax[part]
@@ -272,6 +277,23 @@ def solve_packets(blocks_of, P, phase, rhs=None):
             x[part][~ok] = np.nan
             del A, b            # at most one chunk's factors are alive
     return smin, smax, None if rhs is None else x
+
+
+def _certify(R):
+    """Certified (smin, smax) brackets of the (k, c, c) stack R when every
+    R^H R - tau I takes a Cholesky factorization (see :func:`solve_packets`),
+    else None."""
+    c = R.shape[-1]
+    G = R.conj().swapaxes(1, 2) @ R
+    diag = G.reshape(len(G), c * c)[:, ::c + 1]
+    norm2 = diag.real.sum(axis=1)
+    tau = CERT_SHIFT * c * c * np.finfo(float).eps * norm2
+    diag -= tau[:, None]
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    return np.sqrt(tau / 2), np.sqrt(norm2)
 
 
 def _is_hermitian(values):
@@ -299,25 +321,6 @@ def build_extended(a, m, n, omega, rho):
 def build_extended_at(a, m, n, omega, xi):
     """Extended matrix with blocks evaluated off the grid at frequency xi."""
     return extended_stack(offgrid_blocks(a, m, n, [xi]), phase_rows(m, n, omega))[0]
-
-
-def sine_test_matrices(m, n, k):
-    """Products of the extra-sample phase rows with the two kernel bases.
-
-    Uses shifts c = 1..(m-1)/2.  Full rank of both products certifies that
-    the extra rows repair the rank loss at the degenerate frequencies.
-    """
-    if m % 2 == 0:
-        raise EvenM("kernel repair matrices require odd m")
-    half = (m - 1) // 2
-    U = np.array([u_row(c, k, m, n) for c in range(1, half + 1)])
-    V = np.array(kernel_basis(m, 0.0).vectors, dtype=float).T
-    W = np.array(kernel_basis(m, 0.5).vectors, dtype=float).T
-    B = U @ V
-    D = U @ W
-    smin_B = float(np.linalg.svd(B, compute_uv=False)[-1])
-    smin_D = float(np.linalg.svd(D, compute_uv=False)[-1])
-    return SineMatrices(B=B, D=D, smin_B=smin_B, smin_D=smin_D)
 
 
 def gautschi_bound_nodes(nodes):

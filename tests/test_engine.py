@@ -560,7 +560,7 @@ def test_hermitian_check_covers_every_row_and_the_real_bins():
 
 
 # ---------------------------------------------------------------------------
-# the QR solve: one QR of [A | b] and an SVD of R without vectors
+# the QR solve: one QR of [A | b], then x = R^-1 Q^H b
 
 def rand_complex(rng, shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
@@ -593,12 +593,186 @@ def test_qr_solve_matches_lstsq_loop(case):
         smin, smax, x = systems.solve_packets(lambda part: blocks[part], P, phase, rhs)
     A = systems.extended_stack(blocks, phase)
     s = np.linalg.svd(A, compute_uv=False)
-    assert np.all(np.abs(smin - s[:, -1]) <= 1e-12 * s[:, 0])
-    assert np.all(np.abs(smax - s[:, 0]) <= 1e-12 * s[:, 0])
+    # smin and smax bracket the singular values (see the certificate tests below).
+    assert np.all(smin <= s[:, -1] * (1 + 1e-12))
+    assert np.all(smax >= s[:, 0] * (1 - 1e-12))
     assert x.shape == (P, cols, T)
     for i in range(P):
         ref = np.linalg.lstsq(A[i], rhs[i], rcond=None)[0]
         assert np.linalg.norm(x[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# the certificate: one batched Cholesky test of R^H R - tau I per chunk
+
+EPS = np.finfo(float).eps
+
+
+def conditioned_packets(rng, svals, rows):
+    """(P, 1, rows, c) blocks whose packet matrices (the blocks over c, as
+    extended_stack scales them) are U diag(s) V^H with random unitary U, V."""
+    def unitary(k, c):
+        return np.linalg.qr(rand_complex(rng, (k, c)))[0]
+    c = svals.shape[1]
+    return np.array([c * (unitary(rows, c) * s) @ unitary(c, c).conj().T
+                     for s in svals])[:, None]
+
+
+def certify_solve(blocks, T, chunk, seed):
+    """solve_packets on the blocks in chunks of ``chunk`` packets, T trials;
+    returns (smin, smax, x, svals, frobenius) with svals from an SVD of each
+    assembled matrix."""
+    P, _, rows, c = blocks.shape
+    phase = np.zeros((0, c))
+    rhs = rand_complex(np.random.default_rng(seed), (P, rows, T))
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (c + T)):
+        smin, smax, x = systems.solve_packets(lambda part: blocks[part], P, phase, rhs)
+    A = systems.extended_stack(blocks, phase)
+    return smin, smax, x, np.linalg.svd(A, compute_uv=False), np.linalg.norm(A, axis=(1, 2))
+
+
+def certified_smin(c, frobenius):
+    """The documented certificate sqrt(tau/2), tau = CERT_SHIFT c^2 eps ||R||_F^2."""
+    return np.sqrt(systems.CERT_SHIFT / 2 * EPS) * c * frobenius
+
+
+@st.composite
+def conditioned_cases(draw):
+    """(blocks, T, chunk, seed): P packets of c <= 35 columns, square or up to
+    three rows taller, each U diag(s) V^H with cond 1..1e14 (never within 5%
+    of the rank cutoff 1e10) and a scale 1e-3..1e3."""
+    c, extra = draw(st.integers(1, 35)), draw(st.integers(0, 3))
+    P, T = draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    exps = draw(st.lists(st.floats(0, 14).filter(lambda e: abs(e - 10) > 0.02),
+                         min_size=P, max_size=P))
+    scales = draw(st.lists(st.floats(-3, 3), min_size=P, max_size=P))
+    seed = draw(st.integers(0, 2**16))
+    svals = np.array([10.0 ** g * np.logspace(0, -e, c) for e, g in zip(exps, scales)])
+    blocks = conditioned_packets(np.random.default_rng(seed), svals, c + extra)
+    return blocks, T, draw(st.integers(1, P + 1)), seed
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(conditioned_cases())
+def test_certificate_brackets_and_rank_rule(case):
+    blocks, T, chunk, seed = case
+    P, c = len(blocks), blocks.shape[-1]
+    smin, smax, x, sv, fro = certify_solve(blocks, T, chunk, seed)
+    # An SVD places smin only to within a few eps smax.
+    slack = 4 * c * EPS * sv[:, 0]
+    assert np.all(smin <= sv[:, -1] * (1 + 1e-12) + slack)
+    assert np.all(smax >= sv[:, 0] * (1 - 1e-12))
+    # The NaN set is the exact rank rule.
+    deficient = sv[:, -1] <= systems.RANK_TOL * sv[:, 0]
+    assert np.array_equal(np.isnan(x).any(axis=(1, 2)), deficient)
+    assert np.isfinite(x[~deficient]).all() and np.isnan(x[deficient]).all()
+    # A chunk holding a packet with smin^2 below tau/2 takes the SVD; a
+    # chunk whose packets all clear 2 tau is certified.
+    floor = certified_smin(c, fro)
+    for start in range(0, P, chunk):
+        part = slice(start, start + chunk)
+        if np.any(sv[part, -1] < floor[part]):
+            assert np.all(np.abs(smin[part] - sv[part, -1]) <= slack[part])
+            assert np.allclose(smax[part], sv[part, 0], rtol=1e-12, atol=0)
+        elif np.all(sv[part, -1] > 2 * floor[part]):
+            assert np.allclose(smin[part], floor[part], rtol=1e-13, atol=0)
+            assert np.allclose(smax[part], fro[part], rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("extra", [0, 2])
+def test_certificate_sends_one_chunk_to_the_svd(extra):
+    # Six packets of four columns, in chunks of two.  Packet 3 has smin^2 at
+    # tau/4: above what a shift without the c^2 factor would demand, below
+    # what the certificate proves.  Its chunk alone takes the SVD.
+    c, chunk = 4, 2
+    rng = np.random.default_rng(5)
+    svals = np.tile(np.logspace(0, -2, c), (6, 1))
+    svals[3, -1] = 0.0
+    fro = np.linalg.norm(svals, axis=1)
+    svals[3, -1] = certified_smin(c, fro[3]) / np.sqrt(2)
+    blocks = conditioned_packets(rng, svals, c + extra)
+    smin, smax, x, sv, fro = certify_solve(blocks, 2, chunk, 6)
+    assert np.isfinite(x).all()
+    exact = np.zeros(6, dtype=bool)
+    exact[2:4] = True
+    assert np.allclose(smin[exact], sv[exact, -1], rtol=1e-6, atol=0)
+    assert np.allclose(smax[exact], sv[exact, 0], rtol=1e-12, atol=0)
+    assert np.allclose(smin[~exact], certified_smin(c, fro[~exact]), rtol=1e-13, atol=0)
+    assert np.allclose(smax[~exact], fro[~exact], rtol=1e-13, atol=0)
+    assert np.all(smin[~exact] < sv[~exact, -1])
+
+
+def near_cutoff_filter(P, worst, ratio):
+    """An m = 2 plain filter on L = 2 P points: every packet has nodes 1, -1,
+    except packet ``worst`` with nodes 0, d, whose smin is ``ratio`` times
+    the grid's largest smin."""
+    response = np.concatenate([np.ones(P), -np.ones(P)]).astype(complex)
+    response[[worst, worst + P]] = 0.0, 2 * ratio
+    return ds.filter_table(response)
+
+
+@pytest.mark.parametrize("chunked", [False, True])
+@pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 1.5, 1.99, 2.5])
+def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunked):
+    # The brackets clear the grid only when the worst smin is at least twice
+    # SINGULAR_TOL times the largest smax; below that the exact scan runs
+    # and decides.  In one chunk every packet takes the SVD, so the largest
+    # smax is the top smin sqrt(2)/2 here; in chunks of four packets the
+    # other chunks certify and report smax = ||R||_F = 1.
+    P, worst, m = 40, 17, 2
+    if chunked:
+        monkeypatch.setattr(systems, "_CHUNK_BYTES", 4 * 16 * m * (m + 1))
+    a = near_cutoff_filter(P, worst, ratio * systems.SINGULAR_TOL)
+    system = systems.PlainSystem(a, m, m)
+    smins = systems.smin_family(systems.plain_family(system))
+    assert smins[worst] / smins.max() == pytest.approx(ratio * systems.SINGULAR_TOL, rel=1e-6)
+    expected = systems.singular_set(system)
+    calls = []
+    solve = systems.solve_packets
+
+    def spy(blocks_of, count, phase, rhs=None):
+        calls.append(rhs is None)
+        return solve(blocks_of, count, phase, rhs)
+    monkeypatch.setattr(systems, "solve_packets", spy)
+    samples = ds.forward(rand_signal(2 * P, 3), a, m, m)
+    if expected:
+        with pytest.raises(SingularSystem) as err:
+            ds.reconstruct_plain(samples, a, m)
+        assert err.value.indices == expected
+    else:
+        assert np.isfinite(ds.reconstruct_plain(samples, a, m)).all()
+    assert calls == ([False, True] if ratio < (2 * np.sqrt(2) if chunked else 2) else [False])
+    assert expected == ([worst] if ratio < 1 else [])
+
+
+def test_zero_grid_is_singular_everywhere():
+    # A zero generator makes every packet zero: the brackets are all zero and
+    # clear nothing, so the grid check lists every index, as an exact scan does.
+    L, m = 72, 3
+    gen = ds.make_generator({"kind": "table", "L": L, "K": 1,
+                             "fourier_values": [0.0] * (2 * L + 1)})
+    line = ds.gaussian_response(2.0)
+    samples = ds.sis_forward(rand_signal(L, 4), gen, line, m)
+    with pytest.raises(SingularSystem) as err:
+        ds.sis_reconstruct(samples, gen, line, m, 1, (), K=1)
+    assert err.value.indices == list(range(L // m))
+
+
+def test_scan_chunk_counts_tall_blocks():
+    # The exact scan of a tall plain grid (N > m) must keep its chunks to the
+    # byte cap: sized for square blocks, N = 10 m held ten times as much.
+    m, N, P = 3, 30, 4096
+    rng = np.random.default_rng(8)
+    blocks = rand_complex(rng, (P, 1, N, m))
+    tracemalloc.start()
+    try:
+        systems.solve_packets(lambda part: blocks[part], P, np.zeros((0, m)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # An assembled chunk, the SVD's copy of it and the (P,) outputs: 0.86 MB
+    # here, against 8.0 MB with chunks sized for square blocks.
+    assert peak <= 4 * systems._CHUNK_BYTES
 
 
 def test_qr_solve_leaves_rank_deficient_packets_unsolved():

@@ -15,7 +15,7 @@ import pytest
 
 import dynsamp as ds
 from dynsamp import recon, stability, systems
-from dynsamp.errors import MalformedSamples, PreconditionViolated
+from dynsamp.errors import PreconditionViolated
 
 
 def rand_signal(L, seed):
@@ -143,9 +143,11 @@ def test_negative_sigma_rejected(sigma):
 
 
 def test_non_finite_noise_rejected():
+    # A non-finite sigma is named as such, not as the samples it would spoil.
     a = ds.filter_raised_cosine(72, 1.0)
-    with pytest.raises(MalformedSamples, match=r"y\[0\]"):
-        ds.noise_trial(rand_signal(72, 0), a, 3, 3, (1,), np.inf, trials=3, pinv_norm=1.0)
+    for sigma in (np.inf, np.nan):
+        with pytest.raises(PreconditionViolated, match=f"sigma={sigma}"):
+            ds.noise_trial(rand_signal(72, 0), a, 3, 3, (1,), sigma, trials=3, pinv_norm=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dynsamp as ds
-from dynsamp.errors import GridMiss, HypothesisViolated
+from dynsamp.errors import EvenM, GridMiss, HypothesisViolated
 
 RC72 = ds.filter_raised_cosine(72, 1.0)
 
@@ -153,6 +153,13 @@ def test_lower_bound_grows_without_bound():
 
 def test_lower_bound_trivial_m1():
     assert ds.lower_bound_stablow(ds.filter_delta(12), 1, 3) == 0.0
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_lower_bound_rejects_even_m(m):
+    # An even m has no guarantee regime; m = 2 used to return 6.36 here.
+    with pytest.raises(EvenM, match=f"m={m}"):
+        ds.lower_bound_stablow(RC72, m, 3)
 
 
 def test_lower_bound_grid_miss():

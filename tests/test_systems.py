@@ -1,5 +1,7 @@
 """Per-frequency matrix assembly, singularity structure, kernel repair."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -230,10 +232,34 @@ def test_extended_at_matches_grid():
     assert np.abs(A1 - A2).max() < 1e-13
 
 
+class SineMatrices(NamedTuple):
+    """Kernel-repair products U_k V and U_k W with their smallest singular values."""
+
+    B: np.ndarray
+    D: np.ndarray
+    smin_B: float
+    smin_D: float
+
+
+def sine_test_matrices(m, n, k):
+    """Products of the extra-sample phase rows with the two kernel bases.
+
+    Uses shifts c = 1..(m-1)/2.  Full rank of both products certifies that
+    the extra rows repair the rank loss at the degenerate frequencies.
+    """
+    if m % 2 == 0:
+        raise EvenM("kernel repair matrices require odd m")
+    U = np.array([ds.u_row(c, k, m, n) for c in range(1, (m - 1) // 2 + 1)])
+    B = U @ np.array(ds.kernel_basis(m, 0.0).vectors, dtype=float).T
+    D = U @ np.array(ds.kernel_basis(m, 0.5).vectors, dtype=float).T
+    return SineMatrices(B, D, float(np.linalg.svd(B, compute_uv=False)[-1]),
+                        float(np.linalg.svd(D, compute_uv=False)[-1]))
+
+
 def test_sine_matrices_m3_closed_form():
     m, n = 3, 4
     for k in range(3):
-        sm = ds.sine_test_matrices(m, n, k)
+        sm = sine_test_matrices(m, n, k)
         assert sm.B.shape == (1, 1)
         expect = -2j * np.exp(-2j * np.pi * k / (m * n)) * np.sin(2 * np.pi / 3)
         assert abs(sm.B[0, 0] - expect) < 1e-12
@@ -246,7 +272,7 @@ def test_sine_matrices_closed_forms_match_products():
     #   B(c,j) = -2i e^{-2 pi i c k/(m n)} sin(2 pi c j / m)
     #   D(c,j) = -2i e^{-2 pi i c k/(m n)} e^{+i pi c/m} sin(pi c (2j+1) / m)
     m, n, k = 5, 7, 2
-    sm = ds.sine_test_matrices(m, n, k)
+    sm = sine_test_matrices(m, n, k)
     half = (m - 1) // 2
     for ci, c in enumerate(range(1, half + 1)):
         ph = np.exp(-2j * np.pi * c * k / (m * n))
@@ -258,13 +284,13 @@ def test_sine_matrices_closed_forms_match_products():
 
 
 def test_sine_matrices_full_rank_m5_n7():
-    sm = ds.sine_test_matrices(5, 7, 0)
+    sm = sine_test_matrices(5, 7, 0)
     assert sm.smin_B > 1e-10 and sm.smin_D > 1e-10
 
 
 def test_sine_matrices_reject_even():
     with pytest.raises(EvenM):
-        ds.sine_test_matrices(4, 3, 0)
+        sine_test_matrices(4, 3, 0)
 
 
 def test_gautschi_nodes_hand_value():
