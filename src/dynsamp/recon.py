@@ -79,8 +79,14 @@ class SampleSet:
 
     @classmethod
     def from_json(cls, text):
-        """Parse :meth:`to_json` output; a bad field raises MalformedSamples naming it."""
-        obj = json.loads(text) if isinstance(text, str) else text
+        """Parse :meth:`to_json` output; text that is not JSON, a top level that
+        is not an object, or a bad field raises MalformedSamples naming it."""
+        try:
+            obj = json.loads(text) if isinstance(text, str) else text
+        except json.JSONDecodeError as err:
+            raise MalformedSamples(f"SampleSet JSON does not parse: {err}") from None
+        if not isinstance(obj, dict):
+            raise MalformedSamples(f"SampleSet JSON must be an object, got {type(obj).__name__}")
 
         def pairs(v):
             return np.array([complex(re, im) for re, im in v], dtype=complex)

@@ -49,7 +49,7 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     (at least 4 m n points).
 
     Two exact maps leave the singular values unchanged, so only one grid
-    index per orbit is decomposed (see :func:`_orbit_count`).  The
+    index per orbit is a candidate (see :func:`_orbit_count`).  The
     shift xi -> xi + 1/n holds for every filter and is used when n divides
     grid.  The mirror xi -> 1 - xi holds for a Hermitian response,
     a(-xi) = conj(a(xi)), and is used when the grid response satisfies it
@@ -57,16 +57,44 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     scan.  Members of an orbit agree up to rounding, so the result may move
     in the last digits against a full-grid scan.  A singular matrix raises
     RankDeficient naming the smallest grid index of the worst orbit.
+
+    Only the minimum smin is needed, so most candidates take no SVD
+    (:func:`systems.smallest_smin`).  The chunks holding the orbits of
+    xi = 0 and 1/2 (for an odd grid, the point just below 1/2) are
+    decomposed first: there the plain blocks lose rank, and there the scan
+    minimum usually sits.  Their smallest smin is ``best``.  Every other
+    chunk of candidates takes one batched Cholesky test of
+    fl(A^H A) - theta I with, for an r x c matrix A,
+
+        theta = (best + 4 c eps ||A||_F)^2 + 2 (r + c + 4) eps ||A||_F^2.
+
+    Forming the Gram matrix errs by at most gamma_{r+2} |A|^H |A| (complex
+    products).  Subtracting theta errs by eps/2 of a diagonal entry, which
+    must stay positive for the factorization to complete.  A Cholesky
+    factorization F that runs to completion is exact for a matrix within
+    gamma_{c+1} |F^H| |F| of its input (Higham, Accuracy and Stability of
+    Numerical Algorithms, Thm 10.3), and ||F||_F^2 is at most the trace,
+    about ||A||_F^2.  In the 2-norm each error is at most its constant times
+    ||A||_F^2, together (r + c + 4) eps/2 ||A||_F^2: a quarter of the second
+    term, the rest covering the rounding of theta and of ||A||_F.  So
+    lambda_min(A^H A) > (best + 4 c eps ||A||_F)^2: a chunk that passes has
+    smin(A) > best + 4 c eps ||A||_F for every candidate, more than the
+    SVD's own error above best, and is skipped.  A chunk that fails takes
+    the SVD and lowers best.  The value and the RankDeficient index come
+    from SVDs of the same assembled chunks as a scan that decomposes every
+    candidate, ties going to the smallest index, so both are bitwise that
+    scan's.
     """
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
-    xi = np.arange(_orbit_count(a, n, grid)) / grid
-    smin, _, _ = systems.solve_packets(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
-                                       len(xi), systems.phase_rows(m, n, omega))
-    if smin.min() <= 0.0:
-        g = int(np.argmin(smin))
+    count = _orbit_count(a, n, grid)
+    xi = np.arange(count) / grid
+    first = [0, _representative(grid // 2, n, grid, count)]
+    g, smin = systems.smallest_smin(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
+                                    count, systems.phase_rows(m, n, omega), first)
+    if smin <= 0.0:
         raise RankDeficient(g, f"extended matrix singular at xi = {g}/{grid}")
-    return float((1.0 / smin).max())
+    return 1.0 / smin
 
 
 def _orbit_count(a, n, grid):
@@ -83,6 +111,14 @@ def _orbit_count(a, n, grid):
     """
     p = grid // n if grid % n == 0 else grid
     return p // 2 + 1 if _is_hermitian(a.response) else p
+
+
+def _representative(g, n, grid, count):
+    """Smallest member of the orbit of grid index g, the scan counting
+    ``count`` orbits (see :func:`_orbit_count`)."""
+    p = grid // n if grid % n == 0 else grid
+    r = g % p
+    return r if r < count else p - r
 
 
 def _check_bound_hypotheses(a, n):
@@ -287,7 +323,8 @@ def _noisy_block(samples, rng, T, sigma):
 
     Trial t takes the draws a per-trial loop would: sequence by sequence,
     the real parts then the imaginary parts of its noise.  Non-finite
-    results raise MalformedSamples, as in a SampleSet.
+    results, such as noise that overflows, raise MalformedSamples, as in a
+    SampleSet.
     """
     names = [f"y[{l}]" for l in range(samples.N)] + [f"extras[{c}]" for c in samples.omega]
     seqs = samples.y + [samples.extras[c] for c in samples.omega]
@@ -297,7 +334,8 @@ def _noisy_block(samples, rng, T, sigma):
     noisy = []
     for name, v, end in zip(names, seqs, ends):
         re, im = draws[:, end - 2 * len(v):end - len(v)], draws[:, end - len(v):end]
-        noisy.append(v + scale * (re + 1j * im))
+        with np.errstate(over="ignore", invalid="ignore"):
+            noisy.append(v + scale * (re + 1j * im))
         _require_finite(name, noisy[-1])
     return noisy
 

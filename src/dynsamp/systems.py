@@ -28,6 +28,7 @@ CERT_SHIFT = 64
 # Cap on each chunk of assembled packet matrices with their right-hand sides,
 # so peak memory stays flat in L.
 _CHUNK_BYTES = 256 * 1024
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -246,15 +247,12 @@ def solve_packets(blocks_of, P, phase, rhs=None):
     """
     cols = phase.shape[1]
     if rhs is None:
-        _, n, N, _ = blocks_of(slice(0, 1)).shape
-        rows, trials = len(phase) + n * N, 0
+        rows, trials = _rows(blocks_of, phase), 0
     else:
         _, rows, trials = rhs.shape
         x = np.empty((P, cols, trials), dtype=complex)
-    chunk = max(1, _CHUNK_BYTES // (16 * rows * (cols + trials)))
     smin, smax = np.empty(P), np.empty(P)
-    for start in range(0, P, chunk):
-        part = slice(start, min(start + chunk, P))
+    for part in _chunks(P, rows, cols + trials):
         A = extended_stack(blocks_of(part), phase)
         if rhs is not None:
             A = np.concatenate([A, rhs[part]], axis=2)
@@ -279,21 +277,90 @@ def solve_packets(blocks_of, P, phase, rhs=None):
     return smin, smax, None if rhs is None else x
 
 
+def smallest_smin(blocks_of, P, phase, first):
+    """(index, smin): the smallest singular value over P packet matrices and
+    the smallest packet index that attains it.
+
+    Bitwise the min and first argmin of ``solve_packets(blocks_of, P,
+    phase)[0]``: the chunks are the same, and every value compared comes
+    from the same batched SVD without vectors of an assembled chunk.  The
+    chunks holding the packets ``first`` are decomposed first and set
+    ``best``, the smallest smin so far.  Every other chunk, while best > 0,
+    takes one batched floor test (:func:`_clears`), and a chunk that passes
+    is skipped: none of its packets can take or tie the minimum.  A chunk
+    that fails, or any chunk once best is 0, takes the SVD, which lowers
+    best; ties go to the smaller index.  Raises nothing.
+    """
+    parts = _chunks(P, _rows(blocks_of, phase), phase.shape[1])
+    size = parts[0].stop
+    seeds = list(dict.fromkeys(i // size for i in first))
+    best, index = np.inf, P
+    for k in seeds + [k for k in range(len(parts)) if k not in seeds]:
+        A = extended_stack(blocks_of(parts[k]), phase)
+        if k not in seeds and best > 0.0 and _clears(A, best):
+            continue
+        s = np.linalg.svd(A, compute_uv=False)[:, -1]
+        i = int(np.argmin(s))
+        if s[i] < best or (s[i] == best and parts[k].start + i < index):
+            best, index = s[i], parts[k].start + i
+    return index, float(best)
+
+
+def _rows(blocks_of, phase):
+    """Rows of the packet matrices that ``blocks_of`` and ``phase`` assemble."""
+    _, n, N, _ = blocks_of(slice(0, 1)).shape
+    return len(phase) + n * N
+
+
+def _chunks(P, rows, width):
+    """Slices of packets 0..P, each chunk holding at most _CHUNK_BYTES of
+    (rows, width) complex matrices (at least one packet)."""
+    chunk = max(1, _CHUNK_BYTES // (16 * rows * width))
+    return [slice(start, min(start + chunk, P)) for start in range(0, P, chunk)]
+
+
+def _shifted_cholesky(A, shift):
+    """(||A||_F^2, theta) of the (k, r, c) stack A when every fl(A^H A) -
+    theta I, theta = shift(||A||_F^2) per matrix, takes a Cholesky
+    factorization, else None.  The squared norms are the Gram traces."""
+    c = A.shape[-1]
+    G = A.conj().swapaxes(1, 2) @ A
+    diag = G.reshape(len(G), c * c)[:, ::c + 1]
+    norm2 = diag.real.sum(axis=1)
+    theta = shift(norm2)
+    diag -= theta[:, None]
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    return norm2, theta
+
+
 def _certify(R):
     """Certified (smin, smax) brackets of the (k, c, c) stack R when every
     R^H R - tau I takes a Cholesky factorization (see :func:`solve_packets`),
     else None."""
     c = R.shape[-1]
-    G = R.conj().swapaxes(1, 2) @ R
-    diag = G.reshape(len(G), c * c)[:, ::c + 1]
-    norm2 = diag.real.sum(axis=1)
-    tau = CERT_SHIFT * c * c * np.finfo(float).eps * norm2
-    diag -= tau[:, None]
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
+    passed = _shifted_cholesky(R, lambda norm2: CERT_SHIFT * c * c * _EPS * norm2)
+    if passed is None:
         return None
+    norm2, tau = passed
     return np.sqrt(tau / 2), np.sqrt(norm2)
+
+
+def _clears(A, best):
+    """True when every matrix of the (k, r, c) stack A provably has an SVD
+    smin above best: fl(A^H A) - theta I takes a Cholesky factorization for
+
+        theta = (best + 4 c eps ||A||_F)^2 + 2 (r + c + 4) eps ||A||_F^2.
+
+    The second term covers the rounding of the Gram matrix, of the shift and
+    of the factorization four times over, so smin(A) > best + 4 c eps
+    ||A||_F, beyond what an SVD errs (derivation in
+    :func:`stability.empirical_pinv_norm`)."""
+    r, c = A.shape[1:]
+    return _shifted_cholesky(A, lambda norm2: (best + 4 * c * _EPS * np.sqrt(norm2)) ** 2
+                             + 2 * (r + c + 4) * _EPS * norm2) is not None
 
 
 def _is_hermitian(values):

@@ -82,6 +82,18 @@ def test_from_json_bad_pair_named(key, bad):
         ds.SampleSet.from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize("text, problem", [
+    ("{", "does not parse"),
+    ("", "does not parse"),
+    ("3", "object, got int"),
+    ("[1, 2]", "object, got list"),
+    ("null", "object, got NoneType"),
+])
+def test_from_json_not_an_object_rejected(text, problem):
+    with pytest.raises(MalformedSamples, match=problem):
+        ds.SampleSet.from_json(text)
+
+
 def test_from_json_fractional_shift_rejected():
     obj = json.loads(samples().to_json())
     obj["omega"] = [1.7]

@@ -4,9 +4,11 @@ The reference functions below are the former per-packet implementations:
 each matrix assembled entry by entry from ``u_row`` and ``np.vander``, and
 each packet decomposed or solved on its own.  Assembly and the guard-band
 scans do the same arithmetic as the engine and must agree bitwise.  The
-pseudoinverse-norm scan decomposes one grid point per symmetry orbit, so it
-agrees with the full-grid loop to 1e-13, and bitwise when no symmetry
-applies.  The solves use one QR of [A | b] in place of ``lstsq`` and must
+pseudoinverse-norm scan has one candidate grid point per symmetry orbit, so
+it agrees with the full-grid loop to 1e-13, and bitwise when no symmetry
+applies; its minimum search, which skips the chunks that a floor test
+places above the running minimum, must agree bitwise with an SVD of every
+candidate.  The solves use one QR of [A | b] in place of ``lstsq`` and must
 agree to 1e-12, also where a bitwise Hermitian table lets packet P - rho ride
 along with packet rho as conjugated right-hand-side columns; a table without
 that symmetry must solve every packet, bitwise as an all-packet solve through
@@ -324,6 +326,222 @@ def test_orbit_count_matches_orbit_closure(a, n, count):
         smallest.add(min(orbit))
     assert sorted(smallest) == list(range(count))
     assert stability._orbit_count(a, n, grid) == count
+
+
+# ---------------------------------------------------------------------------
+# the minimum search: a floor test skips chunks, the value stays the all-SVD scan's
+
+def ref_orbit_scan(a, m, n, omega, grid):
+    """The all-SVD scan: every orbit representative decomposed; (first argmin,
+    its smin, max 1/smin)."""
+    xi = np.arange(stability._orbit_count(a, n, grid)) / grid
+    smin = systems.solve_packets(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
+                                 len(xi), systems.phase_rows(m, n, omega))[0]
+    g = int(np.argmin(smin))
+    with np.errstate(divide="ignore"):
+        return g, smin[g], float((1.0 / smin).max())
+
+
+def scan_outcome(a, m, n, omega, grid):
+    """empirical_pinv_norm as a value or ("RankDeficient", grid index)."""
+    try:
+        return ds.empirical_pinv_norm(a, m, n, omega, grid)
+    except RankDeficient as err:
+        return "RankDeficient", err.rho
+
+
+def hermitian_table(L, u):
+    """A table perturbed from plain_filter and made exactly Hermitian: the mirror applies."""
+    rng = np.random.default_rng(int(1000 * u))
+    return ds.filter_table(exactly_hermitian(plain_filter(L).response
+                                             + 0.2 * rand_complex(rng, L)))
+
+
+SCAN_FILTERS = {
+    "raised_cosine": ds.filter_raised_cosine,
+    "heat": ds.filter_heat,
+    "complex_taps": lambda L, u: complex_tap_filter(L),
+    "hermitian_table": hermitian_table,
+}
+
+
+@st.composite
+def scan_configs(draw):
+    """(filter, m, n, omega, grid, chunk): odd m <= 7, n <= 15, omega a valid
+    extra-sample set, a grid of 4 m n, 4 m n + 1 or 720 points, and chunks of
+    1 to all candidates."""
+    m, n = draw(st.sampled_from([1, 3, 5, 7])), draw(st.integers(1, 15))
+    omega = tuple(sorted(draw(st.sets(st.integers(0, m * n - 1), max_size=m))))
+    a = SCAN_FILTERS[draw(st.sampled_from(sorted(SCAN_FILTERS)))](
+        draw(st.integers(8, 96)), draw(st.floats(0.25, 2.0)))
+    grid = draw(st.sampled_from([4 * m * n, 4 * m * n + 1, max(720, 4 * m * n)]))
+    count = stability._orbit_count(a, n, grid)
+    return a, m, n, omega, grid, draw(st.integers(1, count + 1))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(scan_configs())
+def test_minimum_search_equals_all_svd_scan(case):
+    a, m, n, omega, grid, chunk = case
+    rows, cols = len(omega) + m * n, m * n
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * cols):
+        g, smin, value = ref_orbit_scan(a, m, n, omega, grid)
+        got = scan_outcome(a, m, n, omega, grid)
+    assert got == (("RankDeficient", g) if smin <= 0.0 else value)
+    if smin > 0.0:
+        assert got == 1.0 / smin
+
+
+def floor_theta(best, rows, c, fro):
+    """The floor test's shift (best + 4 c eps ||A||_F)^2 + 2 (rows + c + 4) eps ||A||_F^2."""
+    return (best + 4 * c * EPS * fro) ** 2 + 2 * (rows + c + 4) * EPS * fro ** 2
+
+
+@st.composite
+def floor_cases(draw):
+    """(A, best): a chunk of 1..4 packets U diag(s) V^H, r x c with c <= 35,
+    cond 1..1e8 and a scale 1e-3..1e3.  best is the smin of the unmoved
+    spectrum, and every packet's smin^2 is moved to theta + eta S, S = 2 (r +
+    c + 4) eps ||A||_F^2 being the Gram term of the shift theta: eta within
+    1e-8..3 of -1, where smin crosses best, or eta in 0..3, above theta.  The
+    continuous draws are uniform in the exponent, from a drawn seed."""
+    c, extra = draw(st.integers(1, 35)), draw(st.integers(0, 3))
+    P = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    svals = np.logspace(0, -rng.uniform(0, 8), c) * 10.0 ** rng.uniform(-3, 3)
+    best, fro = svals[-1], np.linalg.norm(svals)
+    theta = floor_theta(best, c + extra, c, fro)
+    gram = 2 * (c + extra + c + 4) * EPS * fro ** 2
+    if draw(st.booleans()):
+        eta = -1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 0.5)
+    else:
+        eta = rng.uniform(0, 3)
+    packets = np.tile(svals, (P, 1))
+    packets[:, -1] = np.sqrt(max(theta + eta * gram, 0.0))
+    packets = -np.sort(-packets, axis=1)
+    A = systems.extended_stack(conditioned_packets(rng, packets, c + extra), np.zeros((0, c)))
+    return A, best
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(floor_cases())
+def test_floor_test_never_clears_a_packet_at_or_below_best(case):
+    A, best = case
+    if systems._clears(A, best):
+        assert np.all(np.linalg.svd(A, compute_uv=False)[:, -1] > best)
+
+
+def test_floor_test_clears_a_well_separated_chunk():
+    # Singular values a factor 2 above best pass, at any conditioning.
+    rng = np.random.default_rng(9)
+    for cond in (1.0, 1e3, 1e5):
+        svals = np.tile(np.logspace(0, -np.log10(cond), 35), (6, 1))
+        A = systems.extended_stack(conditioned_packets(rng, svals, 40), np.zeros((0, 35)))
+        assert systems._clears(A, svals[0, -1] / 2)
+        assert not systems._clears(A, svals[0, -1])
+
+
+def chunk_log(monkeypatch):
+    """Record the scan: ("chunk", first grid index) per assembled chunk,
+    ("test", passed) per floor test and ("svd", packets) per decomposed chunk."""
+    log = []
+    offgrid, clears, svd = systems.offgrid_blocks, systems._clears, np.linalg.svd
+
+    def spy_offgrid(a, m, n, xi):
+        log.append(("chunk", xi[0]))
+        return offgrid(a, m, n, xi)
+
+    def spy_clears(A, best):
+        log.append(("test", clears(A, best)))
+        return log[-1][1]
+
+    def spy_svd(A, *args, **kwargs):
+        log.append(("svd", len(A)))
+        return svd(A, *args, **kwargs)
+    monkeypatch.setattr(systems, "offgrid_blocks", spy_offgrid)
+    monkeypatch.setattr(systems, "_clears", spy_clears)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    return log
+
+
+def decomposed(log, grid):
+    """Grid index of the first candidate of each decomposed chunk, in visiting order."""
+    starts = []
+    for kind, value in log:
+        if kind == "chunk":
+            start = round(value * grid)
+        elif kind == "svd":
+            starts.append(start)
+    return starts
+
+
+def test_heat_minimal_scan_decomposes_only_the_seed_chunks(monkeypatch):
+    a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
+    omega = ds.minimal_omega(m)
+    log = chunk_log(monkeypatch)
+    value = ds.empirical_pinv_norm(a, m, n, omega, grid)
+    chunk = chunk_packets(m, n, omega)
+    chunks = -(-stability._orbit_count(a, n, grid) // chunk)
+    # Mirror only (7 does not divide 720): xi = 1/2 is candidate 360, the seeds
+    # are the chunks of 0 and of 360, decomposed untested, and every other
+    # chunk passes the floor test.
+    assert decomposed(log, grid) == [0, 360 // chunk * chunk]
+    assert len({start for kind, start in log if kind == "chunk"}) == chunks
+    assert [passed for kind, passed in log if kind == "test"] == [True] * (chunks - 2)
+    monkeypatch.undo()
+    assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
+
+
+def test_heat_full_scan_skips_most_chunks(monkeypatch):
+    # The full-set scan is flat (smin varies by 3e-4 relative over the grid),
+    # yet the floor test skips most chunks; a shift as loose as the solve
+    # certificate's would skip none.
+    a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
+    omega = ds.full_omega(m)
+    log = chunk_log(monkeypatch)
+    value = ds.empirical_pinv_norm(a, m, n, omega, grid)
+    chunks = len({start for kind, start in log if kind == "chunk"})
+    chunk = chunk_packets(m, n, omega)
+    starts = decomposed(log, grid)
+    assert starts[:2] == [0, 360 // chunk * chunk]
+    assert len(starts) <= chunks // 3 and len(set(starts)) == len(starts)
+    assert sum(1 for kind, _ in log if kind == "test") == chunks - 2
+    monkeypatch.undo()
+    assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
+
+
+def tie_blocks(P, twins, value=1.0):
+    """(P, 1, 2, 2) blocks: identity packets scaled by 2, except the ``twins``,
+    equal copies of diag(1, value) (so bitwise the same SVD)."""
+    blocks = np.tile(2 * np.eye(2, dtype=complex), (P, 1, 1, 1))
+    for k in twins:
+        blocks[k, 0] = np.diag([2.0, 2.0 * value])
+    return blocks
+
+
+@pytest.mark.parametrize("value", [0.5, 0.0])
+def test_minimum_search_ties_go_to_the_smallest_index(monkeypatch, value):
+    # Twins in chunks 1 and 3 of five; the seed is the later one, so the earlier
+    # twin is found only after it, in a chunk that fails the floor test (or,
+    # once best is 0, takes the SVD untested).
+    P, chunk = 10, 2
+    monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk * 16 * 2 * 2)
+    blocks = tie_blocks(P, [3, 7], value)
+    index, smin = systems.smallest_smin(lambda part: blocks[part], P, np.zeros((0, 2)), [7])
+    assert (index, smin) == (3, value)
+    blocks = tie_blocks(P, [2, 3, 6, 7], value)      # ties inside a chunk too
+    index, smin = systems.smallest_smin(lambda part: blocks[part], P, np.zeros((0, 2)), [6, 0])
+    assert (index, smin) == (2, value)
+
+
+def test_minimum_search_lowers_best_after_a_fallback():
+    # The seed holds the second-smallest smin; the smallest sits in a later chunk.
+    P = 12
+    blocks = tie_blocks(P, [0], 0.5)
+    blocks[9, 0] = np.diag([2.0, 0.25])
+    with mock.patch.object(systems, "_CHUNK_BYTES", 3 * 16 * 2 * 2):
+        assert systems.smallest_smin(lambda part: blocks[part], P, np.zeros((0, 2)), [0]) \
+            == (9, 0.125)
 
 
 # ---------------------------------------------------------------------------

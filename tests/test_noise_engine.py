@@ -15,7 +15,7 @@ import pytest
 
 import dynsamp as ds
 from dynsamp import recon, stability, systems
-from dynsamp.errors import PreconditionViolated
+from dynsamp.errors import MalformedSamples, PreconditionViolated
 
 
 def rand_signal(L, seed):
@@ -148,6 +148,14 @@ def test_non_finite_noise_rejected():
     for sigma in (np.inf, np.nan):
         with pytest.raises(PreconditionViolated, match=f"sigma={sigma}"):
             ds.noise_trial(rand_signal(72, 0), a, 3, 3, (1,), sigma, trials=3, pinv_norm=1.0)
+
+
+def test_overflowing_noise_rejected():
+    # A finite sigma whose noise overflows ends in the documented error, with
+    # no numpy overflow warning first (the suite turns warnings into errors).
+    a = ds.filter_raised_cosine(72, 1.0)
+    with pytest.raises(MalformedSamples, match="non-finite"):
+        ds.noise_trial(rand_signal(72, 0), a, 3, 3, (1,), 1e308, trials=3, pinv_norm=1.0)
 
 
 # ---------------------------------------------------------------------------
