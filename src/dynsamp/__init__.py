@@ -12,7 +12,7 @@ from .errors import (CoincidentNodes, DynsampError, EvenM, GridMiss,
                      NoAdmissibleN, NonDivisibleLength, PreconditionViolated,
                      RankDeficient, ShapeMismatch, SingularSystem, TailTooLarge,
                      TooLarge)
-from .spectral import dft, fold, frequency_grid, idft, shift, subsample
+from .spectral import dft, idft, shift, subsample
 from .filters import (Filter, check_symmetric_decreasing, evolve, filter_delta,
                       filter_from_spec, filter_heat, filter_raised_cosine,
                       filter_table)

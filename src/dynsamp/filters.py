@@ -89,14 +89,10 @@ class Filter:
         if self._taps is None:
             taps = np.fft.ifft(self.response)
             L = self.L
-            if L % 2:
-                ks = np.arange(-(L // 2), L // 2 + 1)
-                coeff = taps[ks % L]
-            else:
-                ks = np.arange(-(L // 2), L // 2 + 1)
-                coeff = taps[ks % L].copy()
-                coeff[0] *= 0.5
-                coeff[-1] *= 0.5
+            ks = np.arange(-(L // 2), L // 2 + 1)
+            coeff = taps[ks % L]
+            if L % 2 == 0:
+                coeff[[0, -1]] *= 0.5
             self._taps = (ks, coeff)
         ks, coeff = self._taps
         phase = np.exp(-2j * np.pi * np.multiply.outer(xi, ks))

@@ -148,8 +148,8 @@ def _solve(y, extras, m, table, n, omega):
     ``SingularSystem``.  The solve returns smin and smax as brackets (see
     :func:`systems.solve_packets`), exact for a chunk that fails the
     certificate; the grid passes when the lowest smin is at least twice
-    ``systems.SINGULAR_TOL`` times the highest smax, and otherwise one exact
-    scan of the packets (an SVD without vectors of each matrix) decides.
+    ``systems.SINGULAR_TOL`` times the highest smax, and otherwise the exact
+    smins of every packet (:func:`systems.packet_smins`) decide.
     Then, on either system, a packet with smin at most ``systems.RANK_TOL``
     times its largest singular value raises ``RankDeficient``; a certified
     packet never does.
@@ -189,8 +189,8 @@ def _solve(y, extras, m, table, n, omega):
     smin, smax = smin[src], smax[src]
     cleared = 2 * systems.SINGULAR_TOL * smax.max()
     if plain and not (cleared > 0 and smin.min() >= cleared):
-        bad = systems.singular_indices(systems.solve_packets(blocks_of, D, phase)[0][src],
-                                       systems.SINGULAR_TOL)
+        exact = systems.packet_smins(blocks_of, D, phase, len(table), range(D))[src]
+        bad = systems.singular_indices(exact, systems.SINGULAR_TOL)
         if bad:
             raise SingularSystem(bad)
     bad = np.flatnonzero(smin <= systems.RANK_TOL * smax)

@@ -25,9 +25,15 @@ def _layout(L, m, n=1, omega=(), packets=False):
     shift c in omega, extra initial samples on the lattice m n Z - c.  It
     needs m, n >= 1 and m | L; extras, and the n-block packets of the
     extended solve (``packets``), also need m n | L.  omega must hold
-    distinct integers in [0, m n).  Raises NonDivisibleLength for a bad
-    factor and MalformedSamples naming omega for a bad omega.
+    distinct integers in [0, m n).  Raises NonDivisibleLength naming a bad
+    factor, one that is not an integer too, and MalformedSamples naming
+    omega for a bad omega.
     """
+    for name, k in (("m", m), ("n", n)):
+        try:
+            operator.index(k)
+        except TypeError:
+            raise NonDivisibleLength(f"{name} must be an integer, got {name}={k!r}") from None
     try:
         omega = sorted(operator.index(c) for c in omega)
     except TypeError:
@@ -51,13 +57,6 @@ def idft(s):
     return np.fft.ifft(np.asarray(s, dtype=complex))
 
 
-def frequency_grid(L):
-    """Frequency grid points r/L, r = 0..L-1."""
-    if L < 1:
-        raise ValueError("period must be positive")
-    return np.arange(L) / L
-
-
 def subsample(x, m):
     """Keep every m-th sample: output(k) = x(m k).
 
@@ -74,15 +73,3 @@ def shift(x, c):
     """Circular right shift: output(k) = x(k - c mod L)."""
     return np.roll(np.asarray(x), c)
 
-
-def fold(s, m):
-    """Split a length-L spectrum into its m aliased components.
-
-    Component l at index rho equals ``s(rho + l L/m) / sqrt(m)``, so the
-    components' squared Euclidean norms sum to ``|s|^2 / m``; measuring each
-    component on its own (m times coarser) grid makes the map an isometry.
-    Returns an (m, L/m) array.
-    """
-    s = np.asarray(s, dtype=complex)
-    _layout(len(s), m)
-    return s.reshape(m, len(s) // m) / np.sqrt(m)

@@ -14,6 +14,7 @@ take no omega, and stability_report measures the empirical norm in both.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -59,7 +60,7 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     RankDeficient naming the smallest grid index of the worst orbit.
 
     Only the minimum smin is needed, so most candidates take no SVD
-    (:func:`systems.smallest_smin`).  The chunks holding the orbits of
+    (:func:`systems.packet_smins`).  The chunks holding the orbits of
     xi = 0 and 1/2 (for an odd grid, the point just below 1/2) are
     decomposed first: there the plain blocks lose rank, and there the scan
     minimum usually sits.  Their smallest smin is ``best``.  Every other
@@ -80,21 +81,22 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     lambda_min(A^H A) > (best + 4 c eps ||A||_F)^2: a chunk that passes has
     smin(A) > best + 4 c eps ||A||_F for every candidate, more than the
     SVD's own error above best, and is skipped.  A chunk that fails takes
-    the SVD and lowers best.  The value and the RankDeficient index come
-    from SVDs of the same assembled chunks as a scan that decomposes every
-    candidate, ties going to the smallest index, so both are bitwise that
+    the SVD and lowers best.  The value and the RankDeficient index, the
+    first argmin of the smins, come from SVDs of the same assembled chunks
+    as a scan that decomposes every candidate, so both are bitwise that
     scan's.
     """
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
     count = _orbit_count(a, n, grid)
     xi = np.arange(count) / grid
-    first = [0, _representative(grid // 2, n, grid, count)]
-    g, smin = systems.smallest_smin(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
-                                    count, systems.phase_rows(m, n, omega), first)
-    if smin <= 0.0:
+    smin = systems.packet_smins(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
+                                count, systems.phase_rows(m, n, omega), len(omega) + n * m,
+                                [0, _representative(grid // 2, n, grid, count)])
+    g = int(np.argmin(smin))
+    if smin[g] <= 0.0:
         raise RankDeficient(g, f"extended matrix singular at xi = {g}/{grid}")
-    return 1.0 / smin
+    return float(1.0 / smin[g])
 
 
 def _orbit_count(a, n, grid):
@@ -285,13 +287,14 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, pinv_norm=None):
     are exactly proportional to sigma.  Trials are solved in blocks, each
     block as right-hand sides of one decomposition per packet chunk; the
     noise is drawn per trial, per sequence, real part then imaginary part,
-    whatever the block size.  Raises PreconditionViolated for trials < 1,
-    for a negative or non-finite sigma, and outside the guarantee regime of
-    :func:`reconstruct_extended`, and MalformedSamples for non-finite noisy
-    samples.
+    whatever the block size.  Raises PreconditionViolated for trials that
+    are not an integer >= 1, for a negative or non-finite sigma, and outside
+    the guarantee regime of :func:`reconstruct_extended`, and
+    MalformedSamples for non-finite noisy samples.
     """
-    if trials < 1:
-        raise PreconditionViolated(f"noise_trial needs at least one trial, got trials={trials}")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise PreconditionViolated(f"noise_trial needs a whole number of trials >= 1, "
+                                   f"got trials={trials}")
     if not 0 <= sigma < math.inf:
         raise PreconditionViolated(f"noise_trial needs a finite sigma >= 0, got sigma={sigma}")
     f = np.asarray(f, dtype=complex)

@@ -225,91 +225,77 @@ def extended_stack(blocks, phase):
     return A
 
 
-def solve_packets(blocks_of, P, phase, rhs=None):
-    """Per-packet smin, smax and, given ``rhs``, least-squares solutions.
+def solve_packets(blocks_of, P, phase, rhs):
+    """Per-packet smin and smax brackets and least-squares solutions.
 
     ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
     say), all solved against the one factorization; x is (P, cols, T).
     ``blocks_of(part)`` returns the (n, N, m) blocks of the packets in slice
-    ``part``, and each chunk of packets is assembled at once.
-    Without rhs a chunk takes one batched SVD without vectors, and smin,
-    smax are exact.  With rhs a tall packet takes one QR of [A | b], whose R
-    holds Q^H b in its last columns (a square packet is its own R), and the
-    chunk takes one batched Cholesky test of R^H R - tau I, tau =
-    ``CERT_SHIFT`` c^2 eps ||R||_F^2 for c = cols.  If every packet passes,
-    smin = sqrt(tau/2) and smax = ||R||_F bracket the singular values from
-    below and above; otherwise the chunk takes the SVD without vectors of R
-    and its smin, smax are exact.  Then x = R^-1 Q^H b.  The chunk size
-    counts the right-hand-side columns as well.  A packet with smin <=
-    RANK_TOL times smax is rank deficient and is not solved: its x is NaN;
-    a certified packet never is, as sqrt(tau/2) > 8e-8 ||R||_F.
-    Returns (smin, smax, x), x being None without rhs; raises nothing.
+    ``part``, and each chunk of packets is assembled at once.  A tall packet
+    takes one QR of [A | b], whose R holds Q^H b in its last columns (a
+    square packet is its own R), and the chunk takes one batched Cholesky
+    test of R^H R - tau I, tau = ``CERT_SHIFT`` c^2 eps ||R||_F^2 for c =
+    cols.  If every packet passes, smin = sqrt(tau/2) and smax = ||R||_F
+    bracket the singular values from below and above; otherwise the chunk
+    takes the SVD without vectors of R and its smin, smax are exact (exact
+    values of every packet come from :func:`packet_smins`).  Then x = R^-1
+    Q^H b.  The chunk size counts the right-hand-side columns as well.  A
+    packet with smin <= RANK_TOL times smax is rank deficient and is not
+    solved: its x is NaN; a certified packet never is, as sqrt(tau/2) >
+    8e-8 ||R||_F.  Returns (smin, smax, x); raises nothing.
     """
     cols = phase.shape[1]
-    if rhs is None:
-        rows, trials = _rows(blocks_of, phase), 0
-    else:
-        _, rows, trials = rhs.shape
-        x = np.empty((P, cols, trials), dtype=complex)
+    _, rows, trials = rhs.shape
+    x = np.empty((P, cols, trials), dtype=complex)
     smin, smax = np.empty(P), np.empty(P)
     for part in _chunks(P, rows, cols + trials):
-        A = extended_stack(blocks_of(part), phase)
-        if rhs is not None:
-            A = np.concatenate([A, rhs[part]], axis=2)
-            if rows > cols:
-                # The raw factor, transposed back, holds R on and above its
-                # diagonal and the reflectors below; clearing them in the
-                # square part only spares mode "r" a copy of the whole chunk.
-                A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
-                A[..., :cols] = np.triu(A[..., :cols])
-            A, b = A[..., :cols], A[..., cols:]
-        brackets = None if rhs is None else _certify(A)
+        A = np.concatenate([extended_stack(blocks_of(part), phase), rhs[part]], axis=2)
+        if rows > cols:
+            # The raw factor, transposed back, holds R on and above its
+            # diagonal and the reflectors below; clearing them in the
+            # square part only spares mode "r" a copy of the whole chunk.
+            A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
+            A[..., :cols] = np.triu(A[..., :cols])
+        A, b = A[..., :cols], A[..., cols:]
+        brackets = _certify(A)
         if brackets is None:
             s = np.linalg.svd(A, compute_uv=False)
             brackets = s[:, -1], s[:, 0]
         smin[part], smax[part] = brackets
-        if rhs is not None:
-            # A rank-deficient packet solves against the identity, then reads NaN.
-            ok = smin[part] > RANK_TOL * smax[part]
-            x[part] = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(cols)), b)
-            x[part][~ok] = np.nan
-            del A, b            # at most one chunk's factors are alive
-    return smin, smax, None if rhs is None else x
+        # A rank-deficient packet solves against the identity, then reads NaN.
+        ok = smin[part] > RANK_TOL * smax[part]
+        x[part] = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(cols)), b)
+        x[part][~ok] = np.nan
+        del A, b            # at most one chunk's factors are alive
+    return smin, smax, x
 
 
-def smallest_smin(blocks_of, P, phase, first):
-    """(index, smin): the smallest singular value over P packet matrices and
-    the smallest packet index that attains it.
+def packet_smins(blocks_of, P, phase, rows, exact):
+    """Smallest singular value of each of P packet matrices of ``rows`` rows,
+    +inf for every packet of a chunk that a floor test places above the
+    minimum.
 
-    Bitwise the min and first argmin of ``solve_packets(blocks_of, P,
-    phase)[0]``: the chunks are the same, and every value compared comes
-    from the same batched SVD without vectors of an assembled chunk.  The
-    chunks holding the packets ``first`` are decomposed first and set
-    ``best``, the smallest smin so far.  Every other chunk, while best > 0,
-    takes one batched floor test (:func:`_clears`), and a chunk that passes
-    is skipped: none of its packets can take or tie the minimum.  A chunk
-    that fails, or any chunk once best is 0, takes the SVD, which lowers
-    best; ties go to the smaller index.  Raises nothing.
+    ``blocks_of`` and ``phase`` assemble the chunks as in
+    :func:`solve_packets`.  The chunks holding the packets ``exact`` are
+    visited first and take one batched SVD without vectors each; their
+    smallest smin is ``best``, the minimum so far.  Every other chunk, while
+    best > 0, takes one batched floor test (:func:`_clears`), and a chunk
+    that passes is skipped: none of its packets can take or tie the
+    minimum.  A chunk that fails, or any chunk once best is 0, takes the
+    SVD, which lowers best.  So the finite values are exact, the minimum
+    and every index attaining it are those of an SVD of every packet, and
+    ``exact=range(P)`` decomposes every packet.  Raises nothing.
     """
-    parts = _chunks(P, _rows(blocks_of, phase), phase.shape[1])
-    size = parts[0].stop
-    seeds = list(dict.fromkeys(i // size for i in first))
-    best, index = np.inf, P
-    for k in seeds + [k for k in range(len(parts)) if k not in seeds]:
+    parts = _chunks(P, rows, phase.shape[1])
+    seeds = dict.fromkeys(i // parts[0].stop for i in exact)
+    smin, best = np.full(P, np.inf), np.inf
+    for k in list(seeds) + [k for k in range(len(parts)) if k not in seeds]:
         A = extended_stack(blocks_of(parts[k]), phase)
         if k not in seeds and best > 0.0 and _clears(A, best):
             continue
-        s = np.linalg.svd(A, compute_uv=False)[:, -1]
-        i = int(np.argmin(s))
-        if s[i] < best or (s[i] == best and parts[k].start + i < index):
-            best, index = s[i], parts[k].start + i
-    return index, float(best)
-
-
-def _rows(blocks_of, phase):
-    """Rows of the packet matrices that ``blocks_of`` and ``phase`` assemble."""
-    _, n, N, _ = blocks_of(slice(0, 1)).shape
-    return len(phase) + n * N
+        s = smin[parts[k]] = np.linalg.svd(A, compute_uv=False)[:, -1]
+        best = min(best, s.min())
+    return smin
 
 
 def _chunks(P, rows, width):

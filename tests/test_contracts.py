@@ -163,6 +163,12 @@ def test_noise_trial_rejects_zero_trials():
         ds.noise_trial(f, ds.filter_raised_cosine(L, 1.0), M, N_EXTRA, OMEGA, 1e-3, trials=0)
 
 
+def test_noise_trial_rejects_fractional_trials():
+    f = np.ones(L, dtype=complex)
+    with pytest.raises(PreconditionViolated, match="trials=2.5"):
+        ds.noise_trial(f, ds.filter_raised_cosine(L, 1.0), M, N_EXTRA, OMEGA, 1e-3, trials=2.5)
+
+
 @pytest.mark.parametrize("order", [-1, 2.5, "3", True])
 def test_make_generator_rejects_bad_bspline_order(order):
     with pytest.raises(PreconditionViolated, match="order"):
@@ -201,16 +207,19 @@ def test_sis_reconstruct_rejects_system_of_other_size():
 
 
 # One table of bad sampling layouts (L, m, n, omega) over every entry point
-# that takes one; each raises the named error of spectral._layout, or
-# PreconditionViolated where a solve is asked for another (m, n) than its
-# sample set's.
+# that takes one; each raises the named error of spectral._layout, with a
+# message that matches the last field, or PreconditionViolated where a solve
+# is asked for another (m, n) than its sample set's.
 LAYOUTS = {
-    "m does not divide L": ((72, 5, 1, ()), NonDivisibleLength),
-    "m n does not divide L": ((72, 3, 5, (1,)), NonDivisibleLength),
-    "n = 0 with extras": ((72, 3, 0, (1,)), NonDivisibleLength),
-    "duplicated omega": ((72, 3, 3, (1, 1)), MalformedSamples),
-    "omega >= m n": ((72, 3, 3, (9,)), MalformedSamples),
+    "m does not divide L": ((72, 5, 1, ()), NonDivisibleLength, None),
+    "m n does not divide L": ((72, 3, 5, (1,)), NonDivisibleLength, None),
+    "n = 0 with extras": ((72, 3, 0, (1,)), NonDivisibleLength, None),
+    "duplicated omega": ((72, 3, 3, (1, 1)), MalformedSamples, "omega"),
+    "omega >= m n": ((72, 3, 3, (9,)), MalformedSamples, "omega"),
+    "m not an integer": ((72, 3.0, 1, ()), NonDivisibleLength, "m=3.0"),
+    "n not an integer": ((72, 3, 3.0, (1,)), NonDivisibleLength, "n=3.0"),
 }
+M_CASES = ["m does not divide L", "m not an integer"]
 SINC = ds.make_generator({"kind": "sinc"})
 ID = ds.identity_response()
 
@@ -220,7 +229,9 @@ def rc(L):
 
 
 def raw_samples(L, m, n, omega):
-    """Sequences of the layout's lengths, unchecked: (y, extras)."""
+    """Sequences of the layout's lengths, unchecked: (y, extras).  The
+    lengths read the factors as integers."""
+    m, n = int(m), int(n)
     return ([np.zeros(L // m, dtype=complex)] * m,
             {c: np.zeros(L // (m * max(n, 1)), dtype=complex) for c in omega})
 
@@ -233,16 +244,15 @@ def valid_samples():
 # entry points that take only m: a bad omega or n cannot reach them
 M_ONLY = {
     "subsample": lambda L, m, n, om: ds.subsample(np.zeros(L), m),
-    "fold": lambda L, m, n, om: ds.fold(np.zeros(L), m),
-    "build_plain": lambda L, m, n, om: ds.build_plain(rc(L), m, m, 0),
-    "plain_family": lambda L, m, n, om: systems.plain_family(ds.PlainSystem(rc(L), m, m)),
+    "build_plain": lambda L, m, n, om: ds.build_plain(rc(L), m, 3, 0),
+    "plain_family": lambda L, m, n, om: systems.plain_family(ds.PlainSystem(rc(L), m, 3)),
     "build_sis_system": lambda L, m, n, om: ds.build_sis_system(SINC, ID, m, L, 8),
 }
 # entry points whose L comes from their sample data, so m always divides it
 FROM_DATA = {
     "SampleSet": lambda L, m, n, om: ds.SampleSet(*raw_samples(L, m, n, om), m=m, n=n, omega=om),
     "_solve": lambda L, m, n, om: recon._solve(*raw_samples(L, m, n, om), m,
-                                                np.ones((m, L // m * m)), n, om),
+                                                np.ones((int(m), L)), n, om),
 }
 FULL = {
     "forward": lambda L, m, n, om: ds.forward(np.zeros(L), rc(L), m, m, n, om),
@@ -259,7 +269,7 @@ MATCHED = {
         valid_samples(), SINC, ID, m, n, om, K=8),
 }
 BAD_LAYOUT_CASES = (
-    [(e, "m does not divide L") for e in M_ONLY]
+    [(e, c) for e in M_ONLY for c in M_CASES]
     + [(e, c) for e in FULL for c in LAYOUTS]
     + [(e, c) for e in FROM_DATA for c in LAYOUTS if c != "m does not divide L"]
     + [(e, c) for e in MATCHED for c in LAYOUTS])
@@ -267,9 +277,9 @@ BAD_LAYOUT_CASES = (
 
 @pytest.mark.parametrize("entry, case", BAD_LAYOUT_CASES)
 def test_bad_layout_raises_named_error(entry, case):
-    (L, m, n, omega), error = LAYOUTS[case]
+    (L, m, n, omega), error, match = LAYOUTS[case]
     if entry in MATCHED and (m, n) != (3, 3):
-        error = PreconditionViolated
+        error, match = PreconditionViolated, None
     call = {**M_ONLY, **FROM_DATA, **FULL, **MATCHED}[entry]
-    with pytest.raises(error, match="omega" if error is MalformedSamples else None):
+    with pytest.raises(error, match=match):
         call(L, m, n, omega)

@@ -332,11 +332,12 @@ def test_orbit_count_matches_orbit_closure(a, n, count):
 # the minimum search: a floor test skips chunks, the value stays the all-SVD scan's
 
 def ref_orbit_scan(a, m, n, omega, grid):
-    """The all-SVD scan: every orbit representative decomposed; (first argmin,
-    its smin, max 1/smin)."""
+    """The all-SVD scan: every orbit representative decomposed on its own;
+    (first argmin, its smin, max 1/smin)."""
     xi = np.arange(stability._orbit_count(a, n, grid)) / grid
-    smin = systems.solve_packets(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
-                                 len(xi), systems.phase_rows(m, n, omega))[0]
+    blocks, phase = systems.offgrid_blocks(a, m, n, xi), systems.phase_rows(m, n, omega)
+    smin = np.array([np.linalg.svd(systems.extended_stack(blocks[i:i + 1], phase)[0],
+                                   compute_uv=False)[-1] for i in range(len(xi))])
     g = int(np.argmin(smin))
     with np.errstate(divide="ignore"):
         return g, smin[g], float((1.0 / smin).max())
@@ -484,9 +485,10 @@ def test_heat_minimal_scan_decomposes_only_the_seed_chunks(monkeypatch):
     chunks = -(-stability._orbit_count(a, n, grid) // chunk)
     # Mirror only (7 does not divide 720): xi = 1/2 is candidate 360, the seeds
     # are the chunks of 0 and of 360, decomposed untested, and every other
-    # chunk passes the floor test.
+    # chunk passes the floor test.  Each chunk is assembled once.
     assert decomposed(log, grid) == [0, 360 // chunk * chunk]
     assert len({start for kind, start in log if kind == "chunk"}) == chunks
+    assert sum(1 for kind, _ in log if kind == "chunk") == chunks
     assert [passed for kind, passed in log if kind == "test"] == [True] * (chunks - 2)
     monkeypatch.undo()
     assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
@@ -519,6 +521,14 @@ def tie_blocks(P, twins, value=1.0):
     return blocks
 
 
+def minimum_search(blocks, exact):
+    """(first argmin, smin) of packet_smins over 2 x 2 blocks, as the scan reads them."""
+    smin = systems.packet_smins(lambda part: blocks[part], len(blocks), np.zeros((0, 2)), 2,
+                                exact)
+    index = int(np.argmin(smin))
+    return index, smin[index]
+
+
 @pytest.mark.parametrize("value", [0.5, 0.0])
 def test_minimum_search_ties_go_to_the_smallest_index(monkeypatch, value):
     # Twins in chunks 1 and 3 of five; the seed is the later one, so the earlier
@@ -526,12 +536,9 @@ def test_minimum_search_ties_go_to_the_smallest_index(monkeypatch, value):
     # once best is 0, takes the SVD untested).
     P, chunk = 10, 2
     monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk * 16 * 2 * 2)
-    blocks = tie_blocks(P, [3, 7], value)
-    index, smin = systems.smallest_smin(lambda part: blocks[part], P, np.zeros((0, 2)), [7])
-    assert (index, smin) == (3, value)
-    blocks = tie_blocks(P, [2, 3, 6, 7], value)      # ties inside a chunk too
-    index, smin = systems.smallest_smin(lambda part: blocks[part], P, np.zeros((0, 2)), [6, 0])
-    assert (index, smin) == (2, value)
+    assert minimum_search(tie_blocks(P, [3, 7], value), [7]) == (3, value)
+    # ties inside a chunk too
+    assert minimum_search(tie_blocks(P, [2, 3, 6, 7], value), [6, 0]) == (2, value)
 
 
 def test_minimum_search_lowers_best_after_a_fallback():
@@ -540,8 +547,57 @@ def test_minimum_search_lowers_best_after_a_fallback():
     blocks = tie_blocks(P, [0], 0.5)
     blocks[9, 0] = np.diag([2.0, 0.25])
     with mock.patch.object(systems, "_CHUNK_BYTES", 3 * 16 * 2 * 2):
-        assert systems.smallest_smin(lambda part: blocks[part], P, np.zeros((0, 2)), [0]) \
-            == (9, 0.125)
+        assert minimum_search(blocks, [0]) == (9, 0.125)
+
+
+def heat_scan(omega):
+    """Arguments of packet_smins for the heat m = 5, n = 7 scan on 720 points."""
+    a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
+    xi = np.arange(stability._orbit_count(a, n, grid)) / grid
+    return (lambda part: systems.offgrid_blocks(a, m, n, xi[part]), len(xi),
+            systems.phase_rows(m, n, omega), len(omega) + n * m)
+
+
+@pytest.mark.parametrize("omega", [ds.minimal_omega(5), ds.full_omega(5)])
+def test_packet_smins_of_every_packet_equal_per_packet_svds(omega):
+    blocks_of, P, phase, rows = heat_scan(omega)
+    smin = systems.packet_smins(blocks_of, P, phase, rows, range(P))
+    A = systems.extended_stack(blocks_of(slice(0, P)), phase)
+    assert np.array_equal(smin, [np.linalg.svd(M, compute_uv=False)[-1] for M in A])
+
+
+@pytest.mark.parametrize("omega", [ds.minimal_omega(5), ds.full_omega(5)])
+def test_packet_smins_skips_only_chunks_that_clear(monkeypatch, omega):
+    # +inf marks exactly the chunks whose floor test passed; every other
+    # value is the packet's own SVD smin.
+    blocks_of, P, phase, rows = heat_scan(omega)
+    parts, tested = [], []
+    clears = systems._clears
+
+    def spy_blocks(part):
+        parts.append(part)
+        return blocks_of(part)
+
+    def spy_clears(A, best):
+        tested.append((parts[-1], clears(A, best)))
+        return tested[-1][1]
+    monkeypatch.setattr(systems, "_clears", spy_clears)
+    smin = systems.packet_smins(spy_blocks, P, phase, rows, [0])
+    chunks = systems._chunks(P, rows, phase.shape[1])
+    assert sorted(p.start for p in parts) == [p.start for p in chunks]
+    skipped = [part for part, passed in tested if passed]
+    assert skipped
+    inf = np.isinf(smin)
+    for part in parts:
+        assert inf[part].all() if part in skipped else not inf[part].any()
+    A = systems.extended_stack(blocks_of(slice(0, P)), phase)
+    exact = np.linalg.svd(A[~inf], compute_uv=False)[:, -1]
+    assert np.array_equal(smin[~inf], exact)
+
+
+def test_empirical_pinv_norm_returns_a_float():
+    value = ds.empirical_pinv_norm(ds.filter_raised_cosine(72, 1.0), 3, 3, (1,), 720)
+    assert type(value) is float
 
 
 # ---------------------------------------------------------------------------
@@ -946,12 +1002,17 @@ def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunk
     assert smins[worst] / smins.max() == pytest.approx(ratio * systems.SINGULAR_TOL, rel=1e-6)
     expected = systems.singular_set(system)
     calls = []
-    solve = systems.solve_packets
+    solve, scan = systems.solve_packets, systems.packet_smins
 
-    def spy(blocks_of, count, phase, rhs=None):
-        calls.append(rhs is None)
-        return solve(blocks_of, count, phase, rhs)
-    monkeypatch.setattr(systems, "solve_packets", spy)
+    def spy_solve(*args):
+        calls.append("solve")
+        return solve(*args)
+
+    def spy_scan(*args):
+        calls.append("scan")
+        return scan(*args)
+    monkeypatch.setattr(systems, "solve_packets", spy_solve)
+    monkeypatch.setattr(systems, "packet_smins", spy_scan)
     samples = ds.forward(rand_signal(2 * P, 3), a, m, m)
     if expected:
         with pytest.raises(SingularSystem) as err:
@@ -959,8 +1020,36 @@ def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunk
         assert err.value.indices == expected
     else:
         assert np.isfinite(ds.reconstruct_plain(samples, a, m)).all()
-    assert calls == ([False, True] if ratio < (2 * np.sqrt(2) if chunked else 2) else [False])
+    rescans = ratio < (2 * np.sqrt(2) if chunked else 2)
+    assert calls == (["solve", "scan"] if rescans else ["solve"])
     assert expected == ([worst] if ratio < 1 else [])
+
+
+@pytest.mark.parametrize("N", [3, 5])
+def test_plain_rescan_assembles_each_chunk_once(monkeypatch, N):
+    # The raised-cosine plain grid is singular, so the exact rescan runs; it
+    # decomposes every chunk of the D = P/2 + 1 factored packets, and
+    # assembles each of them once.
+    L, m = 3 * 2 * (systems._CHUNK_BYTES // (16 * 3 * 3)) + 6, 3
+    a = RCOS(L)
+    seen = []
+    scan = systems.packet_smins
+
+    def spy(blocks_of, count, phase, rows, exact):
+        parts = []
+
+        def counted(part):
+            parts.append(part)
+            return blocks_of(part)
+        smin = scan(counted, count, phase, rows, exact)
+        seen.append((parts, systems._chunks(count, rows, phase.shape[1]), smin))
+        return smin
+    monkeypatch.setattr(systems, "packet_smins", spy)
+    with pytest.raises(SingularSystem):
+        ds.reconstruct_plain(ds.forward(rand_signal(L, 5), a, m, N), a, m)
+    [(parts, chunks, smin)] = seen
+    assert len(chunks) > 1 and parts == chunks
+    assert len(smin) == L // (2 * m) + 1 and np.isfinite(smin).all()
 
 
 def test_zero_grid_is_singular_everywhere():
@@ -984,7 +1073,7 @@ def test_scan_chunk_counts_tall_blocks():
     blocks = rand_complex(rng, (P, 1, N, m))
     tracemalloc.start()
     try:
-        systems.solve_packets(lambda part: blocks[part], P, np.zeros((0, m)))
+        systems.packet_smins(lambda part: blocks[part], P, np.zeros((0, m)), N, range(P))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

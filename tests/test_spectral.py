@@ -1,4 +1,4 @@
-"""Transform, decimation, shift and folding contracts."""
+"""Transform, decimation and shift contracts."""
 
 import numpy as np
 import pytest
@@ -32,11 +32,6 @@ def test_parseval_unnormalized_forward():
     lhs = np.sum(np.abs(ds.dft(x)) ** 2)
     rhs = 20 * np.sum(np.abs(x) ** 2)
     assert abs(lhs - rhs) < 1e-9 * rhs
-
-
-def test_frequency_grid():
-    g = ds.frequency_grid(8)
-    assert g[0] == 0.0 and np.allclose(np.diff(g), 1 / 8) and g[-1] < 1.0
 
 
 def test_subsample_definition():
@@ -89,26 +84,3 @@ def test_shift_composition():
     rhs = ds.shift(x, (4 + 7) % 9)
     assert np.array_equal(lhs, rhs)
 
-
-def test_fold_flat_spectrum():
-    comps = ds.fold(np.ones(4), 2)
-    assert comps.shape == (2, 2)
-    assert np.allclose(comps, 1 / np.sqrt(2))
-
-
-def test_fold_index_pattern():
-    s = np.array([1, 2, 3, 4, 5, 6], dtype=complex)
-    comps = ds.fold(s, 3)
-    assert np.allclose(comps * np.sqrt(3), [[1, 2], [3, 4], [5, 6]])
-
-
-def test_fold_norm_identity():
-    s = ds.dft(rand_signal(12, 5))
-    comps = ds.fold(s, 4)
-    total = sum(np.linalg.norm(row) ** 2 for row in comps)
-    assert abs(4 * total - np.linalg.norm(s) ** 2) < 1e-12 * np.linalg.norm(s) ** 2
-
-
-def test_fold_rejects_nondivisor():
-    with pytest.raises(NonDivisibleLength):
-        ds.fold(np.ones(9), 2)
