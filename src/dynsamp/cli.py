@@ -272,19 +272,14 @@ def _run_noise_sweep(cfg):
     pinv_norm = stab.empirical_pinv_norm(a, cfg.m, cfg.n, omega, cfg.grid)
     header = ["m", "n", "L", "omega_size", "sigma", "trials", "seed",
               "mean_error", "bound", "ratio", "bound_ok"]
-    rows = []
-    means = []
-    all_ok = True
-    for sigma in cfg.sigmas:
-        res = stab.noise_trial(f, a, cfg.m, cfg.n, omega, sigma,
+    results = stab.noise_sweep(f, a, cfg.m, cfg.n, omega, cfg.sigmas,
                                trials=cfg.trials, seed=cfg.seed, pinv_norm=pinv_norm)
-        rows.append([cfg.m, cfg.n, cfg.L, len(omega), sigma, cfg.trials, cfg.seed,
-                     res.mean_error, res.bound, res.ratio, res.bound_ok])
-        means.append(res.mean_error)
-        all_ok = all_ok and res.bound_ok
-    slope_dev = stab.proportionality_deviation(cfg.sigmas, means)
+    rows = [[cfg.m, cfg.n, cfg.L, len(omega), sigma, cfg.trials, cfg.seed,
+             res.mean_error, res.bound, res.ratio, res.bound_ok]
+            for sigma, res in zip(cfg.sigmas, results)]
+    slope_dev = stab.proportionality_deviation(cfg.sigmas, [res.mean_error for res in results])
     linear = slope_dev <= 0.05
-    ok = bool(all_ok and linear)
+    ok = bool(all(res.bound_ok for res in results) and linear)
     return ({"pinv_norm": pinv_norm, "rows": [dict(zip(header, r)) for r in rows],
              "slope_deviation": slope_dev, "linear": linear, "pass": ok},
             {"table.csv": (header, rows)},

@@ -113,7 +113,7 @@ def forward(f, a, m, N, n=1, omega=()):
     if L != a.L:
         raise LengthMismatch(f"signal length {L} != filter length {a.L}")
     omega = spectral._layout(L, m, n, omega)
-    y = [spectral.subsample(evolve(f, a, l), m) for l in range(N)]
+    y = [spectral.subsample(evolve(f, a, l), m) for l in range(systems._time_rows(N))]
     extras = {c: spectral.subsample(spectral.shift(f, c), m * n) for c in omega}
     return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
 
@@ -276,7 +276,7 @@ def dense_oracle(a, m, N, n=1, omega=()):
     omega = spectral._layout(L, m, n, omega)
     rows = []
     t = np.arange(L)
-    for l in range(N):
+    for l in range(systems._time_rows(N)):
         taps = spectral.idft(a.response ** l)
         for k in range(L // m):
             rows.append(taps[(m * k - t) % L])

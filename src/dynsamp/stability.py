@@ -60,12 +60,13 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     RankDeficient naming the smallest grid index of the worst orbit.
 
     Only the minimum smin is needed, so most candidates take no SVD
-    (:func:`systems.packet_smins`).  The chunks holding the orbits of
-    xi = 0 and 1/2 (for an odd grid, the point just below 1/2) are
-    decomposed first: there the plain blocks lose rank, and there the scan
-    minimum usually sits.  Their smallest smin is ``best``.  Every other
-    chunk of candidates takes one batched Cholesky test of
-    fl(A^H A) - theta I with, for an r x c matrix A,
+    (:func:`systems.packet_smins`).  The two seed candidates, the orbits of
+    xi = 0 and 1/2 (for an odd grid, the point just below 1/2), are
+    decomposed first, in a chunk of their own: there the plain blocks lose
+    rank, and there the scan minimum usually sits.  Their smallest smin is
+    ``best``.  The other candidates are chunked among themselves, and every
+    chunk takes one batched Cholesky test of fl(A^H A) - theta I with, for
+    an r x c matrix A,
 
         theta = (best + 4 c eps ||A||_F)^2 + 2 (r + c + 4) eps ||A||_F^2.
 
@@ -82,9 +83,9 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     smin(A) > best + 4 c eps ||A||_F for every candidate, more than the
     SVD's own error above best, and is skipped.  A chunk that fails takes
     the SVD and lowers best.  The value and the RankDeficient index, the
-    first argmin of the smins, come from SVDs of the same assembled chunks
-    as a scan that decomposes every candidate, so both are bitwise that
-    scan's.
+    first argmin of the smins, come from SVDs of the same candidate
+    matrices as a scan that decomposes every candidate, each decomposed on
+    its own, so both are bitwise that scan's.
     """
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
@@ -284,56 +285,96 @@ def noise_trial(f, a, m, n, omega, sigma, trials=200, seed=0, pinv_norm=None):
     ``bound_ok`` holds when the mean is at most 1.10 times the estimate.
     Without ``pinv_norm`` the norm is scanned on max(720, 4 m n) grid
     points.  Reusing one seed across sigma values yields errors that
-    are exactly proportional to sigma.  Trials are solved in blocks, each
-    block as right-hand sides of one decomposition per packet chunk; the
-    noise is drawn per trial, per sequence, real part then imaginary part,
-    whatever the block size.  Raises PreconditionViolated for trials that
-    are not an integer >= 1, for a negative or non-finite sigma, and outside
-    the guarantee regime of :func:`reconstruct_extended`, and
-    MalformedSamples for non-finite noisy samples.
+    are exactly proportional to sigma.  This is the one-sigma case of
+    :func:`noise_sweep`, which holds the blocks, the noise stream and the
+    errors.  Raises PreconditionViolated for trials that are not an integer
+    >= 1, for a negative or non-finite sigma, and outside the guarantee
+    regime of :func:`reconstruct_extended`, and MalformedSamples for
+    non-finite noisy samples.
+    """
+    return noise_sweep(f, a, m, n, omega, [sigma], trials, seed, pinv_norm)[0]
+
+
+def noise_sweep(f, a, m, n, omega, sigmas, trials=200, seed=0, pinv_norm=None):
+    """:func:`noise_trial` for every sigma of ``sigmas``, as one Monte Carlo.
+
+    Returns one NoiseTrialResult per sigma, each equal field by field to
+    ``noise_trial(..., sigma, ...)`` with the same trials and seed.  The
+    signal is sampled once.  Trials are solved in blocks of
+    ``_TRIAL_BLOCK_BYTES // (16 L len(sigmas))``, so that every block array
+    stays within one sigma's cap and memory stays O(L).  Each block draws
+    its noise once from the one seeded stream: per trial, per sequence, real
+    part then imaginary part, whatever the block size.  Every sigma's trials
+    of the block are right-hand-side columns of one packet solve, so each
+    packet takes one QR and one Cholesky test per block, not one per sigma.
+    The QR and the triangular solve treat every column apart, and the
+    per-trial errors are taken in one pass that is bitwise the per-row norm
+    (:func:`_rms_rows`), so the results are bitwise those of one sigma at a
+    time.  Raises as :func:`noise_trial`, for every sigma before any work,
+    and PreconditionViolated for an empty ``sigmas``.
     """
     if not isinstance(trials, numbers.Integral) or trials < 1:
         raise PreconditionViolated(f"noise_trial needs a whole number of trials >= 1, "
                                    f"got trials={trials}")
-    if not 0 <= sigma < math.inf:
-        raise PreconditionViolated(f"noise_trial needs a finite sigma >= 0, got sigma={sigma}")
+    if not len(sigmas):
+        raise PreconditionViolated("noise_sweep needs at least one sigma")
+    for sigma in sigmas:
+        if not 0 <= sigma < math.inf:
+            raise PreconditionViolated(f"noise_trial needs a finite sigma >= 0, "
+                                       f"got sigma={sigma}")
     f = np.asarray(f, dtype=complex)
     L = len(f)
     samples = forward(f, a, m, m, n, omega)
     omega = _guarantee_regime(samples, m, n, omega)
     if pinv_norm is None:
         pinv_norm = empirical_pinv_norm(a, m, n, omega, max(720, 4 * m * n))
-    bound = pinv_norm * sigma / math.sqrt(m)
 
     table = systems.power_rows(a.response, m)
-    block = max(1, _TRIAL_BLOCK_BYTES // (16 * L))
+    block = max(1, _TRIAL_BLOCK_BYTES // (16 * L * len(sigmas)))
     rng = np.random.default_rng(seed)
-    errors = np.empty(trials)
+    errors = np.empty((len(sigmas), trials))
     for start in range(0, trials, block):
-        noisy = _noisy_block(samples, rng, min(block, trials - start), sigma)
+        noisy = _noisy_block(samples, rng, min(block, trials - start), sigmas)
         rec = _solve(noisy[:m], dict(zip(omega, noisy[m:])), m, table, n, omega)
-        errors[start:start + len(rec)] = [np.linalg.norm(row) / math.sqrt(L) for row in rec - f]
+        errors[:, start:start + rec.shape[1]] = _rms_rows(rec - f)
         del noisy, rec          # so the next block's arrays replace these, not join them
-    mean_error = float(errors.mean())
-    if sigma == 0.0:
-        return NoiseTrialResult(mean_error, True, 0.0, 0.0)
-    ratio = mean_error / bound
-    return NoiseTrialResult(mean_error, bool(ratio <= 1.10), bound, ratio)
+    results = []
+    for sigma, row in zip(sigmas, errors):
+        mean_error = float(row.mean())
+        if sigma == 0.0:
+            results.append(NoiseTrialResult(mean_error, True, 0.0, 0.0))
+            continue
+        bound = pinv_norm * sigma / math.sqrt(m)
+        ratio = mean_error / bound
+        results.append(NoiseTrialResult(mean_error, bool(ratio <= 1.10), bound, ratio))
+    return results
 
 
-def _noisy_block(samples, rng, T, sigma):
-    """T noisy copies of every sequence, snapshots then extras, each (T, len).
+def _rms_rows(rows):
+    """sqrt(mean |row|^2) of every row of the (..., L) array ``rows``.
+
+    Bitwise np.linalg.norm(row) / sqrt(L): the same two real dot products,
+    real parts then imaginary parts, as stacked row-times-column products.
+    """
+    re, im = rows.real[..., None, :], rows.imag[..., None, :]
+    squares = re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2)
+    return np.sqrt(squares[..., 0, 0]) / math.sqrt(rows.shape[-1])
+
+
+def _noisy_block(samples, rng, T, sigmas):
+    """T noisy copies of every sequence per sigma, snapshots then extras,
+    each (len(sigmas), T, len).
 
     Trial t takes the draws a per-trial loop would: sequence by sequence,
-    the real parts then the imaginary parts of its noise.  Non-finite
-    results, such as noise that overflows, raise MalformedSamples, as in a
-    SampleSet.
+    the real parts then the imaginary parts of its noise, one draw for
+    every sigma.  Non-finite results, such as noise that overflows, raise
+    MalformedSamples, as in a SampleSet.
     """
     names = [f"y[{l}]" for l in range(samples.N)] + [f"extras[{c}]" for c in samples.omega]
     seqs = samples.y + [samples.extras[c] for c in samples.omega]
     ends = np.cumsum([2 * len(v) for v in seqs])
     draws = rng.standard_normal((T, ends[-1]))
-    scale = sigma / math.sqrt(2.0)
+    scale = np.asarray(sigmas, dtype=float)[:, None, None] / math.sqrt(2.0)
     noisy = []
     for name, v, end in zip(names, seqs, ends):
         re, im = draws[:, end - 2 * len(v):end - len(v)], draws[:, end - len(v):end]

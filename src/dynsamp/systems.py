@@ -7,11 +7,13 @@ N x m system matrix collects powers of the transfer values at those nodes
 coming from extra samples taken on a coarser shifted lattice.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentNodes, EvenM, GridMiss, MalformedSamples, ShapeMismatch
+from .errors import (CoincidentNodes, EvenM, GridMiss, MalformedSamples, PreconditionViolated,
+                     ShapeMismatch)
 from . import spectral
 
 # Relative singular-value cutoffs.  A grid index is singular when its smin is
@@ -60,9 +62,11 @@ def _grid_family(table, m, rho=None):
 
 
 def build_plain(a, m, N, rho):
-    """N x m matrix with entry (r, l) = response[rho + l*(L/m)]**r, exact grid lookups."""
-    if N < 1:
-        raise ValueError("need at least one time row")
+    """N x m matrix with entry (r, l) = response[rho + l*(L/m)]**r, exact grid lookups.
+
+    N must be an integer >= 1 (PreconditionViolated naming it otherwise)."""
+    if _time_rows(N) < 1:
+        raise PreconditionViolated(f"need at least one time row, got N={N}")
     return _grid_family(power_rows(a.response, N), m, [rho])[0]
 
 
@@ -78,9 +82,19 @@ def plain_nodes_at(a, m, xi):
 
 def power_rows(nodes, N):
     """Stack (..., N, m) whose row j holds nodes**j, formed as np.vander forms powers."""
-    nodes = np.asarray(nodes)
+    nodes, N = np.asarray(nodes), _time_rows(N)
     rows = np.vander(nodes.reshape(-1), N, increasing=True).reshape(nodes.shape + (N,))
     return rows.swapaxes(-1, -2)
+
+
+def _time_rows(N):
+    """The count N of time rows (snapshots) as an int, read through
+    operator.index; one that is not an integer raises PreconditionViolated
+    naming N."""
+    try:
+        return operator.index(N)
+    except TypeError:
+        raise PreconditionViolated(f"N must be an integer, got N={N!r}") from None
 
 
 def det_plain(system, rho):
@@ -276,25 +290,29 @@ def packet_smins(blocks_of, P, phase, rows, exact):
     minimum.
 
     ``blocks_of`` and ``phase`` assemble the chunks as in
-    :func:`solve_packets`.  The chunks holding the packets ``exact`` are
-    visited first and take one batched SVD without vectors each; their
-    smallest smin is ``best``, the minimum so far.  Every other chunk, while
-    best > 0, takes one batched floor test (:func:`_clears`), and a chunk
-    that passes is skipped: none of its packets can take or tie the
-    minimum.  A chunk that fails, or any chunk once best is 0, takes the
-    SVD, which lowers best.  So the finite values are exact, the minimum
-    and every index attaining it are those of an SVD of every packet, and
-    ``exact=range(P)`` decomposes every packet.  Raises nothing.
+    :func:`solve_packets`, ``blocks_of(part)`` taking an index array here.
+    The packets ``exact`` come first, chunked among themselves, and take one
+    batched SVD without vectors per chunk; their smallest smin is ``best``,
+    the minimum so far.  Every other packet is floor-tested in chunks of its
+    own: while best > 0, a chunk takes one batched floor test
+    (:func:`_clears`), and a chunk that passes is skipped, as none of its
+    packets can take or tie the minimum.  A chunk that fails, or any chunk
+    once best is 0, takes the SVD, which lowers best.  So the finite values
+    are exact, the minimum and every index attaining it are those of an SVD
+    of every packet, and ``exact=range(P)`` decomposes every packet, in the
+    chunks of :func:`_chunks`.  Raises nothing.
     """
-    parts = _chunks(P, rows, phase.shape[1])
-    seeds = dict.fromkeys(i // parts[0].stop for i in exact)
+    seeds = np.zeros(P, dtype=bool)
+    seeds[np.asarray(exact, dtype=int)] = True
+    parts = [[idx[part] for part in _chunks(len(idx), rows, phase.shape[1])]
+             for idx in (np.flatnonzero(seeds), np.flatnonzero(~seeds))]
     smin, best = np.full(P, np.inf), np.inf
-    for k in list(seeds) + [k for k in range(len(parts)) if k not in seeds]:
-        A = extended_stack(blocks_of(parts[k]), phase)
-        if k not in seeds and best > 0.0 and _clears(A, best):
-            continue
-        s = smin[parts[k]] = np.linalg.svd(A, compute_uv=False)[:, -1]
-        best = min(best, s.min())
+    for k, part in enumerate(parts[0] + parts[1]):
+        A = extended_stack(blocks_of(part), phase)
+        if k < len(parts[0]) or best == 0.0 or not _clears(A, best):
+            s = smin[part] = np.linalg.svd(A, compute_uv=False)[:, -1]
+            best = min(best, s.min())
+        del A           # so the next chunk's matrices replace these, not join them
     return smin
 
 

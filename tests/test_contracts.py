@@ -283,3 +283,29 @@ def test_bad_layout_raises_named_error(entry, case):
     call = {**M_ONLY, **FROM_DATA, **FULL, **MATCHED}[entry]
     with pytest.raises(error, match=match):
         call(L, m, n, omega)
+
+
+# One table of entry points that take a count N of time rows: N must be an
+# integer, read through operator.index, and a float raises
+# PreconditionViolated naming N, not numpy's TypeError.
+N_ENTRIES = {
+    "build_plain": lambda N: ds.build_plain(rc(72), 3, N, 0),
+    "plain_family": lambda N: systems.plain_family(ds.PlainSystem(rc(72), 3, N)),
+    "build_plain_at": lambda N: ds.build_plain_at(rc(72), 3, N, 0.1),
+    "power_rows": lambda N: systems.power_rows(rc(72).response, N),
+    "forward": lambda N: ds.forward(np.zeros(72), rc(72), 3, N, 3, (1,)),
+    "dense_oracle": lambda N: ds.dense_oracle(rc(72), 3, N, 3, (1,)),
+}
+
+
+@pytest.mark.parametrize("entry", N_ENTRIES)
+@pytest.mark.parametrize("N", [3.0, "3"], ids=["N float", "N string"])
+def test_N_not_an_integer_raises_named_error(entry, N):
+    with pytest.raises(PreconditionViolated, match=f"N={N!r}"):
+        N_ENTRIES[entry](N)
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_build_plain_rejects_no_time_rows(N):
+    with pytest.raises(PreconditionViolated, match=f"N={N}"):
+        ds.build_plain(rc(72), 3, N, 0)

@@ -443,13 +443,13 @@ def test_floor_test_clears_a_well_separated_chunk():
 
 
 def chunk_log(monkeypatch):
-    """Record the scan: ("chunk", first grid index) per assembled chunk,
-    ("test", passed) per floor test and ("svd", packets) per decomposed chunk."""
+    """Record the scan: ("chunk", xi) per assembled chunk, ("test", passed)
+    per floor test and ("svd", packets) per decomposed chunk."""
     log = []
     offgrid, clears, svd = systems.offgrid_blocks, systems._clears, np.linalg.svd
 
     def spy_offgrid(a, m, n, xi):
-        log.append(("chunk", xi[0]))
+        log.append(("chunk", xi))
         return offgrid(a, m, n, xi)
 
     def spy_clears(A, best):
@@ -465,15 +465,20 @@ def chunk_log(monkeypatch):
     return log
 
 
+def assembled(log, grid):
+    """Grid indices of each assembled chunk, in visiting order."""
+    return [np.rint(xi * grid).astype(int).tolist() for kind, xi in log if kind == "chunk"]
+
+
 def decomposed(log, grid):
-    """Grid index of the first candidate of each decomposed chunk, in visiting order."""
-    starts = []
+    """Grid indices of each decomposed chunk, in visiting order."""
+    chunks = []
     for kind, value in log:
         if kind == "chunk":
-            start = round(value * grid)
+            indices = np.rint(value * grid).astype(int).tolist()
         elif kind == "svd":
-            starts.append(start)
-    return starts
+            chunks.append(indices)
+    return chunks
 
 
 def test_heat_minimal_scan_decomposes_only_the_seed_chunks(monkeypatch):
@@ -481,15 +486,16 @@ def test_heat_minimal_scan_decomposes_only_the_seed_chunks(monkeypatch):
     omega = ds.minimal_omega(m)
     log = chunk_log(monkeypatch)
     value = ds.empirical_pinv_norm(a, m, n, omega, grid)
-    chunk = chunk_packets(m, n, omega)
-    chunks = -(-stability._orbit_count(a, n, grid) // chunk)
-    # Mirror only (7 does not divide 720): xi = 1/2 is candidate 360, the seeds
-    # are the chunks of 0 and of 360, decomposed untested, and every other
-    # chunk passes the floor test.  Each chunk is assembled once.
-    assert decomposed(log, grid) == [0, 360 // chunk * chunk]
-    assert len({start for kind, start in log if kind == "chunk"}) == chunks
-    assert sum(1 for kind, _ in log if kind == "chunk") == chunks
-    assert [passed for kind, passed in log if kind == "test"] == [True] * (chunks - 2)
+    count = stability._orbit_count(a, n, grid)
+    chunks = 1 + -(-(count - 2) // chunk_packets(m, n, omega))
+    # Mirror only (7 does not divide 720): xi = 1/2 is candidate 360.  The
+    # seeds 0 and 360 form one chunk, decomposed untested, and every chunk
+    # of the other candidates passes the floor test.  Each candidate is
+    # assembled once.
+    assert decomposed(log, grid) == [[0, 360]]
+    parts = assembled(log, grid)
+    assert len(parts) == chunks and sorted(sum(parts, [])) == list(range(count))
+    assert [passed for kind, passed in log if kind == "test"] == [True] * (chunks - 1)
     monkeypatch.undo()
     assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
 
@@ -502,12 +508,28 @@ def test_heat_full_scan_skips_most_chunks(monkeypatch):
     omega = ds.full_omega(m)
     log = chunk_log(monkeypatch)
     value = ds.empirical_pinv_norm(a, m, n, omega, grid)
-    chunks = len({start for kind, start in log if kind == "chunk"})
-    chunk = chunk_packets(m, n, omega)
-    starts = decomposed(log, grid)
-    assert starts[:2] == [0, 360 // chunk * chunk]
-    assert len(starts) <= chunks // 3 and len(set(starts)) == len(starts)
-    assert sum(1 for kind, _ in log if kind == "test") == chunks - 2
+    parts = assembled(log, grid)
+    chunks = decomposed(log, grid)
+    count = stability._orbit_count(a, n, grid)
+    assert chunks[0] == [0, 360]
+    assert len(chunks) <= len(parts) // 3
+    assert sorted(sum(parts, [])) == list(range(count))
+    assert sum(1 for kind, _ in log if kind == "test") == len(parts) - 1
+    monkeypatch.undo()
+    assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
+
+
+def test_one_chunk_scan_decomposes_only_the_seed_packets(monkeypatch):
+    # Raised cosine m = n = 3 on 720 points: all 121 candidates fit one
+    # chunk.  The seeds 0 and 120 (the orbit of xi = 1/2) take the SVD; the
+    # other 119 candidates pass one floor test.
+    a, m, n, grid = ds.filter_raised_cosine(72, 1.0), 3, 3, 720
+    omega = (1,)
+    log = chunk_log(monkeypatch)
+    value = ds.empirical_pinv_norm(a, m, n, omega, grid)
+    assert decomposed(log, grid) == [[0, 120]]
+    assert [passed for kind, passed in log if kind == "test"] == [True]
+    assert [len(part) for part in assembled(log, grid)] == [2, 119]
     monkeypatch.undo()
     assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
 
@@ -531,9 +553,9 @@ def minimum_search(blocks, exact):
 
 @pytest.mark.parametrize("value", [0.5, 0.0])
 def test_minimum_search_ties_go_to_the_smallest_index(monkeypatch, value):
-    # Twins in chunks 1 and 3 of five; the seed is the later one, so the earlier
-    # twin is found only after it, in a chunk that fails the floor test (or,
-    # once best is 0, takes the SVD untested).
+    # Twins 3 and 7; the seed is the later one and is decomposed first, so
+    # the earlier twin is found only after it, in a chunk of the other packets
+    # that fails the floor test (or, once best is 0, takes the SVD untested).
     P, chunk = 10, 2
     monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk * 16 * 2 * 2)
     assert minimum_search(tie_blocks(P, [3, 7], value), [7]) == (3, value)
@@ -568,14 +590,15 @@ def test_packet_smins_of_every_packet_equal_per_packet_svds(omega):
 
 @pytest.mark.parametrize("omega", [ds.minimal_omega(5), ds.full_omega(5)])
 def test_packet_smins_skips_only_chunks_that_clear(monkeypatch, omega):
-    # +inf marks exactly the chunks whose floor test passed; every other
-    # value is the packet's own SVD smin.
+    # The seed packet comes first, in a chunk of its own; +inf marks exactly
+    # the chunks whose floor test passed; every other value is the packet's
+    # own SVD smin.  Each packet is assembled once.
     blocks_of, P, phase, rows = heat_scan(omega)
     parts, tested = [], []
     clears = systems._clears
 
     def spy_blocks(part):
-        parts.append(part)
+        parts.append(part.tolist())
         return blocks_of(part)
 
     def spy_clears(A, best):
@@ -583,8 +606,8 @@ def test_packet_smins_skips_only_chunks_that_clear(monkeypatch, omega):
         return tested[-1][1]
     monkeypatch.setattr(systems, "_clears", spy_clears)
     smin = systems.packet_smins(spy_blocks, P, phase, rows, [0])
-    chunks = systems._chunks(P, rows, phase.shape[1])
-    assert sorted(p.start for p in parts) == [p.start for p in chunks]
+    assert parts[0] == [0] and sorted(sum(parts, [])) == list(range(P))
+    assert [part for part, _ in tested] == parts[1:]
     skipped = [part for part, passed in tested if passed]
     assert skipped
     inf = np.isinf(smin)
@@ -714,7 +737,7 @@ def test_mirrored_noise_trials_match_lstsq_loop():
     a = RCOS(L)
     f = rand_signal(L, 4)
     samples = ds.forward(f, a, m, m, n, omega)
-    noisy = stability._noisy_block(samples, np.random.default_rng(5), T, sigma)
+    noisy = [v[0] for v in stability._noisy_block(samples, np.random.default_rng(5), T, [sigma])]
     rec = recon._solve(noisy[:m], dict(zip(omega, noisy[m:])), m,
                        systems.power_rows(a.response, m), n, omega)
     errors = []
@@ -1039,10 +1062,11 @@ def test_plain_rescan_assembles_each_chunk_once(monkeypatch, N):
         parts = []
 
         def counted(part):
-            parts.append(part)
+            parts.append(part.tolist())
             return blocks_of(part)
         smin = scan(counted, count, phase, rows, exact)
-        seen.append((parts, systems._chunks(count, rows, phase.shape[1]), smin))
+        chunks = [list(range(count))[part] for part in systems._chunks(count, rows, phase.shape[1])]
+        seen.append((parts, chunks, smin))
         return smin
     monkeypatch.setattr(systems, "packet_smins", spy)
     with pytest.raises(SingularSystem):
