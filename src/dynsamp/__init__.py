@@ -19,7 +19,7 @@ from .filters import (Filter, check_symmetric_decreasing, evolve, filter_delta,
 from .systems import (KernelBasis, PlainSystem,
                       build_extended, build_extended_at, build_plain, build_plain_at,
                       det_plain, gautschi_bound_nodes, kernel_basis,
-                      singular_set, smin_plain, u_row)
+                      singular_set, u_row)
 from .recon import (SampleSet, dense_oracle, forward, oracle_solve,
                     reconstruct_extended, reconstruct_plain, stack_samples)
 from .stability import (BetaBound, NoiseTrialResult, StabilityReport,
@@ -32,7 +32,7 @@ from .sis import (Generator, ReducibilityResult, SISSystem, build_sis_system,
                   choose_n, gaussian_response, heat_line_response,
                   identity_response, line_filter_from_spec, make_generator,
                   n_is_admissible, periodize_phi,
-                  reducibility_check, sis_family, sis_forward,
+                  reducibility_check, sis_forward,
                   sis_matrix, sis_reconstruct, sis_singular_set)
 
 __version__ = "0.1.0"

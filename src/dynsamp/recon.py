@@ -189,7 +189,8 @@ def _solve(y, extras, m, table, n, omega):
     smin, smax = smin[src], smax[src]
     cleared = 2 * systems.SINGULAR_TOL * smax.max()
     if plain and not (cleared > 0 and smin.min() >= cleared):
-        exact = systems.packet_smins(blocks_of, D, phase, len(table), range(D))[src]
+        exact = systems.packet_smins(lambda part: systems.extended_stack(blocks_of(part), phase),
+                                     D, len(table), m, range(D))[0][src]
         bad = systems.singular_indices(exact, systems.SINGULAR_TOL)
         if bad:
             raise SingularSystem(bad)

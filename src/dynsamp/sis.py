@@ -319,14 +319,10 @@ def sis_matrix(system, rho):
     return systems._grid_family(system.phi_hat, system.m, [rho])[0]
 
 
-def sis_family(system):
-    """Stacked matrices over the grid, shape (L/m, m, m)."""
-    return systems._grid_family(system.phi_hat, system.m)
-
-
 def sis_singular_set(system):
     """Grid indices where the integer-rate family loses rank (``systems.SINGULAR_TOL``)."""
-    return systems.singular_indices(systems.smin_family(sis_family(system)), systems.SINGULAR_TOL)
+    smins = systems.smin_family(systems._grid_family(system.phi_hat, system.m))
+    return systems.singular_indices(smins, systems.SINGULAR_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,10 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     a(-xi) = conj(a(xi)), and is used when the grid response satisfies it
     bitwise; a response Hermitian only to rounding takes the shift-only
     scan.  Members of an orbit agree up to rounding, so the result may move
-    in the last digits against a full-grid scan.  A singular matrix raises
-    RankDeficient naming the smallest grid index of the worst orbit.
+    in the last digits against a full-grid scan.  As in the solve, a rank
+    deficient matrix, whose smin is at most ``systems.RANK_TOL`` times its
+    largest singular value, raises RankDeficient: the scan checks the
+    candidate of smallest smin and names the smallest grid index of its orbit.
 
     Only the minimum smin is needed, so most candidates take no SVD
     (:func:`systems.packet_smins`).  The two seed candidates, the orbits of
@@ -82,21 +84,21 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     lambda_min(A^H A) > (best + 4 c eps ||A||_F)^2: a chunk that passes has
     smin(A) > best + 4 c eps ||A||_F for every candidate, more than the
     SVD's own error above best, and is skipped.  A chunk that fails takes
-    the SVD and lowers best.  The value and the RankDeficient index, the
-    first argmin of the smins, come from SVDs of the same candidate
-    matrices as a scan that decomposes every candidate, each decomposed on
-    its own, so both are bitwise that scan's.
+    the SVD and lowers best.  The value and the RankDeficient decision, made
+    at the first argmin of the smins with the smax of the same SVD, come
+    from SVDs of the same candidate matrices as a scan that decomposes every
+    candidate, each decomposed on its own, so both are bitwise that scan's.
     """
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
     count = _orbit_count(a, n, grid)
-    xi = np.arange(count) / grid
-    smin = systems.packet_smins(lambda part: systems.offgrid_blocks(a, m, n, xi[part]),
-                                count, systems.phase_rows(m, n, omega), len(omega) + n * m,
-                                [0, _representative(grid // 2, n, grid, count)])
+    xi, phase = np.arange(count) / grid, systems.phase_rows(m, n, omega)
+    smin, smax = systems.packet_smins(
+        lambda part: systems.extended_stack(systems.offgrid_blocks(a, m, n, xi[part]), phase),
+        count, len(omega) + n * m, m * n, [0, _representative(grid // 2, n, grid, count)])
     g = int(np.argmin(smin))
-    if smin[g] <= 0.0:
-        raise RankDeficient(g, f"extended matrix singular at xi = {g}/{grid}")
+    if smin[g] <= systems.RANK_TOL * smax[g]:
+        raise RankDeficient(g, f"extended matrix rank deficient at xi = {g}/{grid}")
     return float(1.0 / smin[g])
 
 
@@ -263,7 +265,7 @@ def lower_bound_stablow(a, m, n, omega=None):
     if L % (m * n):
         raise GridMiss(f"1/{n} is not on the grid: {m * n} does not divide L={L}")
     rho = (L // m) // n
-    smin = systems.smin_plain(systems.PlainSystem(a, m, m), rho)
+    smin = float(systems.smin_family(systems.build_plain(a, m, m, rho)[None])[0])
     if smin <= 0.0:
         raise RankDeficient(rho, "square system singular at 1/n")
     return m / smin

@@ -110,20 +110,14 @@ def det_plain(system, rho):
     return dets if np.ndim(rho) else dets[0]
 
 
-def smin_plain(system, rho):
-    """Smallest singular value of the plain matrix at grid index rho."""
-    M = build_plain(system.a, system.m, system.N, rho)
-    return float(np.linalg.svd(M, compute_uv=False)[-1])
-
-
 def plain_family(system):
     """Stacked matrices over the whole grid, shape (L/m, N, m): the n = 1 packet blocks."""
     return _grid_family(power_rows(system.a.response, system.N), system.m)
 
 
 def smin_family(mats):
-    """Smallest singular value of each matrix in a stack."""
-    return np.linalg.svd(mats, compute_uv=False)[..., -1]
+    """Smallest singular value of each matrix in a (P, r, c) stack, by :func:`packet_smins`."""
+    return packet_smins(lambda part: mats[part], *mats.shape, range(len(mats)))[0]
 
 
 def singular_indices(smins, tol):
@@ -284,14 +278,14 @@ def solve_packets(blocks_of, P, phase, rhs):
     return smin, smax, x
 
 
-def packet_smins(blocks_of, P, phase, rows, exact):
-    """Smallest singular value of each of P packet matrices of ``rows`` rows,
-    +inf for every packet of a chunk that a floor test places above the
-    minimum.
+def packet_smins(matrices_of, P, rows, cols, exact):
+    """(smin, smax): the smallest and largest singular value of each of P
+    packet matrices of shape (rows, cols); every packet of a chunk that a
+    floor test places above the minimum reads smin = +inf and smax = NaN.
 
-    ``blocks_of`` and ``phase`` assemble the chunks as in
-    :func:`solve_packets`, ``blocks_of(part)`` taking an index array here.
-    The packets ``exact`` come first, chunked among themselves, and take one
+    ``matrices_of(idx)`` returns the (len(idx), rows, cols) stack of the
+    packets in the index array idx, and each chunk is assembled once.  The
+    packets ``exact`` come first, chunked among themselves, and take one
     batched SVD without vectors per chunk; their smallest smin is ``best``,
     the minimum so far.  Every other packet is floor-tested in chunks of its
     own: while best > 0, a chunk takes one batched floor test
@@ -304,16 +298,17 @@ def packet_smins(blocks_of, P, phase, rows, exact):
     """
     seeds = np.zeros(P, dtype=bool)
     seeds[np.asarray(exact, dtype=int)] = True
-    parts = [[idx[part] for part in _chunks(len(idx), rows, phase.shape[1])]
+    parts = [[idx[part] for part in _chunks(len(idx), rows, cols)]
              for idx in (np.flatnonzero(seeds), np.flatnonzero(~seeds))]
-    smin, best = np.full(P, np.inf), np.inf
+    smin, smax, best = np.full(P, np.inf), np.full(P, np.nan), np.inf
     for k, part in enumerate(parts[0] + parts[1]):
-        A = extended_stack(blocks_of(part), phase)
+        A = matrices_of(part)
         if k < len(parts[0]) or best == 0.0 or not _clears(A, best):
-            s = smin[part] = np.linalg.svd(A, compute_uv=False)[:, -1]
-            best = min(best, s.min())
+            s = np.linalg.svd(A, compute_uv=False)
+            smin[part], smax[part] = s[:, -1], s[:, 0]
+            best = min(best, s[:, -1].min())
         del A           # so the next chunk's matrices replace these, not join them
-    return smin
+    return smin, smax
 
 
 def _chunks(P, rows, width):

@@ -333,14 +333,16 @@ def test_orbit_count_matches_orbit_closure(a, n, count):
 
 def ref_orbit_scan(a, m, n, omega, grid):
     """The all-SVD scan: every orbit representative decomposed on its own;
-    (first argmin, its smin, max 1/smin)."""
+    (first argmin g, smin[g], max 1/smin, whether packet g is rank deficient:
+    smin[g] <= RANK_TOL smax[g], both from the one SVD)."""
     xi = np.arange(stability._orbit_count(a, n, grid)) / grid
     blocks, phase = systems.offgrid_blocks(a, m, n, xi), systems.phase_rows(m, n, omega)
-    smin = np.array([np.linalg.svd(systems.extended_stack(blocks[i:i + 1], phase)[0],
-                                   compute_uv=False)[-1] for i in range(len(xi))])
+    s = np.array([np.linalg.svd(systems.extended_stack(blocks[i:i + 1], phase)[0],
+                                compute_uv=False) for i in range(len(xi))])
+    smin = s[:, -1]
     g = int(np.argmin(smin))
     with np.errstate(divide="ignore"):
-        return g, smin[g], float((1.0 / smin).max())
+        return g, smin[g], float((1.0 / smin).max()), smin[g] <= systems.RANK_TOL * s[g, 0]
 
 
 def scan_outcome(a, m, n, omega, grid):
@@ -386,10 +388,10 @@ def test_minimum_search_equals_all_svd_scan(case):
     a, m, n, omega, grid, chunk = case
     rows, cols = len(omega) + m * n, m * n
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * cols):
-        g, smin, value = ref_orbit_scan(a, m, n, omega, grid)
+        g, smin, value, deficient = ref_orbit_scan(a, m, n, omega, grid)
         got = scan_outcome(a, m, n, omega, grid)
-    assert got == (("RankDeficient", g) if smin <= 0.0 else value)
-    if smin > 0.0:
+    assert got == (("RankDeficient", g) if deficient else value)
+    if not deficient:
         assert got == 1.0 / smin
 
 
@@ -545,8 +547,9 @@ def tie_blocks(P, twins, value=1.0):
 
 def minimum_search(blocks, exact):
     """(first argmin, smin) of packet_smins over 2 x 2 blocks, as the scan reads them."""
-    smin = systems.packet_smins(lambda part: blocks[part], len(blocks), np.zeros((0, 2)), 2,
-                                exact)
+    smin, _ = systems.packet_smins(
+        lambda part: systems.extended_stack(blocks[part], np.zeros((0, 2))), len(blocks), 2, 2,
+        exact)
     index = int(np.argmin(smin))
     return index, smin[index]
 
@@ -576,16 +579,40 @@ def heat_scan(omega):
     """Arguments of packet_smins for the heat m = 5, n = 7 scan on 720 points."""
     a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
     xi = np.arange(stability._orbit_count(a, n, grid)) / grid
-    return (lambda part: systems.offgrid_blocks(a, m, n, xi[part]), len(xi),
-            systems.phase_rows(m, n, omega), len(omega) + n * m)
+    phase = systems.phase_rows(m, n, omega)
+    return (lambda part: systems.extended_stack(systems.offgrid_blocks(a, m, n, xi[part]), phase),
+            len(xi), len(omega) + n * m, m * n)
 
 
-@pytest.mark.parametrize("omega", [ds.minimal_omega(5), ds.full_omega(5)])
-def test_packet_smins_of_every_packet_equal_per_packet_svds(omega):
-    blocks_of, P, phase, rows = heat_scan(omega)
-    smin = systems.packet_smins(blocks_of, P, phase, rows, range(P))
-    A = systems.extended_stack(blocks_of(slice(0, P)), phase)
-    assert np.array_equal(smin, [np.linalg.svd(M, compute_uv=False)[-1] for M in A])
+def family_scan(family):
+    """Arguments of packet_smins for a (P, r, c) family of square matrices."""
+    return (lambda part: family[part],) + family.shape
+
+
+# The heat scans fit a few chunks; the square families, the plain raised
+# cosine on L = 2304 (768 matrices) and the span B-spline family on L = 72
+# (24), take several at the patched chunk sizes.
+SQUARE_FAMILIES = {
+    "plain": (lambda: systems.plain_family(systems.PlainSystem(RCOS(2304), 3, 3)), 100),
+    "span": (lambda: systems._grid_family(ds.build_sis_system(
+        ds.make_generator({"kind": "bspline", "order": 3}), ds.gaussian_response(2.0),
+        3, 72, K=384).phi_hat, 3), 5),
+}
+
+
+@pytest.mark.parametrize("omega", [ds.minimal_omega(5), ds.full_omega(5), "plain", "span"])
+def test_packet_smins_of_every_packet_equal_per_packet_svds(monkeypatch, omega):
+    if omega in SQUARE_FAMILIES:
+        make, chunk = SQUARE_FAMILIES[omega]
+        matrices_of, P, rows, cols = family_scan(make())
+        monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk * 16 * rows * cols)
+        assert len(systems._chunks(P, rows, cols)) > 2
+    else:
+        matrices_of, P, rows, cols = heat_scan(omega)
+    smin, smax = systems.packet_smins(matrices_of, P, rows, cols, range(P))
+    s = [np.linalg.svd(M, compute_uv=False) for M in matrices_of(np.arange(P))]
+    assert np.array_equal(smin, [svals[-1] for svals in s])
+    assert np.array_equal(smax, [svals[0] for svals in s])
 
 
 @pytest.mark.parametrize("omega", [ds.minimal_omega(5), ds.full_omega(5)])
@@ -593,19 +620,19 @@ def test_packet_smins_skips_only_chunks_that_clear(monkeypatch, omega):
     # The seed packet comes first, in a chunk of its own; +inf marks exactly
     # the chunks whose floor test passed; every other value is the packet's
     # own SVD smin.  Each packet is assembled once.
-    blocks_of, P, phase, rows = heat_scan(omega)
+    matrices_of, P, rows, cols = heat_scan(omega)
     parts, tested = [], []
     clears = systems._clears
 
     def spy_blocks(part):
         parts.append(part.tolist())
-        return blocks_of(part)
+        return matrices_of(part)
 
     def spy_clears(A, best):
         tested.append((parts[-1], clears(A, best)))
         return tested[-1][1]
     monkeypatch.setattr(systems, "_clears", spy_clears)
-    smin = systems.packet_smins(spy_blocks, P, phase, rows, [0])
+    smin, smax = systems.packet_smins(spy_blocks, P, rows, cols, [0])
     assert parts[0] == [0] and sorted(sum(parts, [])) == list(range(P))
     assert [part for part, _ in tested] == parts[1:]
     skipped = [part for part, passed in tested if passed]
@@ -613,14 +640,28 @@ def test_packet_smins_skips_only_chunks_that_clear(monkeypatch, omega):
     inf = np.isinf(smin)
     for part in parts:
         assert inf[part].all() if part in skipped else not inf[part].any()
-    A = systems.extended_stack(blocks_of(slice(0, P)), phase)
-    exact = np.linalg.svd(A[~inf], compute_uv=False)[:, -1]
-    assert np.array_equal(smin[~inf], exact)
+    assert np.array_equal(np.isnan(smax), inf)
+    s = np.linalg.svd(matrices_of(np.arange(P))[~inf], compute_uv=False)
+    assert np.array_equal(smin[~inf], s[:, -1])
+    assert np.array_equal(smax[~inf], s[:, 0])
 
 
 def test_empirical_pinv_norm_returns_a_float():
     value = ds.empirical_pinv_norm(ds.filter_raised_cosine(72, 1.0), 3, 3, (1,), 720)
     assert type(value) is float
+
+
+def test_scan_and_solve_agree_on_a_rank_deficient_set():
+    # The shift c = 0 leaves the sign-pair kernels of the plain blocks at
+    # xi = 0 and 1/2 unresolved.  The scan's worst packet has smin about
+    # 4e-17 times smax, so, like the solve, it raises rather than return
+    # 1/smin = 3.4e16.
+    a, m, n, omega = ds.filter_raised_cosine(72, 1.0), 3, 3, (0,)
+    with pytest.raises(RankDeficient):
+        ds.empirical_pinv_norm(a, m, n, omega, 720)
+    with pytest.raises(RankDeficient):
+        ds.reconstruct_extended(ds.forward(rand_signal(72, 1), a, m, m, n, omega), a, m, n,
+                                omega, force=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1058,16 +1099,16 @@ def test_plain_rescan_assembles_each_chunk_once(monkeypatch, N):
     seen = []
     scan = systems.packet_smins
 
-    def spy(blocks_of, count, phase, rows, exact):
+    def spy(matrices_of, count, rows, cols, exact):
         parts = []
 
         def counted(part):
             parts.append(part.tolist())
-            return blocks_of(part)
-        smin = scan(counted, count, phase, rows, exact)
-        chunks = [list(range(count))[part] for part in systems._chunks(count, rows, phase.shape[1])]
+            return matrices_of(part)
+        smin, smax = scan(counted, count, rows, cols, exact)
+        chunks = [list(range(count))[part] for part in systems._chunks(count, rows, cols)]
         seen.append((parts, chunks, smin))
-        return smin
+        return smin, smax
     monkeypatch.setattr(systems, "packet_smins", spy)
     with pytest.raises(SingularSystem):
         ds.reconstruct_plain(ds.forward(rand_signal(L, 5), a, m, N), a, m)
@@ -1092,18 +1133,24 @@ def test_zero_grid_is_singular_everywhere():
 def test_scan_chunk_counts_tall_blocks():
     # The exact scan of a tall plain grid (N > m) must keep its chunks to the
     # byte cap: sized for square blocks, N = 10 m held ten times as much.
+    # smin_family scans a whole plain family (5.9 MB here) through the same
+    # chunks.
     m, N, P = 3, 30, 4096
     rng = np.random.default_rng(8)
     blocks = rand_complex(rng, (P, 1, N, m))
-    tracemalloc.start()
-    try:
-        systems.packet_smins(lambda part: blocks[part], P, np.zeros((0, m)), N, range(P))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # An assembled chunk, the SVD's copy of it and the (P,) outputs: 0.86 MB
-    # here, against 8.0 MB with chunks sized for square blocks.
-    assert peak <= 4 * systems._CHUNK_BYTES
+    family = systems.plain_family(systems.PlainSystem(RCOS(m * P), m, N))
+    assert family.nbytes > 20 * systems._CHUNK_BYTES
+    for scan in (lambda: systems.packet_smins(lambda part: blocks[part, 0], P, N, m, range(P)),
+                 lambda: systems.smin_family(family)):
+        tracemalloc.start()
+        try:
+            scan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # An assembled chunk, the SVD's copy of it and the (P,) outputs: 0.38 MB
+        # here, against 2.8 MB with chunks sized for square blocks.
+        assert peak <= 4 * systems._CHUNK_BYTES
 
 
 def test_qr_solve_leaves_rank_deficient_packets_unsolved():

@@ -140,7 +140,7 @@ def test_sis_singular_set_symmetric_case():
 def test_sis_system_m1():
     L = 12
     system = ds.build_sis_system(BSPLINE, ds.identity_response(), 1, L, K=512)
-    mats = ds.sis_family(system)
+    mats = np.array([ds.sis_matrix(system, rho) for rho in range(L)])
     assert mats.shape == (L, 1, 1)
     assert np.abs(np.squeeze(mats) - system.phi_hat[0]).max() == 0.0
 

@@ -136,7 +136,7 @@ def test_lower_bound_value_and_sandwich():
     m, n = 3, 3
     lower = ds.lower_bound_stablow(RC72, m, n)
     step = 72 // m
-    smin = ds.smin_plain(ds.PlainSystem(RC72, m, m), step // n)
+    smin = np.linalg.svd(ds.build_plain(RC72, m, m, step // n), compute_uv=False)[-1]
     assert lower == pytest.approx(m / smin, rel=1e-12)
     emp_min = ds.empirical_pinv_norm(RC72, m, n, ds.minimal_omega(m), 720)
     assert lower <= emp_min
