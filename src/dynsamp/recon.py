@@ -15,7 +15,6 @@ import numpy as np
 from .errors import (EvenM, LengthMismatch, MalformedSamples, PreconditionViolated,
                      RankDeficient, SingularSystem, TooLarge)
 from . import spectral, systems
-from .filters import evolve
 
 
 def _require_finite(name, values):
@@ -107,13 +106,25 @@ class SampleSet:
 
 
 def forward(f, a, m, N, n=1, omega=()):
-    """Sample the evolving signal: N coarse snapshots plus extra initial samples."""
+    """Sample the evolving signal: N coarse snapshots plus extra initial samples.
+
+    Snapshot l is bitwise ``subsample(evolve(f, a, l), m)``, with the one
+    transform of f shared by every step.  The product keeps evolve's operand
+    order, transform times power, with both operands named: complex products
+    round differently with their operands swapped, and numpy evaluates
+    ``f_hat * (response ** l)`` as ``(response ** l) * f_hat`` in place of the
+    temporary once the arrays reach its elision size (256 KiB).
+    """
     f = np.asarray(f, dtype=complex)
     L = len(f)
     if L != a.L:
         raise LengthMismatch(f"signal length {L} != filter length {a.L}")
     omega = spectral._layout(L, m, n, omega)
-    y = [spectral.subsample(evolve(f, a, l), m) for l in range(systems._time_rows(N))]
+    f_hat = spectral.dft(f)
+    y = [spectral.subsample(f, m)]
+    for l in range(1, systems._time_rows(N)):
+        power = a.response ** l
+        y.append(spectral.subsample(spectral.idft(f_hat * power), m))
     extras = {c: spectral.subsample(spectral.shift(f, c), m * n) for c in omega}
     return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
 
@@ -131,10 +142,10 @@ def reconstruct_plain(samples, a, m):
     if samples.m != m:
         raise PreconditionViolated(f"samples were taken with m={samples.m}, not {m}")
     return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
-                  1, None)
+                  1, None, a.response)
 
 
-def _solve(y, extras, m, table, n, omega):
+def _solve(y, extras, m, table, n, omega, nodes=None):
     """Solve every frequency packet against the first len(table) snapshots.
 
     ``y`` lists the N snapshot sequences, each (..., L/m), and ``extras``
@@ -145,14 +156,17 @@ def _solve(y, extras, m, table, n, omega):
     packet rho couples the spectrum values f_hat(rho + k L/(m n) + l L/m).
     ``omega=None`` marks the plain system (n = 1, no extra rows), whose
     singular frequencies are judged against the whole grid first and raise
-    ``SingularSystem``.  The solve returns smin and smax as brackets (see
-    :func:`systems.solve_packets`), exact for a chunk that fails the
-    certificate; the grid passes when the lowest smin is at least twice
-    ``systems.SINGULAR_TOL`` times the highest smax, and otherwise the exact
-    smins of every packet (:func:`systems.packet_smins`) decide.
-    Then, on either system, a packet with smin at most ``systems.RANK_TOL``
-    times its largest singular value raises ``RankDeficient``; a certified
-    packet never does.
+    ``SingularSystem``.  ``nodes``, when the table holds the powers 0..N-1
+    of a response, is that response: then every packet has a Gautschi floor
+    (:func:`systems.packet_floors`, once per solve), and a packet that it
+    clears takes no Cholesky test.  The span tables pass none.  The solve
+    returns smin and smax as brackets (see :func:`systems.solve_packets`),
+    exact for packets that fail both certificates; the grid passes when
+    the lowest smin is at least twice ``systems.SINGULAR_TOL`` times the
+    highest smax, and otherwise the exact smins of every packet
+    (:func:`systems.packet_smins`) decide.  Then, on either system, a packet
+    with smin at most ``systems.RANK_TOL`` times its largest singular value
+    raises ``RankDeficient``; a cleared or certified packet never does.
 
     A bitwise Hermitian table, table[:, -r mod L] == conj(table[:, r]),
     gives A(P - rho) = D R conj(A(rho)) Pi: Pi reverses the m n columns, R
@@ -184,8 +198,9 @@ def _solve(y, extras, m, table, n, omega):
 
     def blocks_of(part):
         return systems.gather_blocks(table, idx[part])
+    floors = None if nodes is None else systems.packet_floors(nodes, m, idx[:D])
     smin, smax, x = systems.solve_packets(
-        blocks_of, D, phase, _rhs(y[:len(table)], extras, omega, idx, q, L, T))
+        blocks_of, D, phase, _rhs(y[:len(table)], extras, omega, idx, q, L, T), floors)
     smin, smax = smin[src], smax[src]
     cleared = 2 * systems.SINGULAR_TOL * smax.max()
     if plain and not (cleared > 0 and smin.min() >= cleared):
@@ -242,7 +257,7 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
     """
     omega = _guarantee_regime(samples, m, n, omega, force)
     return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
-                  n, omega)
+                  n, omega, a.response)
 
 
 def _guarantee_regime(samples, m, n, omega, force=False):

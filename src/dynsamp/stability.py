@@ -250,7 +250,9 @@ def lower_bound_stablow(a, m, n, omega=None):
 
     Valid for the minimal extra-sample set (|omega| = (m-1)/2), so only for
     odd m: an even m raises EvenM naming it.  The frequency 1/n must land on
-    the matrix grid, i.e. m n must divide L.
+    the matrix grid, i.e. m n must divide L.  As in the solve, a square
+    system whose smin is at most ``systems.RANK_TOL`` times its largest
+    singular value, both from one SVD, raises RankDeficient.
     """
     if m % 2 == 0:
         raise EvenM(f"lower bound needs odd m, got m={m}")
@@ -265,10 +267,11 @@ def lower_bound_stablow(a, m, n, omega=None):
     if L % (m * n):
         raise GridMiss(f"1/{n} is not on the grid: {m * n} does not divide L={L}")
     rho = (L // m) // n
-    smin = float(systems.smin_family(systems.build_plain(a, m, m, rho)[None])[0])
-    if smin <= 0.0:
+    mats = systems.build_plain(a, m, m, rho)[None]
+    smin, smax = systems.packet_smins(lambda part: mats[part], 1, m, m, [0])
+    if smin[0] <= systems.RANK_TOL * smax[0]:
         raise RankDeficient(rho, "square system singular at 1/n")
-    return m / smin
+    return m / float(smin[0])
 
 
 class NoiseTrialResult(NamedTuple):
@@ -308,7 +311,7 @@ def noise_sweep(f, a, m, n, omega, sigmas, trials=200, seed=0, pinv_norm=None):
     its noise once from the one seeded stream: per trial, per sequence, real
     part then imaginary part, whatever the block size.  Every sigma's trials
     of the block are right-hand-side columns of one packet solve, so each
-    packet takes one QR and one Cholesky test per block, not one per sigma.
+    packet takes one QR and one certificate per block, not one per sigma.
     The QR and the triangular solve treat every column apart, and the
     per-trial errors are taken in one pass that is bitwise the per-row norm
     (:func:`_rms_rows`), so the results are bitwise those of one sigma at a
@@ -337,7 +340,7 @@ def noise_sweep(f, a, m, n, omega, sigmas, trials=200, seed=0, pinv_norm=None):
     errors = np.empty((len(sigmas), trials))
     for start in range(0, trials, block):
         noisy = _noisy_block(samples, rng, min(block, trials - start), sigmas)
-        rec = _solve(noisy[:m], dict(zip(omega, noisy[m:])), m, table, n, omega)
+        rec = _solve(noisy[:m], dict(zip(omega, noisy[m:])), m, table, n, omega, a.response)
         errors[:, start:start + rec.shape[1]] = _rms_rows(rec - f)
         del noisy, rec          # so the next block's arrays replace these, not join them
     results = []

@@ -233,7 +233,7 @@ def extended_stack(blocks, phase):
     return A
 
 
-def solve_packets(blocks_of, P, phase, rhs):
+def solve_packets(blocks_of, P, phase, rhs, floors=None):
     """Per-packet smin and smax brackets and least-squares solutions.
 
     ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
@@ -241,15 +241,18 @@ def solve_packets(blocks_of, P, phase, rhs):
     ``blocks_of(part)`` returns the (n, N, m) blocks of the packets in slice
     ``part``, and each chunk of packets is assembled at once.  A tall packet
     takes one QR of [A | b], whose R holds Q^H b in its last columns (a
-    square packet is its own R), and the chunk takes one batched Cholesky
-    test of R^H R - tau I, tau = ``CERT_SHIFT`` c^2 eps ||R||_F^2 for c =
-    cols.  If every packet passes, smin = sqrt(tau/2) and smax = ||R||_F
-    bracket the singular values from below and above; otherwise the chunk
-    takes the SVD without vectors of R and its smin, smax are exact (exact
-    values of every packet come from :func:`packet_smins`).  Then x = R^-1
-    Q^H b.  The chunk size counts the right-hand-side columns as well.  A
-    packet with smin <= RANK_TOL times smax is rank deficient and is not
-    solved: its x is NaN; a certified packet never is, as sqrt(tau/2) >
+    square packet is its own R).  Each chunk's R then takes
+    :func:`_brackets`: ``floors``, when the blocks are power matrices of
+    their nodes, holds the (P,) node bounds of :func:`packet_floors`, and a
+    packet that they clear reports (node bracket, ||R||_F); every other
+    packet of the chunk takes one batched Cholesky test of R^H R - tau I,
+    tau = ``CERT_SHIFT`` c^2 eps ||R||_F^2 for c = cols, and reports
+    (sqrt(tau/2), ||R||_F) when all of them pass, else the exact values of
+    their SVD without vectors (exact values of every packet come from
+    :func:`packet_smins`).  Then x = R^-1 Q^H b.  The chunk size counts the
+    right-hand-side columns as well.  A packet with smin <= RANK_TOL times
+    smax is rank deficient and is not solved: its x is NaN; a cleared or
+    certified packet never is, as its bracket is at least sqrt(tau/2) >
     8e-8 ||R||_F.  Returns (smin, smax, x); raises nothing.
     """
     cols = phase.shape[1]
@@ -265,17 +268,55 @@ def solve_packets(blocks_of, P, phase, rhs):
             A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
             A[..., :cols] = np.triu(A[..., :cols])
         A, b = A[..., :cols], A[..., cols:]
-        brackets = _certify(A)
-        if brackets is None:
-            s = np.linalg.svd(A, compute_uv=False)
-            brackets = s[:, -1], s[:, 0]
-        smin[part], smax[part] = brackets
-        # A rank-deficient packet solves against the identity, then reads NaN.
+        smin[part], smax[part] = _brackets(A, rows, None if floors is None else floors[part])
         ok = smin[part] > RANK_TOL * smax[part]
-        x[part] = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(cols)), b)
-        x[part][~ok] = np.nan
+        if ok.all():
+            x[part] = np.linalg.solve(A, b)
+        else:
+            # A rank-deficient packet solves against the identity, then reads NaN.
+            x[part] = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(cols)), b)
+            x[part][~ok] = np.nan
         del A, b            # at most one chunk's factors are alive
     return smin, smax, x
+
+
+def _brackets(R, rows, floors):
+    """(smin, smax) brackets of the (k, c, c) triangles R of packet matrices
+    with ``rows`` rows (see :func:`solve_packets`).
+
+    With ``floors``, the node bounds of :func:`packet_floors`, a packet is
+    cleared when its node bracket
+
+        floors - 16 rows (c + 1) eps ||R||_F
+
+    is at least the Cholesky bracket sqrt(CERT_SHIFT/2) c sqrt(eps) ||R||_F,
+    and it reports (node bracket, ||R||_F).  A floor bounds the smin of the
+    exact matrix of the floating-point nodes; four roundings part it from
+    the smin of the computed R, each at most its constant times eps ||A||_F
+    for the assembled matrix A (Higham, Accuracy and Stability of Numerical
+    Algorithms):
+    - the np.vander powers, j - 1 complex products of relative error
+      sqrt(2) gamma_2 each for x^j (Lemma 3.5), and the division by m:
+      1.5 rows;
+    - the floor itself, 3 m eps relative to a value below ||A||_F:
+      3 (c + 1);
+    - the Householder QR, whose R is exact for a matrix within
+      gamma~_{rows c} ||a_j||_2 of each column a_j of A (Thm 19.4), the
+      small constant of gamma~ taken as 16 for complex arithmetic:
+      8 rows c.
+    Together they are at most 8 rows (c + 1), half the term subtracted; the
+    other half covers the rounding of ||R||_F, which is ||A||_F to within
+    the QR error.  The packets not cleared take :func:`_certify` as one
+    stack, so a node bracket is never weaker than the certificate."""
+    if floors is None:
+        return _certify(R)
+    c = R.shape[-1]
+    fro = np.linalg.norm(R, axis=(1, 2))
+    bracket = floors - 16 * rows * (c + 1) * _EPS * fro
+    todo = bracket < np.sqrt(CERT_SHIFT / 2 * _EPS) * c * fro
+    if todo.any():
+        bracket[todo], fro[todo] = _certify(R[todo])
+    return bracket, fro
 
 
 def packet_smins(matrices_of, P, rows, cols, exact):
@@ -336,13 +377,15 @@ def _shifted_cholesky(A, shift):
 
 
 def _certify(R):
-    """Certified (smin, smax) brackets of the (k, c, c) stack R when every
-    R^H R - tau I takes a Cholesky factorization (see :func:`solve_packets`),
-    else None."""
+    """(smin, smax) of the (k, c, c) stack R: the certified brackets
+    (sqrt(tau/2), ||R||_F) when every R^H R - tau I takes a Cholesky
+    factorization (see :func:`solve_packets`), else the exact values of one
+    batched SVD without vectors."""
     c = R.shape[-1]
     passed = _shifted_cholesky(R, lambda norm2: CERT_SHIFT * c * c * _EPS * norm2)
     if passed is None:
-        return None
+        s = np.linalg.svd(R, compute_uv=False)
+        return s[:, -1], s[:, 0]
     norm2, tau = passed
     return np.sqrt(tau / 2), np.sqrt(norm2)
 
@@ -389,20 +432,49 @@ def build_extended_at(a, m, n, omega, xi):
     return extended_stack(offgrid_blocks(a, m, n, [xi]), phase_rows(m, n, omega))[0]
 
 
-def gautschi_bound_nodes(nodes):
-    """Separation-based bound on the inverse norm of a square power matrix.
+def gautschi_bounds(nodes):
+    """Separation-based bound on the inverse norm of the square power matrix
+    of every node set of the (..., m) array ``nodes``.
 
     For pairwise distinct nodes x_0..x_{m-1} the spectral norm of the
-    inverse is at most
+    inverse is at most (Gautschi, Numer. Math. 4, 1962, with the sqrt(m)
+    between the infinity and the spectral norm)
 
-        sqrt(m) * max_i prod_{j != i} (1 + |x_j|) / |x_j - x_i|.
+        sqrt(m) * max_i prod_{j != i} (1 + |x_j|) / |x_j - x_i|,
+
+    each product taken over j in increasing order.  Coinciding nodes give
+    +inf.
     """
     nodes = np.asarray(nodes, dtype=complex)
-    m = len(nodes)
-    diffs = np.abs(nodes[None, :] - nodes[:, None])
-    off = ~np.eye(m, dtype=bool)
-    if np.any(diffs[off] == 0.0):
+    m = nodes.shape[-1]
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = ((1.0 + np.abs(nodes))[..., None, :]
+                  / np.abs(nodes[..., None, :] - nodes[..., :, None]))
+        ratios[..., np.arange(m), np.arange(m)] = 1.0
+        return np.sqrt(m) * np.prod(ratios, axis=-1).max(axis=-1)
+
+
+def gautschi_bound_nodes(nodes):
+    """:func:`gautschi_bounds` of one node set, as a float; coinciding nodes
+    raise CoincidentNodes."""
+    nodes = np.asarray(nodes, dtype=complex)
+    i, j = np.triu_indices(len(nodes), 1)
+    if np.any(nodes[i] == nodes[j]):
         raise CoincidentNodes("nodes coincide; separation bound undefined")
-    i, j = np.nonzero(off)          # row by row, j != i in increasing order
-    prods = np.prod(((1.0 + np.abs(nodes[j])) / diffs[i, j]).reshape(m, m - 1), axis=1)
-    return float(np.sqrt(m) * prods.max())
+    return float(gautschi_bounds(nodes))
+
+
+def packet_floors(nodes, m, idx):
+    """Lower bound on the smin of each extended packet matrix whose blocks
+    are the power matrices of the L-grid ``nodes``, at the (P, n, m)
+    :func:`packet_indices` idx.
+
+    Below the extras rows, every packet matrix A holds the block diagonal
+    D of its n blocks B_k / m, so A^H A >= D^H D and smin(A) >= min_k
+    smin(B_k) / m; the first m rows of B_k are its square power matrix,
+    whose smin is at least 1 / G_k, G_k from :func:`gautschi_bounds`.  G is
+    taken once over the L/m grid and gathered per packet: the floor is
+    1 / (m max_k G_k), 0 where two nodes of a block coincide.
+    """
+    bounds = gautschi_bounds(nodes.reshape(m, len(nodes) // m).T)
+    return 1.0 / (m * bounds[idx[..., 0]].max(axis=1))

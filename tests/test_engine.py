@@ -873,13 +873,15 @@ def test_solve_decomposes_one_packet_per_mirror_pair(monkeypatch, a, P, decompos
     seen = []
     solve = systems.solve_packets
 
-    def spy(blocks_of, count, phase, rhs=None):
-        seen.append((count, rhs.shape))
-        return solve(blocks_of, count, phase, rhs)
+    def spy(blocks_of, count, phase, rhs, floors):
+        seen.append((count, rhs.shape, floors.shape))
+        return solve(blocks_of, count, phase, rhs, floors)
     monkeypatch.setattr(systems, "solve_packets", spy)
     ds.reconstruct_extended(noisy_samples(a.L, 3, 3, (1,), 3, 11), a, 3, 3, (1,), force=True)
-    # One trial: a second column per factored packet holds its mirror's right-hand side.
-    assert seen == [(decomposed, (decomposed, 1 + 3 * 3, 1 if decomposed == P else 2))]
+    # One trial: a second column per factored packet holds its mirror's right-hand
+    # side.  The node bounds of the power table come with the factored packets.
+    assert seen == [(decomposed, (decomposed, 1 + 3 * 3, 1 if decomposed == P else 2),
+                     (decomposed,))]
 
 
 def test_hermitian_check_covers_every_row_and_the_real_bins():
@@ -1040,6 +1042,61 @@ def test_certificate_sends_one_chunk_to_the_svd(extra):
     assert np.all(smin[~exact] < sv[~exact, -1])
 
 
+# ---------------------------------------------------------------------------
+# the node certificate: Gautschi bounds of the power blocks clear packets
+
+@st.composite
+def node_tables(draw):
+    """(nodes, m, n, N, omega, T, chunk, seed): complex nodes on L = m n P
+    points, some blocks with two nodes 10^-e apart relatively (e up to 16,
+    so some coincide), an extras set of any size and a chunk of 1..P + 1
+    packets."""
+    m, n = draw(st.sampled_from([2, 3, 5])), draw(st.sampled_from([1, 3, 7]))
+    N, P, T = draw(st.sampled_from([m, m + 2])), draw(st.integers(1, 6)), draw(st.integers(1, 2))
+    L, seed = m * n * P, draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    nodes = rand_complex(rng, L) * draw(st.sampled_from([0.3, 1.0, 3.0]))
+    for e in draw(st.lists(st.floats(0, 16), max_size=4)):
+        g, (i, j) = rng.integers(L // m), rng.choice(m, 2, replace=False)
+        nodes[g + j * (L // m)] = nodes[g + i * (L // m)] * (1 + 10.0 ** -e)
+    omega = draw(st.lists(st.integers(0, m * n - 1), unique=True, max_size=m))
+    return nodes, m, n, N, tuple(sorted(omega)), T, draw(st.integers(1, P + 1)), seed
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(node_tables())
+def test_node_certificate_brackets_and_bits(case):
+    nodes, m, n, N, omega, T, chunk, seed = case
+    L = len(nodes)
+    P, cols, rows = L // (m * n), m * n, len(omega) + n * N
+    table, idx = systems.power_rows(nodes, N), systems.packet_indices(L, m, n, np.arange(P))
+    phase = systems.phase_rows(m, n, omega)
+    rhs = rand_complex(np.random.default_rng(seed + 1), (P, rows, T))
+
+    def blocks_of(part):
+        return systems.gather_blocks(table, idx[part])
+    floors = systems.packet_floors(nodes, m, idx)
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + T)):
+        smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
+        # The reference certifies every chunk the old way, by its Cholesky test.
+        _, _, ref = systems.solve_packets(blocks_of, P, phase, rhs)
+    assert np.array_equal(x, ref, equal_nan=True)
+    # Each packet's R as the solve forms it, from the QR of [A | b].
+    A = np.concatenate([systems.extended_stack(blocks_of(slice(0, P)), phase), rhs], axis=2)
+    if rows > cols:
+        A = np.triu(np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols])
+    R = A[..., :cols]
+    sv = np.linalg.svd(R, compute_uv=False)
+    fro = np.linalg.norm(R, axis=(1, 2))
+    bracket = floors - 16 * rows * (cols + 1) * EPS * fro
+    cleared = bracket >= certified_smin(cols, fro)
+    assert np.allclose(smin[cleared], bracket[cleared], rtol=1e-12, atol=0)
+    assert np.all(smin[cleared] <= sv[cleared, -1])
+    assert np.all(smax[cleared] >= sv[cleared, 0] * (1 - 1e-12))
+    # A cleared packet is never rank deficient.
+    assert np.isfinite(x[cleared]).all()
+
+
 def near_cutoff_filter(P, worst, ratio):
     """An m = 2 plain filter on L = 2 P points: every packet has nodes 1, -1,
     except packet ``worst`` with nodes 0, d, whose smin is ``ratio`` times
@@ -1054,9 +1111,10 @@ def near_cutoff_filter(P, worst, ratio):
 def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunked):
     # The brackets clear the grid only when the worst smin is at least twice
     # SINGULAR_TOL times the largest smax; below that the exact scan runs
-    # and decides.  In one chunk every packet takes the SVD, so the largest
-    # smax is the top smin sqrt(2)/2 here; in chunks of four packets the
-    # other chunks certify and report smax = ||R||_F = 1.
+    # and decides.  The node bound clears every packet with nodes 1, -1,
+    # which reports smax = ||R||_F = 1, in one chunk as in chunks of four;
+    # the worst packet alone fails the Cholesky test and takes the SVD, so
+    # its smin is exact, sqrt(2)/2 times the ratio times SINGULAR_TOL.
     P, worst, m = 40, 17, 2
     if chunked:
         monkeypatch.setattr(systems, "_CHUNK_BYTES", 4 * 16 * m * (m + 1))
@@ -1084,7 +1142,7 @@ def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunk
         assert err.value.indices == expected
     else:
         assert np.isfinite(ds.reconstruct_plain(samples, a, m)).all()
-    rescans = ratio < (2 * np.sqrt(2) if chunked else 2)
+    rescans = ratio < 2 * np.sqrt(2)
     assert calls == (["solve", "scan"] if rescans else ["solve"])
     assert expected == ([worst] if ratio < 1 else [])
 

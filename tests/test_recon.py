@@ -32,6 +32,21 @@ def test_forward_delta_snapshots_identical():
         assert np.abs(s.y[l] - s.y[0]).max() < 1e-12
 
 
+@pytest.mark.parametrize("make, m, N, L", [
+    (nonsym_filter, 3, 3, 72),
+    (nonsym_filter, 3, 3, 36864),
+    (lambda L: ds.filter_heat(L, 0.5), 5, 5, 36860),
+])
+def test_forward_snapshots_bitwise_per_step_evolve(make, m, N, L):
+    # forward shares one transform of f among its steps.  Its spectra reach
+    # numpy's temporary-elision size (256 KiB) at L = 36864, not at L = 72,
+    # and a complex product may round differently with its operands swapped.
+    a, f = make(L), rand_signal(L, 2)
+    s = ds.forward(f, a, m, N)
+    for l in range(N):
+        assert np.array_equal(s.y[l], ds.subsample(ds.evolve(f, a, l), m))
+
+
 def test_forward_against_naive_time_domain():
     # Everything recomputed with plain loops: taps by direct transform sums,
     # evolution by circular convolution, decimation by indexing.

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import dynsamp as ds
-from dynsamp.errors import EvenM, GridMiss, HypothesisViolated
+from dynsamp import systems
+from dynsamp.errors import EvenM, GridMiss, HypothesisViolated, RankDeficient
 
 RC72 = ds.filter_raised_cosine(72, 1.0)
 
@@ -149,6 +150,19 @@ def test_lower_bound_grows_without_bound():
         a = ds.filter_raised_cosine(L, 1.0)
         vals.append(ds.lower_bound_stablow(a, 3, n))
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+@pytest.mark.parametrize("a, m", [(ds.filter_heat(840, 0.5), 5), (RC72, 3)])
+def test_lower_bound_rank_rule_at_a_degenerate_frequency(a, m):
+    # At n = 2 the frequency 1/n = 1/2 is degenerate.  The heat smin there is
+    # tiny but not 0 (the bound read 5.05e17), the raised-cosine smin is 0;
+    # both fall under the solve's rule smin <= RANK_TOL * smax.
+    rho = a.L // m // 2
+    s = np.linalg.svd(ds.build_plain(a, m, m, rho), compute_uv=False)
+    assert s[-1] <= systems.RANK_TOL * s[0]
+    with pytest.raises(RankDeficient) as err:
+        ds.lower_bound_stablow(a, m, 2)
+    assert err.value.rho == rho
 
 
 def test_lower_bound_trivial_m1():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dynsamp as ds
+from dynsamp import systems
 from dynsamp.errors import (CoincidentNodes, EvenM, GridMiss, MalformedSamples,
                             NonDivisibleLength, ShapeMismatch)
 
@@ -358,12 +359,16 @@ def test_node_products_match_loops(a, m, rel):
     system = ds.PlainSystem(a, m, m)
     step = a.L // m
     dets = ds.det_plain(system, np.arange(step))
+    # The bound of every grid node set at once, as the solve takes it.
+    bounds = systems.gautschi_bounds(a.response.reshape(m, step).T)
     for rho in range(step):
         nodes = a.response[rho + np.arange(m) * step]
         ref = loop_det(nodes)
         for det in (ds.det_plain(system, rho), dets[rho]):
             assert abs(det - ref) <= rel * abs(ref)
         if a.symmetric_decreasing and rho in (0, step // 2):
-            continue                      # coincident nodes at the degenerate frequencies
+            assert bounds[rho] == np.inf  # coincident nodes at the degenerate frequencies
+            continue
         bound, ref = ds.gautschi_bound_nodes(nodes), loop_gautschi(nodes)
         assert abs(bound - ref) <= rel * ref
+        assert bounds[rho] == bound
