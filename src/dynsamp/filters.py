@@ -156,7 +156,20 @@ def evolve(f, a, l):
         raise ValueError("step count must be nonnegative")
     if l == 0:
         return f.copy()
-    return spectral.idft(spectral.dft(f) * a.response ** l)
+    return _evolve_hat(spectral.dft(f), a, l)
+
+
+def _evolve_hat(f_hat, a, l):
+    """l convolution steps of the kernel applied to the signal whose spectrum
+    is f_hat.
+
+    The product is spectrum times power with both operands named: complex
+    products round differently with their operands swapped, and numpy
+    evaluates ``f_hat * (response ** l)`` as ``(response ** l) * f_hat`` in
+    place of the temporary once the arrays reach its elision size (256 KiB).
+    """
+    power = a.response ** l
+    return spectral.idft(f_hat * power)
 
 
 def check_symmetric_decreasing(a):

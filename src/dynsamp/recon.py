@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import (EvenM, LengthMismatch, MalformedSamples, PreconditionViolated,
                      RankDeficient, SingularSystem, TooLarge)
-from . import spectral, systems
+from . import filters, spectral, systems
 
 
 def _require_finite(name, values):
@@ -108,12 +108,9 @@ class SampleSet:
 def forward(f, a, m, N, n=1, omega=()):
     """Sample the evolving signal: N coarse snapshots plus extra initial samples.
 
-    Snapshot l is bitwise ``subsample(evolve(f, a, l), m)``, with the one
-    transform of f shared by every step.  The product keeps evolve's operand
-    order, transform times power, with both operands named: complex products
-    round differently with their operands swapped, and numpy evaluates
-    ``f_hat * (response ** l)`` as ``(response ** l) * f_hat`` in place of the
-    temporary once the arrays reach its elision size (256 KiB).
+    Snapshot l is bitwise ``subsample(evolve(f, a, l), m)``: both take the
+    step from the transform of f the same way, and here one transform of f
+    serves every step.
     """
     f = np.asarray(f, dtype=complex)
     L = len(f)
@@ -123,8 +120,7 @@ def forward(f, a, m, N, n=1, omega=()):
     f_hat = spectral.dft(f)
     y = [spectral.subsample(f, m)]
     for l in range(1, systems._time_rows(N)):
-        power = a.response ** l
-        y.append(spectral.subsample(spectral.idft(f_hat * power), m))
+        y.append(spectral.subsample(filters._evolve_hat(f_hat, a, l), m))
     extras = {c: spectral.subsample(spectral.shift(f, c), m * n) for c in omega}
     return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
 
@@ -142,10 +138,10 @@ def reconstruct_plain(samples, a, m):
     if samples.m != m:
         raise PreconditionViolated(f"samples were taken with m={samples.m}, not {m}")
     return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
-                  1, None, a.response)
+                  1, None, systems.grid_bounds(a.response, m))
 
 
-def _solve(y, extras, m, table, n, omega, nodes=None):
+def _solve(y, extras, m, table, n, omega, bounds=None):
     """Solve every frequency packet against the first len(table) snapshots.
 
     ``y`` lists the N snapshot sequences, each (..., L/m), and ``extras``
@@ -156,10 +152,10 @@ def _solve(y, extras, m, table, n, omega, nodes=None):
     packet rho couples the spectrum values f_hat(rho + k L/(m n) + l L/m).
     ``omega=None`` marks the plain system (n = 1, no extra rows), whose
     singular frequencies are judged against the whole grid first and raise
-    ``SingularSystem``.  ``nodes``, when the table holds the powers 0..N-1
-    of a response, is that response: then every packet has a Gautschi floor
-    (:func:`systems.packet_floors`, once per solve), and a packet that it
-    clears takes no Cholesky test.  The span tables pass none.  The solve
+    ``SingularSystem``.  ``bounds``, when the table holds the powers 0..N-1
+    of a response, are its :func:`systems.grid_bounds`: then every packet
+    has a Gautschi floor (:func:`systems.packet_floors`), and a packet that
+    it clears takes no Cholesky test.  The span tables pass none.  The solve
     returns smin and smax as brackets (see :func:`systems.solve_packets`),
     exact for packets that fail both certificates; the grid passes when
     the lowest smin is at least twice ``systems.SINGULAR_TOL`` times the
@@ -198,7 +194,7 @@ def _solve(y, extras, m, table, n, omega, nodes=None):
 
     def blocks_of(part):
         return systems.gather_blocks(table, idx[part])
-    floors = None if nodes is None else systems.packet_floors(nodes, m, idx[:D])
+    floors = None if bounds is None else systems.packet_floors(bounds, m, idx[:D])
     smin, smax, x = systems.solve_packets(
         blocks_of, D, phase, _rhs(y[:len(table)], extras, omega, idx, q, L, T), floors)
     smin, smax = smin[src], smax[src]
@@ -257,7 +253,7 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
     """
     omega = _guarantee_regime(samples, m, n, omega, force)
     return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
-                  n, omega, a.response)
+                  n, omega, systems.grid_bounds(a.response, m))
 
 
 def _guarantee_regime(samples, m, n, omega, force=False):

@@ -270,12 +270,11 @@ def solve_packets(blocks_of, P, phase, rhs, floors=None):
         A, b = A[..., :cols], A[..., cols:]
         smin[part], smax[part] = _brackets(A, rows, None if floors is None else floors[part])
         ok = smin[part] > RANK_TOL * smax[part]
-        if ok.all():
-            x[part] = np.linalg.solve(A, b)
-        else:
-            # A rank-deficient packet solves against the identity, then reads NaN.
-            x[part] = np.linalg.solve(np.where(ok[:, None, None], A, np.eye(cols)), b)
-            x[part][~ok] = np.nan
+        # A rank-deficient packet solves against the identity, then reads NaN;
+        # each matrix is solved apart, so the others keep their bits.
+        A[~ok] = np.eye(cols)
+        x[part] = np.linalg.solve(A, b)
+        x[part][~ok] = np.nan
         del A, b            # at most one chunk's factors are alive
     return smin, smax, x
 
@@ -464,17 +463,21 @@ def gautschi_bound_nodes(nodes):
     return float(gautschi_bounds(nodes))
 
 
-def packet_floors(nodes, m, idx):
+def grid_bounds(response, m):
+    """(L/m,) :func:`gautschi_bounds` of the m aliased nodes
+    response[rho + j L/m] at every index rho of the L/m grid."""
+    return gautschi_bounds(response.reshape(m, len(response) // m).T)
+
+
+def packet_floors(bounds, m, idx):
     """Lower bound on the smin of each extended packet matrix whose blocks
-    are the power matrices of the L-grid ``nodes``, at the (P, n, m)
-    :func:`packet_indices` idx.
+    are the power matrices of L-grid nodes with :func:`grid_bounds`
+    ``bounds``, at the (P, n, m) :func:`packet_indices` idx.
 
     Below the extras rows, every packet matrix A holds the block diagonal
     D of its n blocks B_k / m, so A^H A >= D^H D and smin(A) >= min_k
     smin(B_k) / m; the first m rows of B_k are its square power matrix,
-    whose smin is at least 1 / G_k, G_k from :func:`gautschi_bounds`.  G is
-    taken once over the L/m grid and gathered per packet: the floor is
-    1 / (m max_k G_k), 0 where two nodes of a block coincide.
+    whose smin is at least 1 / G_k, G_k from :func:`gautschi_bounds`.  The
+    floor is 1 / (m max_k G_k), 0 where two nodes of a block coincide.
     """
-    bounds = gautschi_bounds(nodes.reshape(m, len(nodes) // m).T)
     return 1.0 / (m * bounds[idx[..., 0]].max(axis=1))

@@ -1075,7 +1075,7 @@ def test_node_certificate_brackets_and_bits(case):
 
     def blocks_of(part):
         return systems.gather_blocks(table, idx[part])
-    floors = systems.packet_floors(nodes, m, idx)
+    floors = systems.packet_floors(systems.grid_bounds(nodes, m), m, idx)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + T)):
         smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
         # The reference certifies every chunk the old way, by its Cholesky test.

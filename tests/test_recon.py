@@ -41,10 +41,15 @@ def test_forward_snapshots_bitwise_per_step_evolve(make, m, N, L):
     # forward shares one transform of f among its steps.  Its spectra reach
     # numpy's temporary-elision size (256 KiB) at L = 36864, not at L = 72,
     # and a complex product may round differently with its operands swapped.
+    # Each step is transform times power: with the transform a temporary on
+    # the left, elision keeps that order.
     a, f = make(L), rand_signal(L, 2)
     s = ds.forward(f, a, m, N)
     for l in range(N):
         assert np.array_equal(s.y[l], ds.subsample(ds.evolve(f, a, l), m))
+        if l:
+            step = ds.idft(ds.dft(f) * a.response ** l)
+            assert np.array_equal(ds.evolve(f, a, l), step)
 
 
 def test_forward_against_naive_time_domain():

@@ -360,7 +360,7 @@ def test_node_products_match_loops(a, m, rel):
     step = a.L // m
     dets = ds.det_plain(system, np.arange(step))
     # The bound of every grid node set at once, as the solve takes it.
-    bounds = systems.gautschi_bounds(a.response.reshape(m, step).T)
+    bounds = systems.grid_bounds(a.response, m)
     for rho in range(step):
         nodes = a.response[rho + np.arange(m) * step]
         ref = loop_det(nodes)
