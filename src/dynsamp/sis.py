@@ -20,6 +20,7 @@ so its integer samples are exact L-point transforms and no fine grid enters.
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,18 @@ def _bspline_order(order):
     return int(order)
 
 
+def _positive_int(value, name, what):
+    """The value as an int, read through operator.index; PreconditionViolated
+    naming it unless it is an integer >= 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise PreconditionViolated(f"{what} {name} must be an integer, got {name}={value!r}") from None
+    if value < 1:
+        raise PreconditionViolated(f"{what} {name} must be at least 1, got {name}={value}")
+    return value
+
+
 def _bspline_time(x, order):
     # Centered cardinal B-spline: (order+1)-fold convolution of the unit box,
     # supported on [-(order+1)/2, (order+1)/2].  Order 0 is the box itself,
@@ -182,6 +195,7 @@ def line_filter_from_spec(spec):
 
 _FIRST_BLOCK = 16          # shifts per side in the first outward block; each next one doubles
 _BLOCK_STOP = 2.0 ** -60
+_TINY = np.finfo(float).tiny
 TAIL_TOL = 1e-12           # largest |k| = K term allowed, relative to the row (periodize_phi)
 
 
@@ -201,6 +215,25 @@ def _bspline_poisson_row(order, L):
     return row.astype(complex)
 
 
+def _fourier_sup(gen):
+    """(sup |phi_hat|, whether phi_hat is real) of a generator, over the whole line."""
+    if gen.kind == "table":
+        return float(np.abs(gen.table).max()), not np.any(gen.table.imag)
+    return 1.0, True
+
+
+def _absorbs(row, bound, imag):
+    """True when adding a value below ``bound`` to each real part of row,
+    and with ``imag`` to each imaginary part, leaves every bit of it.
+
+    A sum rounds back to the element when the addend is below a quarter of
+    its np.spacing, the gap above it: at a power of two the gap below is
+    half that.  A zero part never absorbs, as adding -0 or a tiny value
+    moves its bits."""
+    parts = (row.real, row.imag) if imag else (row.real,)
+    return all(bound < np.spacing(np.abs(p).min()) / 4 for p in parts)
+
+
 def _outward_sums(gen, a_hat, js, L, K):
     """{j: sum over |k| <= K of phi_hat(xi + k) a_hat(xi + k)**j} for j in js.
 
@@ -211,8 +244,26 @@ def _outward_sums(gen, a_hat, js, L, K):
     which every term is at most 2**-60 times the largest |partial sum| the
     row has reached.  That stop assumes that the terms keep decaying in |k|
     past such a block, the hypothesis the K tail rule already makes.
+
+    a_hat is evaluated on a block before phi_hat, and after the first block
+    a row j > 0 stops without phi_hat when its block provably adds nothing.
+    Each of the w terms of the block is at most A**j S, for A = max |a_hat|
+    on the block and S = sup |phi_hat|, up to a few roundings that the factor
+    2 of B = 2 w max(A**j S, tiny) covers; the floor at the smallest normal
+    double covers the absolute roundings of subnormal terms.  The row stops
+    when B <= 2**-60 peak, so that the rule above stops it after this block
+    too, and when _absorbs(row, B) holds, so that adding the block's sum
+    changes no bit of it.  The imaginary parts are left out of that check
+    only when phi_hat is real and a_hat real and nonnegative on the block:
+    every power and term then has imaginary part +-0.  A negative real base
+    does not qualify, since numpy's complex power gives it a nonzero
+    imaginary part from exponent 100 on ((-0.5 + 0j)**100 has 1.5e-45).  A
+    non-finite bound never stops a row.  phi_hat is still evaluated for a
+    block while any row needs it, so the rows and their stops are bitwise
+    those of the outward sum that evaluates it on every block.
     """
     K = gen.live_shifts(K)
+    sup, real_phi = _fourier_sup(gen)
     xi = np.arange(L) / L
     rows = {j: np.zeros(L, dtype=complex) for j in js}
     peak = dict.fromkeys(js, 0.0)
@@ -223,8 +274,18 @@ def _outward_sums(gen, a_hat, js, L, K):
         k = np.arange(1 - hi, hi)
         k = k[np.abs(k) >= lo]
         nu = xi[:, None] + k[None, :]
-        phi = gen.fourier_at(nu)
         avals = a_hat(nu) if any(live) else None
+        if lo and avals is not None:
+            amax = np.abs(avals).max()
+            imag = not (real_phi and not avals.imag.any() and avals.real.min() >= 0)
+            for j in [j for j in live if j > 0]:
+                bound = 2 * k.size * max(amax ** j * sup, _TINY)
+                if (np.isfinite(bound) and bound <= _BLOCK_STOP * peak[j]
+                        and _absorbs(rows[j], bound, imag)):
+                    live.remove(j)
+            if not live:
+                break
+        phi = gen.fourier_at(nu)
         # Block arrays are freed as soon as possible and the power is taken in
         # place: the peak is a few arrays of one block, O(L * width).
         del nu
@@ -255,8 +316,7 @@ def _cross_spectra(gen, a_hat, js, L, K, tail_tol):
     overflows, raises TailTooLarge naming the row; the overflow itself is
     not warned about, since that error reports it.
     """
-    if K < 1:
-        raise PreconditionViolated(f"periodization half-width K must be at least 1, got K={K}")
+    K = _positive_int(K, "K", "periodization half-width")
     sums = _outward_sums(gen, a_hat, [j for j in js if j or gen.kind != "bspline"], L, K)
     edges = (np.arange(L) / L)[:, None] + np.array([-K, K])[None, :]
     phi = gen.fourier_at(edges)
@@ -288,9 +348,11 @@ def periodize_phi(gen, a_hat, j, L, K, tail_tol=TAIL_TOL):
     shifts that cannot meet a sinc or table band (Generator.live_shifts),
     whose terms are exact zeros, and stops early once its terms are
     negligible; for a B-spline and j = 0 it is exact, with no truncation.
-    Raises
+    On the block where it stops, phi_hat is not evaluated when a bound on
+    |a_hat|**j sup |phi_hat| proves that the block changes no bit of the
+    row (see _outward_sums).  Raises
     TailTooLarge when that term exceeds ``tail_tol`` times the value scale,
-    and PreconditionViolated for K < 1.
+    and PreconditionViolated unless K is an integer >= 1.
     """
     rows, tails = _cross_spectra(gen, a_hat, (j,), L, K, tail_tol)
     return rows[0], tails[0]
@@ -385,9 +447,10 @@ def reducibility_check(gen, a_hat, L, K):
     Only the shifts |k| <= gen.live_shifts(K) are formed; the others have a
     zero transform and are never support.  All grid rows are tested at once
     on that (L, 2 gen.live_shifts(K) + 1) table; the witness is the first
-    failing row and, in it, the first shift of largest deviation.
+    failing row and, in it, the first shift of largest deviation.  K must
+    be an integer >= 1 (PreconditionViolated naming it otherwise).
     """
-    kmax = gen.live_shifts(K)
+    kmax = gen.live_shifts(_positive_int(K, "K", "periodization half-width"))
     k = np.arange(-kmax, kmax + 1)
     xi = np.arange(L) / L
     nu = xi[:, None] + k[None, :]
@@ -460,13 +523,13 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     y_l = S_m idft(c_hat a_hat(q/L)**l) over the signed bins q of that band,
     and f(k) = c_k.  B-spline and table spans are synthesized on a fine grid
     of P points per unit, evolved by multiplying the fine spectrum with the
-    line response, and sampled at the integers.
+    line response, and sampled at the integers.  P must be an integer >= 1
+    for every generator (PreconditionViolated naming it otherwise).
     """
     c = np.asarray(c, dtype=complex)
     L = len(c)
     omega = spectral._layout(L, m, n, omega)
-    if P < 1:
-        raise PreconditionViolated(f"fine samples per unit P must be at least 1, got P={P}")
+    P = _positive_int(P, "P", "fine samples per unit")
     if gen.kind == "sinc":
         avals = a_hat(_signed_bins(L) / L)        # the band [-1/2, 1/2)
         c_hat = spectral.dft(c)

@@ -263,10 +263,11 @@ def solve_packets(blocks_of, P, phase, rhs, floors=None):
         A = np.concatenate([extended_stack(blocks_of(part), phase), rhs[part]], axis=2)
         if rows > cols:
             # The raw factor, transposed back, holds R on and above its
-            # diagonal and the reflectors below; clearing them in the
-            # square part only spares mode "r" a copy of the whole chunk.
+            # diagonal and the reflectors below; zeroing them in place
+            # spares mode "r" a copy of the whole chunk, and np.triu a copy
+            # of its square part.
             A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
-            A[..., :cols] = np.triu(A[..., :cols])
+            np.copyto(A[..., :cols], 0, where=np.tri(cols, k=-1, dtype=bool))
         A, b = A[..., :cols], A[..., cols:]
         smin[part], smax[part] = _brackets(A, rows, None if floors is None else floors[part])
         ok = smin[part] > RANK_TOL * smax[part]

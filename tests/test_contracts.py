@@ -1,6 +1,7 @@
 """Bad inputs raise a DynsampError that names the problem."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,42 @@ def test_periodize_phi_rejects_nonpositive_K():
 def test_build_sis_system_rejects_nonpositive_K():
     with pytest.raises(PreconditionViolated, match="K=0"):
         ds.build_sis_system(BSPLINE, ds.identity_response(), 3, 24, 0)
+
+
+@pytest.mark.parametrize("K", [2.5, np.float64(8.0)])
+@pytest.mark.parametrize("call", [
+    lambda K: ds.periodize_phi(BSPLINE, ds.identity_response(), 1, 24, K),
+    lambda K: ds.build_sis_system(BSPLINE, ds.identity_response(), 3, 24, K),
+], ids=["periodize_phi", "build_sis_system"])
+def test_span_system_rejects_fractional_K(call, K):
+    # K = 2.5 used to reach the tail check and fail there as TailTooLarge "|k|=2.5".
+    with pytest.raises(PreconditionViolated, match=re.escape(f"K must be an integer, got K={K!r}")):
+        call(K)
+
+
+@pytest.mark.parametrize("K, match", [(2.5, "K must be an integer, got K=2.5"),
+                                      (0, "K must be at least 1, got K=0"),
+                                      (-3, "K must be at least 1, got K=-3")])
+def test_reducibility_check_rejects_bad_K(K, match):
+    # These used to return the witness (0.0, -2), return reducible, and raise
+    # a bare ValueError.
+    with pytest.raises(PreconditionViolated, match=match):
+        ds.reducibility_check(BSPLINE, ds.identity_response(), 24, K)
+
+
+@pytest.mark.parametrize("P", [2.5, np.float64(4.0)])
+@pytest.mark.parametrize("spec", [{"kind": "bspline", "order": 3}, {"kind": "sinc"}],
+                         ids=["bspline", "sinc"])
+def test_sis_forward_rejects_fractional_P(spec, P):
+    with pytest.raises(PreconditionViolated, match=re.escape(f"P must be an integer, got P={P!r}")):
+        ds.sis_forward(np.ones(24), ds.make_generator(spec), ds.identity_response(), 3, P=P)
+
+
+def test_sis_forward_takes_an_integer_P_of_any_type():
+    c, a_hat = np.arange(24.0), ds.gaussian_response(2.0)
+    ref = ds.sis_forward(c, BSPLINE, a_hat, 3, P=4)
+    got = ds.sis_forward(c, BSPLINE, a_hat, 3, P=np.int64(4))
+    assert all(np.array_equal(u, v) for u, v in zip(got.y, ref.y, strict=True))
 
 
 @pytest.mark.parametrize("field, value", [("P", 0), ("K", 0)])

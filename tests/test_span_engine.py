@@ -19,6 +19,7 @@ both evaluate the same band, so they must agree to 1e-14 relative.
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,6 +60,37 @@ def ref_periodize_phi(gen, a_hat, j, L, K, tail_tol=1e-12):
     if tail > tail_tol * scale:
         raise TailTooLarge("reference tail check")
     return vals, tail
+
+
+def ref_outward_sums(gen, a_hat, js, L, K):
+    """The outward block sum that evaluated phi_hat on every block it summed."""
+    K = gen.live_shifts(K)
+    xi = np.arange(L) / L
+    rows = {j: np.zeros(L, dtype=complex) for j in js}
+    peak = dict.fromkeys(js, 0.0)
+    live = list(js)
+    lo, width = 0, sis._FIRST_BLOCK
+    while live and lo <= K:
+        hi = min(lo + width, K + 1)
+        k = np.arange(1 - hi, hi)
+        k = k[np.abs(k) >= lo]
+        nu = xi[:, None] + k[None, :]
+        phi = gen.fourier_at(nu)
+        avals = a_hat(nu) if any(live) else None
+        del nu
+        for j in list(live):
+            if j:
+                terms = avals ** j
+                terms *= phi
+            else:
+                terms = phi
+            rows[j] += terms.sum(axis=1)
+            peak[j] = max(peak[j], float(np.abs(rows[j]).max()))
+            if np.abs(terms).max() <= sis._BLOCK_STOP * peak[j]:
+                live.remove(j)
+            del terms
+        lo, width = hi, 2 * width
+    return rows
 
 
 def ref_fine_forward(c, gen, a_hat, m, n, omega, P):
@@ -280,7 +312,8 @@ def test_build_sis_system_evaluates_only_live_shifts(gen, live):
     # The grid is xi + k with xi in [0, 1), so floor(nu) is the shift k.  Apart
     # from the edge shifts +-K of the tail check, a sinc row asks a_hat only for
     # nu in [-1, 2) and a table row only for |nu| <= table_K + 1.  A B-spline
-    # row runs its blocks of 31 and 64 shifts, the second of them its stop block.
+    # row asks a_hat for its blocks of 31 and 64 shifts: the second is its stop
+    # block, whose a_hat values decide that phi_hat is not needed there.
     K = 384
     a_hat = RecordingResponse(ds.gaussian_response(2.0))
     ds.build_sis_system(gen, a_hat, 3, 24, K)
@@ -326,3 +359,145 @@ def test_table_band_wider_than_K_raises_on_the_reference_tail():
             ds.periodize_phi(gen, a_hat, j, L, K)
     with pytest.raises(TailTooLarge, match=re.escape(msgs[0])):
         ds.build_sis_system(gen, a_hat, 3, L, K)
+
+
+# ---------------------------------------------------------------------------
+# phi_hat left out of blocks that provably change no bit
+
+def wide_table_generator(L, seed, table_K, real):
+    """Table generator on |nu| <= table_K whose values all exceed 1 in modulus."""
+    rng = np.random.default_rng(seed)
+    size = 2 * table_K * L + 1
+    table = (1.0 + 2.0 * rng.random(size)).astype(complex)
+    table *= rng.choice([-1.0, 1.0], size) if real else np.exp(2j * np.pi * rng.random(size))
+    return sis.Generator(kind="table", table=table, table_L=L, table_K=table_K)
+
+
+def system_or_error(gen, a_hat, m, L, K):
+    """(phi_hat bytes, tail_bound) of build_sis_system, or its TailTooLarge message."""
+    try:
+        system = ds.build_sis_system(gen, a_hat, m, L, K)
+    except TailTooLarge as exc:
+        return str(exc)
+    return system.phi_hat.tobytes(), system.tail_bound
+
+
+GROWING = ds.gaussian_response(-0.01)
+
+
+def delayed_gaussian(nu):
+    """exp(-nu^2 / 2) times a delay of 0.3: complex, not real, and decaying."""
+    nu = np.asarray(nu, dtype=float)
+    return np.exp(-0.5 * nu ** 2 - 0.6j * np.pi * nu)
+
+
+@st.composite
+def skip_cases(draw):
+    """(gen, a_hat, m, L, K) over the generators and line filters the skip meets."""
+    L = draw(st.sampled_from([24, 72, 576]))
+    kind = draw(st.sampled_from(["bspline", "sinc", "table"]))
+    if kind == "bspline":
+        gen = ds.make_generator({"kind": "bspline", "order": draw(st.integers(0, 5))})
+    elif kind == "sinc":
+        gen = SINC
+    else:
+        gen = wide_table_generator(L, draw(st.integers(0, 2**16)),
+                                   draw(st.sampled_from([16, 20, 40])), draw(st.booleans()))
+    a_hat = draw(st.sampled_from(
+        [ds.gaussian_response(alpha) for alpha in (0.01, 0.05, 0.5, 2.0, 8.0)]
+        + [ds.heat_line_response(0.01), delayed_gaussian, GROWING]))
+    return gen, a_hat, draw(st.sampled_from([2, 3, 4])), L, draw(st.sampled_from([16, 48, 384]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(skip_cases())
+def test_outward_sums_bitwise_the_full_block_sums(case):
+    # Every row, tail and TailTooLarge message is the one of the outward sum
+    # that evaluates phi_hat on each block it adds.  The rows are compared
+    # also where the tail check then raises.
+    gen, a_hat, m, L, K = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = sis._outward_sums(gen, a_hat, range(m), L, K)
+        ref_rows = ref_outward_sums(gen, a_hat, range(m), L, K)
+    assert all(rows[j].tobytes() == ref_rows[j].tobytes() for j in range(m))
+    got = system_or_error(gen, a_hat, m, L, K)
+    with mock.patch.object(sis, "_outward_sums", ref_outward_sums):
+        ref = system_or_error(gen, a_hat, m, L, K)
+    assert got == ref
+    if a_hat is GROWING and K == 384:
+        assert got.startswith("row j=1 of the cross-spectra")
+
+
+class RecordingGenerator(sis.Generator):
+    """Generator that records the shift k = floor(nu) of every frequency its transform is asked for."""
+
+    def fourier_at(self, nu):
+        self.shifts.update(np.floor(nu).astype(int).ravel().tolist())
+        return super().fourier_at(nu)
+
+
+@pytest.mark.parametrize("alpha, last", [(2.0, 15), (0.05, 47)])
+def test_bspline_rows_skip_phi_hat_on_their_stop_block(alpha, last):
+    # Under exp(-2 nu^2) every term of the block 16 <= |k| <= 47 is below
+    # e^-450, so rows 1 and 2 stop there without phi_hat.  Under
+    # exp(-0.05 nu^2) that block is summed, and the next one, up to |k| = 111,
+    # is the stop block.  Only the edge shifts +-K of the tail check lie past it.
+    K = 384
+    gen = RecordingGenerator(kind="bspline", order=3)
+    gen.shifts = set()
+    ds.build_sis_system(gen, ds.gaussian_response(alpha), 3, 72, K)
+    assert gen.shifts == set(range(-last, last + 1)) | {-K, K}
+
+
+def test_negative_real_response_keeps_the_imaginary_bits():
+    # From exponent 100 on, numpy's complex power gives a negative real base a
+    # nonzero imaginary part ((-0.5 + 0j)**100 has 1.5e-45), so a real but
+    # negative a_hat does not spare the check of a row's imaginary parts.
+    gen = ds.make_generator({"kind": "bspline", "order": 3})
+    a_hat = lambda nu: np.where(np.abs(np.asarray(nu)) < 16, 1.0, -0.6).astype(complex)
+    got = sis._outward_sums(gen, a_hat, [100], 24, 384)[100]
+    ref = ref_outward_sums(gen, a_hat, [100], 24, 384)[100]
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_negative_row_keeps_its_tail_error():
+    # a_hat**-1 overflows where a_hat underflows to 0; the row is never a
+    # candidate for the skip, whose bound would divide by that 0.
+    gen = ds.make_generator({"kind": "bspline", "order": 3})
+    with pytest.raises(TailTooLarge, match="row j=-1 of the cross-spectra"):
+        ds.periodize_phi(gen, ds.gaussian_response(2.0), -1, 24, 384)
+
+
+def stepped_table(L, outer, origin=None):
+    """Real table on |nu| <= 47: 1 on [-15, 16), which the first block covers, and ``outer`` past it.
+
+    With ``origin``, grid point 0 meets in the first block only the shift
+    k = 0, where the transform is ``origin``, and its row value is ``origin``.
+    """
+    q = np.arange(-47 * L, 47 * L + 1)
+    first = (q >= -15 * L) & (q < 16 * L)
+    table = np.where(first, 1.0, outer).astype(complex)
+    if origin is not None:
+        table[first & (q % L == 0)] = 0.0
+        table[47 * L] = origin
+    return sis.Generator(kind="table", table=table, table_L=L, table_K=47)
+
+
+@pytest.mark.parametrize("gen, c", [
+    (stepped_table(24, 2.0 ** 20), 2.0 ** -65),
+    (stepped_table(24, 1.0, origin=2.0 ** -40), 2.0 ** -66),
+    (stepped_table(24, 1.0, origin=2.0 ** -40), 2.0 ** -96),
+], ids=["sup_of_table", "small_element", "block_width"])
+def test_stop_block_that_moves_bits_is_summed(gen, c):
+    # a_hat is c on the second block, of 64 shifts.  With the table's sup of
+    # 2**20 left out of the bound, that block would look negligible next to
+    # the row values 31, yet its sum, near 2**-39, moves their last bits.  A
+    # row value of 2**-40 at grid point 0 takes the block's 2**-60 into its
+    # bits, although the block is below 2**-60 of the row's peak 31.  Each
+    # term 2**-96 is below a quarter of that value's spacing, 2**-94, but
+    # their sum 2**-90 is not.
+    a_hat = lambda nu: np.where((nu >= -15) & (nu < 16), 1.0, c).astype(complex)
+    got = sis._outward_sums(gen, a_hat, [1], 24, 384)[1]
+    ref = ref_outward_sums(gen, a_hat, [1], 24, 384)[1]
+    assert got.tobytes() == ref.tobytes()
+    assert not np.array_equal(ref, ref_outward_sums(gen, a_hat, [1], 24, 15)[1])
