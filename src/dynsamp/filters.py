@@ -203,16 +203,18 @@ def filter_from_spec(spec):
         {"kind": "heat", "L": 72, "t": 0.5}
         {"kind": "table", "table": [v0, v1, ...]}        # real values
         {"kind": "table", "table": [[re, im], ...]}      # complex values
+
+    An L that is not an integer raises PreconditionViolated.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
     kind = spec["kind"]
     if kind == "delta":
-        return filter_delta(int(spec["L"]))
+        return filter_delta(spectral._count(spec["L"], "L"))
     if kind == "raised_cosine":
-        return filter_raised_cosine(int(spec["L"]), float(spec["p"]))
+        return filter_raised_cosine(spectral._count(spec["L"], "L"), float(spec["p"]))
     if kind == "heat":
-        return filter_heat(int(spec["L"]), float(spec["t"]))
+        return filter_heat(spectral._count(spec["L"], "L"), float(spec["t"]))
     if kind == "table":
         raw = spec["table"]
         values = np.array([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)

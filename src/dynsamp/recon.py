@@ -90,7 +90,11 @@ class SampleSet:
         def pairs(v):
             return np.array([complex(re, im) for re, im in v], dtype=complex)
 
-        parse = {"m": int, "n": int, "omega": tuple,
+        def count(key):
+            return lambda v: spectral._count(v, key, error=MalformedSamples,
+                                             what="SampleSet JSON field")
+
+        parse = {"m": count("m"), "n": count("n"), "omega": tuple,
                  "y": lambda v: [pairs(s) for s in v],
                  "extras": lambda v: {int(c): pairs(s) for c, s in v.items()}}
         fields = {}
@@ -119,7 +123,7 @@ def forward(f, a, m, N, n=1, omega=()):
     omega = spectral._layout(L, m, n, omega)
     f_hat = spectral.dft(f)
     y = [spectral.subsample(f, m)]
-    for l in range(1, systems._time_rows(N)):
+    for l in range(1, spectral._count(N, "N")):
         y.append(spectral.subsample(filters._evolve_hat(f_hat, a, l), m))
     extras = {c: spectral.subsample(spectral.shift(f, c), m * n) for c in omega}
     return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
@@ -288,7 +292,7 @@ def dense_oracle(a, m, N, n=1, omega=()):
     omega = spectral._layout(L, m, n, omega)
     rows = []
     t = np.arange(L)
-    for l in range(systems._time_rows(N)):
+    for l in range(spectral._count(N, "N")):
         taps = spectral.idft(a.response ** l)
         for k in range(L // m):
             rows.append(taps[(m * k - t) % L])

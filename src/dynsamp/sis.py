@@ -19,8 +19,6 @@ so its integer samples are exact L-point transforms and no fine grid enters.
 """
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +50,7 @@ class Generator:
 
     def __post_init__(self):
         if self.kind == "bspline":
-            self.order = _bspline_order(self.order)
+            self.order = spectral._count(self.order, "order", low=0, what="B-spline")
 
     def fourier_at(self, nu):
         """Transform value(s) at real frequency nu."""
@@ -101,26 +99,6 @@ class Generator:
         return K
 
 
-def _bspline_order(order):
-    """The order as an int; PreconditionViolated unless it is a nonnegative integer."""
-    if (isinstance(order, bool) or not isinstance(order, numbers.Real)
-            or not float(order).is_integer() or order < 0):
-        raise PreconditionViolated(f"B-spline order must be a nonnegative integer, got {order!r}")
-    return int(order)
-
-
-def _positive_int(value, name, what):
-    """The value as an int, read through operator.index; PreconditionViolated
-    naming it unless it is an integer >= 1."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise PreconditionViolated(f"{what} {name} must be an integer, got {name}={value!r}") from None
-    if value < 1:
-        raise PreconditionViolated(f"{what} {name} must be at least 1, got {name}={value}")
-    return value
-
-
 def _bspline_time(x, order):
     # Centered cardinal B-spline: (order+1)-fold convolution of the unit box,
     # supported on [-(order+1)/2, (order+1)/2].  Order 0 is the box itself,
@@ -142,8 +120,8 @@ def _bspline_time(x, order):
 def make_generator(spec):
     """Generator from a JSON-style mapping, e.g. {"kind": "bspline", "order": 3}.
 
-    A B-spline order that is not a nonnegative integer raises
-    PreconditionViolated.
+    A B-spline order that is not a nonnegative integer, and a table's L or K
+    that is not an integer, raise PreconditionViolated.
     """
     kind = spec["kind"]
     if kind == "sinc":
@@ -153,7 +131,7 @@ def make_generator(spec):
     if kind == "table":
         table = np.array([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
                           for v in spec["fourier_values"]])
-        L, K = int(spec["L"]), int(spec["K"])
+        L, K = (spectral._count(spec[k], k, what="table") for k in ("L", "K"))
         if len(table) != 2 * K * L + 1:
             raise ValueError(f"table must hold 2*K*L+1 = {2 * K * L + 1} values")
         return Generator(kind="table", table=table, table_L=L, table_K=K)
@@ -316,7 +294,8 @@ def _cross_spectra(gen, a_hat, js, L, K, tail_tol):
     overflows, raises TailTooLarge naming the row; the overflow itself is
     not warned about, since that error reports it.
     """
-    K = _positive_int(K, "K", "periodization half-width")
+    K = spectral._count(K, "K", low=1, what="periodization half-width")
+    js = [spectral._count(j, "j", what="row") for j in js]
     sums = _outward_sums(gen, a_hat, [j for j in js if j or gen.kind != "bspline"], L, K)
     edges = (np.arange(L) / L)[:, None] + np.array([-K, K])[None, :]
     phi = gen.fourier_at(edges)
@@ -352,7 +331,7 @@ def periodize_phi(gen, a_hat, j, L, K, tail_tol=TAIL_TOL):
     |a_hat|**j sup |phi_hat| proves that the block changes no bit of the
     row (see _outward_sums).  Raises
     TailTooLarge when that term exceeds ``tail_tol`` times the value scale,
-    and PreconditionViolated unless K is an integer >= 1.
+    and PreconditionViolated unless j is an integer and K an integer >= 1.
     """
     rows, tails = _cross_spectra(gen, a_hat, (j,), L, K, tail_tol)
     return rows[0], tails[0]
@@ -450,7 +429,7 @@ def reducibility_check(gen, a_hat, L, K):
     failing row and, in it, the first shift of largest deviation.  K must
     be an integer >= 1 (PreconditionViolated naming it otherwise).
     """
-    kmax = gen.live_shifts(_positive_int(K, "K", "periodization half-width"))
+    kmax = gen.live_shifts(spectral._count(K, "K", low=1, what="periodization half-width"))
     k = np.arange(-kmax, kmax + 1)
     xi = np.arange(L) / L
     nu = xi[:, None] + k[None, :]
@@ -529,7 +508,7 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     c = np.asarray(c, dtype=complex)
     L = len(c)
     omega = spectral._layout(L, m, n, omega)
-    P = _positive_int(P, "P", "fine samples per unit")
+    P = spectral._count(P, "P", low=1, what="fine samples per unit")
     if gen.kind == "sinc":
         avals = a_hat(_signed_bins(L) / L)        # the band [-1/2, 1/2)
         c_hat = spectral.dft(c)
@@ -564,7 +543,7 @@ def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, system=None):
     """
     # Only the sample-set match: the span regime differs and is checked below.
     omega = _guarantee_regime(samples, m, n, omega, force=True)
-    L = samples.L
+    L, K = samples.L, spectral._count(K, "K", low=1, what="periodization half-width")
     if system is None:
         system = build_sis_system(gen, a_hat, m, L, K)
     elif (system.m, system.L, system.K) != (m, L, K):

@@ -15,7 +15,27 @@ import operator
 
 import numpy as np
 
-from .errors import MalformedSamples, NonDivisibleLength
+from .errors import MalformedSamples, NonDivisibleLength, PreconditionViolated
+
+
+def _count(value, name, low=None, error=PreconditionViolated, what=""):
+    """The count ``value`` as an int, read through operator.index.
+
+    The package's one rule for count arguments: a bool, a value that is
+    not an integer (an integral float such as 3.0 too) and, when ``low`` is
+    given, one below it raise ``error`` naming the argument, as
+    ``{what} {name} must be ..., got {name}=value``.
+    """
+    label = f"{what} {name}" if what else name
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise error(f"{label} must be an integer, got {name}={value!r}")
+    if low is not None and count < low:
+        raise error(f"{label} must be at least {low}, got {name}={count}")
+    return count
 
 
 def _layout(L, m, n=1, omega=(), packets=False):
@@ -29,11 +49,7 @@ def _layout(L, m, n=1, omega=(), packets=False):
     factor, one that is not an integer too, and MalformedSamples naming
     omega for a bad omega.
     """
-    for name, k in (("m", m), ("n", n)):
-        try:
-            operator.index(k)
-        except TypeError:
-            raise NonDivisibleLength(f"{name} must be an integer, got {name}={k!r}") from None
+    m, n = _count(m, "m", error=NonDivisibleLength), _count(n, "n", error=NonDivisibleLength)
     try:
         omega = sorted(operator.index(c) for c in omega)
     except TypeError:

@@ -14,7 +14,6 @@ take no omega, and stability_report measures the empirical norm in both.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import (EvenM, GridMiss, HypothesisViolated, PreconditionViolated,
                      RankDeficient)
-from . import systems
+from . import spectral, systems
 from .systems import _is_hermitian
 from .recon import _guarantee_regime, _require_finite, _solve, forward
 
@@ -320,9 +319,7 @@ def noise_sweep(f, a, m, n, omega, sigmas, trials=200, seed=0, pinv_norm=None):
     time.  Raises as :func:`noise_trial`, for every sigma before any work,
     and PreconditionViolated for an empty ``sigmas``.
     """
-    if not isinstance(trials, numbers.Integral) or trials < 1:
-        raise PreconditionViolated(f"noise_trial needs a whole number of trials >= 1, "
-                                   f"got trials={trials}")
+    trials = spectral._count(trials, "trials", low=1, what="noise_trial")
     if not len(sigmas):
         raise PreconditionViolated("noise_sweep needs at least one sigma")
     for sigma in sigmas:

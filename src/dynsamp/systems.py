@@ -7,13 +7,11 @@ N x m system matrix collects powers of the transfer values at those nodes
 coming from extra samples taken on a coarser shifted lattice.
 """
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CoincidentNodes, EvenM, GridMiss, MalformedSamples, PreconditionViolated,
-                     ShapeMismatch)
+from .errors import CoincidentNodes, EvenM, GridMiss, MalformedSamples, ShapeMismatch
 from . import spectral
 
 # Relative singular-value cutoffs.  A grid index is singular when its smin is
@@ -65,8 +63,7 @@ def build_plain(a, m, N, rho):
     """N x m matrix with entry (r, l) = response[rho + l*(L/m)]**r, exact grid lookups.
 
     N must be an integer >= 1 (PreconditionViolated naming it otherwise)."""
-    if _time_rows(N) < 1:
-        raise PreconditionViolated(f"need at least one time row, got N={N}")
+    N = spectral._count(N, "N", low=1)
     return _grid_family(power_rows(a.response, N), m, [rho])[0]
 
 
@@ -82,19 +79,9 @@ def plain_nodes_at(a, m, xi):
 
 def power_rows(nodes, N):
     """Stack (..., N, m) whose row j holds nodes**j, formed as np.vander forms powers."""
-    nodes, N = np.asarray(nodes), _time_rows(N)
+    nodes, N = np.asarray(nodes), spectral._count(N, "N")
     rows = np.vander(nodes.reshape(-1), N, increasing=True).reshape(nodes.shape + (N,))
     return rows.swapaxes(-1, -2)
-
-
-def _time_rows(N):
-    """The count N of time rows (snapshots) as an int, read through
-    operator.index; one that is not an integer raises PreconditionViolated
-    naming N."""
-    try:
-        return operator.index(N)
-    except TypeError:
-        raise PreconditionViolated(f"N must be an integer, got N={N!r}") from None
 
 
 def det_plain(system, rho):

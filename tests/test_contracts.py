@@ -102,6 +102,25 @@ def test_from_json_fractional_shift_rejected():
         ds.SampleSet.from_json(json.dumps(obj))
 
 
+def test_from_json_fractional_factor_rejected():
+    # "m": 3.5 used to be read as m = 3.
+    obj = json.loads(samples().to_json())
+    obj["m"] = 3.5
+    with pytest.raises(MalformedSamples, match=re.escape("field m must be an integer, got m=3.5")):
+        ds.SampleSet.from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("length", [72.5, "72"])
+def test_filter_from_spec_rejects_a_length_that_is_no_integer(length):
+    # Both used to build a 72-point filter, and a roundtrip at L = 72 ran.
+    spec = {"kind": "raised_cosine", "L": length, "p": 1.0}
+    with pytest.raises(PreconditionViolated,
+                       match=re.escape(f"L must be an integer, got L={length!r}")):
+        ds.filter_from_spec(spec)
+    cfg = cli.ExperimentConfig(mode="roundtrip", filter=spec, m=3, n=3, omega=[1], L=72, seed=11)
+    assert any(f"L={length!r}" in msg for msg in cli.validate(cfg))
+
+
 def test_stability_report_rejects_even_m():
     with pytest.raises(EvenM):
         ds.stability_report(ds.filter_raised_cosine(64, 1.0), 4, 1, grid=64)
@@ -150,20 +169,33 @@ def test_build_sis_system_rejects_nonpositive_K():
         ds.build_sis_system(BSPLINE, ds.identity_response(), 3, 24, 0)
 
 
-@pytest.mark.parametrize("K", [2.5, np.float64(8.0)])
+@pytest.mark.parametrize("K", [2.5, np.float64(8.0), True])
 @pytest.mark.parametrize("call", [
     lambda K: ds.periodize_phi(BSPLINE, ds.identity_response(), 1, 24, K),
     lambda K: ds.build_sis_system(BSPLINE, ds.identity_response(), 3, 24, K),
-], ids=["periodize_phi", "build_sis_system"])
+    lambda K: ds.sis_reconstruct(
+        ds.sis_forward(np.ones(24), SINC, ds.identity_response(), 3), SINC,
+        ds.identity_response(), 3, 1, (), K,
+        system=ds.build_sis_system(SINC, ds.identity_response(), 3, 24, 8)),
+], ids=["periodize_phi", "build_sis_system", "sis_reconstruct"])
 def test_span_system_rejects_fractional_K(call, K):
     # K = 2.5 used to reach the tail check and fail there as TailTooLarge "|k|=2.5".
     with pytest.raises(PreconditionViolated, match=re.escape(f"K must be an integer, got K={K!r}")):
         call(K)
 
 
+def test_periodize_phi_rejects_fractional_row():
+    # j = 1.5 used to return a_hat**1.5-weighted sums with tail 0.0.
+    with pytest.raises(PreconditionViolated, match=re.escape("j must be an integer, got j=1.5")):
+        ds.periodize_phi(BSPLINE, ds.gaussian_response(2.0), 1.5, 24, 384)
+
+
 @pytest.mark.parametrize("K, match", [(2.5, "K must be an integer, got K=2.5"),
                                       (0, "K must be at least 1, got K=0"),
-                                      (-3, "K must be at least 1, got K=-3")])
+                                      (-3, "K must be at least 1, got K=-3"),
+                                      (True, "K must be an integer, got K=True"),
+                                      (np.float64(2.0), re.escape(
+                                          "K must be an integer, got K=np.float64(2.0)"))])
 def test_reducibility_check_rejects_bad_K(K, match):
     # These used to return the witness (0.0, -2), return reducible, and raise
     # a bare ValueError.
@@ -171,7 +203,7 @@ def test_reducibility_check_rejects_bad_K(K, match):
         ds.reducibility_check(BSPLINE, ds.identity_response(), 24, K)
 
 
-@pytest.mark.parametrize("P", [2.5, np.float64(4.0)])
+@pytest.mark.parametrize("P", [2.5, np.float64(4.0), True])
 @pytest.mark.parametrize("spec", [{"kind": "bspline", "order": 3}, {"kind": "sinc"}],
                          ids=["bspline", "sinc"])
 def test_sis_forward_rejects_fractional_P(spec, P):
@@ -200,16 +232,26 @@ def test_noise_trial_rejects_zero_trials():
         ds.noise_trial(f, ds.filter_raised_cosine(L, 1.0), M, N_EXTRA, OMEGA, 1e-3, trials=0)
 
 
-def test_noise_trial_rejects_fractional_trials():
+@pytest.mark.parametrize("trials", [2.5, True, np.float64(2.0)])
+def test_noise_trial_rejects_fractional_trials(trials):
+    # trials=True used to end in a bare TypeError.
     f = np.ones(L, dtype=complex)
-    with pytest.raises(PreconditionViolated, match="trials=2.5"):
-        ds.noise_trial(f, ds.filter_raised_cosine(L, 1.0), M, N_EXTRA, OMEGA, 1e-3, trials=2.5)
+    with pytest.raises(PreconditionViolated, match=re.escape(f"trials={trials!r}")):
+        ds.noise_trial(f, ds.filter_raised_cosine(L, 1.0), M, N_EXTRA, OMEGA, 1e-3, trials=trials)
 
 
-@pytest.mark.parametrize("order", [-1, 2.5, "3", True])
+@pytest.mark.parametrize("order", [-1, 2.5, "3", True, 3.0, np.float64(2.0)])
 def test_make_generator_rejects_bad_bspline_order(order):
     with pytest.raises(PreconditionViolated, match="order"):
         ds.make_generator({"kind": "bspline", "order": order})
+
+
+def test_make_generator_rejects_fractional_table_K():
+    # K = 1.9 used to be read as K = 1.
+    spec = {"kind": "table", "L": 1, "K": 1.9, "fourier_values": [0, 1, 0]}
+    with pytest.raises(PreconditionViolated,
+                       match=re.escape("table K must be an integer, got K=1.9")):
+        ds.make_generator(spec)
 
 
 def test_bspline_order_zero_is_unit_box():
@@ -227,7 +269,7 @@ def test_bspline_order_zero_synthesis_holds_each_coefficient():
     assert np.array_equal(fine, expected)
 
 
-@pytest.mark.parametrize("order", [-1, 2.5])
+@pytest.mark.parametrize("order", [-1, 2.5, 3.0])
 def test_validate_reports_bad_bspline_order(tmp_path, order):
     cfg = cli.ExperimentConfig(mode="sis_roundtrip", generator={"kind": "bspline", "order": order},
                                line_filter={"kind": "identity"}, m=3, n=3, L=72)
@@ -255,8 +297,11 @@ LAYOUTS = {
     "omega >= m n": ((72, 3, 3, (9,)), MalformedSamples, "omega"),
     "m not an integer": ((72, 3.0, 1, ()), NonDivisibleLength, "m=3.0"),
     "n not an integer": ((72, 3, 3.0, (1,)), NonDivisibleLength, "n=3.0"),
+    "m a bool": ((72, True, 1, ()), NonDivisibleLength, "m=True"),
+    "m a numpy float": ((72, np.float64(2.0), 1, ()), NonDivisibleLength,
+                        re.escape("m=np.float64(2.0)")),
 }
-M_CASES = ["m does not divide L", "m not an integer"]
+M_CASES = ["m does not divide L", "m not an integer", "m a bool", "m a numpy float"]
 SINC = ds.make_generator({"kind": "sinc"})
 ID = ds.identity_response()
 
@@ -323,7 +368,7 @@ def test_bad_layout_raises_named_error(entry, case):
 
 
 # One table of entry points that take a count N of time rows: N must be an
-# integer, read through operator.index, and a float raises
+# integer, read through spectral._count, and a float or a bool raises
 # PreconditionViolated naming N, not numpy's TypeError.
 N_ENTRIES = {
     "build_plain": lambda N: ds.build_plain(rc(72), 3, N, 0),
@@ -336,9 +381,10 @@ N_ENTRIES = {
 
 
 @pytest.mark.parametrize("entry", N_ENTRIES)
-@pytest.mark.parametrize("N", [3.0, "3"], ids=["N float", "N string"])
+@pytest.mark.parametrize("N", [3.0, "3", True, np.float64(2.0)],
+                         ids=["N float", "N string", "N bool", "N numpy float"])
 def test_N_not_an_integer_raises_named_error(entry, N):
-    with pytest.raises(PreconditionViolated, match=f"N={N!r}"):
+    with pytest.raises(PreconditionViolated, match=re.escape(f"N={N!r}")):
         N_ENTRIES[entry](N)
 
 
