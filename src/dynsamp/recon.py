@@ -39,7 +39,8 @@ class SampleSet:
 
     def __post_init__(self):
         self.y = [np.asarray(v, dtype=complex) for v in self.y]
-        self.extras = {int(c): np.asarray(v, dtype=complex) for c, v in self.extras.items()}
+        self.extras = {spectral._shift(c, "extras key"): np.asarray(v, dtype=complex)
+                       for c, v in self.extras.items()}
         if not self.y:
             raise MalformedSamples("need at least one snapshot sequence")
         if len({len(v) for v in self.y}) != 1:
@@ -159,14 +160,16 @@ def _solve(y, extras, m, table, n, omega, bounds=None):
     ``SingularSystem``.  ``bounds``, when the table holds the powers 0..N-1
     of a response, are its :func:`systems.grid_bounds`: then every packet
     has a Gautschi floor (:func:`systems.packet_floors`), and a packet that
-    it clears takes no Cholesky test.  The span tables pass none.  The solve
-    returns smin and smax as brackets (see :func:`systems.solve_packets`),
-    exact for packets that fail both certificates; the grid passes when
-    the lowest smin is at least twice ``systems.SINGULAR_TOL`` times the
-    highest smax, and otherwise the exact smins of every packet
-    (:func:`systems.packet_smins`) decide.  Then, on either system, a packet
-    with smin at most ``systems.RANK_TOL`` times its largest singular value
-    raises ``RankDeficient``; a cleared or certified packet never does.
+    it clears takes no Cholesky test; a cleared square packet (N = m, no
+    extras) is solved from its nodes, without LU.  The span tables pass
+    none.  The solve returns smin and smax as brackets (see
+    :func:`systems.solve_packets`), exact for packets that fail both
+    certificates; the grid passes when the lowest smin is at least twice
+    ``systems.SINGULAR_TOL`` times the highest smax, and otherwise the exact
+    smins of every packet (:func:`systems.packet_smins`) decide.  Then, on
+    either system, a packet with smin at most ``systems.RANK_TOL`` times its
+    largest singular value raises ``RankDeficient``; a cleared or certified
+    packet never does.
 
     A bitwise Hermitian table, table[:, -r mod L] == conj(table[:, r]),
     gives A(P - rho) = D R conj(A(rho)) Pi: Pi reverses the m n columns, R

@@ -38,6 +38,13 @@ def _count(value, name, low=None, error=PreconditionViolated, what=""):
     return count
 
 
+def _shift(value, what):
+    """The shift ``value``, an omega entry or an extras key, as an int by the
+    rule of :func:`_count`: a bool or a value that is not an integer raises
+    MalformedSamples naming it, as ``{what} c must be an integer, got c=value``."""
+    return _count(value, "c", error=MalformedSamples, what=what)
+
+
 def _layout(L, m, n=1, omega=(), packets=False):
     """Sorted omega, once (L, m, n, omega) is a valid sampling layout.
 
@@ -45,15 +52,16 @@ def _layout(L, m, n=1, omega=(), packets=False):
     shift c in omega, extra initial samples on the lattice m n Z - c.  It
     needs m, n >= 1 and m | L; extras, and the n-block packets of the
     extended solve (``packets``), also need m n | L.  omega must hold
-    distinct integers in [0, m n).  Raises NonDivisibleLength naming a bad
-    factor, one that is not an integer too, and MalformedSamples naming
-    omega for a bad omega.
+    distinct integers in [0, m n), each read by :func:`_shift`.  Raises
+    NonDivisibleLength naming a bad factor, one that is not an integer too,
+    and MalformedSamples naming omega, or the shift, for a bad omega.
     """
     m, n = _count(m, "m", error=NonDivisibleLength), _count(n, "n", error=NonDivisibleLength)
     try:
-        omega = sorted(operator.index(c) for c in omega)
+        omega = list(omega)
     except TypeError:
         raise MalformedSamples(f"omega must hold integer shifts, got {omega!r}") from None
+    omega = sorted(_shift(c, "omega shift") for c in omega)
     wide = bool(omega) or packets
     if m < 1 or n < 1 or L % (m * n if wide else m):
         raise NonDivisibleLength(f"need m, n >= 1 and L divisible by {'m*n' if wide else 'm'}, "

@@ -240,14 +240,32 @@ def solve_packets(blocks_of, P, phase, rhs, floors=None):
     right-hand-side columns as well.  A packet with smin <= RANK_TOL times
     smax is rank deficient and is not solved: its x is NaN; a cleared or
     certified packet never is, as its bracket is at least sqrt(tau/2) >
-    8e-8 ||R||_F.  Returns (smin, smax, x); raises nothing.
+    8e-8 ||R||_F.
+
+    A square packet with ``floors`` and no extras rows (N = m) is the block
+    diagonal of its n power blocks B_k / m.  Its bracket takes ||A||_F from
+    the blocks, and when the floor clears it, each block is solved from its
+    nodes by :func:`solve_vandermonde`, x_k = B_k^-1 (m b_k), with no
+    assembly and no LU; the packets of the chunk that the floors leave take
+    the path above.  Returns (smin, smax, x); raises nothing.
     """
     cols = phase.shape[1]
     _, rows, trials = rhs.shape
     x = np.empty((P, cols, trials), dtype=complex)
     smin, smax = np.empty(P), np.empty(P)
+    nodal = floors is not None and rows == cols and not len(phase)
     for part in _chunks(P, rows, cols + trials):
-        A = np.concatenate([extended_stack(blocks_of(part), phase), rhs[part]], axis=2)
+        blocks, b, todo = blocks_of(part), rhs[part], slice(None)
+        if nodal:
+            m = blocks.shape[-1]
+            smax[part] = np.linalg.norm(blocks.reshape(len(b), cols, m), axis=(1, 2)) / m
+            smin[part], todo = _node_brackets(floors[part], smax[part], rows, cols)
+            if not todo.any():
+                _nodal_solve(blocks, np.multiply(b, m, out=x[part]))
+                continue
+            x[part][~todo] = _nodal_solve(blocks[~todo], b[~todo] * m)
+            blocks, b = blocks[todo], b[todo]
+        A = np.concatenate([extended_stack(blocks, phase), b], axis=2)
         if rows > cols:
             # The raw factor, transposed back, holds R on and above its
             # diagonal and the reflectors below; zeroing them in place
@@ -256,15 +274,56 @@ def solve_packets(blocks_of, P, phase, rhs, floors=None):
             A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
             np.copyto(A[..., :cols], 0, where=np.tri(cols, k=-1, dtype=bool))
         A, b = A[..., :cols], A[..., cols:]
-        smin[part], smax[part] = _brackets(A, rows, None if floors is None else floors[part])
-        ok = smin[part] > RANK_TOL * smax[part]
+        lo, hi = _brackets(A, rows, None if nodal or floors is None else floors[part])
+        ok = lo > RANK_TOL * hi
         # A rank-deficient packet solves against the identity, then reads NaN;
         # each matrix is solved apart, so the others keep their bits.
         A[~ok] = np.eye(cols)
-        x[part] = np.linalg.solve(A, b)
-        x[part][~ok] = np.nan
-        del A, b            # at most one chunk's factors are alive
+        sol = np.linalg.solve(A, b)
+        sol[~ok] = np.nan
+        smin[part][todo], smax[part][todo], x[part][todo] = lo, hi, sol
+        del A, b, sol       # at most one chunk's factors are alive
     return smin, smax, x
+
+
+def _nodal_solve(blocks, b):
+    """Solutions of the square packets whose (k, n, m, m) blocks are power
+    matrices, from ``b`` = m times their (k, n m, T) right-hand sides, which
+    is overwritten: each block by :func:`solve_vandermonde` of its nodes,
+    its row 1 (a 1 x 1 block needs none)."""
+    k, n, _, m = blocks.shape
+    nodes = blocks[:, :, min(1, m - 1)].reshape(k * n, m)
+    return solve_vandermonde(nodes, b.reshape(k * n, m, b.shape[-1])).reshape(b.shape)
+
+
+def solve_vandermonde(nodes, b):
+    """Solve V z = b in place for every power matrix V[j, l] = nodes[i, l]**j
+    of the (P, m) ``nodes``, with the (P, m, T) ``b`` overwritten by z.
+
+    The Bjorck-Pereyra algorithm for the dual Vandermonde system (Golub and
+    Van Loan, Matrix Computations, Alg. 4.6.2; Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 22): m - 1 steps of
+    b[k+1:] -= x_k b[k:-1], then m - 1 of divided differences, O(m^2 T)
+    per packet and elementwise across packets.  Every step's inner loop
+    runs over the rows of one packet, so a packet's z has the same bits in
+    any batch.  Nodes must be pairwise distinct.
+    """
+    m = nodes.shape[-1]
+    x = nodes[..., None]
+    for k in range(m - 1):
+        b[:, k + 1:] -= x[:, k:k + 1] * b[:, k:-1]
+    for k in range(m - 2, -1, -1):
+        b[:, k + 1:] /= x[:, k + 1:] - x[:, :m - k - 1]
+        b[:, k:-1] -= b[:, k + 1:]
+    return b
+
+
+def _node_brackets(floors, fro, rows, cols):
+    """(bracket, todo): the node brackets of :func:`_brackets` for packet
+    matrices with ``rows`` rows, ``cols`` columns and Frobenius norms
+    ``fro``, and the packets that they do not clear."""
+    bracket = floors - 16 * rows * (cols + 1) * _EPS * fro
+    return bracket, bracket < np.sqrt(CERT_SHIFT / 2 * _EPS) * cols * fro
 
 
 def _brackets(R, rows, floors):
@@ -297,10 +356,8 @@ def _brackets(R, rows, floors):
     stack, so a node bracket is never weaker than the certificate."""
     if floors is None:
         return _certify(R)
-    c = R.shape[-1]
     fro = np.linalg.norm(R, axis=(1, 2))
-    bracket = floors - 16 * rows * (c + 1) * _EPS * fro
-    todo = bracket < np.sqrt(CERT_SHIFT / 2 * _EPS) * c * fro
+    bracket, todo = _node_brackets(floors, fro, rows, R.shape[-1])
     if todo.any():
         bracket[todo], fro[todo] = _certify(R[todo])
     return bracket, fro

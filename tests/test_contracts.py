@@ -59,6 +59,27 @@ def test_extras_keys_not_matching_omega_rejected(extras):
         rebuild(s, extras=extras)
 
 
+# Shifts are read by spectral._shift: a fractional extras key used to be
+# truncated (1.5 read as 1), and a bool shift read as 1.
+@pytest.mark.parametrize("key, omega, match", [
+    (1.5, (1,), "extras key c must be an integer, got c=1.5"),
+    (True, (1,), "extras key c must be an integer, got c=True"),
+    (1, (True,), "omega shift c must be an integer, got c=True"),
+    (True, (True,), "extras key c must be an integer, got c=True"),
+])
+def test_shift_that_is_no_integer_rejected(key, omega, match):
+    s = samples()
+    with pytest.raises(MalformedSamples, match=re.escape(match)):
+        ds.SampleSet(y=s.y, extras={key: s.extras[1]}, m=M, n=N_EXTRA, omega=omega)
+
+
+def test_numpy_integer_shifts_accepted():
+    s = samples()
+    t = ds.SampleSet(y=s.y, extras={np.int64(1): s.extras[1]}, m=M, n=N_EXTRA,
+                     omega=(np.int64(1),))
+    assert t.omega == (1,) and list(t.extras) == [1] and type(t.omega[0]) is int
+
+
 def test_nonpositive_m_rejected():
     with pytest.raises(DynsampError, match="m=0"):
         ds.SampleSet(y=[np.ones(4)], m=0)

@@ -12,7 +12,9 @@ candidate.  The solves use one QR of [A | b] in place of ``lstsq`` and must
 agree to 1e-12, also where a bitwise Hermitian table lets packet P - rho ride
 along with packet rho as conjugated right-hand-side columns; a table without
 that symmetry must solve every packet, bitwise as an all-packet solve through
-the same engine.
+the same engine.  A cleared square packet is solved from its nodes, and must
+agree with the former LU solve, kept as ``ref_solve_packets``, to a tolerance
+scaled by its condition number.
 """
 
 import json
@@ -826,14 +828,17 @@ def test_mirrored_plain_solve_lists_singular_set(L):
     assert err.value.indices == expected
 
 
-def all_packet_solve(samples, table, n, omega):
-    """Every packet decomposed, as without the mirror, through the same engine."""
+def all_packet_solve(samples, table, n, omega, bounds=None):
+    """Every packet decomposed, as without the mirror, through the same engine;
+    ``bounds``, the grid bounds of a power table, give the packets their node
+    floors, as the sequence solves pass them."""
     m, L = samples.m, samples.L
     P = L // (m * n)
     idx = systems.packet_indices(L, m, n, np.arange(P))
     rhs = recon._rhs(samples.y[:len(table)], samples.extras, omega, idx, np.arange(P), L, 1)
+    floors = None if bounds is None else systems.packet_floors(bounds, m, idx)
     _, _, x = systems.solve_packets(lambda part: systems.gather_blocks(table, idx[part]), P,
-                                    systems.phase_rows(m, n, omega), rhs)
+                                    systems.phase_rows(m, n, omega), rhs, floors)
     f_hat = np.empty((1, L), dtype=complex)
     f_hat[:, idx.reshape(P, -1)] = x.transpose(2, 0, 1)
     return ds.idft(f_hat).reshape(L)
@@ -843,13 +848,13 @@ def all_packet_solve(samples, table, n, omega):
 @pytest.mark.parametrize("L", [72, 576, 2304])
 def test_non_hermitian_tables_solve_every_packet(make, L):
     a = make(L)
-    table = systems.power_rows(a.response, 3)
+    table, bounds = systems.power_rows(a.response, 3), systems.grid_bounds(a.response, 3)
     assert not systems._is_hermitian(table)
     s = noisy_samples(L, 3, 1, (), 3, 8)
-    assert np.array_equal(ds.reconstruct_plain(s, a, 3), all_packet_solve(s, table, 1, ()))
+    assert np.array_equal(ds.reconstruct_plain(s, a, 3), all_packet_solve(s, table, 1, (), bounds))
     s = noisy_samples(L, 3, 3, (1, 2), 3, 9)
     assert np.array_equal(ds.reconstruct_extended(s, a, 3, 3, (1, 2), force=True),
-                          all_packet_solve(s, table, 3, (1, 2)))
+                          all_packet_solve(s, table, 3, (1, 2), bounds))
 
 
 @pytest.mark.parametrize("gen", [BSPLINE, ds.make_generator({"kind": "sinc"})])
@@ -1080,7 +1085,6 @@ def test_node_certificate_brackets_and_bits(case):
         smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
         # The reference certifies every chunk the old way, by its Cholesky test.
         _, _, ref = systems.solve_packets(blocks_of, P, phase, rhs)
-    assert np.array_equal(x, ref, equal_nan=True)
     # Each packet's R as the solve forms it, from the QR of [A | b].
     A = np.concatenate([systems.extended_stack(blocks_of(slice(0, P)), phase), rhs], axis=2)
     if rows > cols:
@@ -1095,6 +1099,153 @@ def test_node_certificate_brackets_and_bits(case):
     assert np.all(smax[cleared] >= sv[cleared, 0] * (1 - 1e-12))
     # A cleared packet is never rank deficient.
     assert np.isfinite(x[cleared]).all()
+    # A cleared square packet without extras rows is solved from its nodes;
+    # every other packet keeps the bits of the LU solve.
+    nodal = cleared & (rows == cols)
+    assert np.array_equal(x[~nodal], ref[~nodal], equal_nan=True)
+    for i in np.flatnonzero(nodal):
+        assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i]))
+
+
+# ---------------------------------------------------------------------------
+# the node solve: cleared square packets by Bjorck-Pereyra, without assembly
+
+def ref_solve_packets(blocks_of, P, phase, rhs, floors=None):
+    """The former solve: every chunk assembled with its right-hand sides,
+    bracketed on R (A itself for a square packet) and solved by LU."""
+    cols = phase.shape[1]
+    _, rows, trials = rhs.shape
+    x = np.empty((P, cols, trials), dtype=complex)
+    smin, smax = np.empty(P), np.empty(P)
+    for part in systems._chunks(P, rows, cols + trials):
+        A = np.concatenate([systems.extended_stack(blocks_of(part), phase), rhs[part]], axis=2)
+        if rows > cols:
+            A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
+            np.copyto(A[..., :cols], 0, where=np.tri(cols, k=-1, dtype=bool))
+        A, b = A[..., :cols], A[..., cols:]
+        smin[part], smax[part] = systems._brackets(A, rows,
+                                                   None if floors is None else floors[part])
+        ok = smin[part] > systems.RANK_TOL * smax[part]
+        A[~ok] = np.eye(cols)
+        x[part] = np.linalg.solve(A, b)
+        x[part][~ok] = np.nan
+    return smin, smax, x
+
+
+def node_solve_alone(blocks, b):
+    """x of one square packet with (n, m, m) power blocks and (n m, T)
+    right-hand side b: each block on its own through the kernel, from its
+    nodes (row 1) and m times its rows of b."""
+    n, m = blocks.shape[0], blocks.shape[-1]
+    return np.concatenate([systems.solve_vandermonde(blocks[k, min(1, m - 1)][None],
+                                                     b[None, k * m:(k + 1) * m] * m)[0]
+                           for k in range(n)])
+
+
+def nodes_of_kind(rng, kind, shape):
+    """Complex nodes of modulus about 1, real ones in (0, 1] as a heat
+    response has, or nodes near the unit circle as the plain filter has."""
+    if kind == "complex":
+        return rand_complex(rng, shape)
+    if kind == "real":
+        return np.exp(-rng.uniform(0, 6, shape)) + 0j
+    return rng.uniform(0.5, 1, shape) * np.exp(2j * np.pi * rng.uniform(0, 1, shape))
+
+
+@st.composite
+def square_node_cases(draw):
+    """(nodes, m, n, rhs, chunk): nodes of one kind, times 0.3, 1 or 3, on L
+    = m n P points, some blocks with two nodes 10^-e apart relatively (e up
+    to 16, so some coincide and chunks mix cleared and other packets); T or,
+    as a mirrored solve passes, 2 T right-hand-side columns, the mirror
+    columns of packet 0 zero; a chunk of 1..P + 1 packets."""
+    m, n = draw(st.sampled_from([1, 2, 3, 5, 7])), draw(st.sampled_from([1, 3]))
+    P, T, mirrored = draw(st.integers(1, 8)), draw(st.integers(1, 2)), draw(st.booleans())
+    L, rng = m * n * P, np.random.default_rng(draw(st.integers(0, 2**16)))
+    nodes = nodes_of_kind(rng, draw(st.sampled_from(["complex", "real", "circle"])), L)
+    nodes *= draw(st.sampled_from([0.3, 1.0, 3.0]))
+    for e in draw(st.lists(st.floats(0, 16), max_size=4 if m > 1 else 0)):
+        g, (i, j) = rng.integers(L // m), rng.choice(m, 2, replace=False)
+        nodes[g + j * (L // m)] = nodes[g + i * (L // m)] * (1 + 10.0 ** -e)
+    rhs = rand_complex(rng, (P, n * m, 2 * T if mirrored else T))
+    rhs[0, :, T:] = 0
+    return nodes, m, n, rhs, draw(st.integers(1, P + 1))
+
+
+def node_solve_case(nodes, m, n, rhs):
+    """(blocks_of, phase, floors) of the square packets on a node table."""
+    L, P = len(nodes), len(rhs)
+    table, idx = systems.power_rows(nodes, m), systems.packet_indices(L, m, n, np.arange(P))
+    floors = systems.packet_floors(systems.grid_bounds(nodes, m), m, idx)
+
+    def blocks_of(part):
+        return systems.gather_blocks(table, idx[part])
+    return blocks_of, systems.phase_rows(m, n, ()), floors
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(square_node_cases())
+def test_node_solve_keeps_decisions_and_bits(case):
+    nodes, m, n, rhs, chunk = case
+    P, rows, width = rhs.shape
+    cols = rows                                   # square packets
+    blocks_of, phase, floors = node_solve_case(nodes, m, n, rhs)
+    solved, kernel = [], systems.solve_vandermonde
+
+    def spy(x, b):
+        solved.append(len(x))
+        return kernel(x, b)
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
+        with mock.patch.object(systems, "solve_vandermonde", spy):
+            smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
+        ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
+    A = systems.extended_stack(blocks_of(slice(0, P)), phase)
+    fro = np.linalg.norm(A, axis=(1, 2))
+    cleared = floors - 16 * rows * (cols + 1) * EPS * fro >= certified_smin(cols, fro)
+    # The cleared set is the assembled path's, and only its blocks take the
+    # kernel.  Its brackets take ||A||_F from the blocks, summed in another
+    # order; every other packet keeps its brackets and x bit for bit.
+    assert sum(solved) == n * np.count_nonzero(cleared)
+    assert np.allclose(smin, ref_smin, rtol=1e-14, atol=0)
+    assert np.allclose(smax, ref_smax, rtol=1e-14, atol=0)
+    assert np.array_equal(smin[~cleared], ref_smin[~cleared])
+    assert np.array_equal(smax[~cleared], ref_smax[~cleared])
+    assert np.array_equal(x[~cleared], ref[~cleared], equal_nan=True)
+    # A cleared packet has the bits of the kernel applied to it alone, in any chunk.
+    for i in np.flatnonzero(cleared):
+        assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i]))
+    # Both solves err by at most about m eps kappa ||x|| for the condition
+    # number kappa of the packet matrix, so they agree to twice that.
+    if cleared.any():
+        sv = np.linalg.svd(A[cleared], compute_uv=False)
+        kappa = sv[:, 0] / sv[:, -1]
+        gap = np.linalg.norm(x[cleared] - ref[cleared], axis=(1, 2))
+        assert np.all(gap <= 2 * m * EPS * kappa * np.linalg.norm(ref[cleared], axis=(1, 2)))
+
+
+def test_node_solve_bits_hold_past_the_elision_size():
+    # The recover plain filter at L = 36864, four trials, in one chunk: the
+    # kernel's products reach 0.8 MB, past numpy's 256 KiB temporary-elision
+    # size, and each cleared packet still has the bits of the kernel applied
+    # to it alone.  Packets 5 and 6 have coincident and close nodes, so the
+    # chunk mixes cleared packets with a NaN and a certified one.
+    L, m, T = 36864, 3, 4
+    nodes = plain_filter(L).response.copy()
+    nodes[5 + L // m] = nodes[5]
+    nodes[6 + L // m] = nodes[6] * (1 + 1e-9)
+    P = L // m
+    rhs = rand_complex(np.random.default_rng(12), (P, m, T))
+    blocks_of, phase, floors = node_solve_case(nodes, m, 1, rhs)
+    with mock.patch.object(systems, "_CHUNK_BYTES", 4 * 2**20):
+        assert len(systems._chunks(P, m, m + T)) == 1
+        smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
+        ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
+    assert np.isnan(x[5]).all() and np.array_equal(x[[5, 6]], ref[[5, 6]], equal_nan=True)
+    assert np.array_equal(smin[[5, 6]], ref_smin[[5, 6]])
+    for i in [0, 4, 7, 1000, P // 2, P - 1]:
+        assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i]))
+    gap = np.linalg.norm(np.nan_to_num(x - ref), axis=(1, 2))
+    assert np.all(gap <= 1e-14 * np.linalg.norm(np.nan_to_num(ref), axis=(1, 2)))
 
 
 def near_cutoff_filter(P, worst, ratio):
@@ -1324,21 +1475,29 @@ def test_qr_solve_memory_flat_in_packets():
     # [A | b] (the QR's input and working copy), whatever P: with 2 T = 32
     # right-hand-side columns per packet, as a mirrored solve of T trials
     # passes, beside 9 matrix columns, a chunk that counted only the matrix
-    # would hold 4.5 times as many bytes.
-    m, n, omega, T = 3, 3, (1,), 16
+    # would hold 4.5 times as many bytes.  Square plain packets with their
+    # node floors are solved from their nodes, and the kernel's temporaries
+    # stay within one chunk as well.
+    m, T = 3, 16
     rng = np.random.default_rng(7)
-    excess = []
-    for P in (64, 4096):
-        L, D = m * n * P, P // 2 + 1
-        table = systems.power_rows(ds.filter_raised_cosine(L, 1.0).response, m)
-        idx = systems.packet_indices(L, m, n, np.arange(D))
-        rhs = rand_complex(rng, (D, len(omega) + n * m, 2 * T))
-        tracemalloc.start()
-        try:
-            _, _, x = systems.solve_packets(lambda part: systems.gather_blocks(table, idx[part]),
-                                            D, systems.phase_rows(m, n, omega), rhs)
-            excess.append(tracemalloc.get_traced_memory()[1] - x.nbytes)
-        finally:
-            tracemalloc.stop()
-    assert excess[1] <= 3 * systems._CHUNK_BYTES
-    assert excess[1] <= 1.25 * excess[0] + 2 * systems._CHUNK_BYTES
+    for make, n, omega, nodal in ((RCOS, 3, (1,), False), (plain_filter, 1, (), True)):
+        excess = []
+        for P in (64, 4096):
+            L, D = m * n * P, P // 2 + 1
+            a = make(L)
+            table = systems.power_rows(a.response, m)
+            idx = systems.packet_indices(L, m, n, np.arange(D))
+            floors = None
+            if nodal:
+                floors = systems.packet_floors(systems.grid_bounds(a.response, m), m, idx)
+            rhs = rand_complex(rng, (D, len(omega) + n * m, 2 * T))
+            tracemalloc.start()
+            try:
+                _, _, x = systems.solve_packets(
+                    lambda part: systems.gather_blocks(table, idx[part]), D,
+                    systems.phase_rows(m, n, omega), rhs, floors)
+                excess.append(tracemalloc.get_traced_memory()[1] - x.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert excess[1] <= 3 * systems._CHUNK_BYTES
+        assert excess[1] <= 1.25 * excess[0] + 2 * systems._CHUNK_BYTES
