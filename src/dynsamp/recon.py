@@ -160,8 +160,9 @@ def _solve(y, extras, m, table, n, omega, bounds=None):
     ``SingularSystem``.  ``bounds``, when the table holds the powers 0..N-1
     of a response, are its :func:`systems.grid_bounds`: then every packet
     has a Gautschi floor (:func:`systems.packet_floors`), and a packet that
-    it clears takes no Cholesky test; a cleared square packet (N = m, no
-    extras) is solved from its nodes, without LU.  The span tables pass
+    it clears takes no Cholesky test; a cleared packet with square blocks
+    (N = m), with or without extras rows, is solved from its nodes, without
+    assembly, QR or LU.  The span tables pass
     none.  The solve returns smin and smax as brackets (see
     :func:`systems.solve_packets`), exact for packets that fail both
     certificates; the grid passes when the lowest smin is at least twice

@@ -242,28 +242,36 @@ def solve_packets(blocks_of, P, phase, rhs, floors=None):
     certified packet never is, as its bracket is at least sqrt(tau/2) >
     8e-8 ||R||_F.
 
-    A square packet with ``floors`` and no extras rows (N = m) is the block
-    diagonal of its n power blocks B_k / m.  Its bracket takes ||A||_F from
-    the blocks, and when the floor clears it, each block is solved from its
-    nodes by :func:`solve_vandermonde`, x_k = B_k^-1 (m b_k), with no
-    assembly and no LU; the packets of the chunk that the floors leave take
-    the path above.  Returns (smin, smax, x); raises nothing.
+    With ``floors`` and square blocks (N = m), a packet is A = [E; D]: the
+    |omega| extras rows E = phase / (m n), the same in every packet as row 0
+    of a power block is all ones, over the block diagonal D of its n power
+    blocks B_k / m.  Its bracket takes ||A||_F^2 = ||E||_F^2 + sum_k
+    ||B_k||_F^2 / m^2 from the blocks and the phase, and when the floor
+    clears it, D is invertible and the packet is solved from its nodes by
+    :func:`_nodal_solve`, with no assembly, no QR and no LU; the packets of
+    the chunk that the floors leave take the path above.  Returns (smin,
+    smax, x); raises nothing.
     """
-    cols = phase.shape[1]
+    cols, off = phase.shape[1], len(phase)
     _, rows, trials = rhs.shape
     x = np.empty((P, cols, trials), dtype=complex)
     smin, smax = np.empty(P), np.empty(P)
-    nodal = floors is not None and rows == cols and not len(phase)
+    nodal = floors is not None and rows == off + cols
+    if nodal:
+        E = phase / cols
+        e_fro = np.linalg.norm(E)
     for part in _chunks(P, rows, cols + trials):
         blocks, b, todo = blocks_of(part), rhs[part], slice(None)
         if nodal:
             m = blocks.shape[-1]
-            smax[part] = np.linalg.norm(blocks.reshape(len(b), cols, m), axis=(1, 2)) / m
+            smax[part] = np.hypot(np.linalg.norm(blocks.reshape(len(b), cols, m), axis=(1, 2)) / m,
+                                  e_fro)
             smin[part], todo = _node_brackets(floors[part], smax[part], rows, cols)
             if not todo.any():
-                _nodal_solve(blocks, np.multiply(b, m, out=x[part]))
+                _nodal_solve(blocks, b, E, out=x[part])
                 continue
-            x[part][~todo] = _nodal_solve(blocks[~todo], b[~todo] * m)
+            keep = np.flatnonzero(~todo)
+            x[part][keep] = _nodal_solve(blocks[keep], b, E, keep=keep)
             blocks, b = blocks[todo], b[todo]
         A = np.concatenate([extended_stack(blocks, phase), b], axis=2)
         if rows > cols:
@@ -286,14 +294,66 @@ def solve_packets(blocks_of, P, phase, rhs, floors=None):
     return smin, smax, x
 
 
-def _nodal_solve(blocks, b):
-    """Solutions of the square packets whose (k, n, m, m) blocks are power
-    matrices, from ``b`` = m times their (k, n m, T) right-hand sides, which
-    is overwritten: each block by :func:`solve_vandermonde` of its nodes,
-    its row 1 (a 1 x 1 block needs none)."""
+def _nodal_solve(blocks, b, E, keep=slice(None), out=None):
+    """Least-squares solutions, written to ``out`` when given, of the
+    packets [E; D] whose (k, n, m, m) blocks are power matrices with
+    invertible D, for the right-hand sides b[keep] = [e; d], each
+    (|omega| + n m, T); indexing b here frees a gathered copy early.
+
+    Each block is solved from its nodes, its row 1 (a 1 x 1 block needs
+    none), by the Bjorck-Pereyra algorithms: D^-1 v is m B_k^-1 v_k by
+    :func:`solve_vandermonde`, and D^-H v is m B_k^-H v_k by
+    :func:`_solve_vandermonde_primal` of the conjugate nodes, as B_k^H is
+    the primal matrix of conj(x).  The normal equations (D^H D + E^H E) x =
+    D^H d + E^H e then give, by the Sherman-Morrison-Woodbury identity,
+
+        x0 = D^-1 d,  Z = D^-H E^H,  G = D^-1 Z,
+        S = I + Z^H Z,  x = x0 + G S^-1 (e - E x0),
+
+    with x0 and G from one call over T + |omega| columns.  Without extras
+    rows x = x0.  Every step is elementwise across packets and columns, and
+    each sum is an ordered fold (a cumulative sum), so a packet's x has the
+    same bits in any chunk and with any number of columns; the error grows
+    with cond(D)^2 times the residual, where a QR of A gives cond(A)^2.
+    """
     k, n, _, m = blocks.shape
+    off, T = len(E), b.shape[-1]
     nodes = blocks[:, :, min(1, m - 1)].reshape(k * n, m)
-    return solve_vandermonde(nodes, b.reshape(k * n, m, b.shape[-1])).reshape(b.shape)
+    if not off:
+        y = np.multiply(b[keep], m, out=out)
+        return solve_vandermonde(nodes, y.reshape(k * n, m, T)).reshape(y.shape)
+    Z = np.empty((k, n * m, off), dtype=complex)
+    Z[:] = E.conj().T * m
+    _solve_vandermonde_primal(nodes.conj(), Z.reshape(k * n, m, off))
+    y = np.concatenate([b[keep, off:], Z], axis=2)
+    y *= m
+    solve_vandermonde(nodes, y.reshape(k * n, m, T + off))
+    x0, G = y[..., :T], y[..., T:]
+    S = (Z.conj()[..., None] * Z[:, :, None]).cumsum(axis=1)[:, -1] + np.eye(off)
+    Ex0 = E.T[:, :, None] * x0[:, :, None]
+    w = _hermitian_solve(S, b[keep, :off] - np.cumsum(Ex0, axis=1, out=Ex0)[:, -1])
+    del Ex0
+    x = np.multiply(G[..., :1], w[:, :1], out=out)
+    for o in range(1, off):
+        x += G[..., o:o + 1] * w[:, o:o + 1]
+    x += x0
+    return x
+
+
+def _hermitian_solve(S, r):
+    """S^-1 r for the (k, o, o) Hermitian positive definite S and (k, o, T)
+    r, both overwritten: Gaussian elimination without pivoting, which is
+    stable for such S, elementwise across the k systems and T columns."""
+    o = S.shape[-1]
+    for j in range(o - 1):
+        f = S[:, j + 1:, j:j + 1] / S[:, j:j + 1, j:j + 1]
+        S[:, j + 1:, j + 1:] -= f * S[:, j:j + 1, j + 1:]
+        r[:, j + 1:] -= f * r[:, j:j + 1]
+    for j in range(o - 1, -1, -1):
+        r[:, j] /= S[:, j, j:j + 1]
+        if j:
+            r[:, :j] -= S[:, :j, j:j + 1] * r[:, j:j + 1]
+    return r
 
 
 def solve_vandermonde(nodes, b):
@@ -318,10 +378,28 @@ def solve_vandermonde(nodes, b):
     return b
 
 
+def _solve_vandermonde_primal(nodes, b):
+    """Solve V^T a = b in place for every power matrix V of the (P, m)
+    ``nodes`` (row l of V^T holds nodes[i, l]**j over j), with the (P, m, T)
+    ``b`` overwritten by a: the Bjorck-Pereyra algorithm for the primal
+    system (Golub and Van Loan, Alg. 4.6.1), m - 1 steps of divided
+    differences, then m - 1 of b[k:-1] -= x_k b[k+1:], elementwise across
+    packets as :func:`solve_vandermonde`.  Nodes must be pairwise distinct.
+    """
+    m = nodes.shape[-1]
+    x = nodes[..., None]
+    for k in range(m - 1):
+        np.divide(b[:, k + 1:] - b[:, k:-1], x[:, k + 1:] - x[:, :m - k - 1], out=b[:, k + 1:])
+    for k in range(m - 2, -1, -1):
+        b[:, k:-1] -= x[:, k:k + 1] * b[:, k + 1:]
+    return b
+
+
 def _node_brackets(floors, fro, rows, cols):
     """(bracket, todo): the node brackets of :func:`_brackets` for packet
     matrices with ``rows`` rows, ``cols`` columns and Frobenius norms
-    ``fro``, and the packets that they do not clear."""
+    ``fro`` (||R||_F, or ||A||_F from the blocks and the phase for square
+    blocks), and the packets that they do not clear."""
     bracket = floors - 16 * rows * (cols + 1) * _EPS * fro
     return bracket, bracket < np.sqrt(CERT_SHIFT / 2 * _EPS) * cols * fro
 
@@ -352,8 +430,13 @@ def _brackets(R, rows, floors):
       8 rows c.
     Together they are at most 8 rows (c + 1), half the term subtracted; the
     other half covers the rounding of ||R||_F, which is ||A||_F to within
-    the QR error.  The packets not cleared take :func:`_certify` as one
-    stack, so a node bracket is never weaker than the certificate."""
+    the QR error.  A packet with square blocks (N = m) forms no R:
+    :func:`solve_packets` takes ||A||_F from the blocks and the phase, to
+    within rows c eps of itself, and a cleared packet's bracket bounds both
+    the smin of the assembled A and that of the matrix of the
+    floating-point nodes that :func:`_nodal_solve` solves, with the QR term
+    to spare.  The packets not cleared take :func:`_certify` as one stack,
+    so a node bracket is never weaker than the certificate."""
     if floors is None:
         return _certify(R)
     fro = np.linalg.norm(R, axis=(1, 2))
@@ -487,15 +570,26 @@ def gautschi_bounds(nodes):
         sqrt(m) * max_i prod_{j != i} (1 + |x_j|) / |x_j - x_i|,
 
     each product taken over j in increasing order.  Coinciding nodes give
-    +inf.
+    +inf.  Each separation is taken once, for i < j, and serves both
+    products: IEEE negation is exact, so |x_j - x_i| = |x_i - x_j| bit for
+    bit.  The node axis goes first, so every step runs over the node sets.
     """
-    nodes = np.asarray(nodes, dtype=complex)
-    m = nodes.shape[-1]
+    x = np.moveaxis(np.asarray(nodes, dtype=complex), -1, 0)
+    m = len(x)
+    lifts = 1.0 + np.abs(x)
+    gaps = {}
+    for j in range(m):
+        for i in range(j):
+            gaps[i, j] = gaps[j, i] = np.abs(x[j] - x[i])
+    best = None
     with np.errstate(divide="ignore", over="ignore"):
-        ratios = ((1.0 + np.abs(nodes))[..., None, :]
-                  / np.abs(nodes[..., None, :] - nodes[..., :, None]))
-        ratios[..., np.arange(m), np.arange(m)] = 1.0
-        return np.sqrt(m) * np.prod(ratios, axis=-1).max(axis=-1)
+        for i in range(m):
+            prod = np.ones(x.shape[1:])
+            for j in range(m):
+                if j != i:
+                    prod *= lifts[j] / gaps[i, j]
+            best = prod if best is None else np.maximum(best, prod)
+    return np.sqrt(m) * best
 
 
 def gautschi_bound_nodes(nodes):

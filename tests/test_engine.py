@@ -12,9 +12,10 @@ candidate.  The solves use one QR of [A | b] in place of ``lstsq`` and must
 agree to 1e-12, also where a bitwise Hermitian table lets packet P - rho ride
 along with packet rho as conjugated right-hand-side columns; a table without
 that symmetry must solve every packet, bitwise as an all-packet solve through
-the same engine.  A cleared square packet is solved from its nodes, and must
-agree with the former LU solve, kept as ``ref_solve_packets``, to a tolerance
-scaled by its condition number.
+the same engine.  A cleared packet with square blocks is solved from its
+nodes, with or without extras rows, and must agree with the former QR and LU
+solve, kept as ``ref_solve_packets``, to a tolerance scaled by its condition
+number.
 """
 
 import json
@@ -1099,12 +1100,13 @@ def test_node_certificate_brackets_and_bits(case):
     assert np.all(smax[cleared] >= sv[cleared, 0] * (1 - 1e-12))
     # A cleared packet is never rank deficient.
     assert np.isfinite(x[cleared]).all()
-    # A cleared square packet without extras rows is solved from its nodes;
-    # every other packet keeps the bits of the LU solve.
-    nodal = cleared & (rows == cols)
+    # A cleared packet with square blocks (N = m) is solved from its nodes,
+    # with or without extras rows; every other packet keeps the bits of the
+    # QR and LU solve.
+    nodal = cleared & (N == m)
     assert np.array_equal(x[~nodal], ref[~nodal], equal_nan=True)
     for i in np.flatnonzero(nodal):
-        assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i]))
+        assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i], phase))
 
 
 # ---------------------------------------------------------------------------
@@ -1132,11 +1134,14 @@ def ref_solve_packets(blocks_of, P, phase, rhs, floors=None):
     return smin, smax, x
 
 
-def node_solve_alone(blocks, b):
-    """x of one square packet with (n, m, m) power blocks and (n m, T)
-    right-hand side b: each block on its own through the kernel, from its
-    nodes (row 1) and m times its rows of b."""
+def node_solve_alone(blocks, b, phase=None):
+    """x of one packet with (n, m, m) power blocks, the extras rows of
+    ``phase`` (none by default) and right-hand side b: without extras rows,
+    each block on its own through the kernel, from its nodes (row 1) and m
+    times its rows of b; with them, the node solve of this packet alone."""
     n, m = blocks.shape[0], blocks.shape[-1]
+    if phase is not None and len(phase):
+        return systems._nodal_solve(blocks[None], b[None], phase / (m * n))[0]
     return np.concatenate([systems.solve_vandermonde(blocks[k, min(1, m - 1)][None],
                                                      b[None, k * m:(k + 1) * m] * m)[0]
                            for k in range(n)])
@@ -1246,6 +1251,96 @@ def test_node_solve_bits_hold_past_the_elision_size():
         assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i]))
     gap = np.linalg.norm(np.nan_to_num(x - ref), axis=(1, 2))
     assert np.all(gap <= 1e-14 * np.linalg.norm(np.nan_to_num(ref), axis=(1, 2)))
+
+
+@st.composite
+def extended_node_cases(draw):
+    """(nodes, m, n, omega, A, rhs, chunk, noisy): nodes of one kind, times
+    0.3, 1 or 3, on L = m n P points, some blocks with two nodes 10^-e apart
+    relatively (e up to 16, so some coincide and chunks mix cleared and
+    other packets); an extras set of 0..m shifts; T or 2 T right-hand-side
+    columns b = A x, with relative noise 1e-2 when ``noisy``; a chunk of
+    1..P + 1 packets."""
+    m, n = draw(st.sampled_from([1, 2, 3, 5])), draw(st.sampled_from([1, 3, 7]))
+    P, T, mirrored = draw(st.integers(1, 6)), draw(st.integers(1, 2)), draw(st.booleans())
+    L, rng = m * n * P, np.random.default_rng(draw(st.integers(0, 2**16)))
+    nodes = nodes_of_kind(rng, draw(st.sampled_from(["complex", "real", "circle"])), L)
+    nodes *= draw(st.sampled_from([0.3, 1.0, 3.0]))
+    for e in draw(st.lists(st.floats(0, 16), max_size=3 if m > 1 else 0)):
+        g, (i, j) = rng.integers(L // m), rng.choice(m, 2, replace=False)
+        nodes[g + j * (L // m)] = nodes[g + i * (L // m)] * (1 + 10.0 ** -e)
+    omega = tuple(sorted(draw(st.lists(st.integers(0, m * n - 1), unique=True, max_size=m))))
+    table, idx = systems.power_rows(nodes, m), systems.packet_indices(L, m, n, np.arange(P))
+    A = systems.extended_stack(systems.gather_blocks(table, idx), systems.phase_rows(m, n, omega))
+    rhs, noisy = A @ rand_complex(rng, (P, m * n, 2 * T if mirrored else T)), draw(st.booleans())
+    if noisy:
+        rhs += 1e-2 * np.linalg.norm(rhs, axis=1, keepdims=True) / np.sqrt(rhs.shape[1]) \
+            * rand_complex(rng, rhs.shape)
+    return nodes, m, n, omega, A, rhs, draw(st.integers(1, P + 1)), noisy
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(extended_node_cases())
+def test_extended_node_solve_keeps_decisions_and_bits(case):
+    nodes, m, n, omega, A, rhs, chunk, noisy = case
+    P, rows, width = rhs.shape
+    cols, off = m * n, len(omega)
+    table, idx = systems.power_rows(nodes, m), systems.packet_indices(len(nodes), m, n, np.arange(P))
+    floors = systems.packet_floors(systems.grid_bounds(nodes, m), m, idx)
+    phase = systems.phase_rows(m, n, omega)
+
+    def blocks_of(part):
+        return systems.gather_blocks(table, idx[part])
+    solved, kernel = [], systems._nodal_solve
+
+    def spy(blocks, *args, **kwargs):
+        solved.append(len(blocks))
+        return kernel(blocks, *args, **kwargs)
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
+        with mock.patch.object(systems, "_nodal_solve", spy):
+            smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
+        ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
+    # The assembled path clears a packet by ||R||_F of its QR (A itself when
+    # square); the node path by ||A||_F from the blocks and the phase.  Both
+    # clear the same packets, and only those take the kernel.
+    R = np.concatenate([A, rhs], axis=2)
+    if rows > cols:
+        R = np.triu(np.linalg.qr(R, mode="raw")[0].swapaxes(1, 2)[:, :cols])
+    fro = np.linalg.norm(R[..., :cols], axis=(1, 2))
+    cleared = floors - 16 * rows * (cols + 1) * EPS * fro >= certified_smin(cols, fro)
+    fro = np.linalg.norm(A, axis=(1, 2))
+    assert np.array_equal(cleared,
+                          floors - 16 * rows * (cols + 1) * EPS * fro >= certified_smin(cols, fro))
+    assert sum(solved) == np.count_nonzero(cleared)
+    # Brackets within 1e-14 of the assembled path's, bitwise where not
+    # cleared; so are x, the NaN set and the rank rule.
+    assert np.allclose(smin, ref_smin, rtol=1e-14, atol=0)
+    assert np.allclose(smax, ref_smax, rtol=1e-14, atol=0)
+    assert np.array_equal(smin[~cleared], ref_smin[~cleared])
+    assert np.array_equal(smax[~cleared], ref_smax[~cleared])
+    assert np.array_equal(x[~cleared], ref[~cleared], equal_nan=True)
+    assert np.array_equal(np.isnan(x).any(axis=(1, 2)), np.isnan(ref).any(axis=(1, 2)))
+    assert np.array_equal(smin <= systems.RANK_TOL * smax,
+                          ref_smin <= systems.RANK_TOL * ref_smax)
+    # A cleared packet has the bits of the kernel applied to it alone, in any
+    # chunk, and each column those of the kernel applied to that column alone.
+    for i in np.flatnonzero(cleared):
+        blocks = blocks_of(slice(i, i + 1))[0]
+        assert np.array_equal(x[i], node_solve_alone(blocks, rhs[i], phase))
+        for t in range(width):
+            assert np.array_equal(x[i, :, t:t + 1],
+                                  node_solve_alone(blocks, rhs[i, :, t:t + 1], phase))
+    # Against the QR solve: a gap of c eps (cond(A) ||x|| + cond(D)^2 ||r|| /
+    # ||A||_2) for the least-squares residual r and the block diagonal D,
+    # within a factor 4 (cond(D)^2, not cond(A)^2: the kernel solves through
+    # D's nodes).
+    for i in np.flatnonzero(cleared):
+        s_a = np.linalg.svd(A[i], compute_uv=False)
+        s_d = np.linalg.svd(A[i, off:], compute_uv=False)
+        res = np.linalg.norm(rhs[i] - A[i] @ ref[i])
+        tol = 4 * (cols + 1) * EPS * (s_a[0] / s_a[-1] * np.linalg.norm(ref[i])
+                                      + (s_d[0] / s_d[-1]) ** 2 * res / s_a[0])
+        assert np.linalg.norm(x[i] - ref[i]) <= tol, (noisy, tol)
 
 
 def near_cutoff_filter(P, worst, ratio):
@@ -1475,12 +1570,13 @@ def test_qr_solve_memory_flat_in_packets():
     # [A | b] (the QR's input and working copy), whatever P: with 2 T = 32
     # right-hand-side columns per packet, as a mirrored solve of T trials
     # passes, beside 9 matrix columns, a chunk that counted only the matrix
-    # would hold 4.5 times as many bytes.  Square plain packets with their
-    # node floors are solved from their nodes, and the kernel's temporaries
-    # stay within one chunk as well.
+    # would hold 4.5 times as many bytes.  Packets with their node floors are
+    # solved from their nodes, square plain ones and raised-cosine ones with
+    # an extras row, and the kernel's temporaries stay per chunk as well.
     m, T = 3, 16
     rng = np.random.default_rng(7)
-    for make, n, omega, nodal in ((RCOS, 3, (1,), False), (plain_filter, 1, (), True)):
+    for make, n, omega, nodal in ((RCOS, 3, (1,), False), (plain_filter, 1, (), True),
+                                  (RCOS, 3, (1,), True)):
         excess = []
         for P in (64, 4096):
             L, D = m * n * P, P // 2 + 1

@@ -372,3 +372,50 @@ def test_node_products_match_loops(a, m, rel):
         bound, ref = ds.gautschi_bound_nodes(nodes), loop_gautschi(nodes)
         assert abs(bound - ref) <= rel * ref
         assert bounds[rho] == bound
+
+
+def tensor_gautschi_bounds(nodes):
+    """The former gautschi_bounds: every ordered pair's separation and its
+    ratio in one (..., m, m) tensor, the diagonal set to 1 afterwards."""
+    nodes = np.asarray(nodes, dtype=complex)
+    m = nodes.shape[-1]
+    with np.errstate(divide="ignore", over="ignore"):
+        ratios = ((1.0 + np.abs(nodes))[..., None, :]
+                  / np.abs(nodes[..., None, :] - nodes[..., :, None]))
+        ratios[..., np.arange(m), np.arange(m)] = 1.0
+        return np.sqrt(m) * np.prod(ratios, axis=-1).max(axis=-1)
+
+
+@pytest.mark.parametrize("a, m", [
+    (complex_table(36864), 3),                    # the recover plain filter
+    (complex_table(280), 7),
+    (ds.filter_raised_cosine(36864, 1.0), 3),
+    (ds.filter_heat(8960, 0.5), 5),
+    (ds.filter_heat(840, 0.5), 7),
+])
+def test_grid_bounds_match_the_tensor_formula_bitwise(a, m):
+    # Each separation is taken once and mirrored: the bounds keep every bit,
+    # and a symmetric filter's coincident nodes at 0 and 1/2 still read +inf.
+    bounds = systems.grid_bounds(a.response, m)
+    assert np.array_equal(bounds, tensor_gautschi_bounds(a.response.reshape(m, -1).T))
+    if a.symmetric_decreasing:
+        assert np.isinf(bounds[[0, a.L // (2 * m)]]).all()
+        assert np.isfinite(np.delete(bounds, [0, a.L // (2 * m)])).all()
+
+
+def test_gautschi_bounds_match_the_tensor_formula_on_random_nodes():
+    # Complex node sets of every size up to 9 at scales 1e-3..1e3, with two
+    # nodes 10^-e apart relatively in half the sets (coinciding for e >= 16),
+    # in any leading shape and memory layout.
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        m, P = rng.integers(1, 10), rng.integers(1, 30)
+        nodes = (rng.standard_normal((P, m)) + 1j * rng.standard_normal((P, m))) \
+            * 10.0 ** rng.uniform(-3, 3)
+        if m > 1 and rng.random() < 0.5:
+            nodes[:, 1] = nodes[:, 0] * (1 + 10.0 ** -rng.uniform(0, 17, P))
+        ref = tensor_gautschi_bounds(nodes)
+        assert np.array_equal(systems.gautschi_bounds(nodes), ref)
+        assert np.array_equal(systems.gautschi_bounds(np.asfortranarray(nodes)), ref)
+        assert np.array_equal(systems.gautschi_bounds(nodes.reshape(1, P, m)), ref[None])
+        assert systems.gautschi_bounds(nodes[0]) == ref[0]
