@@ -100,6 +100,9 @@ def _type_violations(config):
 
 def _parse_spec(name, parse, spec, violations):
     """The library's parse of a config spec; None, with a violation added, if it fails."""
+    if isinstance(spec, dict) and "kind" not in spec:
+        violations.append(f"{name} spec lacks field 'kind'")
+        return None
     try:
         return parse(spec)
     except KeyError as exc:

@@ -163,13 +163,16 @@ def _evolve_hat(f_hat, a, l):
     """l convolution steps of the kernel applied to the signal whose spectrum
     is f_hat.
 
-    The product is spectrum times power with both operands named: complex
+    The product is spectrum times power, in that operand order: complex
     products round differently with their operands swapped, and numpy
     evaluates ``f_hat * (response ** l)`` as ``(response ** l) * f_hat`` in
     place of the temporary once the arrays reach its elision size (256 KiB).
+    It is written into the power, which is then transformed in place, so
+    the step allocates one length-L array.
     """
     power = a.response ** l
-    return spectral.idft(f_hat * power)
+    np.multiply(f_hat, power, out=power)
+    return spectral.idft(power, out=power)
 
 
 def check_symmetric_decreasing(a):
@@ -204,11 +207,15 @@ def filter_from_spec(spec):
         {"kind": "table", "table": [v0, v1, ...]}        # real values
         {"kind": "table", "table": [[re, im], ...]}      # complex values
 
-    An L that is not an integer raises PreconditionViolated.
+    An L that is not an integer raises PreconditionViolated, and a spec
+    without a kind ValueError "filter spec lacks field 'kind'".
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
-    kind = spec["kind"]
+    try:
+        kind = spec["kind"]
+    except KeyError:
+        raise ValueError("filter spec lacks field 'kind'") from None
     if kind == "delta":
         return filter_delta(spectral._count(spec["L"], "L"))
     if kind == "raised_cosine":

@@ -142,74 +142,92 @@ def reconstruct_plain(samples, a, m):
     """
     if samples.m != m:
         raise PreconditionViolated(f"samples were taken with m={samples.m}, not {m}")
-    return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
-                  1, None, systems.grid_bounds(a.response, m))
+    return _solve(samples.y, samples.extras, m, 1, None, response=a.response)
 
 
-def _solve(y, extras, m, table, n, omega, bounds=None):
-    """Solve every frequency packet against the first len(table) snapshots.
+def _solve(y, extras, m, n, omega, *, response=None, table=None):
+    """Solve every frequency packet against the snapshots.
 
     ``y`` lists the N snapshot sequences, each (..., L/m), and ``extras``
     maps each shift in omega to its (..., L/(m n)) samples; an optional
     leading trial axis of length T makes every trial a right-hand side of
-    the same packet decompositions, and the result is (..., L).  Row j of the
-    (N, L) node table holds time step j (see :func:`systems.gather_blocks`);
-    packet rho couples the spectrum values f_hat(rho + k L/(m n) + l L/m).
+    the same packet decompositions, and the result is (..., L).  Exactly
+    one of ``response`` and ``table`` is given: the (L,) filter response of
+    the sequence pipeline, whose powers 0..N-1 at a packet's nodes are its
+    blocks, or an (N', L) node table, row j the cross-spectrum Phi_hat_j in
+    the span pipeline, solved against the first N' snapshots (see
+    :func:`systems.gather_blocks`).  Packet rho couples the spectrum values
+    f_hat(rho + k L/(m n) + l L/m).
     ``omega=None`` marks the plain system (n = 1, no extra rows), whose
     singular frequencies are judged against the whole grid first and raise
-    ``SingularSystem``.  ``bounds``, when the table holds the powers 0..N-1
-    of a response, are its :func:`systems.grid_bounds`: then every packet
-    has a Gautschi floor (:func:`systems.packet_floors`), and a packet that
-    it clears takes no Cholesky test; a cleared packet with square blocks
-    (N = m), with or without extras rows, is solved from its nodes, without
-    assembly, QR or LU.  The span tables pass
-    none.  The solve returns smin and smax as brackets (see
-    :func:`systems.solve_packets`), exact for packets that fail both
-    certificates; the grid passes when the lowest smin is at least twice
-    ``systems.SINGULAR_TOL`` times the highest smax, and otherwise the exact
-    smins of every packet (:func:`systems.packet_smins`) decide.  Then, on
-    either system, a packet with smin at most ``systems.RANK_TOL`` times its
-    largest singular value raises ``RankDeficient``; a cleared or certified
-    packet never does.
+    ``SingularSystem``.
+
+    A response needs no (N, L) power table: each factored packet's (n, m)
+    nodes are gathered once, and give its Gautschi floor
+    (:func:`systems.packet_floors`).  A packet that the floor clears takes
+    no Cholesky test, and with square blocks (N = m), with or without
+    extras rows, it is solved from its nodes, without powers, assembly, QR
+    or LU; only the packets left over take their powers
+    (:func:`systems.power_rows`).  A table has no floors.  The solve
+    returns smin and smax as brackets (see :func:`systems.solve_packets`),
+    exact for packets that fail both certificates; the grid passes when the
+    lowest smin is at least twice ``systems.SINGULAR_TOL`` times the highest
+    smax, and otherwise the exact smins of every packet
+    (:func:`systems.packet_smins`) decide.  Then, on either system, a
+    packet with smin at most ``systems.RANK_TOL`` times its largest singular
+    value raises ``RankDeficient``; a cleared or certified packet never
+    does.
 
     A bitwise Hermitian table, table[:, -r mod L] == conj(table[:, r]),
     gives A(P - rho) = D R conj(A(rho)) Pi: Pi reverses the m n columns, R
     the n snapshot blocks, and D multiplies extras row c by
-    exp(2 pi i c/(m n)).  Then only packets 0..P//2 are factored, and
-    packet P - rho is solved as conjugated right-hand-side columns of
-    packet rho (see :func:`_rhs`): its right-hand side is gathered as
-    R^T conj(D) b, and its solution, conjugated back, is scattered through
-    Pi.  Both come down to the node indices of packet rho negated mod L.
+    exp(2 pi i c/(m n)).  The power table of a response is bitwise
+    Hermitian exactly when the response is, or when N = 1 (its one row is
+    all ones; see :func:`systems._is_hermitian`), so the response is
+    tested.  Then only packets 0..P//2 are factored, and packet P - rho is
+    solved as conjugated right-hand-side columns of packet rho (see
+    :func:`_rhs`): its right-hand side is gathered as R^T conj(D) b, and
+    its solution, conjugated back, is scattered through Pi.  Both come down
+    to the node indices of packet rho negated mod L.
     """
-    N, trials, L = len(y), y[0].shape[:-1], y[0].shape[-1] * m
-    if L != table.shape[1]:
-        raise LengthMismatch(f"samples imply length {L} != filter length {table.shape[1]}")
-    if N < m:
-        raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {N}")
+    values = response if table is None else table
+    N = len(y) if table is None else len(table)
+    trials, L = y[0].shape[:-1], y[0].shape[-1] * m
+    if L != values.shape[-1]:
+        raise LengthMismatch(f"samples imply length {L} != filter length {values.shape[-1]}")
+    if len(y) < m:
+        raise PreconditionViolated(f"need at least m={m} snapshot sequences, got {len(y)}")
     plain, omega = omega is None, spectral._layout(L, m, n, omega or (), packets=True)
     P, T = L // (m * n), math.prod(trials)
     rho = np.arange(P)
     # Signed packet q per solve: q >= 0 is packet q, q < 0 packet P + q
     # solved with the factorization of packet -q; packet p uses that of src[p].
     q, src = rho, rho
-    if systems._is_hermitian(table):
+    if (table is None and N == 1) or systems._is_hermitian(values):
         q = np.concatenate([rho[:P // 2 + 1], -rho[1:(P + 1) // 2]])
         src = np.minimum(rho, P - rho)
     idx = systems.packet_indices(L, m, n, np.abs(q))
     idx[q < 0] = -idx[q < 0] % L
     D = np.count_nonzero(q >= 0)
     phase = systems.phase_rows(m, n, omega)
+    if table is None:
+        packet_nodes = response[idx[:D]]
+        packets = {"nodes_of": packet_nodes.__getitem__,
+                   "floors": systems.packet_floors(packet_nodes)}
 
-    def blocks_of(part):
-        return systems.gather_blocks(table, idx[part])
-    floors = None if bounds is None else systems.packet_floors(bounds, m, idx[:D])
-    smin, smax, x = systems.solve_packets(
-        blocks_of, D, phase, _rhs(y[:len(table)], extras, omega, idx, q, L, T), floors)
+        def blocks_of(part):
+            return systems.power_rows(packet_nodes[part], N)
+    else:
+        def blocks_of(part):
+            return systems.gather_blocks(table, idx[part])
+        packets = {"blocks_of": blocks_of}
+    smin, smax, x = systems.solve_packets(D, phase, _rhs(y[:N], extras, omega, idx, q, L, T),
+                                          **packets)
     smin, smax = smin[src], smax[src]
     cleared = 2 * systems.SINGULAR_TOL * smax.max()
     if plain and not (cleared > 0 and smin.min() >= cleared):
         exact = systems.packet_smins(lambda part: systems.extended_stack(blocks_of(part), phase),
-                                     D, len(table), m, range(D))[0][src]
+                                     D, N, m, range(D))[0][src]
         bad = systems.singular_indices(exact, systems.SINGULAR_TOL)
         if bad:
             raise SingularSystem(bad)
@@ -222,7 +240,7 @@ def _solve(y, extras, m, table, n, omega, bounds=None):
         mirror = x[1:P - D + 1, :, T:]
         np.conjugate(mirror, out=mirror)
         f_hat[:, idx[D:].reshape(P - D, -1)] = mirror.transpose(2, 0, 1)
-    return spectral.idft(f_hat).reshape(trials + (L,))
+    return spectral.idft(f_hat, out=f_hat).reshape(trials + (L,))
 
 
 def _rhs(y, extras, omega, idx, q, L, T):
@@ -231,12 +249,14 @@ def _rhs(y, extras, omega, idx, q, L, T):
     per packet.  Without mirror packets (q < 0) they are (P, rows, T).  With
     them they are (D, rows, 2T) over the D factored packets: columns T.. of
     packet i hold the conjugated right-hand side of packet P - i, zero for
-    packets 0 and P/2, which have no mirror.  The snapshot spectra are freed
-    before the buffer is allocated, their gathered copy on return."""
+    packets 0 and P/2, which have no mirror.  The snapshots are stacked into
+    one copy and transformed in place; the spectra are freed before the
+    buffer is allocated, their gathered copy on return."""
     P, D, off = len(q), np.count_nonzero(q >= 0), len(omega)
     phased = np.array([np.exp(2j * np.pi * c * q / L) * spectral.dft(extras[c])[..., q % P]
                        for c in omega], dtype=complex).reshape(off, T, P).transpose(2, 0, 1)
-    y_hat = spectral.dft(np.reshape(y, (len(y), T, -1)))                # (N, T, L/m)
+    y_hat = np.array(y, dtype=complex).reshape(len(y), T, -1)          # (N, T, L/m)
+    spectral.dft(y_hat, out=y_hat)
     snaps = y_hat.transpose(2, 0, 1)[idx[..., 0] % y_hat.shape[-1]].reshape(P, -1, T)
     del y_hat
     b = np.zeros((D, off + snaps.shape[1], T if D == P else 2 * T), dtype=complex)
@@ -260,8 +280,7 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
     raises ``RankDeficient``.
     """
     omega = _guarantee_regime(samples, m, n, omega, force)
-    return _solve(samples.y, samples.extras, m, systems.power_rows(a.response, samples.N),
-                  n, omega, systems.grid_bounds(a.response, m))
+    return _solve(samples.y, samples.extras, m, n, omega, response=a.response)
 
 
 def _guarantee_regime(samples, m, n, omega, force=False):

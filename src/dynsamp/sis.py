@@ -121,9 +121,13 @@ def make_generator(spec):
     """Generator from a JSON-style mapping, e.g. {"kind": "bspline", "order": 3}.
 
     A B-spline order that is not a nonnegative integer, and a table's L or K
-    that is not an integer, raise PreconditionViolated.
+    that is not an integer, raise PreconditionViolated; a spec without a
+    kind raises ValueError "generator spec lacks field 'kind'".
     """
-    kind = spec["kind"]
+    try:
+        kind = spec["kind"]
+    except KeyError:
+        raise ValueError("generator spec lacks field 'kind'") from None
     if kind == "sinc":
         return Generator(kind="sinc")
     if kind == "bspline":
@@ -550,7 +554,7 @@ def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, system=None):
         raise PreconditionViolated(f"system was built for (m, L, K) = "
                                    f"{(system.m, system.L, system.K)}, not {(m, L, K)}")
     if not omega:
-        return _solve(samples.y, samples.extras, m, system.phi_hat, 1, None)
+        return _solve(samples.y, samples.extras, m, 1, None, table=system.phi_hat)
     if not set(range(1, m)).issubset(omega):
         raise PreconditionViolated(f"span guarantee needs omega containing {list(range(1, m))}")
-    return _solve(samples.y, samples.extras, m, system.phi_hat, n, omega)
+    return _solve(samples.y, samples.extras, m, n, omega, table=system.phi_hat)

@@ -71,14 +71,29 @@ def _layout(L, m, n=1, omega=(), packets=False):
     return tuple(omega)
 
 
-def dft(x):
-    """Forward transform of one period."""
-    return np.fft.fft(np.asarray(x, dtype=complex))
+# numpy's transforms take out= from 2.0 on; before that the result is copied.
+_FFT_OUT = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
 
-def idft(s):
-    """Inverse of :func:`dft`."""
-    return np.fft.ifft(np.asarray(s, dtype=complex))
+def dft(x, out=None):
+    """Forward transform of one period, written to ``out`` when given (which
+    may be x itself: the transform is bitwise the same in place)."""
+    return _transform(np.fft.fft, x, out)
+
+
+def idft(s, out=None):
+    """Inverse of :func:`dft`, written to ``out`` as there."""
+    return _transform(np.fft.ifft, s, out)
+
+
+def _transform(fft, x, out):
+    x = np.asarray(x, dtype=complex)
+    if out is None:
+        return fft(x)
+    if _FFT_OUT:
+        return fft(x, out=out)
+    out[...] = fft(x)
+    return out
 
 
 def subsample(x, m):

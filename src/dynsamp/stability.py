@@ -311,8 +311,8 @@ def noise_sweep(f, a, m, n, omega, sigmas, trials=200, seed=0, pinv_norm=None):
     part then imaginary part, whatever the block size.  Every sigma's trials
     of the block are right-hand-side columns of one packet solve, so each
     packet takes one QR and one certificate per block, not one per sigma;
-    the node bounds of the grid (:func:`systems.grid_bounds`) are taken once
-    for every block.
+    each block's solve gathers the nodes of its factored packets and their
+    floors from the response, with no (m, L) power table.
     The QR and the triangular solve treat every column apart, and the
     per-trial errors are taken in one pass that is bitwise the per-row norm
     (:func:`_rms_rows`), so the results are bitwise those of one sigma at a
@@ -333,13 +333,12 @@ def noise_sweep(f, a, m, n, omega, sigmas, trials=200, seed=0, pinv_norm=None):
     if pinv_norm is None:
         pinv_norm = empirical_pinv_norm(a, m, n, omega, max(720, 4 * m * n))
 
-    table, bounds = systems.power_rows(a.response, m), systems.grid_bounds(a.response, m)
     block = max(1, _TRIAL_BLOCK_BYTES // (16 * L * len(sigmas)))
     rng = np.random.default_rng(seed)
     errors = np.empty((len(sigmas), trials))
     for start in range(0, trials, block):
         noisy = _noisy_block(samples, rng, min(block, trials - start), sigmas)
-        rec = _solve(noisy[:m], dict(zip(omega, noisy[m:])), m, table, n, omega, bounds)
+        rec = _solve(noisy[:m], dict(zip(omega, noisy[m:])), m, n, omega, response=a.response)
         errors[:, start:start + rec.shape[1]] = _rms_rows(rec - f)
         del noisy, rec          # so the next block's arrays replace these, not join them
     results = []

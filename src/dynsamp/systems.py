@@ -195,7 +195,9 @@ def gather_blocks(table, idx):
     """(P, n, N, m) blocks at :func:`packet_indices` idx of an (N, L) node table.
 
     Row j of the table holds time step j: the j-th power of the grid response
-    (sequence pipeline) or the cross-spectrum Phi_hat_j (span pipeline).
+    (the plain family) or the cross-spectrum Phi_hat_j (span pipeline).  The
+    power blocks are bitwise ``power_rows(response[idx], N)``, which the
+    sequence solve forms from the nodes instead.
     """
     return np.moveaxis(table[:, idx], 0, -2)
 
@@ -220,59 +222,64 @@ def extended_stack(blocks, phase):
     return A
 
 
-def solve_packets(blocks_of, P, phase, rhs, floors=None):
+def solve_packets(P, phase, rhs, *, blocks_of=None, nodes_of=None, floors=None):
     """Per-packet smin and smax brackets and least-squares solutions.
 
     ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
     say), all solved against the one factorization; x is (P, cols, T).
-    ``blocks_of(part)`` returns the (n, N, m) blocks of the packets in slice
-    ``part``, and each chunk of packets is assembled at once.  A tall packet
-    takes one QR of [A | b], whose R holds Q^H b in its last columns (a
-    square packet is its own R).  Each chunk's R then takes
-    :func:`_brackets`: ``floors``, when the blocks are power matrices of
-    their nodes, holds the (P,) node bounds of :func:`packet_floors`, and a
-    packet that they clear reports (node bracket, ||R||_F); every other
-    packet of the chunk takes one batched Cholesky test of R^H R - tau I,
-    tau = ``CERT_SHIFT`` c^2 eps ||R||_F^2 for c = cols, and reports
-    (sqrt(tau/2), ||R||_F) when all of them pass, else the exact values of
-    their SVD without vectors (exact values of every packet come from
-    :func:`packet_smins`).  Then x = R^-1 Q^H b.  The chunk size counts the
-    right-hand-side columns as well.  A packet with smin <= RANK_TOL times
-    smax is rank deficient and is not solved: its x is NaN; a cleared or
-    certified packet never is, as its bracket is at least sqrt(tau/2) >
-    8e-8 ||R||_F.
+    The packets in slice ``part`` come from exactly one of two callables:
+    ``blocks_of(part)`` returns their (n, N, m) blocks, ``nodes_of(part)``
+    their (n, m) nodes, whose power matrices (rows 0..N-1, N = (rows -
+    |omega|) / n) are the blocks; nodes come with ``floors``, their (P,)
+    bounds from :func:`packet_floors`.  Each chunk of packets is assembled
+    at once.  A tall packet takes one QR of [A | b], whose R holds Q^H b in
+    its last columns (a square packet is its own R).  Each chunk's R then
+    takes :func:`_brackets`: a packet that the floors clear reports (node
+    bracket, ||R||_F); every other packet of the chunk takes one batched
+    Cholesky test of R^H R - tau I, tau = ``CERT_SHIFT`` c^2 eps ||R||_F^2
+    for c = cols, and reports (sqrt(tau/2), ||R||_F) when all of them pass,
+    else the exact values of their SVD without vectors (exact values of
+    every packet come from :func:`packet_smins`).  Then x = R^-1 Q^H b.
+    The chunk size counts the right-hand-side columns as well.  A packet
+    with smin <= RANK_TOL times smax is rank deficient and is not solved:
+    its x is NaN; a cleared or certified packet never is, as its bracket is
+    at least sqrt(tau/2) > 8e-8 ||R||_F.
 
-    With ``floors`` and square blocks (N = m), a packet is A = [E; D]: the
+    With nodes and square blocks (N = m), a packet is A = [E; D]: the
     |omega| extras rows E = phase / (m n), the same in every packet as row 0
     of a power block is all ones, over the block diagonal D of its n power
-    blocks B_k / m.  Its bracket takes ||A||_F^2 = ||E||_F^2 + sum_k
-    ||B_k||_F^2 / m^2 from the blocks and the phase, and when the floor
-    clears it, D is invertible and the packet is solved from its nodes by
-    :func:`_nodal_solve`, with no assembly, no QR and no LU; the packets of
-    the chunk that the floors leave take the path above.  Returns (smin,
-    smax, x); raises nothing.
+    blocks B_k / m.  Its bracket takes ||A||_F^2 = ||E||_F^2 + sum |x|^(2j)
+    / m^2, over its nodes x and j = 0..m-1 (:func:`_nodal_norms`), and when
+    the floor clears it, D is invertible and the packet is solved from its
+    nodes by :func:`_nodal_solve`, with no powers, no assembly, no QR and no
+    LU.  Only the packets that the floors leave take the powers
+    (:func:`power_rows`) and the path above.  Returns (smin, smax, x);
+    raises nothing.
     """
     cols, off = phase.shape[1], len(phase)
     _, rows, trials = rhs.shape
     x = np.empty((P, cols, trials), dtype=complex)
     smin, smax = np.empty(P), np.empty(P)
-    nodal = floors is not None and rows == off + cols
+    nodal = nodes_of is not None and rows == off + cols
     if nodal:
         E = phase / cols
         e_fro = np.linalg.norm(E)
     for part in _chunks(P, rows, cols + trials):
-        blocks, b, todo = blocks_of(part), rhs[part], slice(None)
-        if nodal:
-            m = blocks.shape[-1]
-            smax[part] = np.hypot(np.linalg.norm(blocks.reshape(len(b), cols, m), axis=(1, 2)) / m,
-                                  e_fro)
-            smin[part], todo = _node_brackets(floors[part], smax[part], rows, cols)
-            if not todo.any():
-                _nodal_solve(blocks, b, E, out=x[part])
-                continue
-            keep = np.flatnonzero(~todo)
-            x[part][keep] = _nodal_solve(blocks[keep], b, E, keep=keep)
-            blocks, b = blocks[todo], b[todo]
+        b, todo = rhs[part], slice(None)
+        if nodes_of is None:
+            blocks = blocks_of(part)
+        else:
+            nodes = nodes_of(part)
+            if nodal:
+                smax[part] = _nodal_norms(nodes, e_fro)
+                smin[part], todo = _node_brackets(floors[part], smax[part], rows, cols)
+                if not todo.any():
+                    _nodal_solve(nodes, b, E, out=x[part])
+                    continue
+                keep = np.flatnonzero(~todo)
+                x[part][keep] = _nodal_solve(nodes[keep], b, E, keep=keep)
+                nodes, b = nodes[todo], b[todo]
+            blocks = power_rows(nodes, (rows - off) // nodes.shape[1])
         A = np.concatenate([extended_stack(blocks, phase), b], axis=2)
         if rows > cols:
             # The raw factor, transposed back, holds R on and above its
@@ -282,7 +289,7 @@ def solve_packets(blocks_of, P, phase, rhs, floors=None):
             A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
             np.copyto(A[..., :cols], 0, where=np.tri(cols, k=-1, dtype=bool))
         A, b = A[..., :cols], A[..., cols:]
-        lo, hi = _brackets(A, rows, None if nodal or floors is None else floors[part])
+        lo, hi = _brackets(A, rows, None if nodal or nodes_of is None else floors[part])
         ok = lo > RANK_TOL * hi
         # A rank-deficient packet solves against the identity, then reads NaN;
         # each matrix is solved apart, so the others keep their bits.
@@ -294,18 +301,33 @@ def solve_packets(blocks_of, P, phase, rhs, floors=None):
     return smin, smax, x
 
 
-def _nodal_solve(blocks, b, E, keep=slice(None), out=None):
-    """Least-squares solutions, written to ``out`` when given, of the
-    packets [E; D] whose (k, n, m, m) blocks are power matrices with
-    invertible D, for the right-hand sides b[keep] = [e; d], each
-    (|omega| + n m, T); indexing b here frees a gathered copy early.
+def _nodal_norms(nodes, e_fro):
+    """||A||_F of the square-block packets [E; D] with (k, n, m) ``nodes``
+    and ||E||_F = ``e_fro``: sqrt(e_fro^2 + sum |x|^(2j) / m^2) over every
+    node x and j = 0..m-1, the powers summed by Horner's rule in |x|^2,
+    the nodes packet by packet, so a packet's norm has the same bits in any
+    chunk.  Its rounding is derived in :func:`_brackets`."""
+    k, _, m = nodes.shape
+    s = nodes.real ** 2 + nodes.imag ** 2
+    total = np.ones_like(s)
+    for _ in range(m - 1):
+        total *= s
+        total += 1
+    return np.hypot(np.sqrt(total.reshape(k, -1).sum(axis=1)) / m, e_fro)
 
-    Each block is solved from its nodes, its row 1 (a 1 x 1 block needs
-    none), by the Bjorck-Pereyra algorithms: D^-1 v is m B_k^-1 v_k by
-    :func:`solve_vandermonde`, and D^-H v is m B_k^-H v_k by
-    :func:`_solve_vandermonde_primal` of the conjugate nodes, as B_k^H is
-    the primal matrix of conj(x).  The normal equations (D^H D + E^H E) x =
-    D^H d + E^H e then give, by the Sherman-Morrison-Woodbury identity,
+
+def _nodal_solve(nodes, b, E, keep=slice(None), out=None):
+    """Least-squares solutions, written to ``out`` when given, of the
+    packets [E; D] whose blocks are the power matrices of the (k, n, m)
+    ``nodes``, with D invertible, for the right-hand sides b[keep] = [e; d],
+    each (|omega| + n m, T); indexing b here frees a gathered copy early.
+
+    Each block is solved from its nodes by the Bjorck-Pereyra algorithms:
+    D^-1 v is m B_k^-1 v_k by :func:`solve_vandermonde`, and D^-H v is
+    m B_k^-H v_k by :func:`_solve_vandermonde_primal` of the conjugate
+    nodes, as B_k^H is the primal matrix of conj(x).  The normal equations
+    (D^H D + E^H E) x = D^H d + E^H e then give, by the
+    Sherman-Morrison-Woodbury identity,
 
         x0 = D^-1 d,  Z = D^-H E^H,  G = D^-1 Z,
         S = I + Z^H Z,  x = x0 + G S^-1 (e - E x0),
@@ -316,9 +338,9 @@ def _nodal_solve(blocks, b, E, keep=slice(None), out=None):
     same bits in any chunk and with any number of columns; the error grows
     with cond(D)^2 times the residual, where a QR of A gives cond(A)^2.
     """
-    k, n, _, m = blocks.shape
+    k, n, m = nodes.shape
     off, T = len(E), b.shape[-1]
-    nodes = blocks[:, :, min(1, m - 1)].reshape(k * n, m)
+    nodes = nodes.reshape(k * n, m)
     if not off:
         y = np.multiply(b[keep], m, out=out)
         return solve_vandermonde(nodes, y.reshape(k * n, m, T)).reshape(y.shape)
@@ -398,8 +420,8 @@ def _solve_vandermonde_primal(nodes, b):
 def _node_brackets(floors, fro, rows, cols):
     """(bracket, todo): the node brackets of :func:`_brackets` for packet
     matrices with ``rows`` rows, ``cols`` columns and Frobenius norms
-    ``fro`` (||R||_F, or ||A||_F from the blocks and the phase for square
-    blocks), and the packets that they do not clear."""
+    ``fro`` (||R||_F, or :func:`_nodal_norms` for square blocks), and the
+    packets that they do not clear."""
     bracket = floors - 16 * rows * (cols + 1) * _EPS * fro
     return bracket, bracket < np.sqrt(CERT_SHIFT / 2 * _EPS) * cols * fro
 
@@ -430,11 +452,20 @@ def _brackets(R, rows, floors):
       8 rows c.
     Together they are at most 8 rows (c + 1), half the term subtracted; the
     other half covers the rounding of ||R||_F, which is ||A||_F to within
-    the QR error.  A packet with square blocks (N = m) forms no R:
-    :func:`solve_packets` takes ||A||_F from the blocks and the phase, to
-    within rows c eps of itself, and a cleared packet's bracket bounds both
-    the smin of the assembled A and that of the matrix of the
-    floating-point nodes that :func:`_nodal_solve` solves, with the QR term
+    the QR error.  A packet with square blocks (N = m) forms no powers and
+    no R: :func:`_nodal_norms` takes ||A||_F of the exact powers of its
+    floating-point nodes from s = |x|^2.  Forming s errs by gamma_2 (about
+    eps) relative; Horner's sum of the positive terms s^j, j < m, by
+    gamma_{2(m-1)}, and the error of s by (m - 1) gamma_2 in s^(m-1), 2 (m -
+    1) eps together; the sum over the c nodes of a packet by c eps / 2.  The
+    square root halves that, and it, the division by m and the hypot with
+    ||E||_F (itself within (|omega| c / 4 + 1) eps) add at most 2 eps, so
+    the computed ||A||_F is within (m + c/4 + |omega| c/4 + 2) eps <= 3 rows
+    (c + 1) eps of itself, and within 1.5 rows more of ||A||_F of the
+    np.vander powers: inside the half of the term that covers the rounding
+    of ||R||_F.  A cleared packet's bracket thus bounds both the smin of the
+    assembled A and that of the matrix of the floating-point nodes that
+    :func:`_nodal_solve` solves, with the QR term
     to spare.  The packets not cleared take :func:`_certify` as one stack,
     so a node bracket is never weaker than the certificate."""
     if floors is None:
@@ -536,7 +567,10 @@ def _is_hermitian(values):
     """True when values[..., -r mod L] == conj(values[..., r]) holds exactly for
     every r, L being the length of the last axis: a response or a node table.
     Row by row against the reversed view, so that a table costs one row of
-    scratch and stops at its first miss."""
+    scratch and stops at its first miss.  A bitwise Hermitian response has
+    a bitwise Hermitian power table: IEEE complex products are
+    sign-symmetric, conj(x) conj(y) == conj(x y), so np.vander forms the
+    powers of conj(x) as the conjugates of those of x."""
     v = np.asarray(values)
     return all(row[0] == np.conj(row[0]) and np.array_equal(row[:0:-1], np.conj(row[1:]))
                for row in v.reshape(-1, v.shape[-1]))
@@ -602,16 +636,9 @@ def gautschi_bound_nodes(nodes):
     return float(gautschi_bounds(nodes))
 
 
-def grid_bounds(response, m):
-    """(L/m,) :func:`gautschi_bounds` of the m aliased nodes
-    response[rho + j L/m] at every index rho of the L/m grid."""
-    return gautschi_bounds(response.reshape(m, len(response) // m).T)
-
-
-def packet_floors(bounds, m, idx):
-    """Lower bound on the smin of each extended packet matrix whose blocks
-    are the power matrices of L-grid nodes with :func:`grid_bounds`
-    ``bounds``, at the (P, n, m) :func:`packet_indices` idx.
+def packet_floors(nodes):
+    """Lower bound on the smin of each extended packet matrix whose n blocks
+    are the power matrices (rows 0..N-1, N >= m) of the (P, n, m) ``nodes``.
 
     Below the extras rows, every packet matrix A holds the block diagonal
     D of its n blocks B_k / m, so A^H A >= D^H D and smin(A) >= min_k
@@ -619,4 +646,4 @@ def packet_floors(bounds, m, idx):
     whose smin is at least 1 / G_k, G_k from :func:`gautschi_bounds`.  The
     floor is 1 / (m max_k G_k), 0 where two nodes of a block coincide.
     """
-    return 1.0 / (m * bounds[idx[..., 0]].max(axis=1))
+    return 1.0 / (nodes.shape[-1] * gautschi_bounds(nodes).max(axis=1))

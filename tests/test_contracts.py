@@ -142,6 +142,21 @@ def test_filter_from_spec_rejects_a_length_that_is_no_integer(length):
     assert any(f"L={length!r}" in msg for msg in cli.validate(cfg))
 
 
+@pytest.mark.parametrize("parse, name", [(ds.filter_from_spec, "filter"),
+                                         (ds.make_generator, "generator")])
+def test_spec_without_kind_raises_value_error_naming_the_field(parse, name):
+    # Both used to raise a bare KeyError: 'kind'.  The CLI keeps its wording.
+    message = f"{name} spec lacks field 'kind'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse({})
+    # An empty spec is a missing one to the CLI, so the config's spec holds a field.
+    cfg = cli.ExperimentConfig(mode="sis_roundtrip" if name == "generator" else "roundtrip",
+                               filter={"L": 72}, generator={"order": 3},
+                               line_filter={"kind": "identity"},
+                               m=3, n=0 if name == "generator" else 3, omega=[1], L=72, seed=11)
+    assert message in cli.validate(cfg)
+
+
 def test_stability_report_rejects_even_m():
     with pytest.raises(EvenM):
         ds.stability_report(ds.filter_raised_cosine(64, 1.0), 4, 1, grid=64)
@@ -354,8 +369,8 @@ M_ONLY = {
 # entry points whose L comes from their sample data, so m always divides it
 FROM_DATA = {
     "SampleSet": lambda L, m, n, om: ds.SampleSet(*raw_samples(L, m, n, om), m=m, n=n, omega=om),
-    "_solve": lambda L, m, n, om: recon._solve(*raw_samples(L, m, n, om), m,
-                                                np.ones((int(m), L)), n, om),
+    "_solve": lambda L, m, n, om: recon._solve(*raw_samples(L, m, n, om), m, n, om,
+                                                table=np.ones((int(m), L))),
 }
 FULL = {
     "forward": lambda L, m, n, om: ds.forward(np.zeros(L), rc(L), m, m, n, om),

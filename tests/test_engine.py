@@ -782,8 +782,8 @@ def test_mirrored_noise_trials_match_lstsq_loop():
     f = rand_signal(L, 4)
     samples = ds.forward(f, a, m, m, n, omega)
     noisy = [v[0] for v in stability._noisy_block(samples, np.random.default_rng(5), T, [sigma])]
-    rec = recon._solve(noisy[:m], dict(zip(omega, noisy[m:])), m,
-                       systems.power_rows(a.response, m), n, omega)
+    rec = recon._solve(noisy[:m], dict(zip(omega, noisy[m:])), m, n, omega,
+                       table=systems.power_rows(a.response, m))
     errors = []
     for t in range(T):
         trial = ds.SampleSet(y=[v[t] for v in noisy[:m]],
@@ -829,17 +829,21 @@ def test_mirrored_plain_solve_lists_singular_set(L):
     assert err.value.indices == expected
 
 
-def all_packet_solve(samples, table, n, omega, bounds=None):
+def all_packet_solve(samples, table, n, omega):
     """Every packet decomposed, as without the mirror, through the same engine;
-    ``bounds``, the grid bounds of a power table, give the packets their node
-    floors, as the sequence solves pass them."""
+    a response in place of an (N, L) ``table`` gives the packets their nodes
+    and node floors, as the sequence solves pass them."""
     m, L = samples.m, samples.L
     P = L // (m * n)
     idx = systems.packet_indices(L, m, n, np.arange(P))
-    rhs = recon._rhs(samples.y[:len(table)], samples.extras, omega, idx, np.arange(P), L, 1)
-    floors = None if bounds is None else systems.packet_floors(bounds, m, idx)
-    _, _, x = systems.solve_packets(lambda part: systems.gather_blocks(table, idx[part]), P,
-                                    systems.phase_rows(m, n, omega), rhs, floors)
+    N = samples.N if table.ndim == 1 else len(table)
+    rhs = recon._rhs(samples.y[:N], samples.extras, omega, idx, np.arange(P), L, 1)
+    if table.ndim == 1:
+        nodes = table[idx]
+        packets = {"nodes_of": nodes.__getitem__, "floors": systems.packet_floors(nodes)}
+    else:
+        packets = {"blocks_of": lambda part: systems.gather_blocks(table, idx[part])}
+    _, _, x = systems.solve_packets(P, systems.phase_rows(m, n, omega), rhs, **packets)
     f_hat = np.empty((1, L), dtype=complex)
     f_hat[:, idx.reshape(P, -1)] = x.transpose(2, 0, 1)
     return ds.idft(f_hat).reshape(L)
@@ -849,13 +853,12 @@ def all_packet_solve(samples, table, n, omega, bounds=None):
 @pytest.mark.parametrize("L", [72, 576, 2304])
 def test_non_hermitian_tables_solve_every_packet(make, L):
     a = make(L)
-    table, bounds = systems.power_rows(a.response, 3), systems.grid_bounds(a.response, 3)
-    assert not systems._is_hermitian(table)
+    assert not systems._is_hermitian(systems.power_rows(a.response, 3))
     s = noisy_samples(L, 3, 1, (), 3, 8)
-    assert np.array_equal(ds.reconstruct_plain(s, a, 3), all_packet_solve(s, table, 1, (), bounds))
+    assert np.array_equal(ds.reconstruct_plain(s, a, 3), all_packet_solve(s, a.response, 1, ()))
     s = noisy_samples(L, 3, 3, (1, 2), 3, 9)
     assert np.array_equal(ds.reconstruct_extended(s, a, 3, 3, (1, 2), force=True),
-                          all_packet_solve(s, table, 3, (1, 2), bounds))
+                          all_packet_solve(s, a.response, 3, (1, 2)))
 
 
 @pytest.mark.parametrize("gen", [BSPLINE, ds.make_generator({"kind": "sinc"})])
@@ -879,9 +882,9 @@ def test_solve_decomposes_one_packet_per_mirror_pair(monkeypatch, a, P, decompos
     seen = []
     solve = systems.solve_packets
 
-    def spy(blocks_of, count, phase, rhs, floors):
-        seen.append((count, rhs.shape, floors.shape))
-        return solve(blocks_of, count, phase, rhs, floors)
+    def spy(count, phase, rhs, **packets):
+        seen.append((count, rhs.shape, packets["floors"].shape))
+        return solve(count, phase, rhs, **packets)
     monkeypatch.setattr(systems, "solve_packets", spy)
     ds.reconstruct_extended(noisy_samples(a.L, 3, 3, (1,), 3, 11), a, 3, 3, (1,), force=True)
     # One trial: a second column per factored packet holds its mirror's right-hand
@@ -903,6 +906,131 @@ def test_hermitian_check_covers_every_row_and_the_real_bins():
     bent[3, 5] *= 1 + 1e-15                # the last row only
     assert not systems._is_hermitian(bent)
     assert systems._is_hermitian(bent[:3])
+
+
+
+# ---------------------------------------------------------------------------
+# the sequence solve from the response: no (N, L) power table
+
+def ref_grid_bounds(response, m):
+    """The former route to the node bounds: gautschi_bounds of the m aliased
+    nodes response[rho + j L/m] at every index rho of the L/m grid, taken
+    once per solve and then indexed by each packet's blocks."""
+    return systems.gautschi_bounds(response.reshape(m, len(response) // m).T)
+
+
+def signed_packet_indices(L, m, n):
+    """packet_indices of the factored packets and their mirrors, negated mod
+    L, in the order that a mirrored solve gathers them."""
+    P = L // (m * n)
+    q = np.concatenate([np.arange(P // 2 + 1), -np.arange(1, (P + 1) // 2)])
+    idx = systems.packet_indices(L, m, n, np.abs(q))
+    idx[q < 0] = -idx[q < 0] % L
+    return idx
+
+
+@pytest.mark.parametrize("make, m, n", [
+    (plain_filter, 3, 1), (plain_filter, 3, 3), (complex_tap_filter, 5, 7), (HEAT, 5, 7),
+    (lambda L: ds.filter_table(rand_complex(np.random.default_rng(L), L)), 2, 3),
+])
+@pytest.mark.parametrize("N", range(1, 9))
+def test_power_rows_of_gathered_nodes_equal_gathered_power_rows(make, m, n, N):
+    # np.vander forms each node's powers by its own running product, so the
+    # powers of gathered nodes are the gathered (N, L) table bit for bit, in
+    # chunks of any size and at the mirrored indices too.
+    L = m * n * 24
+    a = make(L)
+    idx = signed_packet_indices(L, m, n)
+    table = systems.power_rows(a.response, N)
+    P = len(idx)
+    for chunk in (1, 7, P):
+        for start in range(0, P, chunk):
+            part = idx[start:start + chunk]
+            assert np.array_equal(systems.power_rows(a.response[part], N),
+                                  systems.gather_blocks(table, part))
+
+
+@st.composite
+def hermitian_responses(draw):
+    """A bitwise Hermitian complex response of length 1..40, its values of
+    modulus up to 10^3, some of them real or zero."""
+    L = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    response = rand_complex(rng, L) * 10.0 ** rng.uniform(-3, 3, L)
+    response[rng.random(L) < 0.2] = 0
+    response[rng.random(L) < 0.2] = 1.5
+    return exactly_hermitian(response)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(hermitian_responses())
+def test_hermitian_response_has_a_hermitian_power_table(response):
+    # IEEE complex products are sign-symmetric, so the solve can test the
+    # response in place of its power table.
+    assert systems._is_hermitian(response)
+    for N in range(1, 9):
+        assert systems._is_hermitian(systems.power_rows(response, N))
+
+
+@pytest.mark.parametrize("make, m, n", [
+    (plain_filter, 3, 1), (RCOS, 3, 3), (HEAT, 5, 7), (complex_tap_filter, 7, 1),
+])
+@pytest.mark.parametrize("L_per_packet", [8, 512])
+def test_packet_floors_of_gathered_nodes_equal_the_grid_route(make, m, n, L_per_packet):
+    L = m * n * L_per_packet
+    a = make(L)
+    idx = signed_packet_indices(L, m, n)
+    D = len(idx) // 2 + 1
+    ref = 1.0 / (m * ref_grid_bounds(a.response, m)[idx[:D, :, 0]].max(axis=1))
+    assert np.array_equal(systems.packet_floors(a.response[idx[:D]]), ref)
+    full = systems.packet_indices(L, m, n, np.arange(L // (m * n)))
+    ref = 1.0 / (m * ref_grid_bounds(a.response, m)[full[..., 0]].max(axis=1))
+    assert np.array_equal(systems.packet_floors(a.response[full]), ref)
+
+
+@pytest.mark.parametrize("make, n, omega, N, powered", [
+    (plain_filter, 1, None, 3, 0),          # every plain packet cleared
+    (RCOS, 3, (1,), 3, 2),                  # the packets at 0 and 1/2 are not
+    (RCOS, 3, (1,), 5, 65),                 # tall blocks: every factored packet
+])
+def test_sequence_solve_takes_powers_only_for_packets_left_to_the_qr(
+        monkeypatch, make, n, omega, N, powered):
+    L, m = 1152, 3
+    a = make(L)
+    seen = []
+    power_rows = systems.power_rows
+
+    def spy(nodes, count):
+        seen.append(np.shape(nodes))
+        return power_rows(nodes, count)
+    f = rand_signal(L, 3)
+    s = ds.forward(f, a, m, N, n, omega or ())
+    monkeypatch.setattr(systems, "power_rows", spy)
+    rec = (ds.reconstruct_plain(s, a, m) if omega is None
+           else ds.reconstruct_extended(s, a, m, n, omega))
+    assert sum(shape[0] for shape in seen) == powered
+    assert all(shape[1:] == (n, m) for shape in seen)
+    assert np.linalg.norm(rec - f) <= 1e-10 * np.linalg.norm(f)
+
+
+def test_one_snapshot_solve_mirrors_as_its_all_ones_table_does(monkeypatch):
+    # With m = N = 1 the power table is one row of ones, bitwise Hermitian
+    # whatever the response, so the solve mirrors without testing it.
+    L = 72
+    a = complex_tap_filter(L)
+    assert not systems._is_hermitian(a.response)
+    assert systems._is_hermitian(systems.power_rows(a.response, 1))
+    seen = []
+    solve = systems.solve_packets
+
+    def spy(count, *args, **packets):
+        seen.append(count)
+        return solve(count, *args, **packets)
+    monkeypatch.setattr(systems, "solve_packets", spy)
+    f = rand_signal(L, 5)
+    rec = ds.reconstruct_plain(ds.forward(f, a, 1, 1), a, 1)
+    assert np.linalg.norm(rec - f) <= 1e-14 * np.linalg.norm(f)
+    assert seen == [L // 2 + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -936,7 +1064,7 @@ def test_qr_solve_matches_lstsq_loop(case):
     P, (rows, T), cols = len(blocks), rhs.shape[1:], phase.shape[1]
     # The chunk counts the T columns of b.
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + T)):
-        smin, smax, x = systems.solve_packets(lambda part: blocks[part], P, phase, rhs)
+        smin, smax, x = systems.solve_packets(P, phase, rhs, blocks_of=lambda part: blocks[part])
     A = systems.extended_stack(blocks, phase)
     s = np.linalg.svd(A, compute_uv=False)
     # smin and smax bracket the singular values (see the certificate tests below).
@@ -972,7 +1100,7 @@ def certify_solve(blocks, T, chunk, seed):
     phase = np.zeros((0, c))
     rhs = rand_complex(np.random.default_rng(seed), (P, rows, T))
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (c + T)):
-        smin, smax, x = systems.solve_packets(lambda part: blocks[part], P, phase, rhs)
+        smin, smax, x = systems.solve_packets(P, phase, rhs, blocks_of=lambda part: blocks[part])
     A = systems.extended_stack(blocks, phase)
     return smin, smax, x, np.linalg.svd(A, compute_uv=False), np.linalg.norm(A, axis=(1, 2))
 
@@ -1081,11 +1209,13 @@ def test_node_certificate_brackets_and_bits(case):
 
     def blocks_of(part):
         return systems.gather_blocks(table, idx[part])
-    floors = systems.packet_floors(systems.grid_bounds(nodes, m), m, idx)
+    packet_nodes = nodes[idx]
+    floors = systems.packet_floors(packet_nodes)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + T)):
-        smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
+        smin, smax, x = systems.solve_packets(P, phase, rhs, floors=floors,
+                                              nodes_of=packet_nodes.__getitem__)
         # The reference certifies every chunk the old way, by its Cholesky test.
-        _, _, ref = systems.solve_packets(blocks_of, P, phase, rhs)
+        _, _, ref = systems.solve_packets(P, phase, rhs, blocks_of=blocks_of)
     # Each packet's R as the solve forms it, from the QR of [A | b].
     A = np.concatenate([systems.extended_stack(blocks_of(slice(0, P)), phase), rhs], axis=2)
     if rows > cols:
@@ -1106,7 +1236,7 @@ def test_node_certificate_brackets_and_bits(case):
     nodal = cleared & (N == m)
     assert np.array_equal(x[~nodal], ref[~nodal], equal_nan=True)
     for i in np.flatnonzero(nodal):
-        assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i], phase))
+        assert np.array_equal(x[i], node_solve_alone(packet_nodes[i], rhs[i], phase))
 
 
 # ---------------------------------------------------------------------------
@@ -1134,15 +1264,16 @@ def ref_solve_packets(blocks_of, P, phase, rhs, floors=None):
     return smin, smax, x
 
 
-def node_solve_alone(blocks, b, phase=None):
-    """x of one packet with (n, m, m) power blocks, the extras rows of
-    ``phase`` (none by default) and right-hand side b: without extras rows,
-    each block on its own through the kernel, from its nodes (row 1) and m
-    times its rows of b; with them, the node solve of this packet alone."""
-    n, m = blocks.shape[0], blocks.shape[-1]
+def node_solve_alone(nodes, b, phase=None):
+    """x of one packet with the (n, m) ``nodes`` of its power blocks, the
+    extras rows of ``phase`` (none by default) and right-hand side b:
+    without extras rows, each block on its own through the kernel, from its
+    nodes and m times its rows of b; with them, the node solve of this
+    packet alone."""
+    n, m = nodes.shape
     if phase is not None and len(phase):
-        return systems._nodal_solve(blocks[None], b[None], phase / (m * n))[0]
-    return np.concatenate([systems.solve_vandermonde(blocks[k, min(1, m - 1)][None],
+        return systems._nodal_solve(nodes[None], b[None], phase / (m * n))[0]
+    return np.concatenate([systems.solve_vandermonde(nodes[k][None],
                                                      b[None, k * m:(k + 1) * m] * m)[0]
                            for k in range(n)])
 
@@ -1178,14 +1309,17 @@ def square_node_cases(draw):
 
 
 def node_solve_case(nodes, m, n, rhs):
-    """(blocks_of, phase, floors) of the square packets on a node table."""
+    """(packet_nodes, blocks_of, phase, floors) of the square packets on a
+    node table: the (P, n, m) nodes that the solve takes, and the power
+    blocks that the reference assembles."""
     L, P = len(nodes), len(rhs)
     table, idx = systems.power_rows(nodes, m), systems.packet_indices(L, m, n, np.arange(P))
-    floors = systems.packet_floors(systems.grid_bounds(nodes, m), m, idx)
 
     def blocks_of(part):
         return systems.gather_blocks(table, idx[part])
-    return blocks_of, systems.phase_rows(m, n, ()), floors
+    packet_nodes = nodes[idx]
+    floors = systems.packet_floors(packet_nodes)
+    return packet_nodes, blocks_of, systems.phase_rows(m, n, ()), floors
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -1194,7 +1328,7 @@ def test_node_solve_keeps_decisions_and_bits(case):
     nodes, m, n, rhs, chunk = case
     P, rows, width = rhs.shape
     cols = rows                                   # square packets
-    blocks_of, phase, floors = node_solve_case(nodes, m, n, rhs)
+    packet_nodes, blocks_of, phase, floors = node_solve_case(nodes, m, n, rhs)
     solved, kernel = [], systems.solve_vandermonde
 
     def spy(x, b):
@@ -1202,14 +1336,15 @@ def test_node_solve_keeps_decisions_and_bits(case):
         return kernel(x, b)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
         with mock.patch.object(systems, "solve_vandermonde", spy):
-            smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
+            smin, smax, x = systems.solve_packets(P, phase, rhs, floors=floors,
+                                                  nodes_of=packet_nodes.__getitem__)
         ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
     A = systems.extended_stack(blocks_of(slice(0, P)), phase)
     fro = np.linalg.norm(A, axis=(1, 2))
     cleared = floors - 16 * rows * (cols + 1) * EPS * fro >= certified_smin(cols, fro)
     # The cleared set is the assembled path's, and only its blocks take the
-    # kernel.  Its brackets take ||A||_F from the blocks, summed in another
-    # order; every other packet keeps its brackets and x bit for bit.
+    # kernel.  Its brackets take ||A||_F from |x|^2 of the nodes, not from
+    # the powers; every other packet keeps its brackets and x bit for bit.
     assert sum(solved) == n * np.count_nonzero(cleared)
     assert np.allclose(smin, ref_smin, rtol=1e-14, atol=0)
     assert np.allclose(smax, ref_smax, rtol=1e-14, atol=0)
@@ -1218,7 +1353,7 @@ def test_node_solve_keeps_decisions_and_bits(case):
     assert np.array_equal(x[~cleared], ref[~cleared], equal_nan=True)
     # A cleared packet has the bits of the kernel applied to it alone, in any chunk.
     for i in np.flatnonzero(cleared):
-        assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i]))
+        assert np.array_equal(x[i], node_solve_alone(packet_nodes[i], rhs[i]))
     # Both solves err by at most about m eps kappa ||x|| for the condition
     # number kappa of the packet matrix, so they agree to twice that.
     if cleared.any():
@@ -1240,15 +1375,16 @@ def test_node_solve_bits_hold_past_the_elision_size():
     nodes[6 + L // m] = nodes[6] * (1 + 1e-9)
     P = L // m
     rhs = rand_complex(np.random.default_rng(12), (P, m, T))
-    blocks_of, phase, floors = node_solve_case(nodes, m, 1, rhs)
+    packet_nodes, blocks_of, phase, floors = node_solve_case(nodes, m, 1, rhs)
     with mock.patch.object(systems, "_CHUNK_BYTES", 4 * 2**20):
         assert len(systems._chunks(P, m, m + T)) == 1
-        smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
+        smin, smax, x = systems.solve_packets(P, phase, rhs, floors=floors,
+                                              nodes_of=packet_nodes.__getitem__)
         ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
     assert np.isnan(x[5]).all() and np.array_equal(x[[5, 6]], ref[[5, 6]], equal_nan=True)
     assert np.array_equal(smin[[5, 6]], ref_smin[[5, 6]])
     for i in [0, 4, 7, 1000, P // 2, P - 1]:
-        assert np.array_equal(x[i], node_solve_alone(blocks_of(slice(i, i + 1))[0], rhs[i]))
+        assert np.array_equal(x[i], node_solve_alone(packet_nodes[i], rhs[i]))
     gap = np.linalg.norm(np.nan_to_num(x - ref), axis=(1, 2))
     assert np.all(gap <= 1e-14 * np.linalg.norm(np.nan_to_num(ref), axis=(1, 2)))
 
@@ -1286,23 +1422,25 @@ def test_extended_node_solve_keeps_decisions_and_bits(case):
     P, rows, width = rhs.shape
     cols, off = m * n, len(omega)
     table, idx = systems.power_rows(nodes, m), systems.packet_indices(len(nodes), m, n, np.arange(P))
-    floors = systems.packet_floors(systems.grid_bounds(nodes, m), m, idx)
+    packet_nodes = nodes[idx]
+    floors = systems.packet_floors(packet_nodes)
     phase = systems.phase_rows(m, n, omega)
 
     def blocks_of(part):
         return systems.gather_blocks(table, idx[part])
     solved, kernel = [], systems._nodal_solve
 
-    def spy(blocks, *args, **kwargs):
-        solved.append(len(blocks))
-        return kernel(blocks, *args, **kwargs)
+    def spy(nodes, *args, **kwargs):
+        solved.append(len(nodes))
+        return kernel(nodes, *args, **kwargs)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
         with mock.patch.object(systems, "_nodal_solve", spy):
-            smin, smax, x = systems.solve_packets(blocks_of, P, phase, rhs, floors)
+            smin, smax, x = systems.solve_packets(P, phase, rhs, floors=floors,
+                                                  nodes_of=packet_nodes.__getitem__)
         ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
     # The assembled path clears a packet by ||R||_F of its QR (A itself when
-    # square); the node path by ||A||_F from the blocks and the phase.  Both
-    # clear the same packets, and only those take the kernel.
+    # square); the node path by ||A||_F from |x|^2 of the nodes and the
+    # phase.  Both clear the same packets, and only those take the kernel.
     R = np.concatenate([A, rhs], axis=2)
     if rows > cols:
         R = np.triu(np.linalg.qr(R, mode="raw")[0].swapaxes(1, 2)[:, :cols])
@@ -1325,11 +1463,10 @@ def test_extended_node_solve_keeps_decisions_and_bits(case):
     # A cleared packet has the bits of the kernel applied to it alone, in any
     # chunk, and each column those of the kernel applied to that column alone.
     for i in np.flatnonzero(cleared):
-        blocks = blocks_of(slice(i, i + 1))[0]
-        assert np.array_equal(x[i], node_solve_alone(blocks, rhs[i], phase))
+        assert np.array_equal(x[i], node_solve_alone(packet_nodes[i], rhs[i], phase))
         for t in range(width):
             assert np.array_equal(x[i, :, t:t + 1],
-                                  node_solve_alone(blocks, rhs[i, :, t:t + 1], phase))
+                                  node_solve_alone(packet_nodes[i], rhs[i, :, t:t + 1], phase))
     # Against the QR solve: a gap of c eps (cond(A) ||x|| + cond(D)^2 ||r|| /
     # ||A||_2) for the least-squares residual r and the block diagonal D,
     # within a factor 4 (cond(D)^2, not cond(A)^2: the kernel solves through
@@ -1372,9 +1509,9 @@ def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunk
     calls = []
     solve, scan = systems.solve_packets, systems.packet_smins
 
-    def spy_solve(*args):
+    def spy_solve(*args, **packets):
         calls.append("solve")
-        return solve(*args)
+        return solve(*args, **packets)
 
     def spy_scan(*args):
         calls.append("scan")
@@ -1462,8 +1599,8 @@ def test_qr_solve_leaves_rank_deficient_packets_unsolved():
     blocks = rand_complex(rng, (4, 1, 3, 3))
     blocks[2, 0, 2] = blocks[2, 0, 1]                  # an exactly singular packet
     rhs = rand_complex(rng, (4, 3, 2))
-    smin, smax, x = systems.solve_packets(lambda part: blocks[part], 4,
-                                          np.zeros((0, 3)), rhs)
+    smin, smax, x = systems.solve_packets(4, np.zeros((0, 3)), rhs,
+                                          blocks_of=lambda part: blocks[part])
     assert np.flatnonzero(smin <= systems.RANK_TOL * smax).tolist() == [2]
     assert np.isnan(x[2]).all() and np.isfinite(x[[0, 1, 3]]).all()
 
@@ -1498,7 +1635,7 @@ def test_mirrored_solve_matches_all_packet_solve(case):
     rows, cols = len(omega) + n * len(table), m * n
     width = T if P <= 2 else 2 * T           # packets 1..(P - 1)//2 carry a mirror
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
-        rec = recon._solve(y, extras, m, table, n, omega)
+        rec = recon._solve(y, extras, m, n, omega, table=table)
     assert rec.shape == (T, L)
     for t, s in enumerate(trials):
         ref = all_packet_solve(s, table, n, omega)
@@ -1583,15 +1720,15 @@ def test_qr_solve_memory_flat_in_packets():
             a = make(L)
             table = systems.power_rows(a.response, m)
             idx = systems.packet_indices(L, m, n, np.arange(D))
-            floors = None
+            packets = {"blocks_of": lambda part: systems.gather_blocks(table, idx[part])}
             if nodal:
-                floors = systems.packet_floors(systems.grid_bounds(a.response, m), m, idx)
+                nodes = a.response[idx]
+                packets = {"nodes_of": nodes.__getitem__, "floors": systems.packet_floors(nodes)}
             rhs = rand_complex(rng, (D, len(omega) + n * m, 2 * T))
             tracemalloc.start()
             try:
-                _, _, x = systems.solve_packets(
-                    lambda part: systems.gather_blocks(table, idx[part]), D,
-                    systems.phase_rows(m, n, omega), rhs, floors)
+                _, _, x = systems.solve_packets(D, systems.phase_rows(m, n, omega), rhs,
+                                                **packets)
                 excess.append(tracemalloc.get_traced_memory()[1] - x.nbytes)
             finally:
                 tracemalloc.stop()

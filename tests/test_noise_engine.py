@@ -117,7 +117,7 @@ def test_trial_axis_solve_matches_single_solves():
     table = systems.power_rows(a.response, m)
     y = [np.array([s.y[l] for s in sets]) for l in range(m)]
     extras = {c: np.array([s.extras[c] for s in sets]) for c in omega}
-    batched = recon._solve(y, extras, m, table, n, omega)
+    batched = recon._solve(y, extras, m, n, omega, table=table)
     for t, s in enumerate(sets):
         single = ds.reconstruct_extended(s, a, m, n, omega)
         assert np.linalg.norm(batched[t] - single) <= 1e-13 * np.linalg.norm(single)
@@ -262,9 +262,9 @@ def test_sweep_samples_once_and_solves_once_per_block(monkeypatch):
         calls["forward"] += 1
         return forward(*args)
 
-    def spy_solve(y, *args):
+    def spy_solve(y, *args, **values):
         calls["_solve"].append(y[0].shape[:-1])
-        return solve(y, *args)
+        return solve(y, *args, **values)
     monkeypatch.setattr(stability, "forward", spy_forward)
     monkeypatch.setattr(stability, "_solve", spy_solve)
     stability.noise_sweep(rand_signal(a.L, 1), a, m, n, omega, sigmas, trials=trials,

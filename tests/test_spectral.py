@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dynsamp as ds
+from dynsamp import spectral
 from dynsamp.errors import NonDivisibleLength
 
 
@@ -84,3 +85,18 @@ def test_shift_composition():
     rhs = ds.shift(x, (4 + 7) % 9)
     assert np.array_equal(lhs, rhs)
 
+
+
+@pytest.mark.parametrize("fft_out", [True, False])
+@pytest.mark.parametrize("shape", [(72,), (75,), (36864,), (3, 2, 576), (5, 1, 1792)])
+def test_transforms_in_place_keep_their_bits(shape, fft_out, monkeypatch):
+    # The recover path transforms arrays it owns in place; numpy's out= must
+    # give the bits of a fresh output, and so must the copy that numpy
+    # before 2.0, whose transforms take no out=, falls back on.
+    monkeypatch.setattr(spectral, "_FFT_OUT", fft_out and spectral._FFT_OUT)
+    rng = np.random.default_rng(len(shape))
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for transform in (ds.dft, ds.idft):
+        ref, y = transform(x), x.copy()
+        assert transform(y, out=y) is y
+        assert np.array_equal(y, ref)

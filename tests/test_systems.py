@@ -359,8 +359,10 @@ def test_node_products_match_loops(a, m, rel):
     system = ds.PlainSystem(a, m, m)
     step = a.L // m
     dets = ds.det_plain(system, np.arange(step))
-    # The bound of every grid node set at once, as the solve takes it.
-    bounds = systems.grid_bounds(a.response, m)
+    # The bound of every grid node set at once, as the solve takes it: from
+    # the gathered nodes of the plain packets.
+    bounds = systems.gautschi_bounds(a.response[systems.packet_indices(a.L, m, 1,
+                                                                       np.arange(step))])[:, 0]
     for rho in range(step):
         nodes = a.response[rho + np.arange(m) * step]
         ref = loop_det(nodes)
@@ -394,9 +396,12 @@ def tensor_gautschi_bounds(nodes):
     (ds.filter_heat(840, 0.5), 7),
 ])
 def test_grid_bounds_match_the_tensor_formula_bitwise(a, m):
-    # Each separation is taken once and mirrored: the bounds keep every bit,
-    # and a symmetric filter's coincident nodes at 0 and 1/2 still read +inf.
-    bounds = systems.grid_bounds(a.response, m)
+    # Each separation is taken once and mirrored: the bounds of the gathered
+    # plain packet nodes, as the solve takes them, keep every bit, and a
+    # symmetric filter's coincident nodes at 0 and 1/2 still read +inf.
+    step = a.L // m
+    bounds = systems.gautschi_bounds(a.response[systems.packet_indices(a.L, m, 1,
+                                                                       np.arange(step))])[:, 0]
     assert np.array_equal(bounds, tensor_gautschi_bounds(a.response.reshape(m, -1).T))
     if a.symmetric_decreasing:
         assert np.isinf(bounds[[0, a.L // (2 * m)]]).all()
