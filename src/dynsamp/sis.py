@@ -16,6 +16,13 @@ synthesizes f on a fine grid of P samples per unit, evolves in the fine
 frequency domain, and samples -- an independent route against which the
 reconstruction is validated.  A sinc span is band-limited to [-1/2, 1/2),
 so its integer samples are exact L-point transforms and no fine grid enters.
+Both routes sample by decimating in frequency: keeping every Q-th sample of
+an N-point inverse transform is exact as
+
+    idft_N(X)[::Q] = idft_{N/Q}(X.reshape(Q, N/Q).sum(axis=0)) / Q,
+
+with Q = P m on the fine grid and Q = m for sinc, so each snapshot costs an
+inverse transform of L/m points, not of L P.
 """
 
 import math
@@ -53,12 +60,18 @@ class Generator:
             self.order = spectral._count(self.order, "order", low=0, what="B-spline")
 
     def fourier_at(self, nu):
-        """Transform value(s) at real frequency nu."""
+        """Transform value(s) at real frequency nu.
+
+        The B-spline transform sinc(nu)**(order + 1) is powered by
+        multiplication (_int_power), not by a float power: for exponents 1
+        and 2 that is bitwise numpy's ``**``, and every product of factors
+        |sinc| <= 1 stays at most 1, the sup that _fourier_sup reports.
+        """
         nu = np.asarray(nu, dtype=float)
         if self.kind == "sinc":
             return ((nu >= -0.5) & (nu < 0.5)).astype(float)
         if self.kind == "bspline":
-            return np.sinc(nu) ** (self.order + 1)
+            return _int_power(np.sinc(nu), self.order + 1)
         if self.kind == "table":
             q = nu * self.table_L
             qi = np.rint(q).astype(int)
@@ -97,6 +110,19 @@ class Generator:
         if self.kind == "table":
             return min(K, self.table_K)
         return K
+
+
+def _int_power(x, e):
+    """x**e for an integer e >= 1 by binary powering: squarings of x, and a
+    product of the squares that the bits of e select."""
+    out = None
+    while True:
+        if e & 1:
+            out = x if out is None else out * x
+        e >>= 1
+        if not e:
+            return out
+        x = x * x
 
 
 def _bspline_time(x, order):
@@ -161,8 +187,14 @@ def heat_line_response(t):
 
 
 def line_filter_from_spec(spec):
-    """Line response from a JSON-style mapping."""
-    kind = spec["kind"]
+    """Line response from a JSON-style mapping, e.g. {"kind": "gaussian", "alpha": 2.0}.
+
+    A spec without a kind raises ValueError "line_filter spec lacks field 'kind'".
+    """
+    try:
+        kind = spec["kind"]
+    except KeyError:
+        raise ValueError("line_filter spec lacks field 'kind'") from None
     if kind == "identity":
         return identity_response()
     if kind == "gaussian":
@@ -506,8 +538,16 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     y_l = S_m idft(c_hat a_hat(q/L)**l) over the signed bins q of that band,
     and f(k) = c_k.  B-spline and table spans are synthesized on a fine grid
     of P points per unit, evolved by multiplying the fine spectrum with the
-    line response, and sampled at the integers.  P must be an integer >= 1
-    for every generator (PreconditionViolated naming it otherwise).
+    line response, and sampled at the integers, y_l = S_{P m} of the L P-point
+    inverse transform.  Each route keeps every Q-th sample (Q = m, or P m) of
+    an N-point inverse transform, which is exact in frequency:
+
+        idft_N(X)[::Q] = idft_{N/Q}(X.reshape(Q, N/Q).sum(axis=0)) / Q,
+
+    so the m spectra are folded to L/m bins and take one batched inverse
+    transform of L/m points; no L P-point inverse transform is formed.  P
+    must be an integer >= 1 for every generator (PreconditionViolated naming
+    it otherwise).
     """
     c = np.asarray(c, dtype=complex)
     L = len(c)
@@ -515,20 +555,23 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     P = spectral._count(P, "P", low=1, what="fine samples per unit")
     if gen.kind == "sinc":
         avals = a_hat(_signed_bins(L) / L)        # the band [-1/2, 1/2)
-        c_hat = spectral.dft(c)
-        y = [spectral.idft(c_hat * avals ** l)[::m].copy() for l in range(m)]
+        spectrum, Q = spectral.dft(c), m
         f_int = c
     else:
         f_fine = _synthesize_fine(c, gen, P)
-        F = np.fft.fft(f_fine)
         avals = a_hat(_signed_bins(L * P) / L)
-        y = []
-        for l in range(m):
-            w = np.fft.ifft(F * avals ** l)[::P]     # integer samples of a^l * f
-            y.append(w[::m].copy())
+        spectrum, Q = np.fft.fft(f_fine), P * m
         f_int = f_fine[::P]
+    folded = np.empty((m, L // m), dtype=complex)
+    for l in range(m):
+        terms = avals ** l
+        terms *= spectrum
+        terms.reshape(Q, L // m).sum(axis=0, out=folded[l])
+        del terms
+    folded = spectral.idft(folded, out=folded)
+    folded /= Q
     extras = {cc: spectral.subsample(spectral.shift(f_int, cc), m * n) for cc in omega}
-    return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
+    return SampleSet(y=list(folded), extras=extras, m=m, n=n, omega=omega)
 
 
 # ---------------------------------------------------------------------------

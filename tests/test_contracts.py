@@ -143,17 +143,20 @@ def test_filter_from_spec_rejects_a_length_that_is_no_integer(length):
 
 
 @pytest.mark.parametrize("parse, name", [(ds.filter_from_spec, "filter"),
-                                         (ds.make_generator, "generator")])
+                                         (ds.make_generator, "generator"),
+                                         (ds.line_filter_from_spec, "line_filter")])
 def test_spec_without_kind_raises_value_error_naming_the_field(parse, name):
-    # Both used to raise a bare KeyError: 'kind'.  The CLI keeps its wording.
+    # Each used to raise a bare KeyError: 'kind'.  The CLI keeps its wording.
     message = f"{name} spec lacks field 'kind'"
     with pytest.raises(ValueError, match=re.escape(message)):
         parse({})
     # An empty spec is a missing one to the CLI, so the config's spec holds a field.
-    cfg = cli.ExperimentConfig(mode="sis_roundtrip" if name == "generator" else "roundtrip",
-                               filter={"L": 72}, generator={"order": 3},
-                               line_filter={"kind": "identity"},
-                               m=3, n=0 if name == "generator" else 3, omega=[1], L=72, seed=11)
+    span = name != "filter"
+    cfg = cli.ExperimentConfig(
+        mode="sis_roundtrip" if span else "roundtrip", filter={"L": 72},
+        generator={"order": 3} if name == "generator" else {"kind": "bspline", "order": 3},
+        line_filter={"alpha": 2.0} if name == "line_filter" else {"kind": "identity"},
+        m=3, n=0 if span else 3, omega=[1], L=72, seed=11)
     assert message in cli.validate(cfg)
 
 

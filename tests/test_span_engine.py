@@ -14,7 +14,12 @@ another order and must agree to 1e-15 of the row max.  So must the other
 B-spline rows, which add the same terms in another order; row 0 differs from
 the reference only by the reference's own truncation at K.  The sinc forward
 route takes L-point transforms in place of the fine grid's L P-point ones;
-both evaluate the same band, so they must agree to 1e-14 relative.
+both evaluate the same band, so they must agree to 1e-14 relative.  Every
+forward route now keeps each Q-th sample of an inverse transform by folding
+its spectrum Q-fold, which is exact and only rounds in another order: its
+snapshots must agree with the L P-point route to 1e-14 of max |c|, and its
+extras, which no transform touches, bitwise.  The B-spline transform powers
+sinc by multiplication, within (order + 1) eps of numpy's float power.
 """
 
 import re
@@ -179,6 +184,52 @@ def test_sis_forward_sinc_matches_fine_route(L, P, with_extras):
         assert np.abs(u - v).max() <= 1e-14 * scale
     for cc in omega:
         assert np.abs(s.extras[cc] - extras[cc]).max() <= 1e-14 * scale
+
+
+FORWARD_GENERATORS = {
+    **{f"bspline{d}": lambda L, d=d: ds.make_generator({"kind": "bspline", "order": d})
+       for d in (0, 1, 3, 5)},
+    "band_table": lambda L: band_table_generator(L, L),
+    "sinc": lambda L: SINC,
+}
+
+
+@pytest.mark.parametrize("kind", FORWARD_GENERATORS)
+@pytest.mark.parametrize("m, n, L", [(3, 3, 72), (3, 5, 75), (5, 3, 90), (5, 3, 75)],
+                         ids=["m=3,L/m=24", "m=3,L/m=25", "m=5,L/m=18", "m=5,L/m=15"])
+@pytest.mark.parametrize("P", [1, 4, 48])
+@pytest.mark.parametrize("with_extras", [False, True], ids=["plain", "extras"])
+def test_sis_forward_folded_spectrum_matches_fine_route(kind, m, n, L, P, with_extras):
+    gen = FORWARD_GENERATORS[kind](L)
+    omega = tuple(range(1, m)) if with_extras else ()
+    # A Gaussian times a delay of 0.3: complex and not Hermitian on the line.
+    a_hat = lambda nu: np.exp(-2.0 * nu ** 2 - 0.6j * np.pi * nu)
+    c = rand_coeffs(L, 7 * L + P)
+    s = ds.sis_forward(c, gen, a_hat, m, n, omega, P=P)
+    y, extras = ref_fine_forward(c, gen, a_hat, m, n, omega, P)
+    scale = np.abs(c).max()
+    for u, v in zip(s.y, y, strict=True):
+        assert u.shape == (L // m,)
+        assert np.abs(u - v).max() <= 1e-14 * scale
+    # The sinc extras are the coefficients themselves: f(k) = c_k.
+    if gen is SINC:
+        extras = {cc: np.roll(c, cc)[::m * n] for cc in omega}
+    assert sorted(s.extras) == list(omega)
+    assert all(s.extras[cc].tobytes() == extras[cc].tobytes() for cc in omega)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.integers(0, 9), st.lists(st.floats(-400.0, 400.0), min_size=1, max_size=64))
+def test_bspline_transform_power_matches_float_power(order, nus):
+    nu = np.array(nus)
+    gen = ds.make_generator({"kind": "bspline", "order": order})
+    got = gen.fourier_at(nu)
+    ref = np.sinc(nu) ** (order + 1)
+    assert np.all(np.abs(got) <= 1.0)
+    if order <= 1:
+        assert got.tobytes() == ref.tobytes()
+    else:
+        assert np.all(np.abs(got - ref) <= (order + 1) * np.finfo(float).eps * np.abs(ref))
 
 
 @pytest.mark.parametrize("L", [72, 75])
