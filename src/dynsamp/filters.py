@@ -1,7 +1,7 @@
 """Evolution filters stored by their frequency response on the L-point grid.
 
 A filter never carries time-domain taps: every consumer needs the transfer
-values a_hat(r/L), and integer powers a_hat**l are exact pointwise.  Kinds
+values a_hat(r/L), powered pointwise by :func:`spectral.powers`.  Kinds
 with a closed form ("delta", "raised_cosine", "heat") can also be evaluated
 off the grid; "table" filters fall back to the unique trigonometric
 interpolant with taps centered in [-L/2, L/2].
@@ -148,31 +148,24 @@ def filter_table(values):
 
 
 def evolve(f, a, l):
-    """Apply l convolution steps of the kernel: spectrum gets multiplied by response**l."""
-    f = np.asarray(f, dtype=complex)
+    """Apply l convolution steps of the kernel, spectrum times response**l
+    (:func:`spectral.powers`), to the 1-d signal f; l is an integer >= 0."""
+    f = spectral._signal(f, "f")
     if len(f) != a.L:
         raise LengthMismatch(f"signal length {len(f)} != filter length {a.L}")
-    if l < 0:
-        raise ValueError("step count must be nonnegative")
-    if l == 0:
+    if spectral._count(l, "l", low=0, what="step count") == 0:
         return f.copy()
-    return _evolve_hat(spectral.dft(f), a, l)
+    for power in spectral.powers(a.response, l):
+        pass
+    return _evolve_hat(spectral.dft(f), power)
 
 
-def _evolve_hat(f_hat, a, l):
-    """l convolution steps of the kernel applied to the signal whose spectrum
-    is f_hat.
-
-    The product is spectrum times power, in that operand order: complex
-    products round differently with their operands swapped, and numpy
-    evaluates ``f_hat * (response ** l)`` as ``(response ** l) * f_hat`` in
-    place of the temporary once the arrays reach its elision size (256 KiB).
-    It is written into the power, which is then transformed in place, so
-    the step allocates one length-L array.
-    """
-    power = a.response ** l
-    np.multiply(f_hat, power, out=power)
-    return spectral.idft(power, out=power)
+def _evolve_hat(f_hat, power):
+    """The signal whose spectrum is f_hat times ``power``, a power of the
+    response, in that operand order (a complex product can round otherwise
+    with its operands swapped), transformed in place."""
+    step = np.multiply(f_hat, power)
+    return spectral.idft(step, out=step)
 
 
 def check_symmetric_decreasing(a):

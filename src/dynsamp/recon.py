@@ -114,18 +114,19 @@ def forward(f, a, m, N, n=1, omega=()):
     """Sample the evolving signal: N coarse snapshots plus extra initial samples.
 
     Snapshot l is bitwise ``subsample(evolve(f, a, l), m)``: both take the
-    step from the transform of f the same way, and here one transform of f
-    serves every step.
+    step from the transform of f and level l of :func:`spectral.powers`,
+    and here one transform and one climb of the powers serve every step.
     """
-    f = np.asarray(f, dtype=complex)
+    f = spectral._signal(f, "f")
     L = len(f)
     if L != a.L:
         raise LengthMismatch(f"signal length {L} != filter length {a.L}")
     omega = spectral._layout(L, m, n, omega)
     f_hat = spectral.dft(f)
+    levels = spectral.powers(a.response, spectral._count(N, "N", low=1) - 1)
+    next(levels)                          # level 0: snapshot 0 samples f itself
     y = [spectral.subsample(f, m)]
-    for l in range(1, spectral._count(N, "N")):
-        y.append(spectral.subsample(filters._evolve_hat(f_hat, a, l), m))
+    y += [spectral.subsample(filters._evolve_hat(f_hat, power), m) for power in levels]
     extras = {c: spectral.subsample(spectral.shift(f, c), m * n) for c in omega}
     return SampleSet(y=y, extras=extras, m=m, n=n, omega=omega)
 
@@ -140,7 +141,7 @@ def reconstruct_plain(samples, a, m):
     Past that check, a packet whose smallest singular value is at most
     ``systems.RANK_TOL`` times its largest raises ``RankDeficient``.
     """
-    if samples.m != m:
+    if _sample_set(samples).m != m:
         raise PreconditionViolated(f"samples were taken with m={samples.m}, not {m}")
     return _solve(samples.y, samples.extras, m, 1, None, response=a.response)
 
@@ -283,11 +284,18 @@ def reconstruct_extended(samples, a, m, n, omega, force=False):
     return _solve(samples.y, samples.extras, m, n, omega, response=a.response)
 
 
+def _sample_set(samples):
+    """``samples``, once it is a SampleSet: PreconditionViolated names its type otherwise."""
+    if isinstance(samples, SampleSet):
+        return samples
+    raise PreconditionViolated(f"samples must be a SampleSet, got {type(samples).__name__}")
+
+
 def _guarantee_regime(samples, m, n, omega, force=False):
     """Sorted omega, once the sample set matches (m, n, omega) and, unless
     ``force``, m and n are odd and omega contains 1..(m-1)/2.  Raises
     EvenM for even m and PreconditionViolated otherwise."""
-    if ((samples.m, samples.n) != (m, n)
+    if ((_sample_set(samples).m, samples.n) != (m, n)
             or samples.omega != (omega := spectral._layout(samples.L, m, n, omega))):
         raise PreconditionViolated("sample set parameters do not match the requested solve")
     if not force:
@@ -315,8 +323,8 @@ def dense_oracle(a, m, N, n=1, omega=()):
     omega = spectral._layout(L, m, n, omega)
     rows = []
     t = np.arange(L)
-    for l in range(spectral._count(N, "N")):
-        taps = spectral.idft(a.response ** l)
+    for power in spectral.powers(a.response, spectral._count(N, "N", low=1) - 1):
+        taps = spectral.idft(power)
         for k in range(L // m):
             rows.append(taps[(m * k - t) % L])
     for c in omega:

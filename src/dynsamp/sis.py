@@ -63,15 +63,16 @@ class Generator:
         """Transform value(s) at real frequency nu.
 
         The B-spline transform sinc(nu)**(order + 1) is powered by
-        multiplication (_int_power), not by a float power: for exponents 1
-        and 2 that is bitwise numpy's ``**``, and every product of factors
-        |sinc| <= 1 stays at most 1, the sup that _fourier_sup reports.
+        :func:`spectral.powers`, not by a float power: every product of
+        factors |sinc| <= 1 stays at most 1, the sup that _fourier_sup reports.
         """
         nu = np.asarray(nu, dtype=float)
         if self.kind == "sinc":
             return ((nu >= -0.5) & (nu < 0.5)).astype(float)
         if self.kind == "bspline":
-            return _int_power(np.sinc(nu), self.order + 1)
+            for power in spectral.powers(np.sinc(nu), self.order + 1):
+                pass
+            return power
         if self.kind == "table":
             q = nu * self.table_L
             qi = np.rint(q).astype(int)
@@ -110,19 +111,6 @@ class Generator:
         if self.kind == "table":
             return min(K, self.table_K)
         return K
-
-
-def _int_power(x, e):
-    """x**e for an integer e >= 1 by binary powering: squarings of x, and a
-    product of the squares that the bits of e select."""
-    out = None
-    while True:
-        if e & 1:
-            out = x if out is None else out * x
-        e >>= 1
-        if not e:
-            return out
-        x = x * x
 
 
 def _bspline_time(x, order):
@@ -268,10 +256,8 @@ def _outward_sums(gen, a_hat, js, L, K):
     when B <= 2**-60 peak, so that the rule above stops it after this block
     too, and when _absorbs(row, B) holds, so that adding the block's sum
     changes no bit of it.  The imaginary parts are left out of that check
-    only when phi_hat is real and a_hat real and nonnegative on the block:
-    every power and term then has imaginary part +-0.  A negative real base
-    does not qualify, since numpy's complex power gives it a nonzero
-    imaginary part from exponent 100 on ((-0.5 + 0j)**100 has 1.5e-45).  A
+    only when phi_hat and a_hat are real on the block: every power
+    (:func:`spectral.powers`) and term then has imaginary part +-0.  A
     non-finite bound never stops a row.  phi_hat is still evaluated for a
     block while any row needs it, so the rows and their stops are bitwise
     those of the outward sum that evaluates it on every block.
@@ -291,7 +277,7 @@ def _outward_sums(gen, a_hat, js, L, K):
         avals = a_hat(nu) if any(live) else None
         if lo and avals is not None:
             amax = np.abs(avals).max()
-            imag = not (real_phi and not avals.imag.any() and avals.real.min() >= 0)
+            imag = not (real_phi and not avals.imag.any())
             for j in [j for j in live if j > 0]:
                 bound = 2 * k.size * max(amax ** j * sup, _TINY)
                 if (np.isfinite(bound) and bound <= _BLOCK_STOP * peak[j]
@@ -300,15 +286,13 @@ def _outward_sums(gen, a_hat, js, L, K):
             if not live:
                 break
         phi = gen.fourier_at(nu)
-        # Block arrays are freed as soon as possible and the power is taken in
-        # place: the peak is a few arrays of one block, O(L * width).
+        # Block arrays are freed early: the peak is a few of them, O(L * width).
         del nu
-        for j in list(live):
-            if j:
-                terms = avals ** j
-                terms *= phi
-            else:
-                terms = phi
+        levels = [None] if avals is None else spectral.powers(avals, max(live))
+        for j, power in enumerate(levels):
+            if j not in live:
+                continue
+            terms = np.multiply(power, phi) if j else phi
             rows[j] += terms.sum(axis=1)
             peak[j] = max(peak[j], float(np.abs(rows[j]).max()))
             if np.abs(terms).max() <= _BLOCK_STOP * peak[j]:
@@ -331,15 +315,15 @@ def _cross_spectra(gen, a_hat, js, L, K, tail_tol):
     not warned about, since that error reports it.
     """
     K = spectral._count(K, "K", low=1, what="periodization half-width")
-    js = [spectral._count(j, "j", what="row") for j in js]
+    js = [spectral._count(j, "j", low=0, what="row") for j in js]
     sums = _outward_sums(gen, a_hat, [j for j in js if j or gen.kind != "bspline"], L, K)
     edges = (np.arange(L) / L)[:, None] + np.array([-K, K])[None, :]
     phi = gen.fourier_at(edges)
-    avals = a_hat(edges) if any(js) else None
+    levels = list(spectral.powers(a_hat(edges), max(js))) if any(js) else None
     rows, tails = [], []
     for j in js:
         vals = sums[j] if j in sums else _bspline_poisson_row(gen.order, L)
-        terms = phi * avals ** j if j else phi
+        terms = np.multiply(phi, levels[j]) if j else phi
         tail = float((np.abs(terms[:, 0]) + np.abs(terms[:, -1])).max())
         if not (np.isfinite(tail) and np.all(np.isfinite(vals))):
             raise TailTooLarge(f"row j={j} of the cross-spectra or its |k|={K} tail is not "
@@ -362,12 +346,10 @@ def periodize_phi(gen, a_hat, j, L, K, tail_tol=TAIL_TOL):
     is the largest |k| = K term magnitude over the grid.  The sum skips the
     shifts that cannot meet a sinc or table band (Generator.live_shifts),
     whose terms are exact zeros, and stops early once its terms are
-    negligible; for a B-spline and j = 0 it is exact, with no truncation.
-    On the block where it stops, phi_hat is not evaluated when a bound on
-    |a_hat|**j sup |phi_hat| proves that the block changes no bit of the
-    row (see _outward_sums).  Raises
-    TailTooLarge when that term exceeds ``tail_tol`` times the value scale,
-    and PreconditionViolated unless j is an integer and K an integer >= 1.
+    negligible (see _outward_sums); for a B-spline and j = 0 it is exact,
+    with no truncation.  Raises TailTooLarge when that term exceeds
+    ``tail_tol`` times the value scale, and PreconditionViolated unless j
+    is an integer >= 0 and K one >= 1.
     """
     rows, tails = _cross_spectra(gen, a_hat, (j,), L, K, tail_tol)
     return rows[0], tails[0]
@@ -538,18 +520,14 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     y_l = S_m idft(c_hat a_hat(q/L)**l) over the signed bins q of that band,
     and f(k) = c_k.  B-spline and table spans are synthesized on a fine grid
     of P points per unit, evolved by multiplying the fine spectrum with the
-    line response, and sampled at the integers, y_l = S_{P m} of the L P-point
-    inverse transform.  Each route keeps every Q-th sample (Q = m, or P m) of
-    an N-point inverse transform, which is exact in frequency:
-
-        idft_N(X)[::Q] = idft_{N/Q}(X.reshape(Q, N/Q).sum(axis=0)) / Q,
-
-    so the m spectra are folded to L/m bins and take one batched inverse
-    transform of L/m points; no L P-point inverse transform is formed.  P
-    must be an integer >= 1 for every generator (PreconditionViolated naming
-    it otherwise).
+    powers of the line response, and sampled at the integers, y_l = S_{P m}
+    of the L P-point inverse transform.  Each route decimates in frequency
+    (see the module docstring, Q = m, or P m): the m spectra are folded to
+    L/m bins and take one batched inverse transform of L/m points.  P must
+    be an integer >= 1 for every generator (PreconditionViolated naming it
+    otherwise), and c a 1-d sequence (ShapeMismatch).
     """
-    c = np.asarray(c, dtype=complex)
+    c = spectral._signal(c, "c")
     L = len(c)
     omega = spectral._layout(L, m, n, omega)
     P = spectral._count(P, "P", low=1, what="fine samples per unit")
@@ -560,12 +538,11 @@ def sis_forward(c, gen, a_hat, m, n=1, omega=(), P=48):
     else:
         f_fine = _synthesize_fine(c, gen, P)
         avals = a_hat(_signed_bins(L * P) / L)
-        spectrum, Q = np.fft.fft(f_fine), P * m
-        f_int = f_fine[::P]
+        spectrum, Q, f_int = np.fft.fft(f_fine), P * m, f_fine[::P].copy()
+        del f_fine                   # its room goes to the ladder of powers below
     folded = np.empty((m, L // m), dtype=complex)
-    for l in range(m):
-        terms = avals ** l
-        terms *= spectrum
+    for l, power in enumerate(spectral.powers(avals, m - 1)):
+        terms = np.multiply(power, spectrum)
         terms.reshape(Q, L // m).sum(axis=0, out=folded[l])
         del terms
     folded = spectral.idft(folded, out=folded)

@@ -15,7 +15,7 @@ import operator
 
 import numpy as np
 
-from .errors import MalformedSamples, NonDivisibleLength, PreconditionViolated
+from .errors import MalformedSamples, NonDivisibleLength, PreconditionViolated, ShapeMismatch
 
 
 def _count(value, name, low=None, error=PreconditionViolated, what=""):
@@ -43,6 +43,30 @@ def _shift(value, what):
     rule of :func:`_count`: a bool or a value that is not an integer raises
     MalformedSamples naming it, as ``{what} c must be an integer, got c=value``."""
     return _count(value, "c", error=MalformedSamples, what=what)
+
+
+def _signal(x, name):
+    """The complex 1-d array of the signal ``x``; any other shape raises
+    ShapeMismatch naming the argument and its shape."""
+    x = np.asarray(x, dtype=complex)
+    if x.ndim != 1:
+        raise ShapeMismatch(f"{name} must be a 1-d signal, got shape {x.shape}")
+    return x
+
+
+def powers(x, top):
+    """Yield x**0, ..., x**top of the array x, the package's one rule for
+    integer powers: ones, a copy of x, then level t = np.multiply(level t-1,
+    x), a new array of C-contiguous operands, whose bits depend on x and t
+    alone, not on a gather or chunking of x nor on top.  Its t - 1 products
+    err by sqrt(2) gamma_2 each (Higham, Accuracy and Stability of Numerical
+    Algorithms, Lemma 3.5); being sign-symmetric, they conjugate with x."""
+    x = np.asarray(x, order="C")
+    level = np.ones_like(x)
+    for t in range(top + 1):
+        if t:
+            level = x.copy() if t == 1 else np.multiply(level, x)
+        yield level
 
 
 def _layout(L, m, n=1, omega=(), packets=False):

@@ -60,10 +60,7 @@ def _grid_family(table, m, rho=None):
 
 
 def build_plain(a, m, N, rho):
-    """N x m matrix with entry (r, l) = response[rho + l*(L/m)]**r, exact grid lookups.
-
-    N must be an integer >= 1 (PreconditionViolated naming it otherwise)."""
-    N = spectral._count(N, "N", low=1)
+    """N x m matrix with entry (r, l) = response[rho + l*(L/m)]**r, exact grid lookups."""
     return _grid_family(power_rows(a.response, N), m, [rho])[0]
 
 
@@ -78,10 +75,10 @@ def plain_nodes_at(a, m, xi):
 
 
 def power_rows(nodes, N):
-    """Stack (..., N, m) whose row j holds nodes**j, formed as np.vander forms powers."""
-    nodes, N = np.asarray(nodes), spectral._count(N, "N")
-    rows = np.vander(nodes.reshape(-1), N, increasing=True).reshape(nodes.shape + (N,))
-    return rows.swapaxes(-1, -2)
+    """Stack (..., N, m) whose row j holds nodes**j, level j of :func:`spectral.powers`:
+    its first k rows have the same bits for every N >= k and under any gather
+    of the nodes.  N must be an integer >= 1 (PreconditionViolated naming it)."""
+    return np.stack(list(spectral.powers(nodes, spectral._count(N, "N", low=1) - 1)), axis=-2)
 
 
 def det_plain(system, rho):
@@ -441,9 +438,9 @@ def _brackets(R, rows, floors):
     the smin of the computed R, each at most its constant times eps ||A||_F
     for the assembled matrix A (Higham, Accuracy and Stability of Numerical
     Algorithms):
-    - the np.vander powers, j - 1 complex products of relative error
-      sqrt(2) gamma_2 each for x^j (Lemma 3.5), and the division by m:
-      1.5 rows;
+    - the powers of :func:`spectral.powers`, j - 1 complex products of
+      relative error sqrt(2) gamma_2 each for x^j (Lemma 3.5), and the
+      division by m: 1.5 rows;
     - the floor itself, 3 m eps relative to a value below ||A||_F:
       3 (c + 1);
     - the Householder QR, whose R is exact for a matrix within
@@ -462,7 +459,7 @@ def _brackets(R, rows, floors):
     ||E||_F (itself within (|omega| c / 4 + 1) eps) add at most 2 eps, so
     the computed ||A||_F is within (m + c/4 + |omega| c/4 + 2) eps <= 3 rows
     (c + 1) eps of itself, and within 1.5 rows more of ||A||_F of the
-    np.vander powers: inside the half of the term that covers the rounding
+    rounded powers: inside the half of the term that covers the rounding
     of ||R||_F.  A cleared packet's bracket thus bounds both the smin of the
     assembled A and that of the matrix of the floating-point nodes that
     :func:`_nodal_solve` solves, with the QR term
@@ -569,8 +566,8 @@ def _is_hermitian(values):
     Row by row against the reversed view, so that a table costs one row of
     scratch and stops at its first miss.  A bitwise Hermitian response has
     a bitwise Hermitian power table: IEEE complex products are
-    sign-symmetric, conj(x) conj(y) == conj(x y), so np.vander forms the
-    powers of conj(x) as the conjugates of those of x."""
+    sign-symmetric, conj(x) conj(y) == conj(x y), so :func:`spectral.powers`
+    forms the powers of conj(x) as the conjugates of those of x."""
     v = np.asarray(values)
     return all(row[0] == np.conj(row[0]) and np.array_equal(row[:0:-1], np.conj(row[1:]))
                for row in v.reshape(-1, v.shape[-1]))

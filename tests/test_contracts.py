@@ -10,7 +10,7 @@ import dynsamp as ds
 import dynsamp.cli as cli
 from dynsamp import recon, systems
 from dynsamp.errors import (DynsampError, EvenM, LengthMismatch, MalformedSamples,
-                            NonDivisibleLength, PreconditionViolated)
+                            NonDivisibleLength, PreconditionViolated, ShapeMismatch)
 
 L, M, N_EXTRA, OMEGA = 72, 3, 3, (1,)
 
@@ -427,7 +427,58 @@ def test_N_not_an_integer_raises_named_error(entry, N):
         N_ENTRIES[entry](N)
 
 
-@pytest.mark.parametrize("N", [0, -1])
-def test_build_plain_rejects_no_time_rows(N):
-    with pytest.raises(PreconditionViolated, match=f"N={N}"):
-        ds.build_plain(rc(72), 3, N, 0)
+@pytest.mark.parametrize("entry", ["build_plain", "power_rows", "forward", "dense_oracle"])
+@pytest.mark.parametrize("N", [0, -1, -2])
+def test_no_time_rows_raises_named_error(entry, N):
+    # forward and dense_oracle used to return one snapshot block for N = 0 and N = -2.
+    with pytest.raises(PreconditionViolated, match=re.escape(f"N must be at least 1, got N={N}")):
+        N_ENTRIES[entry](N)
+
+
+# Signals are 1-d: a 2-d one used to end in numpy's broadcast ValueError, and
+# a span c of shape (2, 24) in NonDivisibleLength naming "L=2".
+SIGNAL_ENTRIES = {
+    "evolve": ("f", lambda x: ds.evolve(x, rc(72), 1)),
+    "forward": ("f", lambda x: ds.forward(x, rc(72), 3, 3)),
+    "sis_forward bspline": ("c", lambda x: ds.sis_forward(x, BSPLINE, ID, 3, P=4)),
+    "sis_forward sinc": ("c", lambda x: ds.sis_forward(x, SINC, ID, 3)),
+}
+
+
+@pytest.mark.parametrize("entry", SIGNAL_ENTRIES)
+@pytest.mark.parametrize("shape", [(72, 2), (3, 24), (24, 3), (2, 24), ()])
+def test_signal_that_is_not_1d_raises_shape_mismatch(entry, shape):
+    name, call = SIGNAL_ENTRIES[entry]
+    with pytest.raises(ShapeMismatch,
+                       match=re.escape(f"{name} must be a 1-d signal, got shape {shape}")):
+        call(np.ones(shape))
+
+
+@pytest.mark.parametrize("samples", [[np.ones(24)] * 3, {"y": []}, None],
+                         ids=["list", "dict", "None"])
+@pytest.mark.parametrize("call", [
+    lambda s: ds.reconstruct_plain(s, rc(72), 3),
+    lambda s: ds.reconstruct_extended(s, rc(72), 3, 3, (1,)),
+    lambda s: ds.sis_reconstruct(s, SINC, ID, 3, 3, (1, 2), K=8),
+], ids=["reconstruct_plain", "reconstruct_extended", "sis_reconstruct"])
+def test_samples_that_are_no_sample_set_rejected(call, samples):
+    # A list used to end in AttributeError: 'list' object has no attribute 'm'.
+    with pytest.raises(PreconditionViolated,
+                       match=f"samples must be a SampleSet, got {type(samples).__name__}"):
+        call(samples)
+
+
+@pytest.mark.parametrize("l, match", [(1.5, "l must be an integer, got l=1.5"),
+                                      (True, "l must be an integer, got l=True"),
+                                      (np.float64(2.0), "l must be an integer, got l=np.float64"),
+                                      (-1, "l must be at least 0, got l=-1")])
+def test_evolve_step_that_is_no_count_rejected(l, match):
+    # l = 1.5 used to apply the fractional power response**1.5, and l = -1
+    # raised a bare ValueError.
+    with pytest.raises(PreconditionViolated, match=re.escape(match)):
+        ds.evolve(np.ones(72), rc(72), l)
+
+
+def test_evolve_takes_an_integer_step_of_any_type():
+    f = np.arange(72.0)
+    assert np.array_equal(ds.evolve(f, rc(72), np.int64(2)), ds.evolve(f, rc(72), 2))

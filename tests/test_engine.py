@@ -935,13 +935,17 @@ def signed_packet_indices(L, m, n):
 ])
 @pytest.mark.parametrize("N", range(1, 9))
 def test_power_rows_of_gathered_nodes_equal_gathered_power_rows(make, m, n, N):
-    # np.vander forms each node's powers by its own running product, so the
-    # powers of gathered nodes are the gathered (N, L) table bit for bit, in
-    # chunks of any size and at the mirrored indices too.
+    # spectral.powers forms each node's powers by its own running product, so
+    # the powers of gathered nodes are the gathered (N, L) table bit for bit,
+    # in chunks of any size and at the mirrored indices too.  Its first k rows
+    # are the table of k rows: np.vander formed x^2 one way at N = 3 and
+    # another from N = 4 on, so a block's bits depended on N.
     L = m * n * 24
     a = make(L)
     idx = signed_packet_indices(L, m, n)
     table = systems.power_rows(a.response, N)
+    for k in range(1, N + 1):
+        assert systems.power_rows(a.response, k).tobytes() == table[:k].tobytes()
     P = len(idx)
     for chunk in (1, 7, P):
         for start in range(0, P, chunk):

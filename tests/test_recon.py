@@ -35,6 +35,7 @@ def test_forward_delta_snapshots_identical():
 @pytest.mark.parametrize("make, m, N, L", [
     (nonsym_filter, 3, 3, 72),
     (nonsym_filter, 3, 3, 36864),
+    (nonsym_filter, 3, 6, 72),
     (lambda L: ds.filter_heat(L, 0.5), 5, 5, 36860),
 ])
 def test_forward_snapshots_bitwise_per_step_evolve(make, m, N, L):
@@ -42,13 +43,16 @@ def test_forward_snapshots_bitwise_per_step_evolve(make, m, N, L):
     # numpy's temporary-elision size (256 KiB) at L = 36864, not at L = 72,
     # and a complex product may round differently with its operands swapped.
     # Each step is transform times power: with the transform a temporary on
-    # the left, elision keeps that order.
+    # the left, elision keeps that order.  The power is the product ladder of
+    # spectral.powers, power_l = power_(l-1) * response.
     a, f = make(L), rand_signal(L, 2)
     s = ds.forward(f, a, m, N)
+    power = np.ones(L, dtype=complex)
     for l in range(N):
         assert np.array_equal(s.y[l], ds.subsample(ds.evolve(f, a, l), m))
         if l:
-            step = ds.idft(ds.dft(f) * a.response ** l)
+            power = power * a.response if l > 1 else a.response
+            step = ds.idft(ds.dft(f) * power)
             assert np.array_equal(ds.evolve(f, a, l), step)
 
 

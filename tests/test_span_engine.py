@@ -19,7 +19,9 @@ forward route now keeps each Q-th sample of an inverse transform by folding
 its spectrum Q-fold, which is exact and only rounds in another order: its
 snapshots must agree with the L P-point route to 1e-14 of max |c|, and its
 extras, which no transform touches, bitwise.  The B-spline transform powers
-sinc by multiplication, within (order + 1) eps of numpy's float power.
+sinc by multiplication, within (order + 1) eps of numpy's float power.  Every
+integer power in the references is the product ladder of spectral.powers
+(``ladder``), so that the bitwise comparisons see one power rule.
 """
 
 import re
@@ -32,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 import dynsamp as ds
 from dynsamp import sis
-from dynsamp.errors import TailTooLarge
+from dynsamp.errors import PreconditionViolated, TailTooLarge
 
 
 SINC = ds.make_generator({"kind": "sinc"})
@@ -46,6 +48,14 @@ def rand_coeffs(L, seed):
 # ---------------------------------------------------------------------------
 # reference implementations
 
+def ladder(x, j):
+    """x**j for j >= 1 by the product ladder of spectral.powers, x**(t-1) * x."""
+    power = x
+    for _ in range(j - 1):
+        power = power * x
+    return power
+
+
 def ref_dense_synthesis(c, gen, P):
     L = len(c)
     x = np.arange(L * P) / P
@@ -58,7 +68,7 @@ def ref_periodize_phi(gen, a_hat, j, L, K, tail_tol=1e-12):
     nu = (np.arange(L) / L)[:, None] + k[None, :]
     terms = gen.fourier_at(nu).astype(complex)
     if j:
-        terms = terms * a_hat(nu) ** j
+        terms = terms * ladder(a_hat(nu), j)
     vals = terms.sum(axis=1)
     tail = float((np.abs(terms[:, 0]) + np.abs(terms[:, -1])).max())
     scale = max(float(np.abs(vals).max()), 1e-300)
@@ -85,8 +95,7 @@ def ref_outward_sums(gen, a_hat, js, L, K):
         del nu
         for j in list(live):
             if j:
-                terms = avals ** j
-                terms *= phi
+                terms = ladder(avals, j) * phi
             else:
                 terms = phi
             rows[j] += terms.sum(axis=1)
@@ -501,9 +510,10 @@ def test_bspline_rows_skip_phi_hat_on_their_stop_block(alpha, last):
 
 
 def test_negative_real_response_keeps_the_imaginary_bits():
-    # From exponent 100 on, numpy's complex power gives a negative real base a
-    # nonzero imaginary part ((-0.5 + 0j)**100 has 1.5e-45), so a real but
-    # negative a_hat does not spare the check of a row's imaginary parts.
+    # numpy's complex power gives a negative real base a nonzero imaginary part
+    # from exponent 100 on ((-0.5 + 0j)**100 has 1.5e-45).  Every level of the
+    # product ladder of a real base has imaginary part +-0, so a real negative
+    # a_hat spares the check of a row's imaginary parts and keeps its bits.
     gen = ds.make_generator({"kind": "bspline", "order": 3})
     a_hat = lambda nu: np.where(np.abs(np.asarray(nu)) < 16, 1.0, -0.6).astype(complex)
     got = sis._outward_sums(gen, a_hat, [100], 24, 384)[100]
@@ -511,11 +521,11 @@ def test_negative_real_response_keeps_the_imaginary_bits():
     assert got.tobytes() == ref.tobytes()
 
 
-def test_negative_row_keeps_its_tail_error():
-    # a_hat**-1 overflows where a_hat underflows to 0; the row is never a
-    # candidate for the skip, whose bound would divide by that 0.
+def test_negative_row_is_rejected():
+    # Rows are powers 0, 1, 2, ... of a_hat.  j = -1 used to overflow where
+    # a_hat underflows to 0 and end in TailTooLarge.
     gen = ds.make_generator({"kind": "bspline", "order": 3})
-    with pytest.raises(TailTooLarge, match="row j=-1 of the cross-spectra"):
+    with pytest.raises(PreconditionViolated, match="row j must be at least 0, got j=-1"):
         ds.periodize_phi(gen, ds.gaussian_response(2.0), -1, 24, 384)
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dynsamp as ds
 from dynsamp import spectral
@@ -100,3 +101,51 @@ def test_transforms_in_place_keep_their_bits(shape, fft_out, monkeypatch):
         ref, y = transform(x), x.copy()
         assert transform(y, out=y) is y
         assert np.array_equal(y, ref)
+
+
+def same_bits(u, v):
+    return u.shape == v.shape and u.tobytes() == v.tobytes()
+
+
+@st.composite
+def power_bases(draw):
+    """(x, top): a complex array of length 1..300, some entries zero, real or
+    imaginary, moduli from 1e-3 to 1e3, bitwise Hermitian (x[-r mod L] ==
+    conj(x[r])) in half of the draws; and a top level of 0..12."""
+    L = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = (rng.standard_normal(L) + 1j * rng.standard_normal(L)) * 10.0 ** rng.uniform(-3, 3, L)
+    for part, p in ((0, 0.1), (x.real, 0.1), (1j * x.imag, 0.1)):
+        pick = rng.random(L) < p
+        x[pick] = np.broadcast_to(part, L)[pick]
+    if draw(st.booleans()):
+        x[L // 2 + 1:] = np.conj(x[1:L - L // 2][::-1])
+        x[0] = x[0].real
+        if L % 2 == 0:
+            x[L // 2] = x[L // 2].real
+    return x, draw(st.integers(0, 12))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(power_bases(), st.integers(0, 2**16))
+def test_power_levels_depend_on_the_base_and_level_alone(case, seed):
+    # Level t of a gathered, chunked or strided base is the gathered level t of
+    # the whole base bit for bit, whatever the top level, and a bitwise
+    # Hermitian base has bitwise Hermitian levels.
+    x, top = case
+    L, rng = len(x), np.random.default_rng(seed)
+    full = list(spectral.powers(x, top))
+    assert len(full) == top + 1 and same_bits(full[0], np.ones(L, dtype=complex))
+    assert all(same_bits(full[t], x if t == 1 else full[t - 1] * x) for t in range(1, top + 1))
+    for short in range(top):
+        assert all(same_bits(u, v) for u, v in zip(spectral.powers(x, short), full, strict=False))
+    idx = rng.integers(0, L, size=(rng.integers(1, 40), rng.integers(1, 4)))
+    cuts = np.sort(rng.integers(0, L + 1, size=rng.integers(0, 6)))
+    views = [(x[idx], idx), (x[::-1], slice(None, None, -1)), (x[1::3], slice(1, None, 3))]
+    views += [(x[lo:hi], slice(lo, hi)) for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, L])]
+    for part, where in views:
+        for t, level in enumerate(spectral.powers(part, top)):
+            assert same_bits(level, full[t][where])
+    if np.array_equal(x[-np.arange(L) % L], np.conj(x)):
+        for level in full:
+            assert np.array_equal(level[-np.arange(L) % L], np.conj(level))
