@@ -164,12 +164,14 @@ def _solve(y, extras, m, n, omega, *, response=None, table=None):
     ``SingularSystem``.
 
     A response needs no (N, L) power table: each factored packet's (n, m)
-    nodes are gathered once, and give its Gautschi floor
-    (:func:`systems.packet_floors`).  A packet that the floor clears takes
-    no Cholesky test, and with square blocks (N = m), with or without
-    extras rows, it is solved from its nodes, without powers, assembly, QR
-    or LU; only the packets left over take their powers
-    (:func:`systems.power_rows`).  A table has no floors.  The solve
+    nodes are gathered once and passed to :func:`systems.solve_packets`,
+    which settles each packet by one step before solving any.  A packet
+    that its node bracket clears (its Gautschi floor, see
+    :func:`systems.packet_floors`) takes no Cholesky test, and with square
+    blocks (N = m), with or without extras rows, it is solved from its
+    nodes, without powers, assembly, QR or LU; only the packets of the QR
+    steps take their powers (:func:`systems.power_rows`).  A table has no
+    floors, so its packets take the certificate.  The solve
     returns smin and smax as brackets (see :func:`systems.solve_packets`),
     exact for packets that fail both certificates; the grid passes when the
     lowest smin is at least twice ``systems.SINGULAR_TOL`` times the highest
@@ -213,8 +215,7 @@ def _solve(y, extras, m, n, omega, *, response=None, table=None):
     phase = systems.phase_rows(m, n, omega)
     if table is None:
         packet_nodes = response[idx[:D]]
-        packets = {"nodes_of": packet_nodes.__getitem__,
-                   "floors": systems.packet_floors(packet_nodes)}
+        packets = {"nodes": packet_nodes}
 
         def blocks_of(part):
             return systems.power_rows(packet_nodes[part], N)

@@ -403,7 +403,7 @@ def _first_violation(xis, n, tol):
 
 def n_is_admissible(xis, n, tol=ADMISSIBLE_TOL):
     """True when no pairwise difference of the given frequencies equals k/n."""
-    return _first_violation(list(xis), n, tol) is None
+    return _first_violation(list(xis), spectral._count(n, "n", low=1), tol) is None
 
 
 def choose_n(singular_xis, n_max, n_min=1, tol=ADMISSIBLE_TOL):
@@ -413,6 +413,7 @@ def choose_n(singular_xis, n_max, n_min=1, tol=ADMISSIBLE_TOL):
     frequencies equals k/n for k = 1..n-1 (within tol).  Raises
     NoAdmissibleN with the violating differences when the cap is exhausted.
     """
+    n_min, n_max = spectral._count(n_min, "n_min", low=1), spectral._count(n_max, "n_max")
     xis = list(singular_xis)
     violations = {}
     for n in range(n_min, n_max + 1):

@@ -88,6 +88,7 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     from SVDs of the same candidate matrices as a scan that decomposes every
     candidate, each decomposed on its own, so both are bitwise that scan's.
     """
+    grid = spectral._count(grid, "grid")
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
     count = _orbit_count(a, n, grid)
@@ -138,7 +139,7 @@ def _check_unit_sup(a, bound):
 
 
 def _grid(m, n, grid):
-    return max(720, 16 * m * n) if grid is None else grid
+    return max(720, 16 * m * n) if grid is None else spectral._count(grid, "grid")
 
 
 def guard_band_points(n, grid):

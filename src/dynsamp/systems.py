@@ -60,8 +60,9 @@ def _grid_family(table, m, rho=None):
 
 
 def build_plain(a, m, N, rho):
-    """N x m matrix with entry (r, l) = response[rho + l*(L/m)]**r, exact grid lookups."""
-    return _grid_family(power_rows(a.response, N), m, [rho])[0]
+    """N x m matrix with entry (r, l) = response[rho + l*(L/m)]**r, exact grid
+    lookups: the powers of the packet's m nodes, bitwise the (N, L) table's."""
+    return power_rows(_grid_family(a.response[None], m, [rho])[0, 0], N)
 
 
 def build_plain_at(a, m, N, xi):
@@ -219,65 +220,69 @@ def extended_stack(blocks, phase):
     return A
 
 
-def solve_packets(P, phase, rhs, *, blocks_of=None, nodes_of=None, floors=None):
+def solve_packets(P, phase, rhs, *, nodes=None, blocks_of=None):
     """Per-packet smin and smax brackets and least-squares solutions.
 
     ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
-    say), all solved against the one factorization; x is (P, cols, T).
-    The packets in slice ``part`` come from exactly one of two callables:
-    ``blocks_of(part)`` returns their (n, N, m) blocks, ``nodes_of(part)``
-    their (n, m) nodes, whose power matrices (rows 0..N-1, N = (rows -
-    |omega|) / n) are the blocks; nodes come with ``floors``, their (P,)
-    bounds from :func:`packet_floors`.  Each chunk of packets is assembled
-    at once.  A tall packet takes one QR of [A | b], whose R holds Q^H b in
-    its last columns (a square packet is its own R).  Each chunk's R then
-    takes :func:`_brackets`: a packet that the floors clear reports (node
-    bracket, ||R||_F); every other packet of the chunk takes one batched
-    Cholesky test of R^H R - tau I, tau = ``CERT_SHIFT`` c^2 eps ||R||_F^2
-    for c = cols, and reports (sqrt(tau/2), ||R||_F) when all of them pass,
-    else the exact values of their SVD without vectors (exact values of
-    every packet come from :func:`packet_smins`).  Then x = R^-1 Q^H b.
-    The chunk size counts the right-hand-side columns as well.  A packet
-    with smin <= RANK_TOL times smax is rank deficient and is not solved:
-    its x is NaN; a cleared or certified packet never is, as its bracket is
-    at least sqrt(tau/2) > 8e-8 ||R||_F.
+    say), all solved against the one factorization; x is (P, cols, T).  The
+    packets come as exactly one of two: ``blocks_of(idx)`` returns the
+    (len(idx), n, N, m) blocks of the packets in the index array idx, and
+    ``nodes`` is the (P, n, m) array of their nodes, whose power matrices
+    (rows 0..N-1, N = (rows - |omega|) / n) are the blocks.
 
-    With nodes and square blocks (N = m), a packet is A = [E; D]: the
-    |omega| extras rows E = phase / (m n), the same in every packet as row 0
-    of a power block is all ones, over the block diagonal D of its n power
-    blocks B_k / m.  Its bracket takes ||A||_F^2 = ||E||_F^2 + sum |x|^(2j)
-    / m^2, over its nodes x and j = 0..m-1 (:func:`_nodal_norms`), and when
-    the floor clears it, D is invertible and the packet is solved from its
-    nodes by :func:`_nodal_solve`, with no powers, no assembly, no QR and no
-    LU.  Only the packets that the floors leave take the powers
-    (:func:`power_rows`) and the path above.  Returns (smin, smax, x);
-    raises nothing.
+    Every packet's step is decided before any packet is solved, in chunks
+    of the node array, and each chunk of a step holds packets of that step
+    alone.  A packet of ``nodes`` that its node bracket clears
+    (:func:`_node_brackets`, on its ||A||_F from :func:`_nodal_norms`)
+    reports (node bracket, ||A||_F).  With square blocks (N = m) it takes
+    the node solve, :func:`_nodal_solve`, with no powers, no assembly, no
+    QR and no LU, in chunks of each contiguous run of such packets; with
+    tall blocks, the QR under its node bracket.  Every other packet, so
+    every packet of ``blocks_of``, takes the QR with the certificate.  The
+    packets of a QR step are gathered by index, and each chunk is assembled
+    with its right-hand sides: a tall packet takes one QR of [A | b], whose
+    R holds Q^H b in its last columns (a square packet is its own R), and x
+    = R^-1 Q^H b.  A chunk of certified packets takes :func:`_certify`: one
+    batched Cholesky test of R^H R - tau I, tau = ``CERT_SHIFT`` c^2 eps
+    ||R||_F^2 for c = cols, giving (sqrt(tau/2), ||R||_F) when all of them
+    pass, else the exact values of their SVD without vectors (exact values
+    of every packet come from :func:`packet_smins`).  Chunk sizes count the
+    right-hand-side columns as well.  A packet with smin <= RANK_TOL times
+    smax is rank deficient and is not solved: its x is NaN; a cleared or
+    certified packet never is, as its bracket is at least sqrt(tau/2) >
+    8e-8 ||R||_F.  Returns (smin, smax, x); raises nothing.
     """
     cols, off = phase.shape[1], len(phase)
     _, rows, trials = rhs.shape
     x = np.empty((P, cols, trials), dtype=complex)
     smin, smax = np.empty(P), np.empty(P)
-    nodal = nodes_of is not None and rows == off + cols
-    if nodal:
-        E = phase / cols
-        e_fro = np.linalg.norm(E)
-    for part in _chunks(P, rows, cols + trials):
-        b, todo = rhs[part], slice(None)
-        if nodes_of is None:
-            blocks = blocks_of(part)
+    cleared = np.zeros(P, dtype=bool)
+    if nodes is not None:
+        n, m = nodes.shape[1:]
+        N, E = (rows - off) // n, phase / cols
+        for part in _chunks(P, n, m):
+            smax[part] = _nodal_norms(nodes[part], N, np.linalg.norm(E))
+            smin[part], cleared[part] = _node_brackets(nodes[part], smax[part], rows, cols)
+
+        def blocks_of(idx):
+            return power_rows(nodes[idx], N)
+        if N == m:
+            for run in _runs(cleared):
+                for part in _chunks(run.stop, rows, cols + trials, run.start):
+                    _nodal_solve(nodes[part], rhs[part], E, out=x[part])
         else:
-            nodes = nodes_of(part)
-            if nodal:
-                smax[part] = _nodal_norms(nodes, e_fro)
-                smin[part], todo = _node_brackets(floors[part], smax[part], rows, cols)
-                if not todo.any():
-                    _nodal_solve(nodes, b, E, out=x[part])
-                    continue
-                keep = np.flatnonzero(~todo)
-                x[part][keep] = _nodal_solve(nodes[keep], b, E, keep=keep)
-                nodes, b = nodes[todo], b[todo]
-            blocks = power_rows(nodes, (rows - off) // nodes.shape[1])
-        A = np.concatenate([extended_stack(blocks, phase), b], axis=2)
+            _qr_solve(cleared.nonzero()[0], blocks_of, phase, rhs, smin, smax, x)
+    _qr_solve((~cleared).nonzero()[0], blocks_of, phase, rhs, smin, smax, x, certify=True)
+    return smin, smax, x
+
+
+def _qr_solve(idx, blocks_of, phase, rhs, smin, smax, x, certify=False):
+    """Solve the packets ``idx`` of :func:`solve_packets` into x, a chunk at
+    a time, on their brackets, taken from :func:`_certify` when ``certify``."""
+    cols, (rows, width) = phase.shape[1], rhs.shape[1:]
+    for chunk in _chunks(len(idx), rows, cols + width):
+        part = idx[chunk]
+        A = np.concatenate([extended_stack(blocks_of(part), phase), rhs[part]], axis=2)
         if rows > cols:
             # The raw factor, transposed back, holds R on and above its
             # diagonal and the reflectors below; zeroing them in place
@@ -286,38 +291,45 @@ def solve_packets(P, phase, rhs, *, blocks_of=None, nodes_of=None, floors=None):
             A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
             np.copyto(A[..., :cols], 0, where=np.tri(cols, k=-1, dtype=bool))
         A, b = A[..., :cols], A[..., cols:]
-        lo, hi = _brackets(A, rows, None if nodal or nodes_of is None else floors[part])
-        ok = lo > RANK_TOL * hi
+        if certify:
+            smin[part], smax[part] = _certify(A)
+        ok = smin[part] > RANK_TOL * smax[part]
         # A rank-deficient packet solves against the identity, then reads NaN;
         # each matrix is solved apart, so the others keep their bits.
         A[~ok] = np.eye(cols)
         sol = np.linalg.solve(A, b)
         sol[~ok] = np.nan
-        smin[part][todo], smax[part][todo], x[part][todo] = lo, hi, sol
+        x[part] = sol
         del A, b, sol       # at most one chunk's factors are alive
-    return smin, smax, x
 
 
-def _nodal_norms(nodes, e_fro):
-    """||A||_F of the square-block packets [E; D] with (k, n, m) ``nodes``
-    and ||E||_F = ``e_fro``: sqrt(e_fro^2 + sum |x|^(2j) / m^2) over every
-    node x and j = 0..m-1, the powers summed by Horner's rule in |x|^2,
-    the nodes packet by packet, so a packet's norm has the same bits in any
-    chunk.  Its rounding is derived in :func:`_brackets`."""
+def _runs(mask):
+    """Slices of the maximal runs of True in the boolean array ``mask``."""
+    cuts = [0, *((mask[1:] != mask[:-1]).nonzero()[0] + 1).tolist(), len(mask)]
+    return [slice(start, stop) for start, stop in zip(cuts, cuts[1:]) if mask[start]]
+
+
+def _nodal_norms(nodes, N, e_fro):
+    """||A||_F of the packets [E; D] whose blocks are rows 0..N-1 of the
+    power matrices of the (k, n, m) ``nodes``, with ||E||_F = ``e_fro``:
+    sqrt(e_fro^2 + sum |x|^(2j) / m^2) over every node x and j = 0..N-1,
+    the powers summed by Horner's rule in |x|^2, the nodes packet by
+    packet, so a packet's norm has the same bits in any chunk.  Its
+    rounding is derived in :func:`_node_brackets`."""
     k, _, m = nodes.shape
     s = nodes.real ** 2 + nodes.imag ** 2
     total = np.ones_like(s)
-    for _ in range(m - 1):
+    for _ in range(N - 1):
         total *= s
         total += 1
     return np.hypot(np.sqrt(total.reshape(k, -1).sum(axis=1)) / m, e_fro)
 
 
-def _nodal_solve(nodes, b, E, keep=slice(None), out=None):
+def _nodal_solve(nodes, b, E, out=None):
     """Least-squares solutions, written to ``out`` when given, of the
     packets [E; D] whose blocks are the power matrices of the (k, n, m)
-    ``nodes``, with D invertible, for the right-hand sides b[keep] = [e; d],
-    each (|omega| + n m, T); indexing b here frees a gathered copy early.
+    ``nodes``, with D invertible, for the right-hand sides b = [e; d], each
+    (|omega| + n m, T).
 
     Each block is solved from its nodes by the Bjorck-Pereyra algorithms:
     D^-1 v is m B_k^-1 v_k by :func:`solve_vandermonde`, and D^-H v is
@@ -339,18 +351,18 @@ def _nodal_solve(nodes, b, E, keep=slice(None), out=None):
     off, T = len(E), b.shape[-1]
     nodes = nodes.reshape(k * n, m)
     if not off:
-        y = np.multiply(b[keep], m, out=out)
+        y = np.multiply(b, m, out=out)
         return solve_vandermonde(nodes, y.reshape(k * n, m, T)).reshape(y.shape)
     Z = np.empty((k, n * m, off), dtype=complex)
     Z[:] = E.conj().T * m
     _solve_vandermonde_primal(nodes.conj(), Z.reshape(k * n, m, off))
-    y = np.concatenate([b[keep, off:], Z], axis=2)
+    y = np.concatenate([b[:, off:], Z], axis=2)
     y *= m
     solve_vandermonde(nodes, y.reshape(k * n, m, T + off))
     x0, G = y[..., :T], y[..., T:]
     S = (Z.conj()[..., None] * Z[:, :, None]).cumsum(axis=1)[:, -1] + np.eye(off)
     Ex0 = E.T[:, :, None] * x0[:, :, None]
-    w = _hermitian_solve(S, b[keep, :off] - np.cumsum(Ex0, axis=1, out=Ex0)[:, -1])
+    w = _hermitian_solve(S, b[:, :off] - np.cumsum(Ex0, axis=1, out=Ex0)[:, -1])
     del Ex0
     x = np.multiply(G[..., :1], w[:, :1], out=out)
     for o in range(1, off):
@@ -414,64 +426,45 @@ def _solve_vandermonde_primal(nodes, b):
     return b
 
 
-def _node_brackets(floors, fro, rows, cols):
-    """(bracket, todo): the node brackets of :func:`_brackets` for packet
-    matrices with ``rows`` rows, ``cols`` columns and Frobenius norms
-    ``fro`` (||R||_F, or :func:`_nodal_norms` for square blocks), and the
-    packets that they do not clear."""
-    bracket = floors - 16 * rows * (cols + 1) * _EPS * fro
-    return bracket, bracket < np.sqrt(CERT_SHIFT / 2 * _EPS) * cols * fro
+def _node_brackets(nodes, fro, rows, cols):
+    """(bracket, cleared): the node brackets of packet matrices A with
+    ``rows`` rows, ``cols`` = c columns, the (k, n, m) ``nodes`` of their
+    power blocks and Frobenius norms ``fro`` from :func:`_nodal_norms`, and
+    the packets that they clear: those whose node bracket
 
+        floor - 16 rows (c + 1) eps ||A||_F,
 
-def _brackets(R, rows, floors):
-    """(smin, smax) brackets of the (k, c, c) triangles R of packet matrices
-    with ``rows`` rows (see :func:`solve_packets`).
-
-    With ``floors``, the node bounds of :func:`packet_floors`, a packet is
-    cleared when its node bracket
-
-        floors - 16 rows (c + 1) eps ||R||_F
-
-    is at least the Cholesky bracket sqrt(CERT_SHIFT/2) c sqrt(eps) ||R||_F,
-    and it reports (node bracket, ||R||_F).  A floor bounds the smin of the
-    exact matrix of the floating-point nodes; four roundings part it from
-    the smin of the computed R, each at most its constant times eps ||A||_F
-    for the assembled matrix A (Higham, Accuracy and Stability of Numerical
-    Algorithms):
+    with the floor of :func:`packet_floors`, is at least the Cholesky
+    bracket sqrt(CERT_SHIFT/2) c sqrt(eps) ||A||_F of :func:`_certify`.  A
+    floor bounds the smin of the exact matrix of the floating-point nodes;
+    four roundings part it from the smin of the assembled A and of its
+    computed R, each at most its constant times eps ||A||_F (Higham,
+    Accuracy and Stability of Numerical Algorithms):
     - the powers of :func:`spectral.powers`, j - 1 complex products of
       relative error sqrt(2) gamma_2 each for x^j (Lemma 3.5), and the
       division by m: 1.5 rows;
     - the floor itself, 3 m eps relative to a value below ||A||_F:
       3 (c + 1);
-    - the Householder QR, whose R is exact for a matrix within
-      gamma~_{rows c} ||a_j||_2 of each column a_j of A (Thm 19.4), the
-      small constant of gamma~ taken as 16 for complex arithmetic:
+    - the Householder QR of a tall packet, whose R is exact for a matrix
+      within gamma~_{rows c} ||a_j||_2 of each column a_j of A (Thm 19.4),
+      the small constant of gamma~ taken as 16 for complex arithmetic:
       8 rows c.
-    Together they are at most 8 rows (c + 1), half the term subtracted; the
-    other half covers the rounding of ||R||_F, which is ||A||_F to within
-    the QR error.  A packet with square blocks (N = m) forms no powers and
-    no R: :func:`_nodal_norms` takes ||A||_F of the exact powers of its
+    Together they are at most 8 rows (c + 1), half the term subtracted.
+    The other half covers the rounding of ||A||_F, which
+    :func:`_nodal_norms` takes for the exact powers (rows 0..N-1) of the
     floating-point nodes from s = |x|^2.  Forming s errs by gamma_2 (about
-    eps) relative; Horner's sum of the positive terms s^j, j < m, by
-    gamma_{2(m-1)}, and the error of s by (m - 1) gamma_2 in s^(m-1), 2 (m -
+    eps) relative; Horner's sum of the positive terms s^j, j < N, by
+    gamma_{2(N-1)}, and the error of s by (N - 1) gamma_2 in s^(N-1), 2 (N -
     1) eps together; the sum over the c nodes of a packet by c eps / 2.  The
     square root halves that, and it, the division by m and the hypot with
     ||E||_F (itself within (|omega| c / 4 + 1) eps) add at most 2 eps, so
-    the computed ||A||_F is within (m + c/4 + |omega| c/4 + 2) eps <= 3 rows
-    (c + 1) eps of itself, and within 1.5 rows more of ||A||_F of the
-    rounded powers: inside the half of the term that covers the rounding
-    of ||R||_F.  A cleared packet's bracket thus bounds both the smin of the
-    assembled A and that of the matrix of the floating-point nodes that
-    :func:`_nodal_solve` solves, with the QR term
-    to spare.  The packets not cleared take :func:`_certify` as one stack,
-    so a node bracket is never weaker than the certificate."""
-    if floors is None:
-        return _certify(R)
-    fro = np.linalg.norm(R, axis=(1, 2))
-    bracket, todo = _node_brackets(floors, fro, rows, R.shape[-1])
-    if todo.any():
-        bracket[todo], fro[todo] = _certify(R[todo])
-    return bracket, fro
+    the computed ||A||_F is within (N + c/4 + |omega| c/4 + 2) eps <= 3 rows
+    (c + 1) eps of itself, as N <= rows, and within 1.5 rows more of
+    ||A||_F of the rounded powers.  A cleared packet's bracket thus bounds
+    the smin of the assembled A, that of its R and that of the matrix of
+    the floating-point nodes that :func:`_nodal_solve` solves."""
+    bracket = packet_floors(nodes) - 16 * rows * (cols + 1) * _EPS * fro
+    return bracket, bracket >= np.sqrt(CERT_SHIFT / 2 * _EPS) * cols * fro
 
 
 def packet_smins(matrices_of, P, rows, cols, exact):
@@ -507,11 +500,11 @@ def packet_smins(matrices_of, P, rows, cols, exact):
     return smin, smax
 
 
-def _chunks(P, rows, width):
-    """Slices of packets 0..P, each chunk holding at most _CHUNK_BYTES of
-    (rows, width) complex matrices (at least one packet)."""
+def _chunks(stop, rows, width, start=0):
+    """Slices of packets start..stop, each chunk holding at most
+    _CHUNK_BYTES of (rows, width) complex matrices (at least one packet)."""
     chunk = max(1, _CHUNK_BYTES // (16 * rows * width))
-    return [slice(start, min(start + chunk, P)) for start in range(0, P, chunk)]
+    return [slice(first, min(first + chunk, stop)) for first in range(start, stop, chunk)]
 
 
 def _shifted_cholesky(A, shift):

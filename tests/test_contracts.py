@@ -435,6 +435,41 @@ def test_no_time_rows_raises_named_error(entry, N):
         N_ENTRIES[entry](N)
 
 
+# The scan grids and the factors of the choice of n are counts too, read by
+# spectral._count: a float grid used to end in numpy's TypeError, or give
+# bound_beta2 a bound on a fractional grid, and choose_n(n_min=0) returned 0.
+# An integer grid below 4 m n keeps its ValueError.
+COUNT_ENTRIES = {
+    "empirical_pinv_norm grid": ("grid", lambda v: ds.empirical_pinv_norm(rc(72), 3, 3, (1,), v)),
+    "stability_report grid": ("grid", lambda v: ds.stability_report(rc(72), 3, 3, grid=v)),
+    "bound_beta1 grid": ("grid", lambda v: ds.bound_beta1(rc(72), 3, 3, grid=v)),
+    "bound_beta2 grid": ("grid", lambda v: ds.bound_beta2(rc(72), 3, 3, grid=v)),
+    "bound_beta3 grid": ("grid", lambda v: ds.bound_beta3(rc(72), 3, 3, grid=v)),
+    "choose_n n_min": ("n_min", lambda v: ds.choose_n([0, 0.5], 5, n_min=v)),
+    "choose_n n_max": ("n_max", lambda v: ds.choose_n([0, 0.5], v)),
+    "n_is_admissible n": ("n", lambda v: ds.n_is_admissible([0, 0.5], v)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+@pytest.mark.parametrize("value", [720.0, 719.9, True])
+def test_count_that_is_no_integer_raises_named_error(entry, value):
+    name, call = COUNT_ENTRIES[entry]
+    with pytest.raises(PreconditionViolated,
+                       match=re.escape(f"{name} must be an integer, got {name}={value!r}")):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", ["choose_n n_min", "n_is_admissible n"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_count_below_one_raises_named_error(entry, value):
+    # n_is_admissible(xis, 0) and (xis, -3) used to return True.
+    name, call = COUNT_ENTRIES[entry]
+    with pytest.raises(PreconditionViolated,
+                       match=re.escape(f"{name} must be at least 1, got {name}={value}")):
+        call(value)
+
+
 # Signals are 1-d: a 2-d one used to end in numpy's broadcast ValueError, and
 # a span c of shape (2, 24) in NonDivisibleLength naming "L=2".
 SIGNAL_ENTRIES = {

@@ -831,16 +831,15 @@ def test_mirrored_plain_solve_lists_singular_set(L):
 
 def all_packet_solve(samples, table, n, omega):
     """Every packet decomposed, as without the mirror, through the same engine;
-    a response in place of an (N, L) ``table`` gives the packets their nodes
-    and node floors, as the sequence solves pass them."""
+    a response in place of an (N, L) ``table`` gives the packets their
+    nodes, as the sequence solves pass them."""
     m, L = samples.m, samples.L
     P = L // (m * n)
     idx = systems.packet_indices(L, m, n, np.arange(P))
     N = samples.N if table.ndim == 1 else len(table)
     rhs = recon._rhs(samples.y[:N], samples.extras, omega, idx, np.arange(P), L, 1)
     if table.ndim == 1:
-        nodes = table[idx]
-        packets = {"nodes_of": nodes.__getitem__, "floors": systems.packet_floors(nodes)}
+        packets = {"nodes": table[idx]}
     else:
         packets = {"blocks_of": lambda part: systems.gather_blocks(table, idx[part])}
     _, _, x = systems.solve_packets(P, systems.phase_rows(m, n, omega), rhs, **packets)
@@ -883,14 +882,14 @@ def test_solve_decomposes_one_packet_per_mirror_pair(monkeypatch, a, P, decompos
     solve = systems.solve_packets
 
     def spy(count, phase, rhs, **packets):
-        seen.append((count, rhs.shape, packets["floors"].shape))
+        seen.append((count, rhs.shape, packets["nodes"].shape))
         return solve(count, phase, rhs, **packets)
     monkeypatch.setattr(systems, "solve_packets", spy)
     ds.reconstruct_extended(noisy_samples(a.L, 3, 3, (1,), 3, 11), a, 3, 3, (1,), force=True)
     # One trial: a second column per factored packet holds its mirror's right-hand
-    # side.  The node bounds of the power table come with the factored packets.
+    # side.  The nodes of the factored packets alone come with them.
     assert seen == [(decomposed, (decomposed, 1 + 3 * 3, 1 if decomposed == P else 2),
-                     (decomposed,))]
+                     (decomposed, 3, 3))]
 
 
 def test_hermitian_check_covers_every_row_and_the_real_bins():
@@ -1216,20 +1215,22 @@ def test_node_certificate_brackets_and_bits(case):
     packet_nodes = nodes[idx]
     floors = systems.packet_floors(packet_nodes)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + T)):
-        smin, smax, x = systems.solve_packets(P, phase, rhs, floors=floors,
-                                              nodes_of=packet_nodes.__getitem__)
+        smin, smax, x = systems.solve_packets(P, phase, rhs, nodes=packet_nodes)
         # The reference certifies every chunk the old way, by its Cholesky test.
         _, _, ref = systems.solve_packets(P, phase, rhs, blocks_of=blocks_of)
-    # Each packet's R as the solve forms it, from the QR of [A | b].
-    A = np.concatenate([systems.extended_stack(blocks_of(slice(0, P)), phase), rhs], axis=2)
+    # Each packet's R as the solve forms it, from the QR of [A | b].  The node
+    # bracket takes ||A||_F, which the solve forms from the nodes, square
+    # blocks or tall.
+    A = systems.extended_stack(blocks_of(slice(0, P)), phase)
+    fro = np.linalg.norm(A, axis=(1, 2))
+    R = np.concatenate([A, rhs], axis=2)
     if rows > cols:
-        A = np.triu(np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols])
-    R = A[..., :cols]
-    sv = np.linalg.svd(R, compute_uv=False)
-    fro = np.linalg.norm(R, axis=(1, 2))
+        R = np.triu(np.linalg.qr(R, mode="raw")[0].swapaxes(1, 2)[:, :cols])
+    sv = np.linalg.svd(R[..., :cols], compute_uv=False)
     bracket = floors - 16 * rows * (cols + 1) * EPS * fro
     cleared = bracket >= certified_smin(cols, fro)
     assert np.allclose(smin[cleared], bracket[cleared], rtol=1e-12, atol=0)
+    assert np.allclose(smax[cleared], fro[cleared], rtol=1e-13, atol=0)
     assert np.all(smin[cleared] <= sv[cleared, -1])
     assert np.all(smax[cleared] >= sv[cleared, 0] * (1 - 1e-12))
     # A cleared packet is never rank deficient.
@@ -1243,28 +1244,125 @@ def test_node_certificate_brackets_and_bits(case):
         assert np.array_equal(x[i], node_solve_alone(packet_nodes[i], rhs[i], phase))
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(node_tables())
+def test_each_kernel_takes_packets_of_one_step(case):
+    # Every packet's step is decided before any is solved: the node solve for
+    # a cleared packet with square blocks, the QR under its node bracket for a
+    # cleared tall one, the QR with the certificate for the rest.  The node
+    # kernel, each assembled chunk with its QR, and the certificate each see
+    # packets of one step, and every packet is solved once.
+    nodes, m, n, N, omega, T, chunk, seed = case
+    P, cols, rows = len(nodes) // (m * n), m * n, len(omega) + n * N
+    packet_nodes = nodes[systems.packet_indices(len(nodes), m, n, np.arange(P))]
+    phase = systems.phase_rows(m, n, omega)
+    rhs = rand_complex(np.random.default_rng(seed + 1), (P, rows, T))
+    fro = systems._nodal_norms(packet_nodes, N, np.linalg.norm(phase / cols))
+    cleared = systems._node_brackets(packet_nodes, fro, rows, cols)[1]
+    step = np.where(cleared, 0 if N == m else 1, 2)
+    events = []
+    kernel, assemble, qr, certify = (systems._nodal_solve, systems.extended_stack,
+                                     np.linalg.qr, systems._certify)
+
+    def packets_of(values, table):
+        # The packets whose rows of ``table`` the (k, ...) values are.
+        match = (table.reshape(1, P, -1) == values.reshape(len(values), 1, -1)).all(axis=2)
+        assert np.all(match.sum(axis=1) == 1)
+        return match.argmax(axis=1)
+
+    def node_spy(chunk_nodes, b, *args, **kwargs):
+        events.append(("node", packets_of(b, rhs)))
+        return kernel(chunk_nodes, b, *args, **kwargs)
+
+    def assemble_spy(blocks, chunk_phase):
+        # Row 1 of a power block holds its nodes.
+        events.append(("assemble", packets_of(blocks[:, :, 1], packet_nodes)))
+        return assemble(blocks, chunk_phase)
+
+    def qr_spy(A, *args, **kwargs):
+        events.append(("qr", len(A)))
+        return qr(A, *args, **kwargs)
+
+    def certify_spy(R):
+        events.append(("certify", len(R)))
+        return certify(R)
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + T)), \
+            mock.patch.object(systems, "_nodal_solve", node_spy), \
+            mock.patch.object(systems, "extended_stack", assemble_spy), \
+            mock.patch.object(np.linalg, "qr", qr_spy), \
+            mock.patch.object(systems, "_certify", certify_spy):
+        systems.solve_packets(P, phase, rhs, nodes=packet_nodes)
+    solved, assembled = [], None
+    for kind, what in events:
+        if kind == "node":
+            assert set(step[what]) == {0}
+            solved += what.tolist()
+        elif kind == "assemble":
+            assert len(set(step[what])) == 1 and step[what[0]] > 0
+            solved += what.tolist()
+            assembled = what
+        elif kind == "qr":
+            assert rows > cols and what == len(assembled)
+        else:
+            assert step[assembled[0]] == 2 and what == len(assembled)
+    assert sorted(solved) == list(range(P))
+    assert sum(kind == "certify" for kind, _ in events) == sum(
+        kind == "assemble" and step[what[0]] == 2 for kind, what in events)
+
+
+@pytest.mark.parametrize("make, m, n, omega, L, node_calls, qrs", [
+    (HEAT, 5, 7, (1, 2), 8960, 9, [11, 11, 11, 7]),
+    (RCOS, 3, 3, (1,), 36864, 14, [2]),
+])
+def test_uncleared_packets_share_their_chunks(make, m, n, omega, L, node_calls, qrs):
+    # The uncleared packets are chunked among themselves, so no chunk runs
+    # both the node kernel and the QR: chunks of both kinds of packets took 12
+    # node-kernel calls on the heat case, and one QR per uncleared packet on
+    # the raised-cosine one.
+    a = make(L)
+    calls = {"node": 0, "qr": []}
+    kernel, qr = systems._nodal_solve, np.linalg.qr
+
+    def node_spy(*args, **kwargs):
+        calls["node"] += 1
+        return kernel(*args, **kwargs)
+
+    def qr_spy(A, *args, **kwargs):
+        calls["qr"].append(len(A))
+        return qr(A, *args, **kwargs)
+    f = rand_signal(L, 3)
+    with mock.patch.object(systems, "_nodal_solve", node_spy), \
+            mock.patch.object(np.linalg, "qr", qr_spy):
+        rec = ds.reconstruct_extended(ds.forward(f, a, m, m, n, omega), a, m, n, omega)
+    assert calls == {"node": node_calls, "qr": qrs}
+    assert np.linalg.norm(rec - f) <= 1e-10 * np.linalg.norm(f)
+
+
 # ---------------------------------------------------------------------------
 # the node solve: cleared square packets by Bjorck-Pereyra, without assembly
 
 def ref_solve_packets(blocks_of, P, phase, rhs, floors=None):
-    """The former solve: every chunk assembled with its right-hand sides,
-    bracketed on R (A itself for a square packet) and solved by LU."""
+    """The solve by assembly: every packet assembled with its right-hand
+    sides and bracketed on its R (A itself for a square packet), solved by
+    LU.  With ``floors`` a packet whose node bracket, on ||R||_F, clears it
+    reports that bracket; the other packets are chunked among themselves,
+    as the solve chunks them, and each chunk takes the certificate."""
     cols = phase.shape[1]
     _, rows, trials = rhs.shape
-    x = np.empty((P, cols, trials), dtype=complex)
-    smin, smax = np.empty(P), np.empty(P)
-    for part in systems._chunks(P, rows, cols + trials):
-        A = np.concatenate([systems.extended_stack(blocks_of(part), phase), rhs[part]], axis=2)
-        if rows > cols:
-            A = np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols]
-            np.copyto(A[..., :cols], 0, where=np.tri(cols, k=-1, dtype=bool))
-        A, b = A[..., :cols], A[..., cols:]
-        smin[part], smax[part] = systems._brackets(A, rows,
-                                                   None if floors is None else floors[part])
-        ok = smin[part] > systems.RANK_TOL * smax[part]
-        A[~ok] = np.eye(cols)
-        x[part] = np.linalg.solve(A, b)
-        x[part][~ok] = np.nan
+    A = np.concatenate([systems.extended_stack(blocks_of(np.arange(P)), phase), rhs], axis=2)
+    if rows > cols:
+        A = np.triu(np.linalg.qr(A, mode="raw")[0].swapaxes(1, 2)[:, :cols])
+    R, b = A[..., :cols], A[..., cols:]
+    smax = np.linalg.norm(R, axis=(1, 2))
+    smin = np.full(P, -np.inf) if floors is None else floors - 16 * rows * (cols + 1) * EPS * smax
+    left = np.flatnonzero(smin < certified_smin(cols, smax))
+    for chunk in systems._chunks(len(left), rows, cols + trials):
+        part = left[chunk]
+        smin[part], smax[part] = systems._certify(R[part])
+    ok = smin > systems.RANK_TOL * smax
+    R[~ok] = np.eye(cols)
+    x = np.linalg.solve(R, b)
+    x[~ok] = np.nan
     return smin, smax, x
 
 
@@ -1340,8 +1438,7 @@ def test_node_solve_keeps_decisions_and_bits(case):
         return kernel(x, b)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
         with mock.patch.object(systems, "solve_vandermonde", spy):
-            smin, smax, x = systems.solve_packets(P, phase, rhs, floors=floors,
-                                                  nodes_of=packet_nodes.__getitem__)
+            smin, smax, x = systems.solve_packets(P, phase, rhs, nodes=packet_nodes)
         ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
     A = systems.extended_stack(blocks_of(slice(0, P)), phase)
     fro = np.linalg.norm(A, axis=(1, 2))
@@ -1368,11 +1465,12 @@ def test_node_solve_keeps_decisions_and_bits(case):
 
 
 def test_node_solve_bits_hold_past_the_elision_size():
-    # The recover plain filter at L = 36864, four trials, in one chunk: the
-    # kernel's products reach 0.8 MB, past numpy's 256 KiB temporary-elision
-    # size, and each cleared packet still has the bits of the kernel applied
-    # to it alone.  Packets 5 and 6 have coincident and close nodes, so the
-    # chunk mixes cleared packets with a NaN and a certified one.
+    # The recover plain filter at L = 36864, four trials, each run of cleared
+    # packets in one chunk: the kernel's products reach 0.8 MB, past numpy's
+    # 256 KiB temporary-elision size, and each cleared packet still has the
+    # bits of the kernel applied to it alone.  Packets 5 and 6 have
+    # coincident and close nodes, so they are left to the certificate, as one
+    # chunk of their own that takes the SVD: a NaN and an exact smin.
     L, m, T = 36864, 3, 4
     nodes = plain_filter(L).response.copy()
     nodes[5 + L // m] = nodes[5]
@@ -1382,8 +1480,7 @@ def test_node_solve_bits_hold_past_the_elision_size():
     packet_nodes, blocks_of, phase, floors = node_solve_case(nodes, m, 1, rhs)
     with mock.patch.object(systems, "_CHUNK_BYTES", 4 * 2**20):
         assert len(systems._chunks(P, m, m + T)) == 1
-        smin, smax, x = systems.solve_packets(P, phase, rhs, floors=floors,
-                                              nodes_of=packet_nodes.__getitem__)
+        smin, smax, x = systems.solve_packets(P, phase, rhs, nodes=packet_nodes)
         ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
     assert np.isnan(x[5]).all() and np.array_equal(x[[5, 6]], ref[[5, 6]], equal_nan=True)
     assert np.array_equal(smin[[5, 6]], ref_smin[[5, 6]])
@@ -1439,8 +1536,7 @@ def test_extended_node_solve_keeps_decisions_and_bits(case):
         return kernel(nodes, *args, **kwargs)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
         with mock.patch.object(systems, "_nodal_solve", spy):
-            smin, smax, x = systems.solve_packets(P, phase, rhs, floors=floors,
-                                                  nodes_of=packet_nodes.__getitem__)
+            smin, smax, x = systems.solve_packets(P, phase, rhs, nodes=packet_nodes)
         ref_smin, ref_smax, ref = ref_solve_packets(blocks_of, P, phase, rhs, floors)
     # The assembled path clears a packet by ||R||_F of its QR (A itself when
     # square); the node path by ||A||_F from |x|^2 of the nodes and the
@@ -1726,8 +1822,7 @@ def test_qr_solve_memory_flat_in_packets():
             idx = systems.packet_indices(L, m, n, np.arange(D))
             packets = {"blocks_of": lambda part: systems.gather_blocks(table, idx[part])}
             if nodal:
-                nodes = a.response[idx]
-                packets = {"nodes_of": nodes.__getitem__, "floors": systems.packet_floors(nodes)}
+                packets = {"nodes": a.response[idx]}
             rhs = rand_complex(rng, (D, len(omega) + n * m, 2 * T))
             tracemalloc.start()
             try:

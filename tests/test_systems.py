@@ -1,5 +1,6 @@
 """Per-frequency matrix assembly, singularity structure, kernel repair."""
 
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +42,33 @@ def test_det_requires_square():
     a = ds.filter_raised_cosine(12, 1.0)
     with pytest.raises(ShapeMismatch):
         ds.det_plain(ds.PlainSystem(a, 3, 4), 0)
+
+
+def plain_table_filter(L):
+    xi = np.arange(L) / L
+    return ds.filter_table(np.exp(-2j * np.pi * xi) * (2 + np.cos(2 * np.pi * xi)) / 3)
+
+
+@pytest.mark.parametrize("make", [lambda L: ds.filter_heat(L, 0.5),
+                                  lambda L: ds.filter_raised_cosine(L, 1.0), plain_table_filter],
+                         ids=["heat", "raised cosine", "plain table"])
+@pytest.mark.parametrize("N", [3, 6])
+def test_build_plain_powers_its_nodes_alone(make, N):
+    # The packet's columns of the (N, L) power table, bit for bit, without
+    # building the table: its peak was two tables (3.5 MB at N = 3).
+    L, m = 36864, 3
+    a = make(L)
+    table = systems.power_rows(a.response, N)
+    for rho in (0, 1, 5000, L // m - 1):
+        assert np.array_equal(ds.build_plain(a, m, N, rho), table[:, rho::L // m])
+    del table
+    tracemalloc.start()
+    try:
+        ds.build_plain(a, m, N, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * N * L
 
 
 def test_build_plain_rejects_nondivisor():
