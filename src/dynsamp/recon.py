@@ -229,7 +229,7 @@ def _solve(y, extras, m, n, omega, *, response=None, table=None):
     cleared = 2 * systems.SINGULAR_TOL * smax.max()
     if plain and not (cleared > 0 and smin.min() >= cleared):
         exact = systems.packet_smins(lambda part: systems.extended_stack(blocks_of(part), phase),
-                                     D, N, m, range(D))[0][src]
+                                     D, N, m)[0][src]
         bad = systems.singular_indices(exact, systems.SINGULAR_TOL)
         if bad:
             raise SingularSystem(bad)

@@ -61,41 +61,30 @@ def empirical_pinv_norm(a, m, n, omega, grid):
     candidate of smallest smin and names the smallest grid index of its orbit.
 
     Only the minimum smin is needed, so most candidates take no SVD
-    (:func:`systems.packet_smins`).  The two seed candidates, the orbits of
+    (:func:`systems.minimum_smins`).  The two seed candidates, the orbits of
     xi = 0 and 1/2 (for an odd grid, the point just below 1/2), are
-    decomposed first, in a chunk of their own: there the plain blocks lose
-    rank, and there the scan minimum usually sits.  Their smallest smin is
-    ``best``.  The other candidates are chunked among themselves, and every
-    chunk takes one batched Cholesky test of fl(A^H A) - theta I with, for
-    an r x c matrix A,
-
-        theta = (best + 4 c eps ||A||_F)^2 + 2 (r + c + 4) eps ||A||_F^2.
-
-    Forming the Gram matrix errs by at most gamma_{r+2} |A|^H |A| (complex
-    products).  Subtracting theta errs by eps/2 of a diagonal entry, which
-    must stay positive for the factorization to complete.  A Cholesky
-    factorization F that runs to completion is exact for a matrix within
-    gamma_{c+1} |F^H| |F| of its input (Higham, Accuracy and Stability of
-    Numerical Algorithms, Thm 10.3), and ||F||_F^2 is at most the trace,
-    about ||A||_F^2.  In the 2-norm each error is at most its constant times
-    ||A||_F^2, together (r + c + 4) eps/2 ||A||_F^2: a quarter of the second
-    term, the rest covering the rounding of theta and of ||A||_F.  So
-    lambda_min(A^H A) > (best + 4 c eps ||A||_F)^2: a chunk that passes has
-    smin(A) > best + 4 c eps ||A||_F for every candidate, more than the
-    SVD's own error above best, and is skipped.  A chunk that fails takes
-    the SVD and lowers best.  The value and the RankDeficient decision, made
-    at the first argmin of the smins with the smax of the same SVD, come
-    from SVDs of the same candidate matrices as a scan that decomposes every
-    candidate, each decomposed on its own, so both are bitwise that scan's.
+    decomposed first: there the plain blocks lose rank, and there the scan
+    minimum usually sits.  Their smallest smin is ``best``.  Every other
+    candidate takes the node test of :func:`systems._node_test`, a block
+    Cholesky factorization of A^H A - theta I from the candidate's nodes,
+    theta a little above best^2, and only the candidates that it fails are
+    assembled and decomposed, lowering best.  A cleared candidate has smin
+    above best by more than an SVD errs.  The value and the RankDeficient
+    decision, made at the first argmin of the smins with the smax of the
+    same SVD, come from SVDs of the same candidate matrices as a scan that
+    decomposes every candidate, each decomposed on its own, so both are
+    bitwise that scan's.  m and n are counts of at least 1
+    (PreconditionViolated naming them).
     """
+    m, n = _counts(m, n)
     grid = spectral._count(grid, "grid")
     if grid < 4 * m * n:
         raise ValueError(f"grid must have at least 4*m*n = {4 * m * n} points")
     count = _orbit_count(a, n, grid)
-    xi, phase = np.arange(count) / grid, systems.phase_rows(m, n, omega)
-    smin, smax = systems.packet_smins(
-        lambda part: systems.extended_stack(systems.offgrid_blocks(a, m, n, xi[part]), phase),
-        count, len(omega) + n * m, m * n, [0, _representative(grid // 2, n, grid, count)])
+    xi, shifts = np.arange(count) / grid, np.arange(n) / n
+    smin, smax = systems.minimum_smins(
+        lambda idx: systems.plain_nodes_at(a, m, xi[idx, None] + shifts), count,
+        systems.phase_rows(m, n, omega), [0, _representative(grid // 2, n, grid, count)])
     g = int(np.argmin(smin))
     if smin[g] <= systems.RANK_TOL * smax[g]:
         raise RankDeficient(g, f"extended matrix rank deficient at xi = {g}/{grid}")
@@ -126,10 +115,16 @@ def _representative(g, n, grid, count):
     return r if r < count else p - r
 
 
+def _counts(m, n):
+    """m and n of a stability entry point, each a count of at least 1 by the
+    rule of :func:`spectral._count`, read before any arithmetic."""
+    return spectral._count(m, "m", low=1), spectral._count(n, "n", low=1)
+
+
 def _check_bound_hypotheses(a, n):
     if not a.symmetric_decreasing:
         raise HypothesisViolated("bounds need a real, even, strictly decreasing response")
-    if n < 1 or n % 2 == 0:
+    if n % 2 == 0:
         raise HypothesisViolated("bounds need odd n")
 
 
@@ -147,21 +142,28 @@ def guard_band_points(n, grid):
 
     Takes the points g/grid that fall inside the two admissible intervals
     and appends the four interval endpoints, so endpoint extrema are hit
-    exactly.
+    exactly.  n is a count of at least 1 and grid a count
+    (PreconditionViolated naming them).
     """
-    lo = 1.0 / (4.0 * n)
-    ends = [lo, 0.5 - lo, 0.5 + lo, 1.0 - lo]
+    ends = _band_ends(spectral._count(n, "n", low=1))
+    grid = spectral._count(grid, "grid")
     g = np.arange(grid) / grid
     inside = ((ends[0] <= g) & (g <= ends[1])) | ((ends[2] <= g) & (g <= ends[3]))
     return np.array(sorted(set(g[inside].tolist() + ends)))
 
 
+def _band_ends(n):
+    """The four endpoints of the guard band's two intervals, in increasing order."""
+    lo = 1.0 / (4.0 * n)
+    return [lo, 0.5 - lo, 0.5 + lo, 1.0 - lo]
+
+
 def _band_nodes(a, m, n, grid):
-    """(points, m) node values at the guard-band points that beta1 and beta2 scan."""
+    """(points, (points, m) node values) at the guard-band points that beta1 and beta2 scan."""
     pts = guard_band_points(n, _grid(m, n, grid))
     if len(pts) < 8 * m * n:
         raise ValueError(f"need at least 8*m*n = {8 * m * n} points inside the band")
-    return systems.plain_nodes_at(a, m, pts)
+    return pts, systems.plain_nodes_at(a, m, pts)
 
 
 class BetaBound(NamedTuple):
@@ -192,10 +194,20 @@ def bound_beta1(a, m, n, grid=None):
     beta1 = max(n, sup ||A_m^{-1}(xi)||) with the sup taken over grid points
     of the band; the grid max is a lower estimate of the true supremum, so
     coherent comparisons should reuse the same grid for the empirical norm.
+    The sup is 1 / min smin over the band's square power matrices, found by
+    the minimum search of the conditioning scan (:func:`systems.minimum_smins`)
+    with the four band endpoints, nearest the degenerate frequencies, as
+    seeds: a point that the node test clears takes no SVD, and the sup is
+    bitwise that of an SVD of every band matrix, as rounded division is
+    monotone.  m and n are counts of at least 1 (PreconditionViolated naming
+    them), and n must be odd.
     """
+    m, n = _counts(m, n)
     _check_bound_hypotheses(a, n)
-    mats = systems.power_rows(_band_nodes(a, m, n, grid), m)
-    sup = float((1.0 / systems.smin_family(mats)).max())
+    pts, nodes = _band_nodes(a, m, n, grid)
+    smin = systems.minimum_smins(lambda idx: nodes[idx, None], len(pts), None,
+                                 np.searchsorted(pts, _band_ends(n)))[0]
+    sup = float((1.0 / smin).max())
     beta1 = max(float(n), sup)
     return BetaBound(beta=beta1, bound=_bound_from_beta(m, n, beta1), detail=sup)
 
@@ -207,9 +219,10 @@ def bound_beta2(a, m, n, grid=None):
     extra sqrt(m) factor carried by the underlying Vandermonde estimate;
     the inflated bound is the safe side of that discrepancy.
     """
+    m, n = _counts(m, n)
     _check_bound_hypotheses(a, n)
     _check_unit_sup(a, "beta2")
-    nodes = _band_nodes(a, m, n, grid)
+    nodes = _band_nodes(a, m, n, grid)[1]
     gaps = np.abs(nodes[:, None, :] - nodes[:, :, None])
     delta = float(gaps[:, ~np.eye(m, dtype=bool)].min())
     if delta <= 0.0:
@@ -225,6 +238,7 @@ def bound_beta3(a, m, n, grid=None):
     when the filter kind provides one, else central differences at step
     1/(8 m n L).  Returns the plain and sqrt(m)-inflated variants.
     """
+    m, n = _counts(m, n)
     _check_bound_hypotheses(a, n)
     _check_unit_sup(a, "beta3")
     lo = 1.0 / (4.0 * m * n)
@@ -242,6 +256,7 @@ def bound_beta3(a, m, n, grid=None):
 
 def gautschi_bound(a, m, xi):
     """Node-separation bound on ||A_m^{-1}(xi)|| at a single frequency."""
+    m = spectral._count(m, "m", low=1)
     return systems.gautschi_bound_nodes(systems.plain_nodes_at(a, m, xi))
 
 
@@ -254,6 +269,7 @@ def lower_bound_stablow(a, m, n, omega=None):
     system whose smin is at most ``systems.RANK_TOL`` times its largest
     singular value, both from one SVD, raises RankDeficient.
     """
+    m, n = _counts(m, n)
     if m % 2 == 0:
         raise EvenM(f"lower bound needs odd m, got m={m}")
     if m == 1:
@@ -268,7 +284,7 @@ def lower_bound_stablow(a, m, n, omega=None):
         raise GridMiss(f"1/{n} is not on the grid: {m * n} does not divide L={L}")
     rho = (L // m) // n
     mats = systems.build_plain(a, m, m, rho)[None]
-    smin, smax = systems.packet_smins(lambda part: mats[part], 1, m, m, [0])
+    smin, smax = systems.packet_smins(lambda part: mats[part], 1, m, m)
     if smin[0] <= systems.RANK_TOL * smax[0]:
         raise RankDeficient(rho, "square system singular at 1/n")
     return m / float(smin[0])
@@ -481,8 +497,10 @@ def stability_report(a, m, n, filter_desc="", grid=720, seed=0,
     regime of the upper bounds) and at the minimal set {1..(m-1)/2} (the
     regime of the recovery guarantee and the lower bound).  ``sandwich_ok``
     asserts lower <= minimal, full <= minimal, and full below every upper
-    bound, each within a 1e-9 relative margin.  Needs odd m.
+    bound, each within a 1e-9 relative margin.  m and n are counts of at
+    least 1 (PreconditionViolated naming them), and m must be odd.
     """
+    m, n = _counts(m, n)
     if m % 2 == 0:
         raise EvenM(f"stability_report needs odd m, got m={m}")
     om_full = full_omega(m)

@@ -102,7 +102,7 @@ def plain_family(system):
 
 def smin_family(mats):
     """Smallest singular value of each matrix in a (P, r, c) stack, by :func:`packet_smins`."""
-    return packet_smins(lambda part: mats[part], *mats.shape, range(len(mats)))[0]
+    return packet_smins(lambda part: mats[part], *mats.shape)[0]
 
 
 def singular_indices(smins, tol):
@@ -270,9 +270,10 @@ def solve_packets(P, phase, rhs, *, nodes=None, blocks_of=None):
             for run in _runs(cleared):
                 for part in _chunks(run.stop, rows, cols + trials, run.start):
                     _nodal_solve(nodes[part], rhs[part], E, out=x[part])
-        else:
-            _qr_solve(cleared.nonzero()[0], blocks_of, phase, rhs, smin, smax, x)
-    _qr_solve((~cleared).nonzero()[0], blocks_of, phase, rhs, smin, smax, x, certify=True)
+        elif cleared.any():
+            _qr_solve(np.flatnonzero(cleared), blocks_of, phase, rhs, smin, smax, x)
+    if not cleared.all():
+        _qr_solve(np.flatnonzero(~cleared), blocks_of, phase, rhs, smin, smax, x, certify=True)
     return smin, smax, x
 
 
@@ -305,6 +306,8 @@ def _qr_solve(idx, blocks_of, phase, rhs, smin, smax, x, certify=False):
 
 def _runs(mask):
     """Slices of the maximal runs of True in the boolean array ``mask``."""
+    if mask.all():
+        return [slice(0, len(mask))]
     cuts = [0, *((mask[1:] != mask[:-1]).nonzero()[0] + 1).tolist(), len(mask)]
     return [slice(start, stop) for start, stop in zip(cuts, cuts[1:]) if mask[start]]
 
@@ -467,37 +470,163 @@ def _node_brackets(nodes, fro, rows, cols):
     return bracket, bracket >= np.sqrt(CERT_SHIFT / 2 * _EPS) * cols * fro
 
 
-def packet_smins(matrices_of, P, rows, cols, exact):
+def packet_smins(matrices_of, P, rows, cols):
     """(smin, smax): the smallest and largest singular value of each of P
-    packet matrices of shape (rows, cols); every packet of a chunk that a
-    floor test places above the minimum reads smin = +inf and smax = NaN.
-
-    ``matrices_of(idx)`` returns the (len(idx), rows, cols) stack of the
-    packets in the index array idx, and each chunk is assembled once.  The
-    packets ``exact`` come first, chunked among themselves, and take one
-    batched SVD without vectors per chunk; their smallest smin is ``best``,
-    the minimum so far.  Every other packet is floor-tested in chunks of its
-    own: while best > 0, a chunk takes one batched floor test
-    (:func:`_clears`), and a chunk that passes is skipped, as none of its
-    packets can take or tie the minimum.  A chunk that fails, or any chunk
-    once best is 0, takes the SVD, which lowers best.  So the finite values
-    are exact, the minimum and every index attaining it are those of an SVD
-    of every packet, and ``exact=range(P)`` decomposes every packet, in the
-    chunks of :func:`_chunks`.  Raises nothing.
-    """
-    seeds = np.zeros(P, dtype=bool)
-    seeds[np.asarray(exact, dtype=int)] = True
-    parts = [[idx[part] for part in _chunks(len(idx), rows, cols)]
-             for idx in (np.flatnonzero(seeds), np.flatnonzero(~seeds))]
-    smin, smax, best = np.full(P, np.inf), np.full(P, np.nan), np.inf
-    for k, part in enumerate(parts[0] + parts[1]):
-        A = matrices_of(part)
-        if k < len(parts[0]) or best == 0.0 or not _clears(A, best):
-            s = np.linalg.svd(A, compute_uv=False)
-            smin[part], smax[part] = s[:, -1], s[:, 0]
-            best = min(best, s[:, -1].min())
-        del A           # so the next chunk's matrices replace these, not join them
+    packet matrices of shape (rows, cols), from one batched SVD without
+    vectors per chunk of :func:`_chunks`.  ``matrices_of(idx)`` returns the
+    (len(idx), rows, cols) stack of the packets in the index array idx, and
+    each chunk is assembled once.  Raises nothing."""
+    smin, smax = np.empty(P), np.empty(P)
+    for part in _chunks(P, rows, cols):
+        s = np.linalg.svd(matrices_of(np.arange(P)[part]), compute_uv=False)
+        smin[part], smax[part] = s[:, -1], s[:, 0]
     return smin, smax
+
+
+def minimum_smins(nodes_of, count, phase, seeds):
+    """(smin, smax) of ``count`` scan candidates, exact for every candidate
+    that can take or tie the smallest smin; each other one reads smin = +inf
+    and smax = NaN.
+
+    ``nodes_of(idx)`` returns the (len(idx), n, m) nodes of the candidates
+    in the index array idx.  A candidate's matrix is
+    ``extended_stack(power_rows(nodes, m), phase)`` for the (|omega|, m n)
+    ``phase``, or, with phase None, the bare m x m power matrix
+    ``power_rows(nodes, m)`` of its one block.  The ``seeds`` are assembled
+    and take one batched SVD without vectors per chunk; their smallest smin
+    is ``best``, the minimum so far.  Every other candidate takes the node
+    test (:func:`_node_test`) against best, in chunks of the test's own
+    working set, and only those it fails are assembled and decomposed,
+    lowering best.  A cleared candidate has an SVD smin above the best of
+    its test, so above the minimum: the finite values are exact, and the
+    minimum and every index attaining it are those of an SVD of every
+    candidate, each decomposed on its own.  Raises nothing.
+    """
+    mask = np.zeros(count, dtype=bool)
+    mask[np.asarray(seeds, dtype=int)] = True
+    seeded, rest = np.flatnonzero(mask), np.flatnonzero(~mask)
+    nodes = nodes_of(seeded)
+    n, m = nodes.shape[1:]
+    bare = phase is None
+    top, div = (np.zeros((0, m)), 1) if bare else (phase / (m * n), m)
+    rows, cols = len(top) + n * m, n * m
+    smin, smax, best = np.full(count, np.inf), np.full(count, np.nan), np.inf
+
+    def decompose(idx, nodes):
+        nonlocal best
+        for part in _chunks(len(idx), rows, cols):
+            blocks = power_rows(nodes[part], m)
+            A = blocks[:, 0] if bare else extended_stack(blocks, phase)
+            s = np.linalg.svd(A, compute_uv=False)
+            smin[idx[part]], smax[idx[part]] = s[:, -1], s[:, 0]
+            best = min(best, s[:, -1].min())
+            del blocks, A       # so the next chunk's matrices replace these, not join them
+
+    decompose(seeded, nodes)
+    side = m + len(top)
+    for part in _chunks(len(rest), side, side):
+        idx = rest[part]
+        nodes = nodes_of(idx)
+        fail = ~_node_test(nodes, top, div, best)
+        decompose(idx[fail], nodes[fail])
+    return smin, smax
+
+
+def _node_test(nodes, F, div, best):
+    """Boolean verdict per candidate: True when the SVD smin of its matrix A
+    = [F; D] is provably above best.  The (k, n, m) ``nodes`` give D =
+    blockdiag(B_j / div), B_j the m x m power matrix of block j's nodes,
+    and F is the (|omega|, n m) top, the same for every candidate.
+
+    A^H A = blockdiag(B_j^H B_j / div^2) + F^H F, so A^H A - theta I is
+    positive definite exactly when every step of the block Cholesky
+
+        W_0 = I,  X_j = B_j^H B_j / div^2 - theta I + F_j^H W_j F_j = L_j L_j^H,
+        U_j = L_j^-1 F_j^H W_j,  W_{j+1} = W_j - U_j^H U_j
+
+    factors, F_j being the columns of block j of F.  Each step is m pivots
+    of a Cholesky factorization of the bordered matrix [[X_j, F_j^H W_j],
+    [W_j F_j, W_j]], whose trailing Schur complement is W_{j+1}; the last
+    block needs X alone.  B_j^H B_j is summed from the nodes by Horner's
+    rule, entry (a, b) = sum_i (conj(x_a) x_b)^i, i < m.  Every step is
+    elementwise with the candidate axis last, so each numpy call covers
+    the chunk, and no A is assembled.  For c = n m columns and a = ||A||_F,
+    f = ||F||_F (each F_j holds f^2 / n), with a taken from the nodes by
+    :func:`_nodal_norms`, the shift is
+
+        theta = (best + 4 (c + m) eps a)^2 + 2 E(2 |omega|),
+        E(rho) = eps (4.5 (m + 1) a^2 + w ((|omega| + 4)(sqrt(n) + 1) + (m + 1)(n + 3) / 2) f^2),
+
+    w = sqrt(|omega|) + rho, and a candidate passes when every pivot is
+    positive and rho = |omega| - tr W_{n-1} is at most 2 |omega|.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch.
+    3, 10 and 13), to first order in eps.  The powers of the assembled A
+    and the division by div err by at most 1.5 m eps a (see
+    :func:`_node_brackets`) against A~, the matrix of the exact powers of
+    the floating-point nodes, and an SVD by at most 4 c eps a: the first
+    term.  A run that factors every X_j is an exact block Cholesky
+    factorization of A~^H A~ - theta I + E, and ||E||_2 <= E(rho), as W_j =
+    I - sum_i U_i^H U_i gives sum_{i < n-1} ||U_i||_F^2 = rho and ||W_j||_F
+    <= w for j < n:
+    - the Horner sums, m - 1 complex products and additions per entry:
+      3.5 m eps a^2, block diagonal, so the largest block counts;
+    - forming X_j: the products W F_j and F_j^H (W F_j) and three sums,
+      2 a^2 + (|omega| + 4) w f^2 / n;
+    - factoring X_j (Thm 10.3), with ||L_j||_F^2 = tr X_j <= a^2 + w f^2 / n:
+      (m + 1)/2 (a^2 + w f^2 / n);
+    - the coupling rows U_j, errs of W F_j and of the triangular solve,
+      which reach every later block through F: (|omega| + 2) w f^2 sqrt(n)
+      and m/2 (a^2 + (rho + w) f^2);
+    - the updates of W, each within (m + 1) eps/2 (||U_j||_F^2 + w), which
+      reach every later block as F^H (dW) F: (m + 1)/2 (rho + (n - 1) w) f^2.
+    In exact arithmetic W_j <= I, but W_j >= 0 only while every earlier
+    B_i^H B_i / div^2 >= theta I: a candidate whose blocks need the extras
+    rows to clear theta turns W negative, so the drift rho is checked, not
+    assumed.  A passing candidate thus has lambda_min(A~^H A~) > theta -
+    E(2 |omega|) > (best + 4 (c + m) eps a)^2, with half of the rounding
+    term to spare, which also covers the rounding of a (within 3 r (c + 1)
+    eps relative, see :func:`_node_brackets`), and its smin(A) exceeds best
+    by more than the SVD's own error.
+    """
+    k, n, m = nodes.shape
+    o, c = len(F), n * m
+    f2 = np.vdot(F, F).real
+    a2 = (_nodal_norms(nodes, m, np.sqrt(f2)) * (m / div)) ** 2
+    x = np.ascontiguousarray(nodes.transpose(1, 2, 0))
+    spread = (o + 4) * (np.sqrt(n) + 1) + (m + 1) * (n + 3) / 2
+    theta = ((best + 4 * (c + m) * _EPS * np.sqrt(a2)) ** 2
+             + 2 * _EPS * (4.5 * (m + 1) * a2 + (np.sqrt(o) + 2 * o) * spread * f2))
+    Z = np.zeros((m + o, m + o, k), dtype=complex)
+    Z[m:, m:] = np.eye(o)[..., None]
+    W, X = Z[m:, m:], Z[:m, :m]
+    diag = Z.reshape(-1, k)[:m * (m + o + 1):m + o + 1]
+    low, drift = np.full(k, np.inf), o
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            last = j == n - 1
+            y = x[j].conj()[:, None] * x[j]
+            X[...] = 1 / div ** 2
+            for _ in range(m - 1):
+                X *= y
+                X += 1 / div ** 2
+            diag -= theta
+            if o:
+                Fj = F[:, j * m:(j + 1) * m]
+                T = np.matmul(Fj.T, W)
+                X += (Fj.conj().T @ T.reshape(o, m * k)).reshape(m, m, k)
+                if last:
+                    drift = o - np.trace(W).real
+                else:
+                    Z[m:, :m] = T
+                    Z[:m, m:] = T.conj().transpose(1, 0, 2)
+            end = m if last else m + o
+            for i in range(m):
+                piv = Z[i, i].real
+                np.minimum(low, piv, out=low)
+                col = Z[i + 1:end, i] * piv ** -0.5
+                Z[i + 1:end, i + 1:end] -= col[:, None] * col.conj()
+    return (low > 0) & (drift <= 2 * o)
 
 
 def _chunks(stop, rows, width, start=0):
@@ -507,50 +636,23 @@ def _chunks(stop, rows, width, start=0):
     return [slice(first, min(first + chunk, stop)) for first in range(start, stop, chunk)]
 
 
-def _shifted_cholesky(A, shift):
-    """(||A||_F^2, theta) of the (k, r, c) stack A when every fl(A^H A) -
-    theta I, theta = shift(||A||_F^2) per matrix, takes a Cholesky
-    factorization, else None.  The squared norms are the Gram traces."""
-    c = A.shape[-1]
-    G = A.conj().swapaxes(1, 2) @ A
+def _certify(R):
+    """(smin, smax) of the (k, c, c) stack R: the certified brackets
+    (sqrt(tau/2), ||R||_F) when every fl(R^H R) - tau I takes a Cholesky
+    factorization (see :func:`solve_packets`), ||R||_F^2 being the trace of
+    the Gram matrix, else the exact values of one batched SVD without vectors."""
+    c = R.shape[-1]
+    G = R.conj().swapaxes(1, 2) @ R
     diag = G.reshape(len(G), c * c)[:, ::c + 1]
     norm2 = diag.real.sum(axis=1)
-    theta = shift(norm2)
-    diag -= theta[:, None]
+    tau = CERT_SHIFT * c * c * _EPS * norm2
+    diag -= tau[:, None]
     try:
         np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
-        return None
-    return norm2, theta
-
-
-def _certify(R):
-    """(smin, smax) of the (k, c, c) stack R: the certified brackets
-    (sqrt(tau/2), ||R||_F) when every R^H R - tau I takes a Cholesky
-    factorization (see :func:`solve_packets`), else the exact values of one
-    batched SVD without vectors."""
-    c = R.shape[-1]
-    passed = _shifted_cholesky(R, lambda norm2: CERT_SHIFT * c * c * _EPS * norm2)
-    if passed is None:
         s = np.linalg.svd(R, compute_uv=False)
         return s[:, -1], s[:, 0]
-    norm2, tau = passed
     return np.sqrt(tau / 2), np.sqrt(norm2)
-
-
-def _clears(A, best):
-    """True when every matrix of the (k, r, c) stack A provably has an SVD
-    smin above best: fl(A^H A) - theta I takes a Cholesky factorization for
-
-        theta = (best + 4 c eps ||A||_F)^2 + 2 (r + c + 4) eps ||A||_F^2.
-
-    The second term covers the rounding of the Gram matrix, of the shift and
-    of the factorization four times over, so smin(A) > best + 4 c eps
-    ||A||_F, beyond what an SVD errs (derivation in
-    :func:`stability.empirical_pinv_norm`)."""
-    r, c = A.shape[1:]
-    return _shifted_cholesky(A, lambda norm2: (best + 4 * c * _EPS * np.sqrt(norm2)) ** 2
-                             + 2 * (r + c + 4) * _EPS * norm2) is not None
 
 
 def _is_hermitian(values):

@@ -435,6 +435,27 @@ def test_no_time_rows_raises_named_error(entry, N):
         N_ENTRIES[entry](N)
 
 
+# The m and n of the stability entry points are counts of at least 1: n = 0
+# used to end in ZeroDivisionError, m = "3" in TypeError, n = 3.0 in
+# lower_bound_stablow in IndexError, and bound_beta1(a, 3, 3.0) returned a value.
+STABILITY_COUNTS = {
+    "empirical_pinv_norm m": ("m", lambda v: ds.empirical_pinv_norm(rc(72), v, 3, (), 720)),
+    "empirical_pinv_norm n": ("n", lambda v: ds.empirical_pinv_norm(rc(72), 3, v, (), 720)),
+    "bound_beta1 m": ("m", lambda v: ds.bound_beta1(rc(72), v, 3)),
+    "bound_beta1 n": ("n", lambda v: ds.bound_beta1(rc(72), 3, v)),
+    "bound_beta2 m": ("m", lambda v: ds.bound_beta2(rc(72), v, 3)),
+    "bound_beta2 n": ("n", lambda v: ds.bound_beta2(rc(72), 3, v)),
+    "bound_beta3 m": ("m", lambda v: ds.bound_beta3(rc(72), v, 3)),
+    "bound_beta3 n": ("n", lambda v: ds.bound_beta3(rc(72), 3, v)),
+    "lower_bound_stablow m": ("m", lambda v: ds.lower_bound_stablow(rc(72), v, 3)),
+    "lower_bound_stablow n": ("n", lambda v: ds.lower_bound_stablow(rc(72), 3, v)),
+    "gautschi_bound m": ("m", lambda v: ds.gautschi_bound(rc(72), v, 0.1)),
+    "stability_report m": ("m", lambda v: ds.stability_report(rc(72), v, 3)),
+    "stability_report n": ("n", lambda v: ds.stability_report(rc(72), 3, v)),
+    "guard_band_points n": ("n", lambda v: ds.guard_band_points(v, 720)),
+}
+
+
 # The scan grids and the factors of the choice of n are counts too, read by
 # spectral._count: a float grid used to end in numpy's TypeError, or give
 # bound_beta2 a bound on a fractional grid, and choose_n(n_min=0) returned 0.
@@ -448,11 +469,13 @@ COUNT_ENTRIES = {
     "choose_n n_min": ("n_min", lambda v: ds.choose_n([0, 0.5], 5, n_min=v)),
     "choose_n n_max": ("n_max", lambda v: ds.choose_n([0, 0.5], v)),
     "n_is_admissible n": ("n", lambda v: ds.n_is_admissible([0, 0.5], v)),
+    "guard_band_points grid": ("grid", lambda v: ds.guard_band_points(3, v)),
+    **STABILITY_COUNTS,
 }
 
 
 @pytest.mark.parametrize("entry", COUNT_ENTRIES)
-@pytest.mark.parametrize("value", [720.0, 719.9, True])
+@pytest.mark.parametrize("value", [720.0, 719.9, True, "3"])
 def test_count_that_is_no_integer_raises_named_error(entry, value):
     name, call = COUNT_ENTRIES[entry]
     with pytest.raises(PreconditionViolated,
@@ -460,7 +483,7 @@ def test_count_that_is_no_integer_raises_named_error(entry, value):
         call(value)
 
 
-@pytest.mark.parametrize("entry", ["choose_n n_min", "n_is_admissible n"])
+@pytest.mark.parametrize("entry", ["choose_n n_min", "n_is_admissible n", *STABILITY_COUNTS])
 @pytest.mark.parametrize("value", [0, -3])
 def test_count_below_one_raises_named_error(entry, value):
     # n_is_admissible(xis, 0) and (xis, -3) used to return True.

@@ -232,6 +232,32 @@ def test_scans_equal_loop_values(a, m, n, grid):
         assert ds.bound_beta2(a, m, n, grid).detail == ref_beta2_delta(a, m, n, grid)
 
 
+@st.composite
+def beta1_configs(draw):
+    """(filter, m, n, grid, chunk): a raised-cosine or heat filter, odd m <= 7,
+    odd 3 <= n <= 15 (the band of n = 1 is its four endpoints), the default
+    grid or 16 m n + 1 or 720 + 16 m n points, and node-test chunks of 1 to
+    64 candidates."""
+    m, n = draw(st.sampled_from([1, 3, 5, 7])), draw(st.sampled_from(range(3, 16, 2)))
+    make = draw(st.sampled_from([ds.filter_raised_cosine, ds.filter_heat]))
+    a = make(draw(st.integers(8, 96)), draw(st.floats(0.25, 2.0)))
+    grid = draw(st.sampled_from([None, 16 * m * n + 1, 720 + 16 * m * n]))
+    return a, m, n, grid, draw(st.integers(1, 64))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(beta1_configs())
+def test_beta1_sup_equals_all_svd_sup(case):
+    # The minimum search over the band returns the sup of an SVD of every
+    # band matrix, bit for bit, in any chunking.
+    a, m, n, grid, chunk = case
+    with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * m * m):
+        got = ds.bound_beta1(a, m, n, grid).detail
+    pts = ds.guard_band_points(n, max(720, 16 * m * n) if grid is None else grid)
+    mats = systems.power_rows(systems.plain_nodes_at(a, m, pts), m)
+    assert got == float(max(1.0 / np.linalg.svd(M, compute_uv=False)[-1] for M in mats))
+
+
 # ---------------------------------------------------------------------------
 # scan symmetries: the two maps behind one SVD per orbit
 
@@ -398,184 +424,230 @@ def test_minimum_search_equals_all_svd_scan(case):
         assert got == 1.0 / smin
 
 
-def floor_theta(best, rows, c, fro):
-    """The floor test's shift (best + 4 c eps ||A||_F)^2 + 2 (rows + c + 4) eps ||A||_F^2."""
-    return (best + 4 * c * EPS * fro) ** 2 + 2 * (rows + c + 4) * EPS * fro ** 2
+def assembled_candidate(nodes, phase):
+    """The matrix of one candidate's (1, n, m) nodes as the scans assemble it:
+    extended_stack of its power blocks, or, with phase None, the bare m x m
+    power matrix."""
+    blocks = systems.power_rows(nodes, nodes.shape[-1])
+    return blocks[0, 0] if phase is None else systems.extended_stack(blocks, phase)[0]
+
+
+def draw_nodes(rng, n, m):
+    """(n, m) nodes: moduli within one decade of a common scale 1e-3..1e3 or
+    spread over all six decades, real or complex, and per block a
+    coincident pair, a pair within 1e-12..1e-2 relative, or a zero node."""
+    spread = rng.choice([1.0, 6.0])
+    x = 10.0 ** np.clip(rng.uniform(-3, 3) + rng.uniform(-spread / 2, spread / 2, (n, m)), -3, 3)
+    if rng.random() < 0.6:
+        x = x * np.exp(2j * np.pi * rng.random((n, m)))
+    else:
+        x = x * rng.choice([-1.0, 1.0], (n, m)) + 0j
+    for k in range(n):
+        kind = rng.integers(0, 5)
+        if kind == 1 and m > 1:
+            x[k, 1] = x[k, 0]
+        elif kind == 2 and m > 1:
+            x[k, 1] = x[k, 0] * (1 + 10.0 ** rng.uniform(-12, -2))
+        elif kind == 3:
+            x[k, rng.integers(0, m)] = 0
+    return x
 
 
 @st.composite
-def floor_cases(draw):
-    """(A, best): a chunk of 1..4 packets U diag(s) V^H, r x c with c <= 35,
-    cond 1..1e8 and a scale 1e-3..1e3.  best is the smin of the unmoved
-    spectrum, and every packet's smin^2 is moved to theta + eta S, S = 2 (r +
-    c + 4) eps ||A||_F^2 being the Gram term of the shift theta: eta within
-    1e-8..3 of -1, where smin crosses best, or eta in 0..3, above theta.  The
-    continuous draws are uniform in the exponent, from a drawn seed."""
-    c, extra = draw(st.integers(1, 35)), draw(st.integers(0, 3))
-    P = draw(st.integers(1, 4))
+def node_test_cases(draw):
+    """(nodes, F, div, best, smin): one candidate of m <= 7 nodes per block
+    (:func:`draw_nodes`), with n <= 15 blocks and |omega| <= m extras rows,
+    or the bare power matrix of one block (n = 1, no extras, div = 1); smin
+    is the SVD smin of its assembled matrix and best lies within
+    1e-12..1 relative of it on either side, or on it."""
+    m, bare = draw(st.integers(1, 7)), draw(st.booleans())
+    n = 1 if bare else draw(st.integers(1, 15))
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    svals = np.logspace(0, -rng.uniform(0, 8), c) * 10.0 ** rng.uniform(-3, 3)
-    best, fro = svals[-1], np.linalg.norm(svals)
-    theta = floor_theta(best, c + extra, c, fro)
-    gram = 2 * (c + extra + c + 4) * EPS * fro ** 2
-    if draw(st.booleans()):
-        eta = -1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-8, 0.5)
+    nodes = draw_nodes(rng, n, m)[None]
+    if bare:
+        phase, F, div = None, np.zeros((0, m)), 1
     else:
-        eta = rng.uniform(0, 3)
-    packets = np.tile(svals, (P, 1))
-    packets[:, -1] = np.sqrt(max(theta + eta * gram, 0.0))
-    packets = -np.sort(-packets, axis=1)
-    A = systems.extended_stack(conditioned_packets(rng, packets, c + extra), np.zeros((0, c)))
-    return A, best
+        omega = draw(st.sets(st.integers(0, m * n - 1), max_size=m))
+        phase = systems.phase_rows(m, n, omega)
+        F, div = phase / (m * n), m
+    smin = np.linalg.svd(assembled_candidate(nodes, phase), compute_uv=False)[-1]
+    step = draw(st.sampled_from([-1.0, 0.0, 1.0])) * 10.0 ** rng.uniform(-12, 0)
+    return nodes, F, div, smin * (1 + step), smin
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
-@given(floor_cases())
-def test_floor_test_never_clears_a_packet_at_or_below_best(case):
-    A, best = case
-    if systems._clears(A, best):
-        assert np.all(np.linalg.svd(A, compute_uv=False)[:, -1] > best)
+@given(node_test_cases())
+def test_node_test_never_clears_a_candidate_at_or_below_best(case):
+    nodes, F, div, best, smin = case
+    if systems._node_test(nodes, F, div, best)[0]:
+        assert smin > best
 
 
-def test_floor_test_clears_a_well_separated_chunk():
-    # Singular values a factor 2 above best pass, at any conditioning.
-    rng = np.random.default_rng(9)
-    for cond in (1.0, 1e3, 1e5):
-        svals = np.tile(np.logspace(0, -np.log10(cond), 35), (6, 1))
-        A = systems.extended_stack(conditioned_packets(rng, svals, 40), np.zeros((0, 35)))
-        assert systems._clears(A, svals[0, -1] / 2)
-        assert not systems._clears(A, svals[0, -1])
+def heat_candidates(omega):
+    """(nodes, F, smin) of the heat m = 5, n = 7 scan on 720 points."""
+    a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
+    xi = np.arange(stability._orbit_count(a, n, grid)) / grid
+    nodes = systems.plain_nodes_at(a, m, xi[:, None] + np.arange(n) / n)
+    phase = systems.phase_rows(m, n, omega)
+    A = systems.extended_stack(systems.power_rows(nodes, m), phase)
+    return nodes, phase / (m * n), np.linalg.svd(A, compute_uv=False)[:, -1]
 
 
-def chunk_log(monkeypatch):
-    """Record the scan: ("chunk", xi) per assembled chunk, ("test", passed)
-    per floor test and ("svd", packets) per decomposed chunk."""
+@pytest.mark.parametrize("omega", [ds.minimal_omega(5), ds.full_omega(5)])
+def test_node_test_clears_well_separated_candidates(omega):
+    # Every heat candidate clears half the smallest smin, and none its own smin.
+    nodes, F, smin = heat_candidates(omega)
+    assert systems._node_test(nodes, F, 5, smin.min() / 2).all()
+    assert not any(systems._node_test(nodes[i:i + 1], F, 5, smin[i])[0]
+                   for i in range(0, len(smin), 20))
+
+
+def test_node_test_couples_the_blocks_through_w():
+    # Two blocks of a coincident pair and one extras row: each block alone
+    # clears with the extras row's help, but not both, as one row cannot
+    # fill two null directions.  The W update carries the first block's use
+    # of the row into the second.
+    m, n = 2, 2
+    nodes = np.array([[[1.0, 1.0], [0.5, 0.5]]], dtype=complex)
+    phase = systems.phase_rows(m, n, (1,))
+    smin = np.linalg.svd(assembled_candidate(nodes, phase), compute_uv=False)[-1]
+    assert smin < 1e-15
+    assert not systems._node_test(nodes, phase / (m * n), m, 1e-3)[0]
+
+
+def scan_log(monkeypatch):
+    """Record the scan: ("nodes", xi) per node evaluation, ("test", size,
+    failed) per node test and ("svd", packets) per decomposed chunk."""
     log = []
-    offgrid, clears, svd = systems.offgrid_blocks, systems._clears, np.linalg.svd
+    nodes_at, test, svd = systems.plain_nodes_at, systems._node_test, np.linalg.svd
 
-    def spy_offgrid(a, m, n, xi):
-        log.append(("chunk", xi))
-        return offgrid(a, m, n, xi)
+    def spy_nodes(a, m, xi):
+        log.append(("nodes", xi[:, 0]))
+        return nodes_at(a, m, xi)
 
-    def spy_clears(A, best):
-        log.append(("test", clears(A, best)))
-        return log[-1][1]
+    def spy_test(nodes, F, div, best):
+        ok = test(nodes, F, div, best)
+        log.append(("test", len(ok), int((~ok).sum())))
+        return ok
 
     def spy_svd(A, *args, **kwargs):
         log.append(("svd", len(A)))
         return svd(A, *args, **kwargs)
-    monkeypatch.setattr(systems, "offgrid_blocks", spy_offgrid)
-    monkeypatch.setattr(systems, "_clears", spy_clears)
+    monkeypatch.setattr(systems, "plain_nodes_at", spy_nodes)
+    monkeypatch.setattr(systems, "_node_test", spy_test)
     monkeypatch.setattr(np.linalg, "svd", spy_svd)
     return log
 
 
-def assembled(log, grid):
-    """Grid indices of each assembled chunk, in visiting order."""
-    return [np.rint(xi * grid).astype(int).tolist() for kind, xi in log if kind == "chunk"]
+def evaluated(log, grid):
+    """Grid indices of each node evaluation, in visiting order."""
+    return [np.rint(entry[1] * grid).astype(int).tolist() for entry in log
+            if entry[0] == "nodes"]
 
 
-def decomposed(log, grid):
-    """Grid indices of each decomposed chunk, in visiting order."""
-    chunks = []
-    for kind, value in log:
-        if kind == "chunk":
-            indices = np.rint(value * grid).astype(int).tolist()
-        elif kind == "svd":
-            chunks.append(indices)
-    return chunks
+def node_tests(log):
+    return [entry[1:] for entry in log if entry[0] == "test"]
 
 
-def test_heat_minimal_scan_decomposes_only_the_seed_chunks(monkeypatch):
+def svds_of(log):
+    return [entry[1] for entry in log if entry[0] == "svd"]
+
+
+def test_heat_minimal_scan_decomposes_only_the_seeds(monkeypatch):
     a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
     omega = ds.minimal_omega(m)
-    log = chunk_log(monkeypatch)
+    log = scan_log(monkeypatch)
     value = ds.empirical_pinv_norm(a, m, n, omega, grid)
     count = stability._orbit_count(a, n, grid)
-    chunks = 1 + -(-(count - 2) // chunk_packets(m, n, omega))
     # Mirror only (7 does not divide 720): xi = 1/2 is candidate 360.  The
-    # seeds 0 and 360 form one chunk, decomposed untested, and every chunk
-    # of the other candidates passes the floor test.  Each candidate is
-    # assembled once.
-    assert decomposed(log, grid) == [[0, 360]]
-    parts = assembled(log, grid)
-    assert len(parts) == chunks and sorted(sum(parts, [])) == list(range(count))
-    assert [passed for kind, passed in log if kind == "test"] == [True] * (chunks - 1)
+    # seeds 0 and 360 take the SVD untested, and the node test clears every
+    # other candidate, in chunks of its own working set; each candidate's
+    # nodes are evaluated once.
+    parts = evaluated(log, grid)
+    assert parts[0] == [0, 360] and svds_of(log) == [2]
+    assert sorted(sum(parts, [])) == list(range(count))
+    side = m + len(omega)
+    chunks = [part.stop - part.start for part in systems._chunks(count - 2, side, side)]
+    assert len(chunks) > 1 and [size for size, _ in node_tests(log)] == chunks
+    assert all(failed == 0 for _, failed in node_tests(log))
     monkeypatch.undo()
     assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
 
 
-def test_heat_full_scan_skips_most_chunks(monkeypatch):
+def test_heat_full_scan_decomposes_only_the_candidates_that_fail(monkeypatch):
     # The full-set scan is flat (smin varies by 3e-4 relative over the grid),
-    # yet the floor test skips most chunks; a shift as loose as the solve
-    # certificate's would skip none.
+    # yet the node test clears most candidates; a shift as loose as the solve
+    # certificate's would clear none.
     a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
     omega = ds.full_omega(m)
-    log = chunk_log(monkeypatch)
+    log = scan_log(monkeypatch)
     value = ds.empirical_pinv_norm(a, m, n, omega, grid)
-    parts = assembled(log, grid)
-    chunks = decomposed(log, grid)
     count = stability._orbit_count(a, n, grid)
-    assert chunks[0] == [0, 360]
-    assert len(chunks) <= len(parts) // 3
-    assert sorted(sum(parts, [])) == list(range(count))
-    assert sum(1 for kind, _ in log if kind == "test") == len(parts) - 1
+    parts = evaluated(log, grid)
+    assert parts[0] == [0, 360] and sorted(sum(parts, [])) == list(range(count))
+    failed = sum(f for _, f in node_tests(log))
+    assert sum(size for size, _ in node_tests(log)) == count - 2
+    assert 0 < failed <= (count - 2) // 8
+    assert sum(svds_of(log)) == 2 + failed
     monkeypatch.undo()
     assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
 
 
 def test_one_chunk_scan_decomposes_only_the_seed_packets(monkeypatch):
-    # Raised cosine m = n = 3 on 720 points: all 121 candidates fit one
-    # chunk.  The seeds 0 and 120 (the orbit of xi = 1/2) take the SVD; the
-    # other 119 candidates pass one floor test.
+    # Raised cosine m = n = 3 on 720 points: 121 candidates.  The seeds 0 and
+    # 120 (the orbit of xi = 1/2) take the SVD; the other 119 pass one node test.
     a, m, n, grid = ds.filter_raised_cosine(72, 1.0), 3, 3, 720
     omega = (1,)
-    log = chunk_log(monkeypatch)
+    log = scan_log(monkeypatch)
     value = ds.empirical_pinv_norm(a, m, n, omega, grid)
-    assert decomposed(log, grid) == [[0, 120]]
-    assert [passed for kind, passed in log if kind == "test"] == [True]
-    assert [len(part) for part in assembled(log, grid)] == [2, 119]
+    assert svds_of(log) == [2] and node_tests(log) == [(119, 0)]
+    assert [len(part) for part in evaluated(log, grid)] == [2, 119]
     monkeypatch.undo()
     assert value == ref_orbit_scan(a, m, n, omega, grid)[2]
 
 
-def tie_blocks(P, twins, value=1.0):
-    """(P, 1, 2, 2) blocks: identity packets scaled by 2, except the ``twins``,
-    equal copies of diag(1, value) (so bitwise the same SVD)."""
-    blocks = np.tile(2 * np.eye(2, dtype=complex), (P, 1, 1, 1))
-    for k in twins:
-        blocks[k, 0] = np.diag([2.0, 2.0 * value])
-    return blocks
+def tie_nodes(P, twins, value=1.0):
+    """(P, 1, 2) nodes of bare 2 x 2 power matrices: (1, -1) for every
+    candidate but the ``twins``, equal copies of (1, 1 - 2 value), so
+    bitwise the same SVD of a smaller smin (0 for value 0)."""
+    nodes = np.tile(np.array([1.0, -1.0], dtype=complex), (P, 1, 1))
+    nodes[twins, 0, 1] = 1 - 2 * value
+    return nodes
 
 
-def minimum_search(blocks, exact):
-    """(first argmin, smin) of packet_smins over 2 x 2 blocks, as the scan reads them."""
-    smin, _ = systems.packet_smins(
-        lambda part: systems.extended_stack(blocks[part], np.zeros((0, 2))), len(blocks), 2, 2,
-        exact)
+def minimum_search(nodes, seeds):
+    """(first argmin, smin) of minimum_smins over bare 2 x 2 power matrices,
+    as the scans read them."""
+    smin, _ = systems.minimum_smins(lambda idx: nodes[idx], len(nodes), None, seeds)
     index = int(np.argmin(smin))
     return index, smin[index]
+
+
+def bare_smin(node_pair):
+    return np.linalg.svd(systems.power_rows(np.asarray(node_pair, dtype=complex), 2),
+                         compute_uv=False)[-1]
 
 
 @pytest.mark.parametrize("value", [0.5, 0.0])
 def test_minimum_search_ties_go_to_the_smallest_index(monkeypatch, value):
     # Twins 3 and 7; the seed is the later one and is decomposed first, so
-    # the earlier twin is found only after it, in a chunk of the other packets
-    # that fails the floor test (or, once best is 0, takes the SVD untested).
+    # the earlier twin is found only after it, when the node test fails it
+    # in a chunk of the other candidates.
     P, chunk = 10, 2
     monkeypatch.setattr(systems, "_CHUNK_BYTES", chunk * 16 * 2 * 2)
-    assert minimum_search(tie_blocks(P, [3, 7], value), [7]) == (3, value)
+    twin = bare_smin([1.0, 1 - 2 * value])
+    assert minimum_search(tie_nodes(P, [3, 7], value), [7]) == (3, twin)
     # ties inside a chunk too
-    assert minimum_search(tie_blocks(P, [2, 3, 6, 7], value), [6, 0]) == (2, value)
+    assert minimum_search(tie_nodes(P, [2, 3, 6, 7], value), [6, 0]) == (2, twin)
 
 
 def test_minimum_search_lowers_best_after_a_fallback():
     # The seed holds the second-smallest smin; the smallest sits in a later chunk.
     P = 12
-    blocks = tie_blocks(P, [0], 0.5)
-    blocks[9, 0] = np.diag([2.0, 0.25])
+    nodes = tie_nodes(P, [0], 0.5)
+    nodes[9, 0, 1] = 0.9
     with mock.patch.object(systems, "_CHUNK_BYTES", 3 * 16 * 2 * 2):
-        assert minimum_search(blocks, [0]) == (9, 0.125)
+        assert minimum_search(nodes, [0]) == (9, bare_smin([1.0, 0.9]))
 
 
 def heat_scan(omega):
@@ -612,39 +684,40 @@ def test_packet_smins_of_every_packet_equal_per_packet_svds(monkeypatch, omega):
         assert len(systems._chunks(P, rows, cols)) > 2
     else:
         matrices_of, P, rows, cols = heat_scan(omega)
-    smin, smax = systems.packet_smins(matrices_of, P, rows, cols, range(P))
+    smin, smax = systems.packet_smins(matrices_of, P, rows, cols)
     s = [np.linalg.svd(M, compute_uv=False) for M in matrices_of(np.arange(P))]
     assert np.array_equal(smin, [svals[-1] for svals in s])
     assert np.array_equal(smax, [svals[0] for svals in s])
 
 
 @pytest.mark.parametrize("omega", [ds.minimal_omega(5), ds.full_omega(5)])
-def test_packet_smins_skips_only_chunks_that_clear(monkeypatch, omega):
-    # The seed packet comes first, in a chunk of its own; +inf marks exactly
-    # the chunks whose floor test passed; every other value is the packet's
-    # own SVD smin.  Each packet is assembled once.
-    matrices_of, P, rows, cols = heat_scan(omega)
-    parts, tested = [], []
-    clears = systems._clears
+def test_minimum_smins_decomposes_only_the_candidates_that_fail(monkeypatch, omega):
+    # The seed candidate comes first; +inf marks exactly the candidates that
+    # the node test cleared; every other value is the candidate's own SVD.
+    # Each candidate's nodes are evaluated once.
+    a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
+    count = stability._orbit_count(a, n, grid)
+    xi, phase = np.arange(count) / grid, systems.phase_rows(m, n, omega)
+    parts, cleared = [], []
+    test = systems._node_test
 
-    def spy_blocks(part):
-        parts.append(part.tolist())
-        return matrices_of(part)
+    def nodes_of(idx):
+        parts.append(idx.tolist())
+        return systems.plain_nodes_at(a, m, xi[idx, None] + np.arange(n) / n)
 
-    def spy_clears(A, best):
-        tested.append((parts[-1], clears(A, best)))
-        return tested[-1][1]
-    monkeypatch.setattr(systems, "_clears", spy_clears)
-    smin, smax = systems.packet_smins(spy_blocks, P, rows, cols, [0])
-    assert parts[0] == [0] and sorted(sum(parts, [])) == list(range(P))
-    assert [part for part, _ in tested] == parts[1:]
-    skipped = [part for part, passed in tested if passed]
-    assert skipped
+    def spy_test(nodes, F, div, best):
+        ok = test(nodes, F, div, best)
+        cleared.extend(np.array(parts[-1])[ok].tolist())
+        return ok
+    monkeypatch.setattr(systems, "_node_test", spy_test)
+    smin, smax = systems.minimum_smins(nodes_of, count, phase, [0])
+    assert parts[0] == [0] and sorted(sum(parts, [])) == list(range(count))
     inf = np.isinf(smin)
-    for part in parts:
-        assert inf[part].all() if part in skipped else not inf[part].any()
+    assert cleared and np.flatnonzero(inf).tolist() == sorted(cleared)
     assert np.array_equal(np.isnan(smax), inf)
-    s = np.linalg.svd(matrices_of(np.arange(P))[~inf], compute_uv=False)
+    s = np.array([np.linalg.svd(systems.extended_stack(systems.offgrid_blocks(a, m, n, xi[[i]]),
+                                                       phase)[0], compute_uv=False)
+                  for i in np.flatnonzero(~inf)])
     assert np.array_equal(smin[~inf], s[:, -1])
     assert np.array_equal(smax[~inf], s[:, 0])
 
@@ -1640,13 +1713,13 @@ def test_plain_rescan_assembles_each_chunk_once(monkeypatch, N):
     seen = []
     scan = systems.packet_smins
 
-    def spy(matrices_of, count, rows, cols, exact):
+    def spy(matrices_of, count, rows, cols):
         parts = []
 
         def counted(part):
             parts.append(part.tolist())
             return matrices_of(part)
-        smin, smax = scan(counted, count, rows, cols, exact)
+        smin, smax = scan(counted, count, rows, cols)
         chunks = [list(range(count))[part] for part in systems._chunks(count, rows, cols)]
         seen.append((parts, chunks, smin))
         return smin, smax
@@ -1681,7 +1754,7 @@ def test_scan_chunk_counts_tall_blocks():
     blocks = rand_complex(rng, (P, 1, N, m))
     family = systems.plain_family(systems.PlainSystem(RCOS(m * P), m, N))
     assert family.nbytes > 20 * systems._CHUNK_BYTES
-    for scan in (lambda: systems.packet_smins(lambda part: blocks[part, 0], P, N, m, range(P)),
+    for scan in (lambda: systems.packet_smins(lambda part: blocks[part, 0], P, N, m),
                  lambda: systems.smin_family(family)):
         tracemalloc.start()
         try:
