@@ -306,8 +306,6 @@ def _qr_solve(idx, blocks_of, phase, rhs, smin, smax, x, certify=False):
 
 def _runs(mask):
     """Slices of the maximal runs of True in the boolean array ``mask``."""
-    if mask.all():
-        return [slice(0, len(mask))]
     cuts = [0, *((mask[1:] != mask[:-1]).nonzero()[0] + 1).tolist(), len(mask)]
     return [slice(start, stop) for start, stop in zip(cuts, cuts[1:]) if mask[start]]
 
@@ -495,12 +493,12 @@ def minimum_smins(nodes_of, count, phase, seeds):
     ``power_rows(nodes, m)`` of its one block.  The ``seeds`` are assembled
     and take one batched SVD without vectors per chunk; their smallest smin
     is ``best``, the minimum so far.  Every other candidate takes the node
-    test (:func:`_node_test`) against best, in chunks of the test's own
-    working set, and only those it fails are assembled and decomposed,
-    lowering best.  A cleared candidate has an SVD smin above the best of
-    its test, so above the minimum: the finite values are exact, and the
-    minimum and every index attaining it are those of an SVD of every
-    candidate, each decomposed on its own.  Raises nothing.
+    test (:func:`_node_test`) against best, in chunks sized by the test's
+    (m + |omega|)^2 bordered square, and only those it fails are assembled
+    and decomposed, lowering best.  A cleared candidate has an SVD smin
+    above the best of its test, so above the minimum: the finite values are
+    exact, and the minimum and every index attaining it are those of an SVD
+    of every candidate, each decomposed on its own.  Raises nothing.
     """
     mask = np.zeros(count, dtype=bool)
     mask[np.asarray(seeds, dtype=int)] = True

@@ -515,6 +515,70 @@ def test_node_test_couples_the_blocks_through_w():
     assert not systems._node_test(nodes, phase / (m * n), m, 1e-3)[0]
 
 
+def node_test_args(nodes, phase):
+    """(F, div) of _node_test for a candidate's (1, n, m) nodes and phase."""
+    _, n, m = nodes.shape
+    return (np.zeros((0, m)), 1) if phase is None else (phase / (m * n), m)
+
+
+def documented_theta_terms(nodes, phase):
+    """(c1, c2) with theta = (best + c1)^2 + c2 the shift that _node_test's
+    docstring derives: c1 = 4 (c + m) eps a and c2 = 2 E(2 |omega|), with
+    a = ||A||_F of the assembled candidate."""
+    _, n, m = nodes.shape
+    F = node_test_args(nodes, phase)[0]
+    o, c = len(F), n * m
+    a, f = np.linalg.norm(assembled_candidate(nodes, phase)), np.linalg.norm(F)
+    w = np.sqrt(o) + 2 * o
+    E = EPS * (4.5 * (m + 1) * a ** 2
+               + w * ((o + 4) * (np.sqrt(n) + 1) + (m + 1) * (n + 3) / 2) * f ** 2)
+    return 4 * (c + m) * EPS * a, 2 * E
+
+
+def heat_orbit_candidate(omega, index):
+    a, m, n, grid = ds.filter_heat(840, 0.5), 5, 7, 720
+    xi = index / grid + np.arange(n) / n
+    return systems.plain_nodes_at(a, m, xi[None]), systems.phase_rows(m, n, omega)
+
+
+def raised_cosine_orbit_candidate(index):
+    a, m, n, grid = ds.filter_raised_cosine(72, 1.0), 3, 3, 720
+    xi = index / grid + np.arange(n) / n
+    return systems.plain_nodes_at(a, m, xi[None]), systems.phase_rows(m, n, (1,))
+
+
+THETA_PIN_CASES = {
+    # The fourth roots of unity: B^H B = 4 I, and every Horner product,
+    # sum and pivot of the test is exact, so it clears exactly when theta < 4.
+    "fourier-m4": lambda: (np.array([[[1, 1j, -1, -1j]]]), None),
+    "heat-minimal": lambda: heat_orbit_candidate(ds.minimal_omega(5), 0),
+    "heat-full": lambda: heat_orbit_candidate(ds.full_omega(5), 180),
+    "raised-cosine-omega1": lambda: raised_cosine_orbit_candidate(60),
+    "heat-band": lambda: (stability._band_nodes(ds.filter_heat(840, 0.5), 5, 7, 720)[1][207:208, None],
+                          None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THETA_PIN_CASES))
+def test_node_test_shift_is_the_documented_theta(name):
+    # best is set so that the documented theta lands an eighth of its
+    # rounding term T = theta - smin^2 below, then above, lambda_min =
+    # smin^2: the test must clear the first and fail the second.  smin^2
+    # agrees with lambda_min of the exact powers' Gram to 1e-4 T on these
+    # candidates (40-digit arithmetic), and the test's own rounding stays
+    # near 2% of T, so a shift whose rounding term is off by a quarter or
+    # more fails one side; on the Fourier candidate, so does halving either
+    # of its two parts.
+    nodes, phase = THETA_PIN_CASES[name]()
+    F, div = node_test_args(nodes, phase)
+    smin = np.linalg.svd(assembled_candidate(nodes, phase), compute_uv=False)[-1]
+    c1, c2 = documented_theta_terms(nodes, phase)
+    T = (smin + c1) ** 2 + c2 - smin ** 2
+    for side, clears in ((-1, True), (1, False)):
+        best = np.sqrt(smin ** 2 + side * T / 8 - c2) - c1
+        assert systems._node_test(nodes, F, div, best)[0] == clears
+
+
 def scan_log(monkeypatch):
     """Record the scan: ("nodes", xi) per node evaluation, ("test", size,
     failed) per node test and ("svd", packets) per decomposed chunk."""
