@@ -200,8 +200,10 @@ def filter_from_spec(spec):
         {"kind": "table", "table": [v0, v1, ...]}        # real values
         {"kind": "table", "table": [[re, im], ...]}      # complex values
 
-    An L that is not an integer raises PreconditionViolated, and a spec
-    without a kind ValueError "filter spec lacks field 'kind'".
+    An L that is not an integer raises PreconditionViolated, a p or t that
+    float cannot read ValueError "filter spec field 't' must be a real
+    number, got 'fast'", and a spec without a kind ValueError "filter spec
+    lacks field 'kind'".
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -212,9 +214,11 @@ def filter_from_spec(spec):
     if kind == "delta":
         return filter_delta(spectral._count(spec["L"], "L"))
     if kind == "raised_cosine":
-        return filter_raised_cosine(spectral._count(spec["L"], "L"), float(spec["p"]))
+        return filter_raised_cosine(spectral._count(spec["L"], "L"),
+                                    spectral._real_field(spec, "p", "filter"))
     if kind == "heat":
-        return filter_heat(spectral._count(spec["L"], "L"), float(spec["t"]))
+        return filter_heat(spectral._count(spec["L"], "L"),
+                           spectral._real_field(spec, "t", "filter"))
     if kind == "table":
         raw = spec["table"]
         values = np.array([complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)

@@ -173,10 +173,11 @@ def _solve(y, extras, m, n, omega, *, response=None, table=None):
     steps take their powers (:func:`systems.power_rows`).  A table has no
     floors, so its packets take the certificate.  The solve
     returns smin and smax as brackets (see :func:`systems.solve_packets`),
-    exact for packets that fail both certificates; the grid passes when the
-    lowest smin is at least twice ``systems.SINGULAR_TOL`` times the highest
-    smax, and otherwise the exact smins of every packet
-    (:func:`systems.packet_smins`) decide.  Then, on either system, a
+    exact for packets that fail both certificates, and the grid check
+    :func:`systems.grid_singular` reads them: a factored packet whose smin
+    is at least twice ``systems.SINGULAR_TOL`` times the highest smax is
+    regular, and only the others take an SVD, so the singular indices are
+    those of an SVD of every packet.  Then, on either system, a
     packet with smin at most ``systems.RANK_TOL`` times its largest singular
     value raises ``RankDeficient``; a cleared or certified packet never
     does.
@@ -225,14 +226,12 @@ def _solve(y, extras, m, n, omega, *, response=None, table=None):
         packets = {"blocks_of": blocks_of}
     smin, smax, x = systems.solve_packets(D, phase, _rhs(y[:N], extras, omega, idx, q, L, T),
                                           **packets)
-    smin, smax = smin[src], smax[src]
-    cleared = 2 * systems.SINGULAR_TOL * smax.max()
-    if plain and not (cleared > 0 and smin.min() >= cleared):
-        exact = systems.packet_smins(lambda part: systems.extended_stack(blocks_of(part), phase),
-                                     D, N, m)[0][src]
-        bad = systems.singular_indices(exact, systems.SINGULAR_TOL)
+    if plain:
+        bad = systems.grid_singular(lambda part: systems.extended_stack(blocks_of(part), phase),
+                                    D, N, m, brackets=(smin, smax))
         if bad:
-            raise SingularSystem(bad)
+            raise SingularSystem(np.flatnonzero(np.isin(src, bad)).tolist())
+    smin, smax = smin[src], smax[src]
     bad = np.flatnonzero(smin <= systems.RANK_TOL * smax)
     if bad.size:
         raise RankDeficient(int(bad[0]))

@@ -177,7 +177,9 @@ def heat_line_response(t):
 def line_filter_from_spec(spec):
     """Line response from a JSON-style mapping, e.g. {"kind": "gaussian", "alpha": 2.0}.
 
-    A spec without a kind raises ValueError "line_filter spec lacks field 'kind'".
+    A spec without a kind raises ValueError "line_filter spec lacks field
+    'kind'", and an alpha or t that float cannot read ValueError naming the
+    field, as "line_filter spec field 'alpha' must be a real number, got None".
     """
     try:
         kind = spec["kind"]
@@ -186,9 +188,9 @@ def line_filter_from_spec(spec):
     if kind == "identity":
         return identity_response()
     if kind == "gaussian":
-        return gaussian_response(float(spec["alpha"]))
+        return gaussian_response(spectral._real_field(spec, "alpha", "line_filter"))
     if kind == "heat_line":
-        return heat_line_response(float(spec["t"]))
+        return heat_line_response(spectral._real_field(spec, "t", "line_filter"))
     raise ValueError(f"unknown line filter kind {kind!r}")
 
 
@@ -379,9 +381,32 @@ def sis_matrix(system, rho):
 
 
 def sis_singular_set(system):
-    """Grid indices where the integer-rate family loses rank (``systems.SINGULAR_TOL``)."""
-    smins = systems.smin_family(systems._grid_family(system.phi_hat, system.m))
-    return systems.singular_indices(smins, systems.SINGULAR_TOL)
+    """Grid indices where the integer-rate family loses rank (``systems.SINGULAR_TOL``).
+
+    The list is that of an SVD of every grid matrix (:func:`systems.grid_singular`).
+    A power-ladder table (:func:`_ladder`) has the power matrices of its row
+    1 as grid matrices, so their node brackets settle most indices and only
+    the others take the SVD; any other table takes the SVD of every one.
+    """
+    table, m = system.phi_hat, system.m
+    response = _ladder(table)
+    brackets = (None if response is None
+                else systems._square_brackets(systems._grid_family(response[None], m)))
+    return systems.grid_singular(lambda idx: systems._grid_family(table, m, idx),
+                                 table.shape[1] // m, m, m, brackets=brackets)
+
+
+def _ladder(table):
+    """Row 1 of the (N, L) node ``table`` when its rows equal levels 0..N-1 of
+    :func:`spectral.powers` of that row, N >= 2, else None: the cross-spectra
+    of a band-limited span, Phi_hat_j = b_hat^j, built by the same ladder
+    (rows 0 and 1 of a sinc table are 1 and a_hat on the band).  A table
+    whose row j differs from b_hat^j in one value is no ladder."""
+    if len(table) < 2:
+        return None
+    levels = spectral.powers(table[1], len(table) - 1)
+    ladder = all(np.array_equal(row, level) for row, level in zip(table, levels))
+    return table[1] if ladder else None
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +589,11 @@ def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, system=None):
     Phi_hat_0 at each column's frequency (the extras observe f, whose
     spectrum is c_hat * Phi_hat_0).  A nonempty omega must contain 1..m-1.
     ``system`` reuses a :func:`build_sis_system` result for the same
-    (m, L, K) instead of building it again.
+    (m, L, K) instead of building it again.  A power-ladder table
+    (:func:`_ladder`: sinc and band-indicator spans) is solved as the
+    sequence pipeline solves the response b_hat = Phi_hat_1, from its
+    nodes: the same packet matrices, with the node floor and the node
+    solve; any other table takes the QR with the certificate.
     """
     # Only the sample-set match: the span regime differs and is checked below.
     omega = _guarantee_regime(samples, m, n, omega, force=True)
@@ -574,8 +603,10 @@ def sis_reconstruct(samples, gen, a_hat, m, n, omega, K, system=None):
     elif (system.m, system.L, system.K) != (m, L, K):
         raise PreconditionViolated(f"system was built for (m, L, K) = "
                                    f"{(system.m, system.L, system.K)}, not {(m, L, K)}")
+    response = _ladder(system.phi_hat)
+    route = {"table": system.phi_hat} if response is None else {"response": response}
     if not omega:
-        return _solve(samples.y, samples.extras, m, 1, None, table=system.phi_hat)
+        return _solve(samples.y[:m], samples.extras, m, 1, None, **route)
     if not set(range(1, m)).issubset(omega):
         raise PreconditionViolated(f"span guarantee needs omega containing {list(range(1, m))}")
-    return _solve(samples.y, samples.extras, m, n, omega, table=system.phi_hat)
+    return _solve(samples.y[:m], samples.extras, m, n, omega, **route)

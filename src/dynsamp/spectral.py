@@ -38,6 +38,19 @@ def _count(value, name, low=None, error=PreconditionViolated, what=""):
     return count
 
 
+def _real_field(spec, key, what):
+    """float(spec[key]), the real value of a spec field, accepting what float
+    accepts (numeric strings too); any other value raises ValueError naming
+    the spec and the field, as ``{what} spec field 'key' must be a real
+    number, got value``.  A missing field raises KeyError as before."""
+    value = spec[key]
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} spec field {key!r} must be a real number, "
+                         f"got {value!r}") from None
+
+
 def _shift(value, what):
     """The shift ``value``, an omega entry or an extras key, as an int by the
     rule of :func:`_count`: a bool or a value that is not an integer raises

@@ -204,7 +204,11 @@ def bound_beta1(a, m, n, grid=None):
     """
     m, n = _counts(m, n)
     _check_bound_hypotheses(a, n)
-    pts, nodes = _band_nodes(a, m, n, grid)
+    return _beta1(m, n, *_band_nodes(a, m, n, grid))
+
+
+def _beta1(m, n, pts, nodes):
+    """:func:`bound_beta1` from the guard band of :func:`_band_nodes`."""
     smin = systems.minimum_smins(lambda idx: nodes[idx, None], len(pts), None,
                                  np.searchsorted(pts, _band_ends(n)))[0]
     sup = float((1.0 / smin).max())
@@ -222,7 +226,11 @@ def bound_beta2(a, m, n, grid=None):
     m, n = _counts(m, n)
     _check_bound_hypotheses(a, n)
     _check_unit_sup(a, "beta2")
-    nodes = _band_nodes(a, m, n, grid)[1]
+    return _beta2(m, n, _band_nodes(a, m, n, grid)[1])
+
+
+def _beta2(m, n, nodes):
+    """:func:`bound_beta2` from the guard-band nodes of :func:`_band_nodes`."""
     gaps = np.abs(nodes[:, None, :] - nodes[:, :, None])
     delta = float(gaps[:, ~np.eye(m, dtype=bool)].min())
     if delta <= 0.0:
@@ -508,8 +516,12 @@ def stability_report(a, m, n, filter_desc="", grid=720, seed=0,
     emp_full = empirical_pinv_norm(a, m, n, om_full, grid)
     emp_min = empirical_pinv_norm(a, m, n, om_min, grid)
     lower = lower_bound_stablow(a, m, n, om_min)
-    b1 = bound_beta1(a, m, n, grid)
-    b2 = bound_beta2(a, m, n, grid)
+    # beta1 and beta2 share one guard band, checked and evaluated once
+    _check_bound_hypotheses(a, n)
+    band, nodes = _band_nodes(a, m, n, grid)
+    b1 = _beta1(m, n, band, nodes)
+    _check_unit_sup(a, "beta2")
+    b2 = _beta2(m, n, nodes)
     b3 = bound_beta3(a, m, n, grid)
     margin = 1.0 + 1e-9
     sandwich = (lower <= emp_min * margin
@@ -533,7 +545,7 @@ def stability_report(a, m, n, filter_desc="", grid=720, seed=0,
         beta3_inflated=b3.beta_inflated, bound3_inflated=b3.bound_inflated,
         sandwich_ok=bool(sandwich),
         noise_sigma=noise_sigma, noise_mean_error=noise_err, noise_bound=noise_bnd,
-        guard_band=list(guard_band_points(n, grid)),
+        guard_band=list(band),
         slope_band=[1.0 / (4.0 * m * n), 0.5 - 1.0 / (4.0 * m * n)],
     )
 

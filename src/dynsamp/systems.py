@@ -114,15 +114,91 @@ def singular_indices(smins, tol):
     return [int(i) for i in np.nonzero(smins < tol * top)[0]]
 
 
+def grid_singular(matrices_of, P, rows, cols, tol=SINGULAR_TOL, brackets=None):
+    """:func:`singular_indices` of the smallest singular values that one SVD
+    of each of P grid matrices gives, the (len(idx), rows, cols) stack
+    ``matrices_of(idx)`` of the grid indices idx: the grid check of every
+    pipeline.  Without ``brackets`` every matrix takes the exact scan of
+    :func:`packet_smins`.
+
+    ``brackets`` = (lower, upper) are (P,) arrays with lower_p - S/2 <= s_p
+    <= upper_p + S/2 for every matrix p and its SVD smin s_p, S = 16 rows
+    (c + 1)^(3/2) eps hi, c = cols, hi = max upper.  A packet with lower_p
+    >= 2 tol hi is regular, and only the packets left open take the
+    exact scan; with every packet open that scan is the answer.  Each open
+    packet is singular when s_p < tol low, low = max(max lower - S over the
+    regular packets, max s over the open ones), and regular when s_p >= 2
+    tol hi.  Any other outcome, no packet regular, or brackets with hi not
+    positive and finite or 4 S > min(tol, 1) hi, falls back to the scan of
+    every matrix, so the list is always that scan's.
+
+    Margins, u = eps/2 the unit roundoff, every rounding to nearest and
+    monotone, the SVD's grid maximum top <= hi + S/2.  The scan's cutoff is
+    fl(tol top) <= tol (hi + S/2)(1 + u) <= 2 tol hi (1 - u) <= fl(2 tol
+    hi) as S <= hi/4, so an s_p at or above fl(2 tol hi) is regular; a
+    packet with lower_p at or above it has s_p >= 2 tol hi (1 - u) - S/2,
+    above tol (hi + S/2)(1 + u) by tol hi (1 - 3u) - S/2 (1 + tol (1 + u))
+    > 0, since 4 S <= tol hi.  Below, fl(lower_p - S) <= lower_p - S + u
+    (hi + S) <= s_p, as S/2 >= u (hi + S), and every open s_p is a value of
+    the scan, so low <= top and fl(tol low) <= fl(tol top): an s_p below
+    it is singular.  The brackets of :func:`_square_brackets` and of
+    :func:`solve_packets` meet the contract: a node bracket lies below the
+    smin of its matrix's SVD (see :func:`_node_brackets`), and the
+    certified sqrt(tau/2) below the exact smin (``CERT_SHIFT``), which the
+    SVD's smin misses by at most 4 c eps ||A||_2; a solve's smin of the SVD
+    of a tall packet's R, and its smax, are within (8 rows c + 8 c)
+    sqrt(c) eps smax of the SVD of the packet itself, by the QR's backward
+    error (Higham, Accuracy and Stability of Numerical Algorithms, Thm
+    19.4) and each SVD's 4 c eps, with ||A||_F <= sqrt(c) ||A||_2; and
+    smin <= ||A||_F, the norm of :func:`_nodal_norms` and of the
+    certificate, each within 9 rows (c + 1) eps of the rounded matrix's.
+    """
+    if brackets is not None:
+        lower, upper = brackets
+        hi = float(upper.max())
+        slack = 16 * rows * (cols + 1) ** 1.5 * _EPS * hi
+        if 0 < hi < np.inf and 4 * slack <= min(tol, 1.0) * hi:
+            cut = 2 * tol * hi
+            regular = lower >= cut
+            if regular.all():
+                return []
+            if regular.any():
+                left = np.flatnonzero(~regular)
+                s = packet_smins(lambda part: matrices_of(left[part]), len(left), rows, cols)[0]
+                low = max(lower[regular].max() - slack, s.max())
+                singular = s < tol * low
+                if (singular | (s >= cut)).all():
+                    return left[singular].tolist()
+    return singular_indices(packet_smins(matrices_of, P, rows, cols)[0], tol)
+
+
+def _square_brackets(nodes):
+    """(lower, upper) brackets of :func:`grid_singular` for the unscaled m x m
+    power matrices B of the (P, 1, m) ``nodes``: m times the node bracket
+    and the ||B / m||_F of :func:`_node_brackets` and :func:`_nodal_norms`.
+    The bracket bounds the SVD smin of the assembled B / m, as its QR term
+    8 m (m + 1) eps ||B / m||_F exceeds the SVD's 4 m eps; the division by m
+    and the product by m err by eps/2 each, relative."""
+    m = nodes.shape[-1]
+    fro = _nodal_norms(nodes, m, 0.0)
+    return m * _node_brackets(nodes, fro, m, m)[0], m * fro
+
+
 def singular_set(system, tol=SINGULAR_TOL):
     """Grid indices where the square plain system loses rank.
 
     The cutoff is relative: an index counts as singular when its smallest
     singular value is below ``tol`` times the largest smin over the grid.
+    The list is that of an SVD of every grid matrix; :func:`grid_singular`
+    decides it from the node brackets of the grid's power matrices, and
+    takes the SVD of the packets that they leave open.
     """
     if system.N != system.m:
         raise ShapeMismatch("singularity scan expects the square system (N = m)")
-    return singular_indices(smin_family(plain_family(system)), tol)
+    m = system.m
+    nodes = _grid_family(system.a.response[None], m)
+    return grid_singular(lambda idx: power_rows(nodes[idx, 0], m), len(nodes), m, m, tol,
+                         _square_brackets(nodes))
 
 
 def kernel_basis(m, at):

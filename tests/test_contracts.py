@@ -160,6 +160,38 @@ def test_spec_without_kind_raises_value_error_naming_the_field(parse, name):
     assert message in cli.validate(cfg)
 
 
+@pytest.mark.parametrize("parse, spec, field", [
+    (ds.filter_from_spec, {"kind": "heat", "L": 72, "t": "fast"}, "t"),
+    (ds.filter_from_spec, {"kind": "raised_cosine", "L": 72, "p": None}, "p"),
+    (ds.line_filter_from_spec, {"kind": "gaussian", "alpha": [2.0]}, "alpha"),
+    (ds.line_filter_from_spec, {"kind": "heat_line", "t": "fast"}, "t"),
+])
+def test_spec_real_that_float_cannot_read_names_the_field(parse, spec, field):
+    # Each used to reach the CLI as float()'s own message, naming no field.
+    name = "filter" if parse is ds.filter_from_spec else "line_filter"
+    message = f"{name} spec field {field!r} must be a real number, got {spec[field]!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse(spec)
+    if name == "filter":
+        cfg = cli.ExperimentConfig(mode="roundtrip", filter=spec, m=3, n=3, omega=[1], L=72,
+                                   seed=11)
+        assert cli.validate(cfg) == [f"bad filter spec: {message}"]
+
+
+def test_spec_reals_accepted_before_stay_accepted():
+    # numeric strings and integers read as the floats they spell
+    heat = ds.filter_from_spec({"kind": "heat", "L": 72, "t": "0.5"})
+    assert np.array_equal(heat.response, ds.filter_heat(72, 0.5).response)
+    rc = ds.filter_from_spec({"kind": "raised_cosine", "L": 72, "p": 2})
+    assert np.array_equal(rc.response, ds.filter_raised_cosine(72, 2.0).response)
+    nu = np.linspace(-3, 3, 13)
+    for spec, line in (({"kind": "gaussian", "alpha": " 2 "}, ds.gaussian_response(2.0)),
+                       ({"kind": "heat_line", "t": 1}, ds.heat_line_response(1.0))):
+        assert np.array_equal(ds.line_filter_from_spec(spec)(nu), line(nu))
+    with pytest.raises(KeyError):                   # a missing field stays a KeyError
+        ds.filter_from_spec({"kind": "heat", "L": 72})
+
+
 def test_stability_report_rejects_even_m():
     with pytest.raises(EvenM):
         ds.stability_report(ds.filter_raised_cosine(64, 1.0), 4, 1, grid=64)

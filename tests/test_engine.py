@@ -1000,13 +1000,16 @@ def test_non_hermitian_tables_solve_every_packet(make, L):
 @pytest.mark.parametrize("gen", [BSPLINE, ds.make_generator({"kind": "sinc"})])
 @pytest.mark.parametrize("L", [72, 576, 2304])
 def test_span_tables_solve_every_packet(gen, L):
+    # A B-spline table takes the table route; a sinc table is a power ladder,
+    # solved from the nodes of its row 1 as a sequence response is.
     m, n, omega = 3, 3, (1, 2)
     system = ds.build_sis_system(gen, ds.gaussian_response(2.0), m, L, K=384)
     assert not systems._is_hermitian(system.phi_hat)
     s = noisy_samples(L, m, n, omega, m, 10)
     rec = ds.sis_reconstruct(s, gen, ds.gaussian_response(2.0), m, n, omega, K=384,
                              system=system)
-    assert np.array_equal(rec, all_packet_solve(s, system.phi_hat, n, omega))
+    nodes = system.phi_hat if gen is BSPLINE else system.phi_hat[1]
+    assert np.array_equal(rec, all_packet_solve(s, nodes, n, omega))
 
 
 @pytest.mark.parametrize("a, P, decomposed", [
@@ -1727,14 +1730,17 @@ def near_cutoff_filter(P, worst, ratio):
 
 
 @pytest.mark.parametrize("chunked", [False, True])
-@pytest.mark.parametrize("ratio", [0.5, 0.99, 1.01, 1.5, 1.99, 2.5])
+@pytest.mark.parametrize("ratio", [0.25, 0.5, 0.99, 1.01, 1.5, 1.99, 2.5, 3.0])
 def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunked):
-    # The brackets clear the grid only when the worst smin is at least twice
-    # SINGULAR_TOL times the largest smax; below that the exact scan runs
-    # and decides.  The node bound clears every packet with nodes 1, -1,
-    # which reports smax = ||R||_F = 1, in one chunk as in chunks of four;
-    # the worst packet alone fails the Cholesky test and takes the SVD, so
-    # its smin is exact, sqrt(2)/2 times the ratio times SINGULAR_TOL.
+    # The node bound clears every packet with nodes 1, -1, in one chunk as in
+    # chunks of four: each reports its node bracket sqrt(2)/4, half its smin
+    # sqrt(2)/2, and smax = ||A||_F = 1.  The worst packet alone fails the
+    # Cholesky test and takes the SVD, so its smin is exact, sqrt(2)/2 times
+    # the ratio times SINGULAR_TOL.  It is regular by its bracket from
+    # 2 SINGULAR_TOL, a ratio of 2 sqrt(2), on; below that it alone takes the
+    # exact scan, which settles it as singular below tol times the largest
+    # node bracket, a ratio of 1/2.  Between the two, the scan of every
+    # packet decides.
     P, worst, m = 40, 17, 2
     if chunked:
         monkeypatch.setattr(systems, "_CHUNK_BYTES", 4 * 16 * m * (m + 1))
@@ -1742,7 +1748,8 @@ def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunk
     system = systems.PlainSystem(a, m, m)
     smins = systems.smin_family(systems.plain_family(system))
     assert smins[worst] / smins.max() == pytest.approx(ratio * systems.SINGULAR_TOL, rel=1e-6)
-    expected = systems.singular_set(system)
+    expected = systems.singular_indices(smins, systems.SINGULAR_TOL)
+    assert systems.singular_set(system) == expected
     calls = []
     solve, scan = systems.solve_packets, systems.packet_smins
 
@@ -1750,9 +1757,9 @@ def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunk
         calls.append("solve")
         return solve(*args, **packets)
 
-    def spy_scan(*args):
-        calls.append("scan")
-        return scan(*args)
+    def spy_scan(matrices_of, count, rows, cols):
+        calls.append(int(count))
+        return scan(matrices_of, count, rows, cols)
     monkeypatch.setattr(systems, "solve_packets", spy_solve)
     monkeypatch.setattr(systems, "packet_smins", spy_scan)
     samples = ds.forward(rand_signal(2 * P, 3), a, m, m)
@@ -1762,18 +1769,21 @@ def test_grid_check_near_cutoff_agrees_with_exact_scan(monkeypatch, ratio, chunk
         assert err.value.indices == expected
     else:
         assert np.isfinite(ds.reconstruct_plain(samples, a, m)).all()
-    rescans = ratio < 2 * np.sqrt(2)
-    assert calls == (["solve", "scan"] if rescans else ["solve"])
+    scans = [] if ratio > 2 * np.sqrt(2) else [1] if ratio < 0.5 else [1, P]
+    assert calls == ["solve"] + scans
     assert expected == ([worst] if ratio < 1 else [])
 
 
 @pytest.mark.parametrize("N", [3, 5])
-def test_plain_rescan_assembles_each_chunk_once(monkeypatch, N):
-    # The raised-cosine plain grid is singular, so the exact rescan runs; it
-    # decomposes every chunk of the D = P/2 + 1 factored packets, and
-    # assembles each of them once.
+@pytest.mark.parametrize("make", [RCOS, ds.filter_delta])
+def test_plain_grid_check_assembles_each_open_chunk_once(monkeypatch, make, N):
+    # The raised-cosine plain grid is singular at 0 and 1/2: the solve's
+    # brackets leave those two factored packets open, and only they take the
+    # exact scan.  A delta filter leaves every packet open, so the scan
+    # decomposes every chunk of the D = P/2 + 1 factored packets.  Either way
+    # each chunk is assembled once.
     L, m = 3 * 2 * (systems._CHUNK_BYTES // (16 * 3 * 3)) + 6, 3
-    a = RCOS(L)
+    a = make(L)
     seen = []
     scan = systems.packet_smins
 
@@ -1788,11 +1798,15 @@ def test_plain_rescan_assembles_each_chunk_once(monkeypatch, N):
         seen.append((parts, chunks, smin))
         return smin, smax
     monkeypatch.setattr(systems, "packet_smins", spy)
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularSystem) as err:
         ds.reconstruct_plain(ds.forward(rand_signal(L, 5), a, m, N), a, m)
     [(parts, chunks, smin)] = seen
-    assert len(chunks) > 1 and parts == chunks
-    assert len(smin) == L // (2 * m) + 1 and np.isfinite(smin).all()
+    assert parts == chunks and np.isfinite(smin).all()
+    if make is RCOS:
+        assert len(smin) == 2 and err.value.indices == [0, L // (2 * m)]
+    else:
+        assert len(chunks) > 1 and len(smin) == L // (2 * m) + 1
+        assert err.value.indices == list(range(L // m))
 
 
 def test_zero_grid_is_singular_everywhere():

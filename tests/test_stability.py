@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dynsamp as ds
-from dynsamp import systems
+from dynsamp import stability, systems
 from dynsamp.errors import EvenM, GridMiss, HypothesisViolated, RankDeficient
 
 RC72 = ds.filter_raised_cosine(72, 1.0)
@@ -273,3 +273,25 @@ def test_stability_report_assembly():
     row = rep.csv_row()
     assert len(row) == len(ds.StabilityReport.CSV_HEADER)
     assert rep.to_json_dict()["beta2"]["delta"] == rep.delta
+
+
+@pytest.mark.parametrize("a, m, n", [(RC72, 3, 3), (ds.filter_heat(840, 0.5), 5, 7)])
+def test_stability_report_evaluates_the_guard_band_once(monkeypatch, a, m, n):
+    # beta1, beta2 and the report's guard_band field share one band: its
+    # points and nodes are computed once, and every field is the public
+    # bounds' own.
+    calls = []
+    band, nodes_at = stability.guard_band_points, systems.plain_nodes_at
+    monkeypatch.setattr(stability, "guard_band_points",
+                        lambda *args: calls.append("points") or band(*args))
+    monkeypatch.setattr(systems, "plain_nodes_at",
+                        lambda a, m, xi: calls.append(np.shape(xi)) or nodes_at(a, m, xi))
+    rep = ds.stability_report(a, m, n, grid=720)
+    points = band(n, 720)
+    assert calls.count("points") == 1 and calls.count(points.shape) == 1
+    monkeypatch.undo()
+    b1, b2 = ds.bound_beta1(a, m, n, 720), ds.bound_beta2(a, m, n, 720)
+    assert (rep.beta1, rep.bound1) == (b1.beta, b1.bound)
+    assert (rep.delta, rep.beta2, rep.bound2, rep.beta2_inflated, rep.bound2_inflated) == (
+        b2.detail, b2.beta, b2.bound, b2.beta_inflated, b2.bound_inflated)
+    assert rep.guard_band == list(points)
