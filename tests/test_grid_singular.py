@@ -88,6 +88,7 @@ def test_grid_singular_equals_all_svd_rule(case):
         s = np.array([np.linalg.svd(M, compute_uv=False)[-1] for M in mats])
         half = 8 * m * (m + 1) ** 1.5 * np.finfo(float).eps * upper.max()
         assert np.all(lower - half <= s) and np.all(s <= upper + half)
+        assert np.allclose(upper, np.linalg.norm(mats, axis=(1, 2)), rtol=1e-12, atol=0)
         got = systems.grid_singular(lambda idx: mats[idx], P, m, m, tol, (lower, upper))
         assert got == all_svd_rule(mats, tol)
     elif kind in ("delta", "symmetric"):
