@@ -312,21 +312,24 @@ def solve_packets(P, phase, rhs, *, nodes=None, blocks_of=None):
     (:func:`_node_brackets`, on its ||A||_F from :func:`_nodal_norms`)
     reports (node bracket, ||A||_F).  With square blocks (N = m) it takes
     the node solve, :func:`_nodal_solve`, with no powers, no assembly, no
-    QR and no LU, in chunks of each contiguous run of such packets; with
-    tall blocks, the QR under its node bracket.  Every other packet, so
-    every packet of ``blocks_of``, takes the QR with the certificate.  The
-    packets of a QR step are gathered by index, and each chunk is assembled
-    with its right-hand sides: a tall packet takes one QR of [A | b], whose
-    R holds Q^H b in its last columns (a square packet is its own R), and x
+    QR and no LU, in chunks of each contiguous run of such packets: each
+    chunk is copied once into the kernel's layout, the packet axis last,
+    and its x once back, and holds at most _CHUNK_BYTES of the kernel's
+    working set, counted as 4 (T + |omega|) columns of n m rows per
+    packet.  With tall blocks it takes the QR under its node bracket.
+    Every other packet, so every packet of ``blocks_of``, takes the QR
+    with the certificate.  The packets of a QR step are gathered by index,
+    and each chunk is assembled with its right-hand sides, its size
+    counting them as well: a tall packet takes one QR of [A | b], whose R
+    holds Q^H b in its last columns (a square packet is its own R), and x
     = R^-1 Q^H b.  A chunk of certified packets takes :func:`_certify`: one
     batched Cholesky test of R^H R - tau I, tau = ``CERT_SHIFT`` c^2 eps
     ||R||_F^2 for c = cols, giving (sqrt(tau/2), ||R||_F) when all of them
     pass, else the exact values of their SVD without vectors (exact values
-    of every packet come from :func:`packet_smins`).  Chunk sizes count the
-    right-hand-side columns as well.  A packet with smin <= RANK_TOL times
-    smax is rank deficient and is not solved: its x is NaN; a cleared or
-    certified packet never is, as its bracket is at least sqrt(tau/2) >
-    8e-8 ||R||_F.  Returns (smin, smax, x); raises nothing.
+    of every packet come from :func:`packet_smins`).  A packet with smin <=
+    RANK_TOL times smax is rank deficient and is not solved: its x is NaN;
+    a cleared or certified packet never is, as its bracket is at least
+    sqrt(tau/2) > 8e-8 ||R||_F.  Returns (smin, smax, x); raises nothing.
     """
     cols, off = phase.shape[1], len(phase)
     _, rows, trials = rhs.shape
@@ -344,8 +347,9 @@ def solve_packets(P, phase, rhs, *, nodes=None, blocks_of=None):
             return power_rows(nodes[idx], N)
         if N == m:
             for run in _runs(cleared):
-                for part in _chunks(run.stop, rows, cols + trials, run.start):
-                    _nodal_solve(nodes[part], rhs[part], E, out=x[part])
+                for part in _chunks(run.stop, cols, 4 * (trials + off), run.start):
+                    z = _nodal_solve(nodes[part].T, rhs[part].transpose(1, 2, 0), E)
+                    x[part].reshape(-1, n, m, trials)[...] = z.transpose(3, 2, 0, 1)
         elif cleared.any():
             _qr_solve(np.flatnonzero(cleared), blocks_of, phase, rhs, smin, smax, x)
     if not cleared.all():
@@ -402,11 +406,12 @@ def _nodal_norms(nodes, N, e_fro):
     return np.hypot(np.sqrt(total.reshape(k, -1).sum(axis=1)) / m, e_fro)
 
 
-def _nodal_solve(nodes, b, E, out=None):
-    """Least-squares solutions, written to ``out`` when given, of the
-    packets [E; D] whose blocks are the power matrices of the (k, n, m)
-    ``nodes``, with D invertible, for the right-hand sides b = [e; d], each
-    (|omega| + n m, T).
+def _nodal_solve(nodes, b, E):
+    """Least-squares solutions of the packets [E; D] whose blocks are the
+    power matrices of the (m, n, k) ``nodes``, with D invertible, for the
+    (|omega| + n m, T, k) right-hand sides b = [e; d], the packet axis last
+    in both.  Returns the (m, T, n, k) array x: x[l, t, j, p] is entry j m
+    + l of column t of packet p.
 
     Each block is solved from its nodes by the Bjorck-Pereyra algorithms:
     D^-1 v is m B_k^-1 v_k by :func:`solve_vandermonde`, and D^-H v is
@@ -419,87 +424,107 @@ def _nodal_solve(nodes, b, E, out=None):
         S = I + Z^H Z,  x = x0 + G S^-1 (e - E x0),
 
     with x0 and G from one call over T + |omega| columns.  Without extras
-    rows x = x0.  Every step is elementwise across packets and columns, and
-    each sum is an ordered fold (a cumulative sum), so a packet's x has the
-    same bits in any chunk and with any number of columns; the error grows
-    with cond(D)^2 times the residual, where a QR of A gives cond(A)^2.
+    rows x = x0.  Every step is elementwise across packets and columns,
+    with each product's operands in one order, and each sum over the rows
+    j m + l of a packet (Z^H Z, E x0) is an ordered fold, a cumulative sum
+    over a row-major stack; so a packet's x has the same bits in any chunk
+    and with any number of columns.  The error grows with cond(D)^2 times
+    the residual, where a QR of A gives cond(A)^2.
     """
-    k, n, m = nodes.shape
-    off, T = len(E), b.shape[-1]
-    nodes = nodes.reshape(k * n, m)
+    m, n, k = nodes.shape
+    off, T = len(E), b.shape[1]
+    nodes = nodes.reshape(m, n * k)
+    # Block j of packet p is system j k + p of the kernels.
+    y = np.empty((m, T + off, n, k), dtype=complex)
+    stack = y.reshape(m, T + off, n * k)
+    np.multiply(b[off:].reshape(n, m, T, k).transpose(1, 2, 0, 3), m, out=y[:, :T])
     if not off:
-        y = np.multiply(b, m, out=out)
-        return solve_vandermonde(nodes, y.reshape(k * n, m, T)).reshape(y.shape)
-    Z = np.empty((k, n * m, off), dtype=complex)
-    Z[:] = E.conj().T * m
-    _solve_vandermonde_primal(nodes.conj(), Z.reshape(k * n, m, off))
-    y = np.concatenate([b[:, off:], Z], axis=2)
-    y *= m
-    solve_vandermonde(nodes, y.reshape(k * n, m, T + off))
-    x0, G = y[..., :T], y[..., T:]
-    S = (Z.conj()[..., None] * Z[:, :, None]).cumsum(axis=1)[:, -1] + np.eye(off)
-    Ex0 = E.T[:, :, None] * x0[:, :, None]
-    w = _hermitian_solve(S, b[:, :off] - np.cumsum(Ex0, axis=1, out=Ex0)[:, -1])
+        solve_vandermonde(nodes, stack)
+        return y
+    Z = y[:, T:]
+    Z[...] = (E.conj().T * m).reshape(n, m, off).transpose(1, 2, 0)[..., None]
+    _solve_vandermonde_primal(nodes.conj(), stack[:, T:])
+    rows = Z.transpose(2, 0, 1, 3)[:, :, :, None]
+    ZZ = np.multiply(rows.conj(), rows.swapaxes(2, 3),
+                     out=np.empty((n, m, off, off, k), dtype=complex))
+    S = _row_sum(ZZ) + np.eye(off)[..., None]
+    del ZZ
+    Z *= m
+    solve_vandermonde(nodes, stack)
+    x0, G = y[:, :T], y[:, T:]
+    Ex0 = np.multiply(E.T.reshape(n, m, off, 1, 1), x0.transpose(2, 0, 1, 3)[:, :, None],
+                      out=np.empty((n, m, off, T, k), dtype=complex))
+    w = _hermitian_solve(S, b[:off] - _row_sum(Ex0))
     del Ex0
-    x = np.multiply(G[..., :1], w[:, :1], out=out)
+    x = np.multiply(G[:, :1], w[:1, :, None])
     for o in range(1, off):
-        x += G[..., o:o + 1] * w[:, o:o + 1]
+        x += G[:, o:o + 1] * w[o:o + 1, :, None]
     x += x0
     return x
 
 
+def _row_sum(terms):
+    """Sum of the C-contiguous (n, m, ...) ``terms`` over their rows j m + l,
+    one after another: the last row of their cumulative sum, formed in place."""
+    flat = terms.reshape(-1, *terms.shape[2:])
+    return np.cumsum(flat, axis=0, out=flat)[-1]
+
+
 def _hermitian_solve(S, r):
-    """S^-1 r for the (k, o, o) Hermitian positive definite S and (k, o, T)
+    """S^-1 r for the (o, o, k) Hermitian positive definite S and (o, T, k)
     r, both overwritten: Gaussian elimination without pivoting, which is
     stable for such S, elementwise across the k systems and T columns."""
-    o = S.shape[-1]
+    o = S.shape[0]
     for j in range(o - 1):
-        f = S[:, j + 1:, j:j + 1] / S[:, j:j + 1, j:j + 1]
-        S[:, j + 1:, j + 1:] -= f * S[:, j:j + 1, j + 1:]
-        r[:, j + 1:] -= f * r[:, j:j + 1]
+        f = S[j + 1:, j:j + 1] / S[j:j + 1, j:j + 1]
+        S[j + 1:, j + 1:] -= f * S[j:j + 1, j + 1:]
+        r[j + 1:] -= f * r[j:j + 1]
     for j in range(o - 1, -1, -1):
-        r[:, j] /= S[:, j, j:j + 1]
+        r[j:j + 1] /= S[j:j + 1, j:j + 1]
         if j:
-            r[:, :j] -= S[:, :j, j:j + 1] * r[:, j:j + 1]
+            r[:j] -= S[:j, j:j + 1] * r[j:j + 1]
     return r
 
 
 def solve_vandermonde(nodes, b):
-    """Solve V z = b in place for every power matrix V[j, l] = nodes[i, l]**j
-    of the (P, m) ``nodes``, with the (P, m, T) ``b`` overwritten by z.
+    """Solve V z = b in place for every power matrix V[j, l] = nodes[l, s]**j
+    of the (m, S) ``nodes``, with the (m, T, S) ``b`` overwritten by z.
 
     The Bjorck-Pereyra algorithm for the dual Vandermonde system (Golub and
     Van Loan, Matrix Computations, Alg. 4.6.2; Higham, Accuracy and
     Stability of Numerical Algorithms, ch. 22): m - 1 steps of
     b[k+1:] -= x_k b[k:-1], then m - 1 of divided differences, O(m^2 T)
-    per packet and elementwise across packets.  Every step's inner loop
-    runs over the rows of one packet, so a packet's z has the same bits in
-    any batch.  Nodes must be pairwise distinct.
+    per system and elementwise across systems.  The system axis is last, so
+    every step's inner loop runs over the systems; a system's z has the
+    same bits in any batch, as each step keeps its operands' order and
+    numpy's complex loops give the same bits for a run of any length.
+    Nodes must be pairwise distinct.
     """
-    m = nodes.shape[-1]
-    x = nodes[..., None]
+    m = len(nodes)
+    x = nodes[:, None]
     for k in range(m - 1):
-        b[:, k + 1:] -= x[:, k:k + 1] * b[:, k:-1]
+        b[k + 1:] -= x[k:k + 1] * b[k:-1]
     for k in range(m - 2, -1, -1):
-        b[:, k + 1:] /= x[:, k + 1:] - x[:, :m - k - 1]
-        b[:, k:-1] -= b[:, k + 1:]
+        b[k + 1:] /= x[k + 1:] - x[:m - k - 1]
+        b[k:-1] -= b[k + 1:]
     return b
 
 
 def _solve_vandermonde_primal(nodes, b):
-    """Solve V^T a = b in place for every power matrix V of the (P, m)
-    ``nodes`` (row l of V^T holds nodes[i, l]**j over j), with the (P, m, T)
-    ``b`` overwritten by a: the Bjorck-Pereyra algorithm for the primal
+    """Solve V^T a = b in place for every power matrix V of the (m, S)
+    ``nodes`` (row l of V^T holds nodes[l, s]**j over j), with the (m, T,
+    S) ``b`` overwritten by a: the Bjorck-Pereyra algorithm for the primal
     system (Golub and Van Loan, Alg. 4.6.1), m - 1 steps of divided
     differences, then m - 1 of b[k:-1] -= x_k b[k+1:], elementwise across
-    packets as :func:`solve_vandermonde`.  Nodes must be pairwise distinct.
+    systems, the system axis last, as :func:`solve_vandermonde`.  Nodes
+    must be pairwise distinct.
     """
-    m = nodes.shape[-1]
-    x = nodes[..., None]
+    m = len(nodes)
+    x = nodes[:, None]
     for k in range(m - 1):
-        np.divide(b[:, k + 1:] - b[:, k:-1], x[:, k + 1:] - x[:, :m - k - 1], out=b[:, k + 1:])
+        np.divide(b[k + 1:] - b[k:-1], x[k + 1:] - x[:m - k - 1], out=b[k + 1:])
     for k in range(m - 2, -1, -1):
-        b[:, k:-1] -= x[:, k:k + 1] * b[:, k + 1:]
+        b[k:-1] -= x[k:k + 1] * b[k + 1:]
     return b
 
 
@@ -693,13 +718,15 @@ def _node_test(nodes, F, div, best):
                     drift = o - np.trace(W).real
                 else:
                     Z[m:, :m] = T
-                    Z[:m, m:] = T.conj().transpose(1, 0, 2)
             end = m if last else m + o
             for i in range(m):
                 piv = Z[i, i].real
                 np.minimum(low, piv, out=low)
                 col = Z[i + 1:end, i] * piv ** -0.5
-                Z[i + 1:end, i + 1:end] -= col[:, None] * col.conj()
+                conj = col.conj()
+                Z[i + 1:end, i + 1:m] -= col[:, None] * conj[None, :m - i - 1]
+                if not last:
+                    W -= col[m - i - 1:, None] * conj[None, m - i - 1:]
     return (low > 0) & (drift <= 2 * o)
 
 

@@ -515,6 +515,93 @@ def test_node_test_couples_the_blocks_through_w():
     assert not systems._node_test(nodes, phase / (m * n), m, 1e-3)[0]
 
 
+def ref_node_test(nodes, F, div, best):
+    """Frozen reference: the node test as it was, updating the whole
+    bordered square at every pivot, the mirrored coupling block included."""
+    k, n, m = nodes.shape
+    o, c = len(F), n * m
+    f2 = np.vdot(F, F).real
+    a2 = (systems._nodal_norms(nodes, m, np.sqrt(f2)) * (m / div)) ** 2
+    x = np.ascontiguousarray(nodes.transpose(1, 2, 0))
+    spread = (o + 4) * (np.sqrt(n) + 1) + (m + 1) * (n + 3) / 2
+    theta = ((best + 4 * (c + m) * EPS * np.sqrt(a2)) ** 2
+             + 2 * EPS * (4.5 * (m + 1) * a2 + (np.sqrt(o) + 2 * o) * spread * f2))
+    Z = np.zeros((m + o, m + o, k), dtype=complex)
+    Z[m:, m:] = np.eye(o)[..., None]
+    W, X = Z[m:, m:], Z[:m, :m]
+    diag = Z.reshape(-1, k)[:m * (m + o + 1):m + o + 1]
+    low, drift = np.full(k, np.inf), o
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            last = j == n - 1
+            y = x[j].conj()[:, None] * x[j]
+            X[...] = 1 / div ** 2
+            for _ in range(m - 1):
+                X *= y
+                X += 1 / div ** 2
+            diag -= theta
+            if o:
+                Fj = F[:, j * m:(j + 1) * m]
+                T = np.matmul(Fj.T, W)
+                X += (Fj.conj().T @ T.reshape(o, m * k)).reshape(m, m, k)
+                if last:
+                    drift = o - np.trace(W).real
+                else:
+                    Z[m:, :m] = T
+                    Z[:m, m:] = T.conj().transpose(1, 0, 2)
+            end = m if last else m + o
+            for i in range(m):
+                piv = Z[i, i].real
+                np.minimum(low, piv, out=low)
+                col = Z[i + 1:end, i] * piv ** -0.5
+                Z[i + 1:end, i + 1:end] -= col[:, None] * col.conj()
+    return (low > 0) & (drift <= 2 * o)
+
+
+def scan_candidates(a, m, n, omega, grid):
+    """(nodes, F, smin) of every orbit candidate of a scan."""
+    xi = np.arange(stability._orbit_count(a, n, grid)) / grid
+    nodes = systems.plain_nodes_at(a, m, xi[:, None] + np.arange(n) / n)
+    phase = systems.phase_rows(m, n, omega)
+    A = systems.extended_stack(systems.power_rows(nodes, m), phase)
+    return nodes, phase / (m * n), np.linalg.svd(A, compute_uv=False)[:, -1]
+
+
+NODE_TEST_SCANS = {
+    "heat-minimal": (lambda: ds.filter_heat(840, 0.5), 5, 7, ds.minimal_omega(5)),
+    "heat-full": (lambda: ds.filter_heat(840, 0.5), 5, 7, ds.full_omega(5)),
+    "raised-cosine": (lambda: ds.filter_raised_cosine(72, 1.0), 3, 3, (1,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_TEST_SCANS))
+def test_node_test_verdicts_equal_the_full_square_update(monkeypatch, name):
+    # No pivot reads the mirrored coupling block, so leaving it out keeps
+    # every verdict: at best values across the candidates' smins, whole and
+    # one candidate at a time, and at every call of the scan itself.
+    make, m, n, omega = NODE_TEST_SCANS[name]
+    a = make()
+    nodes, F, smin = scan_candidates(a, m, n, omega, 720)
+    verdicts = []
+    for best in (smin.min() / 2, smin.min() * (1 - 1e-6), np.median(smin), smin.max()):
+        ok = systems._node_test(nodes, F, m, best)
+        assert np.array_equal(ok, ref_node_test(nodes, F, m, best))
+        verdicts.append(ok)
+        for i in range(0, len(nodes), 37):
+            assert systems._node_test(nodes[i:i + 1], F, m, best) == ok[i]
+    assert verdicts[0].all() and 0 < verdicts[2].mean() < 1 and not verdicts[3].any()
+    test, calls = systems._node_test, []
+
+    def spy_test(chunk, F, div, best):
+        ok = test(chunk, F, div, best)
+        assert np.array_equal(ok, ref_node_test(chunk, F, div, best))
+        calls.append(len(ok))
+        return ok
+    monkeypatch.setattr(systems, "_node_test", spy_test)
+    ds.empirical_pinv_norm(a, m, n, omega, 720)
+    assert sum(calls) == len(nodes) - 2
+
+
 def node_test_args(nodes, phase):
     """(F, div) of _node_test for a candidate's (1, n, m) nodes and phase."""
     _, n, m = nodes.shape
@@ -1411,7 +1498,7 @@ def test_each_kernel_takes_packets_of_one_step(case):
         return match.argmax(axis=1)
 
     def node_spy(chunk_nodes, b, *args, **kwargs):
-        events.append(("node", packets_of(b, rhs)))
+        events.append(("node", packets_of(np.moveaxis(b, -1, 0), rhs)))
         return kernel(chunk_nodes, b, *args, **kwargs)
 
     def assemble_spy(blocks, chunk_phase):
@@ -1451,7 +1538,7 @@ def test_each_kernel_takes_packets_of_one_step(case):
 
 
 @pytest.mark.parametrize("make, m, n, omega, L, node_calls, qrs", [
-    (HEAT, 5, 7, (1, 2), 8960, 9, [11, 11, 11, 7]),
+    (HEAT, 5, 7, (1, 2), 8960, 4, [11, 11, 11, 7]),
     (RCOS, 3, 3, (1,), 36864, 14, [2]),
 ])
 def test_uncleared_packets_share_their_chunks(make, m, n, omega, L, node_calls, qrs):
@@ -1508,16 +1595,82 @@ def ref_solve_packets(blocks_of, P, phase, rhs, floors=None):
 
 def node_solve_alone(nodes, b, phase=None):
     """x of one packet with the (n, m) ``nodes`` of its power blocks, the
-    extras rows of ``phase`` (none by default) and right-hand side b:
-    without extras rows, each block on its own through the kernel, from its
-    nodes and m times its rows of b; with them, the node solve of this
-    packet alone."""
+    extras rows of ``phase`` (none by default) and right-hand side b, each
+    a call of its own with the packet axis last and of length one: without
+    extras rows, each block on its own through the kernel, from its nodes
+    and m times its rows of b; with them, the node solve of this packet
+    alone."""
     n, m = nodes.shape
     if phase is not None and len(phase):
-        return systems._nodal_solve(nodes[None], b[None], phase / (m * n))[0]
-    return np.concatenate([systems.solve_vandermonde(nodes[k][None],
-                                                     b[None, k * m:(k + 1) * m] * m)[0]
+        x = systems._nodal_solve(nodes.T[..., None], b[..., None], phase / (m * n))
+        return x[..., 0].transpose(2, 0, 1).reshape(n * m, -1)
+    return np.concatenate([systems.solve_vandermonde(nodes[k][:, None],
+                                                     b[k * m:(k + 1) * m, :, None] * m)[..., 0]
                            for k in range(n)])
+
+
+# Frozen reference: the node kernels as they were with the packet axis
+# first, each step's inner loop over the rows or columns of one packet.
+# The packet-last kernels keep their bits.
+
+def ref_solve_vandermonde(nodes, b):
+    m = nodes.shape[-1]
+    x = nodes[..., None]
+    for k in range(m - 1):
+        b[:, k + 1:] -= x[:, k:k + 1] * b[:, k:-1]
+    for k in range(m - 2, -1, -1):
+        b[:, k + 1:] /= x[:, k + 1:] - x[:, :m - k - 1]
+        b[:, k:-1] -= b[:, k + 1:]
+    return b
+
+
+def ref_solve_vandermonde_primal(nodes, b):
+    m = nodes.shape[-1]
+    x = nodes[..., None]
+    for k in range(m - 1):
+        np.divide(b[:, k + 1:] - b[:, k:-1], x[:, k + 1:] - x[:, :m - k - 1], out=b[:, k + 1:])
+    for k in range(m - 2, -1, -1):
+        b[:, k:-1] -= x[:, k:k + 1] * b[:, k + 1:]
+    return b
+
+
+def ref_hermitian_solve(S, r):
+    o = S.shape[-1]
+    for j in range(o - 1):
+        f = S[:, j + 1:, j:j + 1] / S[:, j:j + 1, j:j + 1]
+        S[:, j + 1:, j + 1:] -= f * S[:, j:j + 1, j + 1:]
+        r[:, j + 1:] -= f * r[:, j:j + 1]
+    for j in range(o - 1, -1, -1):
+        r[:, j] /= S[:, j, j:j + 1]
+        if j:
+            r[:, :j] -= S[:, :j, j:j + 1] * r[:, j:j + 1]
+    return r
+
+
+def ref_nodal_solve(nodes, b, E):
+    """x (k, n m, T) of the packets with (k, n, m) ``nodes`` and (k, rows,
+    T) right-hand sides b, all in one call of the packet-first kernel."""
+    k, n, m = nodes.shape
+    off, T = len(E), b.shape[-1]
+    nodes = nodes.reshape(k * n, m)
+    if not off:
+        y = b[:, off:] * m
+        return ref_solve_vandermonde(nodes, y.reshape(k * n, m, T)).reshape(y.shape)
+    Z = np.empty((k, n * m, off), dtype=complex)
+    Z[:] = E.conj().T * m
+    ref_solve_vandermonde_primal(nodes.conj(), Z.reshape(k * n, m, off))
+    y = np.concatenate([b[:, off:], Z], axis=2)
+    y *= m
+    ref_solve_vandermonde(nodes, y.reshape(k * n, m, T + off))
+    x0, G = y[..., :T], y[..., T:]
+    S = (Z.conj()[..., None] * Z[:, :, None]).cumsum(axis=1)[:, -1] + np.eye(off)
+    Ex0 = E.T[:, :, None] * x0[:, :, None]
+    w = ref_hermitian_solve(S, b[:, :off] - np.cumsum(Ex0, axis=1, out=Ex0)[:, -1])
+    x = G[..., :1] * w[:, :1]
+    for o in range(1, off):
+        x += G[..., o:o + 1] * w[:, o:o + 1]
+    x += x0
+    return x
 
 
 def nodes_of_kind(rng, kind, shape):
@@ -1574,7 +1727,7 @@ def test_node_solve_keeps_decisions_and_bits(case):
     solved, kernel = [], systems.solve_vandermonde
 
     def spy(x, b):
-        solved.append(len(x))
+        solved.append(x.shape[-1])              # systems: one per cleared block
         return kernel(x, b)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
         with mock.patch.object(systems, "solve_vandermonde", spy):
@@ -1592,9 +1745,12 @@ def test_node_solve_keeps_decisions_and_bits(case):
     assert np.array_equal(smin[~cleared], ref_smin[~cleared])
     assert np.array_equal(smax[~cleared], ref_smax[~cleared])
     assert np.array_equal(x[~cleared], ref[~cleared], equal_nan=True)
-    # A cleared packet has the bits of the kernel applied to it alone, in any chunk.
+    # A cleared packet has the bits of the kernel applied to it alone, in any
+    # chunk, and those of the packet-first kernel.
     for i in np.flatnonzero(cleared):
         assert np.array_equal(x[i], node_solve_alone(packet_nodes[i], rhs[i]))
+    assert np.array_equal(x[cleared], ref_nodal_solve(packet_nodes[cleared], rhs[cleared],
+                                                      phase / cols))
     # Both solves err by at most about m eps kappa ||x|| for the condition
     # number kappa of the packet matrix, so they agree to twice that.
     if cleared.any():
@@ -1628,6 +1784,50 @@ def test_node_solve_bits_hold_past_the_elision_size():
         assert np.array_equal(x[i], node_solve_alone(packet_nodes[i], rhs[i]))
     gap = np.linalg.norm(np.nan_to_num(x - ref), axis=(1, 2))
     assert np.all(gap <= 1e-14 * np.linalg.norm(np.nan_to_num(ref), axis=(1, 2)))
+
+
+@pytest.mark.parametrize("T, S", [(1, 7), (3, 4096)])
+def test_kernel_operand_forms_keep_their_bits_in_any_layout(T, S):
+    # The node kernels promise a packet the same bits in any chunk.  That
+    # rests on numpy's complex loops: a product, quotient or difference with
+    # its operands in a fixed order has the same bits in one long contiguous
+    # run, in runs of one packet and with the packet axis first, where a
+    # node is broadcast over a packet's slab.  The kernels' step forms (a
+    # broadcast node row times a (T, S) slab, a quotient by node gaps, a
+    # difference), three ways; at S = 4096 every temporary is past numpy's
+    # 256 KiB elision size.  If another numpy build moves bits in the node
+    # solve, this names the cause.
+    rng = np.random.default_rng(T)
+    m = 4
+    x, b = rand_complex(rng, (m, S)), rand_complex(rng, (m, T, S))
+
+    def packet_last(x, b):
+        x = x[:, None]
+        return (x[:1] * b[1:]) / (x[1:] - x[:-1]) - b[:-1]
+
+    def packet_first(x, b):
+        x, b = x.T[..., None], b.transpose(2, 0, 1)
+        return ((x[:, :1] * b[:, 1:]) / (x[:, 1:] - x[:, :-1]) - b[:, :-1]).transpose(1, 2, 0)
+    run = packet_last(x, b)
+    assert np.array_equal(run, np.concatenate([packet_last(x[:, s:s + 1], b[..., s:s + 1])
+                                               for s in range(S)], axis=-1))
+    assert np.array_equal(run, packet_first(x, b))
+
+
+def test_node_solve_keeps_its_bits_in_one_element_steps():
+    # m = n = T = |omega| = 1: every step of a packet alone is a one-element
+    # operation, and numpy takes another complex multiply for one element
+    # when the operands differ in rank.  Each kernel operand pair has one
+    # rank, so a packet alone keeps the bits of its chunk.
+    rng = np.random.default_rng(5)
+    P = 64
+    nodes, rhs = rand_complex(rng, (P, 1, 1)), rand_complex(rng, (P, 2, 1))
+    phase = systems.phase_rows(1, 1, (0,))
+    z = systems._nodal_solve(nodes.transpose(2, 1, 0), rhs.transpose(1, 2, 0), phase)
+    x = z.transpose(3, 2, 0, 1).reshape(P, 1, 1)
+    for i in range(P):
+        assert np.array_equal(x[i], node_solve_alone(nodes[i], rhs[i], phase))
+    assert np.array_equal(x, ref_nodal_solve(nodes, rhs, phase))
 
 
 @st.composite
@@ -1672,7 +1872,7 @@ def test_extended_node_solve_keeps_decisions_and_bits(case):
     solved, kernel = [], systems._nodal_solve
 
     def spy(nodes, *args, **kwargs):
-        solved.append(len(nodes))
+        solved.append(nodes.shape[-1])          # packets, the last axis
         return kernel(nodes, *args, **kwargs)
     with mock.patch.object(systems, "_CHUNK_BYTES", chunk * 16 * rows * (cols + width)):
         with mock.patch.object(systems, "_nodal_solve", spy):
@@ -1701,12 +1901,15 @@ def test_extended_node_solve_keeps_decisions_and_bits(case):
     assert np.array_equal(smin <= systems.RANK_TOL * smax,
                           ref_smin <= systems.RANK_TOL * ref_smax)
     # A cleared packet has the bits of the kernel applied to it alone, in any
-    # chunk, and each column those of the kernel applied to that column alone.
+    # chunk, and each column those of the kernel applied to that column
+    # alone; all of them have the bits of the packet-first kernel.
     for i in np.flatnonzero(cleared):
         assert np.array_equal(x[i], node_solve_alone(packet_nodes[i], rhs[i], phase))
         for t in range(width):
             assert np.array_equal(x[i, :, t:t + 1],
                                   node_solve_alone(packet_nodes[i], rhs[i, :, t:t + 1], phase))
+    assert np.array_equal(x[cleared], ref_nodal_solve(packet_nodes[cleared], rhs[cleared],
+                                                      phase / cols))
     # Against the QR solve: a gap of c eps (cond(A) ||x|| + cond(D)^2 ||r|| /
     # ||A||_2) for the least-squares residual r and the block diagonal D,
     # within a factor 4 (cond(D)^2, not cond(A)^2: the kernel solves through
