@@ -425,11 +425,11 @@ def _nodal_solve(nodes, b, E):
 
     with x0 and G from one call over T + |omega| columns.  Without extras
     rows x = x0.  Every step is elementwise across packets and columns,
-    with each product's operands in one order, and each sum over the rows
-    j m + l of a packet (Z^H Z, E x0) is an ordered fold, a cumulative sum
-    over a row-major stack; so a packet's x has the same bits in any chunk
-    and with any number of columns.  The error grows with cond(D)^2 times
-    the residual, where a QR of A gives cond(A)^2.
+    with each product's operands in one order and of one rank, and each
+    sum (Z^H Z, E x0 over the rows j m + l of a packet, G w over the
+    columns of G) is an ordered fold; so a packet's x has the same bits in
+    any chunk and with any number of columns.  The error grows with
+    cond(D)^2 times the residual, where a QR of A gives cond(A)^2.
     """
     m, n, k = nodes.shape
     off, T = len(E), b.shape[1]
@@ -464,10 +464,14 @@ def _nodal_solve(nodes, b, E):
 
 
 def _row_sum(terms):
-    """Sum of the C-contiguous (n, m, ...) ``terms`` over their rows j m + l,
-    one after another: the last row of their cumulative sum, formed in place."""
-    flat = terms.reshape(-1, *terms.shape[2:])
-    return np.cumsum(flat, axis=0, out=flat)[-1]
+    """Sum of the (n, m, ...) ``terms`` over their rows j m + l, added one
+    after another in place: the bits of a cumulative sum's last row, whose
+    loop runs down one column at a time and is slower."""
+    rows = terms.reshape(-1, *terms.shape[2:])
+    total = rows[0]
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def _hermitian_solve(S, r):
@@ -645,7 +649,8 @@ def _node_test(nodes, F, div, best):
 
     factors, F_j being the columns of block j of F.  Each step is m pivots
     of a Cholesky factorization of the bordered matrix [[X_j, F_j^H W_j],
-    [W_j F_j, W_j]], whose trailing Schur complement is W_{j+1}; the last
+    [W_j F_j, W_j]], whose trailing Schur complement is W_{j+1}; no pivot
+    reads the upper block F_j^H W_j, which is never formed, and the last
     block needs X alone.  B_j^H B_j is summed from the nodes by Horner's
     rule, entry (a, b) = sum_i (conj(x_a) x_b)^i, i < m.  Every step is
     elementwise with the candidate axis last, so each numpy call covers

@@ -1818,11 +1818,12 @@ def test_node_solve_keeps_its_bits_in_one_element_steps():
     # m = n = T = |omega| = 1: every step of a packet alone is a one-element
     # operation, and numpy takes another complex multiply for one element
     # when the operands differ in rank.  Each kernel operand pair has one
-    # rank, so a packet alone keeps the bits of its chunk.
+    # rank, so a packet alone keeps the bits of its chunk.  The extras row
+    # is a random complex one, so that no product is exact.
     rng = np.random.default_rng(5)
     P = 64
     nodes, rhs = rand_complex(rng, (P, 1, 1)), rand_complex(rng, (P, 2, 1))
-    phase = systems.phase_rows(1, 1, (0,))
+    phase = rand_complex(rng, (1, 1))
     z = systems._nodal_solve(nodes.transpose(2, 1, 0), rhs.transpose(1, 2, 0), phase)
     x = z.transpose(3, 2, 0, 1).reshape(P, 1, 1)
     for i in range(P):
