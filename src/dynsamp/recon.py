@@ -172,7 +172,7 @@ def _solve(y, extras, m, n, omega, *, response=None, table=None):
     nodes, without powers, assembly, QR or LU; only the packets of the QR
     steps take their powers (:func:`systems.power_rows`).  A table has no
     floors, so its packets take the certificate.  The solve
-    returns smin and smax as brackets (see :func:`systems.solve_packets`),
+    returns smin and smax as brackets (the Brackets of :mod:`systems`),
     exact for packets that fail both certificates, and the grid check
     :func:`systems.grid_singular` reads them: a factored packet whose smin
     is at least twice ``systems.SINGULAR_TOL`` times the highest smax is

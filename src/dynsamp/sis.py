@@ -385,15 +385,16 @@ def sis_singular_set(system):
 
     The list is that of an SVD of every grid matrix (:func:`systems.grid_singular`).
     A power-ladder table (:func:`_ladder`) has the power matrices of its row
-    1 as grid matrices, so their node brackets settle most indices and only
-    the others take the SVD; any other table takes the SVD of every one.
+    1 as grid matrices, bitwise, so their node brackets settle most indices
+    and only the others take the SVD (:func:`systems._square_singular_set`);
+    any other table takes the SVD of every one.
     """
     table, m = system.phi_hat, system.m
     response = _ladder(table)
-    brackets = (None if response is None
-                else systems._square_brackets(systems._grid_family(response[None], m)))
+    if response is not None:
+        return systems._square_singular_set(response, m)
     return systems.grid_singular(lambda idx: systems._grid_family(table, m, idx),
-                                 table.shape[1] // m, m, m, brackets=brackets)
+                                 table.shape[1] // m, m, m)
 
 
 def _ladder(table):

@@ -230,7 +230,10 @@ def bound_beta2(a, m, n, grid=None):
 
 
 def _beta2(m, n, nodes):
-    """:func:`bound_beta2` from the guard-band nodes of :func:`_band_nodes`."""
+    """:func:`bound_beta2` from the guard-band nodes of :func:`_band_nodes`;
+    a single node (m = 1) has no separation and raises HypothesisViolated."""
+    if m < 2:
+        raise HypothesisViolated(f"beta2 needs m >= 2 nodes to separate, got m={m}")
     gaps = np.abs(nodes[:, None, :] - nodes[:, :, None])
     delta = float(gaps[:, ~np.eye(m, dtype=bool)].min())
     if delta <= 0.0:

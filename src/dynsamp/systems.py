@@ -5,13 +5,83 @@ couples the L-grid spectrum indices rho + l*(L/m), l = 0..m-1.  The plain
 N x m system matrix collects powers of the transfer values at those nodes
 (a Vandermonde matrix); the extended system couples n such blocks with rows
 coming from extra samples taken on a coarser shifted lattice.
+
+Brackets
+--------
+A bracket of a packet matrix A, rows x c, is a pair (lower, upper) around
+the smallest singular value s of an SVD of the assembled A:
+
+    lower - S/2 <= s <= upper + S/2,  S = 16 rows (c + 1)^(3/2) eps hi,
+
+hi the largest upper over the grid.  Producers return (lower, upper), and
+each consumer applies its own margin.  The rounding terms, in eps ||A||_F
+with u = eps/2 (Higham, Accuracy and Stability of Numerical Algorithms):
+- powers: x^j by j - 1 products of error sqrt(2) gamma_2 each (Lemma 3.5,
+  :func:`spectral.powers`), and the division by m: 1.5 rows.
+- floor: :func:`packet_floors` bounds the smin of the exact matrix of the
+  floating-point nodes, and is computed within 3 m eps relative of a value
+  below ||A||_F: 3 (c + 1).
+- tall QR: the Householder R is exact for a matrix within gamma~_{rows c}
+  ||a_j||_2 of each column a_j of A (Thm 19.4; 16 for gamma~'s constant
+  in complex arithmetic): 8 rows c.
+- norm: :func:`_nodal_norms` takes ||A||_F of the exact powers of the
+  floating-point nodes from s = |x|^2: s errs by gamma_2, Horner's sum of
+  s^j, j < N, with the error of s, by 2 (N - 1) eps, the sum over the c
+  nodes by c eps / 2, halved by the square root, and the division by m and
+  the hypot with ||E||_F (within (|omega| c / 4 + 1) eps) add 2 eps: within
+  (N + c/4 + |omega| c/4 + 2) eps <= 3 rows (c + 1) eps of itself, N <= rows,
+  and 1.5 rows more of the norm of the rounded powers.
+- SVD: smin and smax within 4 c eps ||A||_2.
+- certificate: when fl(R^H R) - tau I, tau = CERT_SHIFT c^2 eps ||R||_F^2,
+  takes a Cholesky factorization, smin(R) >= sqrt(tau/2), as forming and
+  factoring the Gram matrix errs by at most 2 c^2 u ||R||_F^2 (Thm 10.7).
+
+The producers: :func:`_node_brackets`, lower = floor - 16 rows (c + 1) eps
+||A||_F and upper = ||A||_F, the powers, floor and QR terms taking at most
+half of the term subtracted and the norm the other half, so that lower
+bounds the smin of the assembled A, of its R and of the matrix that
+:func:`_nodal_solve` solves; :func:`_square_singular_set`, m times the node
+brackets of B / m for m x m power matrices B, whose QR term exceeds the
+SVD's, the scalings by m erring by u each; :func:`_certify`, (sqrt(tau/2),
+||R||_F) or the exact values of R's SVD; :func:`packet_smins`, exact.  The
+brackets of :func:`solve_packets` meet the contract: the certified
+sqrt(tau/2) lies below the exact smin, which the SVD misses by at most 4 c
+eps ||A||_2; the SVD of a tall packet's R is within (8 rows c + 8 c)
+sqrt(c) eps smax of that of the packet, by the QR and each SVD, as ||A||_F
+<= sqrt(c) ||A||_2; and smin <= ||A||_F, as computed by
+:func:`_nodal_norms` or the certificate, within 9 rows (c + 1) eps.
+
+The consumers' margins:
+- :func:`solve_packets` clears a packet when lower >= sqrt(CERT_SHIFT/2
+  eps) c upper, the certificate's bracket.  It leaves a packet with smin
+  <= RANK_TOL smax unsolved, which a cleared or certified packet never is,
+  its lower being at least sqrt(tau/2) > 8e-8 ||R||_F.
+- :func:`grid_singular` reads a packet as regular when lower >= 2 tol hi;
+  only the others take the SVD, and each is singular when its s_p < tol
+  low, low = max(max lower - S over the regular packets, max s over the
+  open ones), and regular when s_p >= 2 tol hi.  Any other outcome, no
+  packet regular, hi not positive and finite, or 4 S > min(tol, 1) hi
+  falls back to the scan of every matrix.
+  With every rounding to nearest and monotone, the grid maximum of the
+  SVDs is top <= hi + S/2.  The scan's cutoff is fl(tol top) <= tol (hi +
+  S/2)(1 + u) <= 2 tol hi (1 - u) <= fl(2 tol hi) as S <= hi/4, so an s_p
+  at or above fl(2 tol hi) is regular; a packet with lower_p at or above
+  it has s_p >= 2 tol hi (1 - u) - S/2, above tol (hi + S/2)(1 + u) by tol
+  hi (1 - 3u) - S/2 (1 + tol (1 + u)) > 0, since 4 S <= tol hi.  Below,
+  fl(lower_p - S) <= lower_p - S + u (hi + S) <= s_p, as S/2 >= u (hi +
+  S), and every open s_p is a value of the scan, so low <= top and fl(tol
+  low) <= fl(tol top): an s_p below it is singular.
+- :func:`_node_test`'s theta = (best + 4 (c + m) eps a)^2 + 2 E(2 |omega|),
+  a = ||A||_F by :func:`_nodal_norms`: the powers term at m rows and the
+  SVD term give the first term, and half of 2 E spare covers the norm term.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoincidentNodes, EvenM, GridMiss, MalformedSamples, ShapeMismatch
+from .errors import (CoincidentNodes, EvenM, GridMiss, MalformedSamples, PreconditionViolated,
+                     ShapeMismatch)
 from . import spectral
 
 # Relative singular-value cutoffs.  A grid index is singular when its smin is
@@ -19,11 +89,9 @@ from . import spectral
 # deficient, and is not solved, when its smin is at most RANK_TOL times its largest.
 SINGULAR_TOL = 1e-8
 RANK_TOL = 1e-10
-# Shift of the well-conditioning certificate: a packet whose c x c triangle R
-# has R^H R - CERT_SHIFT c^2 eps ||R||_F^2 I positive definite in floating
-# point has smin >= sqrt(CERT_SHIFT/2) c sqrt(eps) ||R||_F, since forming and
-# factoring the Gram matrix errs by at most 2 c^2 (eps/2) ||R||_F^2 (Higham,
-# Accuracy and Stability of Numerical Algorithms, Thm 10.7).
+# Shift of the well-conditioning certificate: a c x c triangle R with
+# fl(R^H R) - CERT_SHIFT c^2 eps ||R||_F^2 I positive definite has smin >=
+# sqrt(CERT_SHIFT/2) c sqrt(eps) ||R||_F (module docstring, Brackets).
 CERT_SHIFT = 64
 # Cap on each chunk of assembled packet matrices with their right-hand sides,
 # so peak memory stays flat in L.
@@ -121,37 +189,11 @@ def grid_singular(matrices_of, P, rows, cols, tol=SINGULAR_TOL, brackets=None):
     pipeline.  Without ``brackets`` every matrix takes the exact scan of
     :func:`packet_smins`.
 
-    ``brackets`` = (lower, upper) are (P,) arrays with lower_p - S/2 <= s_p
-    <= upper_p + S/2 for every matrix p and its SVD smin s_p, S = 16 rows
-    (c + 1)^(3/2) eps hi, c = cols, hi = max upper.  A packet with lower_p
-    >= 2 tol hi is regular, and only the packets left open take the
-    exact scan; with every packet open that scan is the answer.  Each open
-    packet is singular when s_p < tol low, low = max(max lower - S over the
-    regular packets, max s over the open ones), and regular when s_p >= 2
-    tol hi.  Any other outcome, no packet regular, or brackets with hi not
-    positive and finite or 4 S > min(tol, 1) hi, falls back to the scan of
-    every matrix, so the list is always that scan's.
-
-    Margins, u = eps/2 the unit roundoff, every rounding to nearest and
-    monotone, the SVD's grid maximum top <= hi + S/2.  The scan's cutoff is
-    fl(tol top) <= tol (hi + S/2)(1 + u) <= 2 tol hi (1 - u) <= fl(2 tol
-    hi) as S <= hi/4, so an s_p at or above fl(2 tol hi) is regular; a
-    packet with lower_p at or above it has s_p >= 2 tol hi (1 - u) - S/2,
-    above tol (hi + S/2)(1 + u) by tol hi (1 - 3u) - S/2 (1 + tol (1 + u))
-    > 0, since 4 S <= tol hi.  Below, fl(lower_p - S) <= lower_p - S + u
-    (hi + S) <= s_p, as S/2 >= u (hi + S), and every open s_p is a value of
-    the scan, so low <= top and fl(tol low) <= fl(tol top): an s_p below
-    it is singular.  The brackets of :func:`_square_brackets` and of
-    :func:`solve_packets` meet the contract: a node bracket lies below the
-    smin of its matrix's SVD (see :func:`_node_brackets`), and the
-    certified sqrt(tau/2) below the exact smin (``CERT_SHIFT``), which the
-    SVD's smin misses by at most 4 c eps ||A||_2; a solve's smin of the SVD
-    of a tall packet's R, and its smax, are within (8 rows c + 8 c)
-    sqrt(c) eps smax of the SVD of the packet itself, by the QR's backward
-    error (Higham, Accuracy and Stability of Numerical Algorithms, Thm
-    19.4) and each SVD's 4 c eps, with ||A||_F <= sqrt(c) ||A||_2; and
-    smin <= ||A||_F, the norm of :func:`_nodal_norms` and of the
-    certificate, each within 9 rows (c + 1) eps of the rounded matrix's.
+    ``brackets`` = (lower, upper) are (P,) arrays that meet the contract of
+    the module docstring's Brackets for c = cols.  Only the packets that
+    they leave open take the exact scan, and an outcome that they cannot
+    settle takes the scan of every matrix, so the list is always that
+    scan's; the rule and its margins are those of Brackets.
     """
     if brackets is not None:
         lower, upper = brackets
@@ -172,16 +214,15 @@ def grid_singular(matrices_of, P, rows, cols, tol=SINGULAR_TOL, brackets=None):
     return singular_indices(packet_smins(matrices_of, P, rows, cols)[0], tol)
 
 
-def _square_brackets(nodes):
-    """(lower, upper) brackets of :func:`grid_singular` for the unscaled m x m
-    power matrices B of the (P, 1, m) ``nodes``: m times the node bracket
-    and the ||B / m||_F of :func:`_node_brackets` and :func:`_nodal_norms`.
-    The bracket bounds the SVD smin of the assembled B / m, as its QR term
-    8 m (m + 1) eps ||B / m||_F exceeds the SVD's 4 m eps; the division by m
-    and the product by m err by eps/2 each, relative."""
-    m = nodes.shape[-1]
-    fro = _nodal_norms(nodes, m, 0.0)
-    return m * _node_brackets(nodes, fro, m, m)[0], m * fro
+def _square_singular_set(response, m, tol=SINGULAR_TOL):
+    """:func:`grid_singular` of the m x m power matrices of the length-L
+    ``response``, on the L/m grid, with the brackets m (lower, upper) of
+    :func:`_node_brackets` for their scaled copies B / m (module docstring,
+    Brackets)."""
+    nodes = _grid_family(response[None], m)
+    lower, upper = _node_brackets(nodes, m, 0.0, m, m)
+    return grid_singular(lambda idx: power_rows(nodes[idx, 0], m), len(nodes), m, m, tol,
+                         (m * lower, m * upper))
 
 
 def singular_set(system, tol=SINGULAR_TOL):
@@ -195,10 +236,7 @@ def singular_set(system, tol=SINGULAR_TOL):
     """
     if system.N != system.m:
         raise ShapeMismatch("singularity scan expects the square system (N = m)")
-    m = system.m
-    nodes = _grid_family(system.a.response[None], m)
-    return grid_singular(lambda idx: power_rows(nodes[idx, 0], m), len(nodes), m, m, tol,
-                         _square_brackets(nodes))
+    return _square_singular_set(system.a.response, system.m, tol)
 
 
 def kernel_basis(m, at):
@@ -297,7 +335,7 @@ def extended_stack(blocks, phase):
 
 
 def solve_packets(P, phase, rhs, *, nodes=None, blocks_of=None):
-    """Per-packet smin and smax brackets and least-squares solutions.
+    """Per-packet (smin, smax) brackets and least-squares solutions.
 
     ``rhs`` is (P, rows, T): T right-hand sides per packet (noise trials,
     say), all solved against the one factorization; x is (P, cols, T).  The
@@ -308,9 +346,9 @@ def solve_packets(P, phase, rhs, *, nodes=None, blocks_of=None):
 
     Every packet's step is decided before any packet is solved, in chunks
     of the node array, and each chunk of a step holds packets of that step
-    alone.  A packet of ``nodes`` that its node bracket clears
-    (:func:`_node_brackets`, on its ||A||_F from :func:`_nodal_norms`)
-    reports (node bracket, ||A||_F).  With square blocks (N = m) it takes
+    alone.  A packet of ``nodes`` whose :func:`_node_brackets` are at least
+    the certificate's, lower >= sqrt(CERT_SHIFT/2 eps) c upper for c =
+    cols, is cleared and reports them.  With square blocks (N = m) it takes
     the node solve, :func:`_nodal_solve`, with no powers, no assembly, no
     QR and no LU, in chunks of each contiguous run of such packets: each
     chunk is copied once into the kernel's layout, the packet axis last,
@@ -318,18 +356,14 @@ def solve_packets(P, phase, rhs, *, nodes=None, blocks_of=None):
     working set, counted as 4 (T + |omega|) columns of n m rows per
     packet.  With tall blocks it takes the QR under its node bracket.
     Every other packet, so every packet of ``blocks_of``, takes the QR
-    with the certificate.  The packets of a QR step are gathered by index,
-    and each chunk is assembled with its right-hand sides, its size
-    counting them as well: a tall packet takes one QR of [A | b], whose R
-    holds Q^H b in its last columns (a square packet is its own R), and x
-    = R^-1 Q^H b.  A chunk of certified packets takes :func:`_certify`: one
-    batched Cholesky test of R^H R - tau I, tau = ``CERT_SHIFT`` c^2 eps
-    ||R||_F^2 for c = cols, giving (sqrt(tau/2), ||R||_F) when all of them
-    pass, else the exact values of their SVD without vectors (exact values
-    of every packet come from :func:`packet_smins`).  A packet with smin <=
-    RANK_TOL times smax is rank deficient and is not solved: its x is NaN;
-    a cleared or certified packet never is, as its bracket is at least
-    sqrt(tau/2) > 8e-8 ||R||_F.  Returns (smin, smax, x); raises nothing.
+    with the certificate of :func:`_certify`.  The packets of a QR step
+    are gathered by index, and each chunk is assembled with its right-hand
+    sides, its size counting them as well: a tall packet takes one QR of
+    [A | b], whose R holds Q^H b in its last columns (a square packet is
+    its own R), and x = R^-1 Q^H b.  A packet with smin <= RANK_TOL times
+    smax is rank deficient and is not solved: its x is NaN.  The brackets
+    and both rules are those of the module docstring's Brackets.  Returns
+    (smin, smax, x); raises nothing.
     """
     cols, off = phase.shape[1], len(phase)
     _, rows, trials = rhs.shape
@@ -340,8 +374,8 @@ def solve_packets(P, phase, rhs, *, nodes=None, blocks_of=None):
         n, m = nodes.shape[1:]
         N, E = (rows - off) // n, phase / cols
         for part in _chunks(P, n, m):
-            smax[part] = _nodal_norms(nodes[part], N, np.linalg.norm(E))
-            smin[part], cleared[part] = _node_brackets(nodes[part], smax[part], rows, cols)
+            smin[part], smax[part] = _node_brackets(nodes[part], N, np.linalg.norm(E), rows, cols)
+        cleared = smin >= np.sqrt(CERT_SHIFT / 2 * _EPS) * cols * smax
 
         def blocks_of(idx):
             return power_rows(nodes[idx], N)
@@ -396,7 +430,7 @@ def _nodal_norms(nodes, N, e_fro):
     sqrt(e_fro^2 + sum |x|^(2j) / m^2) over every node x and j = 0..N-1,
     the powers summed by Horner's rule in |x|^2, the nodes packet by
     packet, so a packet's norm has the same bits in any chunk.  Its
-    rounding is derived in :func:`_node_brackets`."""
+    rounding is the norm term of the module docstring's Brackets."""
     k, _, m = nodes.shape
     s = nodes.real ** 2 + nodes.imag ** 2
     total = np.ones_like(s)
@@ -532,53 +566,24 @@ def _solve_vandermonde_primal(nodes, b):
     return b
 
 
-def _node_brackets(nodes, fro, rows, cols):
-    """(bracket, cleared): the node brackets of packet matrices A with
-    ``rows`` rows, ``cols`` = c columns, the (k, n, m) ``nodes`` of their
-    power blocks and Frobenius norms ``fro`` from :func:`_nodal_norms`, and
-    the packets that they clear: those whose node bracket
-
-        floor - 16 rows (c + 1) eps ||A||_F,
-
-    with the floor of :func:`packet_floors`, is at least the Cholesky
-    bracket sqrt(CERT_SHIFT/2) c sqrt(eps) ||A||_F of :func:`_certify`.  A
-    floor bounds the smin of the exact matrix of the floating-point nodes;
-    four roundings part it from the smin of the assembled A and of its
-    computed R, each at most its constant times eps ||A||_F (Higham,
-    Accuracy and Stability of Numerical Algorithms):
-    - the powers of :func:`spectral.powers`, j - 1 complex products of
-      relative error sqrt(2) gamma_2 each for x^j (Lemma 3.5), and the
-      division by m: 1.5 rows;
-    - the floor itself, 3 m eps relative to a value below ||A||_F:
-      3 (c + 1);
-    - the Householder QR of a tall packet, whose R is exact for a matrix
-      within gamma~_{rows c} ||a_j||_2 of each column a_j of A (Thm 19.4),
-      the small constant of gamma~ taken as 16 for complex arithmetic:
-      8 rows c.
-    Together they are at most 8 rows (c + 1), half the term subtracted.
-    The other half covers the rounding of ||A||_F, which
-    :func:`_nodal_norms` takes for the exact powers (rows 0..N-1) of the
-    floating-point nodes from s = |x|^2.  Forming s errs by gamma_2 (about
-    eps) relative; Horner's sum of the positive terms s^j, j < N, by
-    gamma_{2(N-1)}, and the error of s by (N - 1) gamma_2 in s^(N-1), 2 (N -
-    1) eps together; the sum over the c nodes of a packet by c eps / 2.  The
-    square root halves that, and it, the division by m and the hypot with
-    ||E||_F (itself within (|omega| c / 4 + 1) eps) add at most 2 eps, so
-    the computed ||A||_F is within (N + c/4 + |omega| c/4 + 2) eps <= 3 rows
-    (c + 1) eps of itself, as N <= rows, and within 1.5 rows more of
-    ||A||_F of the rounded powers.  A cleared packet's bracket thus bounds
-    the smin of the assembled A, that of its R and that of the matrix of
-    the floating-point nodes that :func:`_nodal_solve` solves."""
-    bracket = packet_floors(nodes) - 16 * rows * (cols + 1) * _EPS * fro
-    return bracket, bracket >= np.sqrt(CERT_SHIFT / 2 * _EPS) * cols * fro
+def _node_brackets(nodes, N, e_fro, rows, cols):
+    """(lower, upper) brackets of the packet matrices A = [E; D] with
+    ``rows`` rows and ``cols`` = c columns whose blocks are rows 0..N-1 of
+    the power matrices of the (k, n, m) ``nodes``, with ||E||_F =
+    ``e_fro``: upper = ||A||_F from :func:`_nodal_norms` and lower = floor
+    - 16 rows (c + 1) eps ||A||_F, with the floor of :func:`packet_floors`
+    (module docstring, Brackets)."""
+    upper = _nodal_norms(nodes, N, e_fro)
+    return packet_floors(nodes) - 16 * rows * (cols + 1) * _EPS * upper, upper
 
 
 def packet_smins(matrices_of, P, rows, cols):
     """(smin, smax): the smallest and largest singular value of each of P
     packet matrices of shape (rows, cols), from one batched SVD without
-    vectors per chunk of :func:`_chunks`.  ``matrices_of(idx)`` returns the
-    (len(idx), rows, cols) stack of the packets in the index array idx, and
-    each chunk is assembled once.  Raises nothing."""
+    vectors per chunk of :func:`_chunks`, exact brackets (module docstring,
+    Brackets).  ``matrices_of(idx)`` returns the (len(idx), rows, cols)
+    stack of the packets in the index array idx, and each chunk is
+    assembled once.  Raises nothing."""
     smin, smax = np.empty(P), np.empty(P)
     for part in _chunks(P, rows, cols):
         s = np.linalg.svd(matrices_of(np.arange(P)[part]), compute_uv=False)
@@ -596,8 +601,8 @@ def minimum_smins(nodes_of, count, phase, seeds):
     ``extended_stack(power_rows(nodes, m), phase)`` for the (|omega|, m n)
     ``phase``, or, with phase None, the bare m x m power matrix
     ``power_rows(nodes, m)`` of its one block.  The ``seeds`` are assembled
-    and take one batched SVD without vectors per chunk; their smallest smin
-    is ``best``, the minimum so far.  Every other candidate takes the node
+    and take the exact scan of :func:`packet_smins`; their smallest smin is
+    ``best``, the minimum so far.  Every other candidate takes the node
     test (:func:`_node_test`) against best, in chunks sized by the test's
     (m + |omega|)^2 bordered square, and only those it fails are assembled
     and decomposed, lowering best.  A cleared candidate has an SVD smin
@@ -615,15 +620,15 @@ def minimum_smins(nodes_of, count, phase, seeds):
     rows, cols = len(top) + n * m, n * m
     smin, smax, best = np.full(count, np.inf), np.full(count, np.nan), np.inf
 
+    def matrices_of(nodes):
+        blocks = power_rows(nodes, m)
+        return blocks[:, 0] if bare else extended_stack(blocks, phase)
+
     def decompose(idx, nodes):
         nonlocal best
-        for part in _chunks(len(idx), rows, cols):
-            blocks = power_rows(nodes[part], m)
-            A = blocks[:, 0] if bare else extended_stack(blocks, phase)
-            s = np.linalg.svd(A, compute_uv=False)
-            smin[idx[part]], smax[idx[part]] = s[:, -1], s[:, 0]
-            best = min(best, s[:, -1].min())
-            del blocks, A       # so the next chunk's matrices replace these, not join them
+        smin[idx], smax[idx] = packet_smins(lambda part: matrices_of(nodes[part]),
+                                            len(idx), rows, cols)
+        best = min(best, smin[idx].min(initial=np.inf))
 
     decompose(seeded, nodes)
     side = m + len(top)
@@ -664,15 +669,14 @@ def _node_test(nodes, F, div, best):
     w = sqrt(|omega|) + rho, and a candidate passes when every pivot is
     positive and rho = |omega| - tr W_{n-1} is at most 2 |omega|.
 
-    Rounding (Higham, Accuracy and Stability of Numerical Algorithms, ch.
-    3, 10 and 13), to first order in eps.  The powers of the assembled A
-    and the division by div err by at most 1.5 m eps a (see
-    :func:`_node_brackets`) against A~, the matrix of the exact powers of
-    the floating-point nodes, and an SVD by at most 4 c eps a: the first
-    term.  A run that factors every X_j is an exact block Cholesky
-    factorization of A~^H A~ - theta I + E, and ||E||_2 <= E(rho), as W_j =
-    I - sum_i U_i^H U_i gives sum_{i < n-1} ||U_i||_F^2 = rho and ||W_j||_F
-    <= w for j < n:
+    The first term of theta and the spare half of 2 E are the margins of
+    the module docstring's Brackets.  E is the rounding of the test itself
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3, 10 and
+    13), to first order in eps, against A~, the matrix of the exact powers
+    of the floating-point nodes.  A run that factors every X_j is an exact
+    block Cholesky factorization of A~^H A~ - theta I + E, and ||E||_2 <=
+    E(rho), as W_j = I - sum_i U_i^H U_i gives sum_{i < n-1} ||U_i||_F^2 =
+    rho and ||W_j||_F <= w for j < n:
     - the Horner sums, m - 1 complex products and additions per entry:
       3.5 m eps a^2, block diagonal, so the largest block counts;
     - forming X_j: the products W F_j and F_j^H (W F_j) and three sums,
@@ -689,9 +693,7 @@ def _node_test(nodes, F, div, best):
     rows to clear theta turns W negative, so the drift rho is checked, not
     assumed.  A passing candidate thus has lambda_min(A~^H A~) > theta -
     E(2 |omega|) > (best + 4 (c + m) eps a)^2, with half of the rounding
-    term to spare, which also covers the rounding of a (within 3 r (c + 1)
-    eps relative, see :func:`_node_brackets`), and its smin(A) exceeds best
-    by more than the SVD's own error.
+    term to spare, and its smin(A) exceeds best.
     """
     k, n, m = nodes.shape
     o, c = len(F), n * m
@@ -744,9 +746,10 @@ def _chunks(stop, rows, width, start=0):
 
 def _certify(R):
     """(smin, smax) of the (k, c, c) stack R: the certified brackets
-    (sqrt(tau/2), ||R||_F) when every fl(R^H R) - tau I takes a Cholesky
-    factorization (see :func:`solve_packets`), ||R||_F^2 being the trace of
-    the Gram matrix, else the exact values of one batched SVD without vectors."""
+    (sqrt(tau/2), ||R||_F) when every fl(R^H R) - tau I, tau = CERT_SHIFT
+    c^2 eps ||R||_F^2, takes a Cholesky factorization, ||R||_F^2 being the
+    trace of the Gram matrix, else the exact values of one batched SVD
+    without vectors (module docstring, Brackets)."""
     c = R.shape[-1]
     G = R.conj().swapaxes(1, 2) @ R
     diag = G.reshape(len(G), c * c)[:, ::c + 1]
@@ -825,9 +828,14 @@ def gautschi_bounds(nodes):
 
 
 def gautschi_bound_nodes(nodes):
-    """:func:`gautschi_bounds` of one node set, as a float; coinciding nodes
-    raise CoincidentNodes."""
-    nodes = np.asarray(nodes, dtype=complex)
+    """:func:`gautschi_bounds` of one node set, as a float.  Nodes that are
+    not 1-d raise ShapeMismatch, an empty or non-finite set
+    PreconditionViolated, and coinciding nodes CoincidentNodes."""
+    nodes = spectral._signal(nodes, "nodes")
+    if not len(nodes):
+        raise PreconditionViolated("nodes must hold at least one node, got none")
+    if not np.all(np.isfinite(nodes)):
+        raise PreconditionViolated(f"nodes must be finite, got {nodes[~np.isfinite(nodes)][0]}")
     i, j = np.triu_indices(len(nodes), 1)
     if np.any(nodes[i] == nodes[j]):
         raise CoincidentNodes("nodes coincide; separation bound undefined")

@@ -9,8 +9,9 @@ import pytest
 import dynsamp as ds
 import dynsamp.cli as cli
 from dynsamp import recon, systems
-from dynsamp.errors import (DynsampError, EvenM, LengthMismatch, MalformedSamples,
-                            NonDivisibleLength, PreconditionViolated, ShapeMismatch)
+from dynsamp.errors import (DynsampError, EvenM, HypothesisViolated, LengthMismatch,
+                            MalformedSamples, NonDivisibleLength, PreconditionViolated,
+                            ShapeMismatch)
 
 L, M, N_EXTRA, OMEGA = 72, 3, 3, (1,)
 
@@ -532,7 +533,43 @@ SIGNAL_ENTRIES = {
     "forward": ("f", lambda x: ds.forward(x, rc(72), 3, 3)),
     "sis_forward bspline": ("c", lambda x: ds.sis_forward(x, BSPLINE, ID, 3, P=4)),
     "sis_forward sinc": ("c", lambda x: ds.sis_forward(x, SINC, ID, 3)),
+    "gautschi_bound_nodes": ("nodes", lambda x: ds.gautschi_bound_nodes(x)),
 }
+
+
+# Inputs outside a bound's hypotheses: a single node (m = 1) has no
+# separation, where beta2 used to end in numpy's "zero-size array" error, a
+# ConfigError with exit code 1 in the CLI; an empty node set raised
+# TypeError, and a NaN node or frequency returned nan.
+NO_BOUND = {
+    "bound_beta2 m=1": (HypothesisViolated, "m=1", lambda: ds.bound_beta2(rc(72), 1, 3)),
+    "stability_report m=1": (HypothesisViolated, "m=1",
+                             lambda: ds.stability_report(rc(72), 1, 3)),
+    "gautschi_bound_nodes empty": (PreconditionViolated, "at least one node, got none",
+                                   lambda: ds.gautschi_bound_nodes([])),
+    "gautschi_bound_nodes nan": (PreconditionViolated, "must be finite, got (nan+0j)",
+                                 lambda: ds.gautschi_bound_nodes([0.5, np.nan, 0.1])),
+    "gautschi_bound_nodes inf": (PreconditionViolated, "must be finite, got (inf+0j)",
+                                 lambda: ds.gautschi_bound_nodes([np.inf, 0.5])),
+    "gautschi_bound xi nan": (PreconditionViolated, "must be finite",
+                              lambda: ds.gautschi_bound(rc(72), 3, np.nan)),
+}
+
+
+@pytest.mark.parametrize("entry", NO_BOUND)
+def test_input_outside_a_bound_raises_named_error(entry):
+    error, match, call = NO_BOUND[entry]
+    with pytest.raises(error, match=re.escape(match)):
+        call()
+
+
+def test_cli_stability_report_with_one_node_is_a_hypothesis_error(tmp_path, capsys):
+    cfg = cli.ExperimentConfig(mode="stability_report",
+                               filter={"kind": "raised_cosine", "L": 72, "p": 1.0},
+                               m=1, n=3, L=72, grid=720, seed=4)
+    assert cli.run(cfg, out_dir=tmp_path / "out") == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "HypothesisViolated"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("entry", SIGNAL_ENTRIES)

@@ -1484,8 +1484,8 @@ def test_each_kernel_takes_packets_of_one_step(case):
     packet_nodes = nodes[systems.packet_indices(len(nodes), m, n, np.arange(P))]
     phase = systems.phase_rows(m, n, omega)
     rhs = rand_complex(np.random.default_rng(seed + 1), (P, rows, T))
-    fro = systems._nodal_norms(packet_nodes, N, np.linalg.norm(phase / cols))
-    cleared = systems._node_brackets(packet_nodes, fro, rows, cols)[1]
+    lower, upper = systems._node_brackets(packet_nodes, N, np.linalg.norm(phase / cols), rows, cols)
+    cleared = lower >= certified_smin(cols, upper)
     step = np.where(cleared, 0 if N == m else 1, 2)
     events = []
     kernel, assemble, qr, certify = (systems._nodal_solve, systems.extended_stack,

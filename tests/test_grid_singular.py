@@ -8,6 +8,8 @@ indicator) is solved from the nodes of that row, and one that is off the
 ladder by a single ulp keeps the table route.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,6 +40,16 @@ def noisy_samples(L, m, n, omega, seed):
 def all_svd_rule(mats, tol=TOL):
     """The reference: singular_indices of an SVD of each matrix on its own."""
     return systems.singular_indices([np.linalg.svd(M, compute_uv=False)[-1] for M in mats], tol)
+
+
+def assert_bracket_contract(lower, upper, mats):
+    """lower - S/2 <= s <= upper + S/2 for the smin s of each matrix's own
+    SVD, S = 16 rows (c + 1)^(3/2) eps max(upper): the contract of the
+    systems module's Brackets, which grid_singular's margins rest on."""
+    _, rows, cols = mats.shape
+    s = np.array([np.linalg.svd(M, compute_uv=False)[-1] for M in mats])
+    half = 8 * rows * (cols + 1) ** 1.5 * np.finfo(float).eps * upper.max()
+    assert np.all(lower - half <= s) and np.all(s <= upper + half)
 
 
 def band_table(L):
@@ -83,13 +95,18 @@ def test_grid_singular_equals_all_svd_rule(case):
     if kind == "random":
         nodes = random_nodes(rng, P, m)
         mats = systems.power_rows(nodes[:, 0], m)
-        lower, upper = systems._square_brackets(nodes)
-        # the bracket contract of grid_singular, which its margins rest on
-        s = np.array([np.linalg.svd(M, compute_uv=False)[-1] for M in mats])
-        half = 8 * m * (m + 1) ** 1.5 * np.finfo(float).eps * upper.max()
-        assert np.all(lower - half <= s) and np.all(s <= upper + half)
+        # the response whose grid matrices these are: node l of packet rho at rho + l P
+        response = nodes[:, 0].T.reshape(-1)
+        seen, check = [], systems.grid_singular
+
+        def spy(matrices_of, count, rows, cols, tol, brackets):
+            seen.append(brackets)
+            return check(matrices_of, count, rows, cols, tol, brackets)
+        with mock.patch.object(systems, "grid_singular", spy):
+            got = systems._square_singular_set(response, m, tol)
+        [(lower, upper)] = seen
+        assert_bracket_contract(lower, upper, mats)
         assert np.allclose(upper, np.linalg.norm(mats, axis=(1, 2)), rtol=1e-12, atol=0)
-        got = systems.grid_singular(lambda idx: mats[idx], P, m, m, tol, (lower, upper))
         assert got == all_svd_rule(mats, tol)
     elif kind in ("delta", "symmetric"):
         a = (ds.filter_delta(L) if kind == "delta"
@@ -119,6 +136,19 @@ def test_grid_singular_equals_all_svd_rule(case):
         except ds.RankDeficient:
             got = []
         assert got == expected
+        # The solve's brackets meet the contract too, packet by packet, whether
+        # its nodes clear a packet (square blocks or tall, with or without
+        # extras rows) or the certificate or the SVD of R brackets it.
+        n = 3 if P % 3 == 0 else 1
+        omega = tuple(sorted(rng.choice(m * n, int(rng.integers(0, m + 1)), replace=False)))
+        phase = systems.phase_rows(m, n, omega)
+        idx = systems.packet_indices(L, m, n, np.arange(P // n))
+        rhs = rand_signal(rng, (P // n, len(omega) + n * N, 1))
+        mats = systems.extended_stack(systems.power_rows(response[idx], N), phase)
+        for packets in ({"nodes": response[idx]},
+                        {"blocks_of": lambda part: systems.power_rows(response[idx[part]], N)}):
+            lower, upper, _ = systems.solve_packets(P // n, phase, rhs, **packets)
+            assert_bracket_contract(lower, upper, mats)
 
 
 def counted_scans(monkeypatch):
