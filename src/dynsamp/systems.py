@@ -61,16 +61,16 @@ The consumers' margins:
   low, low = max(max lower - S over the regular packets, max s over the
   open ones), and regular when s_p >= 2 tol hi.  Any other outcome, no
   packet regular, hi not positive and finite, or 4 S > min(tol, 1) hi
-  falls back to the scan of every matrix.
-  With every rounding to nearest and monotone, the grid maximum of the
-  SVDs is top <= hi + S/2.  The scan's cutoff is fl(tol top) <= tol (hi +
-  S/2)(1 + u) <= 2 tol hi (1 - u) <= fl(2 tol hi) as S <= hi/4, so an s_p
-  at or above fl(2 tol hi) is regular; a packet with lower_p at or above
-  it has s_p >= 2 tol hi (1 - u) - S/2, above tol (hi + S/2)(1 + u) by tol
-  hi (1 - 3u) - S/2 (1 + tol (1 + u)) > 0, since 4 S <= tol hi.  Below,
-  fl(lower_p - S) <= lower_p - S + u (hi + S) <= s_p, as S/2 >= u (hi +
-  S), and every open s_p is a value of the scan, so low <= top and fl(tol
-  low) <= fl(tol top): an s_p below it is singular.
+  falls back to the scan of every matrix.  With every rounding to nearest
+  and monotone, the grid maximum of the SVDs is top <= hi + S/2.  The
+  scan's cutoff is fl(tol top) <= tol (hi + S/2)(1 + u) <= 2 tol hi (1 -
+  u) <= fl(2 tol hi) as S <= hi/4, so an s_p at or above fl(2 tol hi) is
+  regular; a packet with lower_p at or above it has s_p >= 2 tol hi (1 -
+  u) - S/2, above tol (hi + S/2)(1 + u) by tol hi (1 - 3u) - S/2 (1 + tol
+  (1 + u)) > 0, since 4 S <= tol hi.  Below, fl(lower_p - S) <= lower_p - S
+  + u (hi + S) <= s_p, as S/2 >= u (hi + S), and every open s_p is a value
+  of the scan, so low <= top and fl(tol low) <= fl(tol top): an s_p below
+  it is singular.
 - :func:`_node_test`'s theta = (best + 4 (c + m) eps a)^2 + 2 E(2 |omega|),
   a = ||A||_F by :func:`_nodal_norms`: the powers term at m rows and the
   SVD term give the first term, and half of 2 E spare covers the norm term.

@@ -46,14 +46,16 @@ CONFIGS = {
 FLOAT_TOL = {"rel_error": (1e-6, 1e-12), "mean_error": (1e-9, 0.0),
              "bound": (1e-9, 0.0), "ratio": (1e-9, 0.0)}
 
-# The child checks that the targets are off, then runs each CLI argument list.
+# The child runs each CLI argument list once the targets are off, and prints
+# null when this numpy did not honour the variable.
 CHILD = f"""
 import json, sys
 import {umath.__name__} as umath
 from dynsamp import cli
-off = sys.argv[1].split(",")
-assert not any(umath.__cpu_features__[t] for t in off), off
-print(json.dumps([cli.main(args) for args in json.loads(sys.argv[2])]))
+if any(umath.__cpu_features__[t] for t in sys.argv[1].split(",")):
+    print("null")
+else:
+    print(json.dumps([cli.main(args) for args in json.loads(sys.argv[2])]))
 """
 
 
@@ -82,7 +84,10 @@ def test_decisions_survive_a_narrowed_dispatch(tmp_path):
                            json.dumps(cli_args(tmp_path, "narrow"))],
                           env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == expected == [0, 0, 0]
+    codes = json.loads(done.stdout)
+    if codes is None:
+        pytest.skip("this numpy keeps its dispatch targets under NPY_DISABLE_CPU_FEATURES")
+    assert codes == expected == [0, 0, 0]
     for mode in CONFIGS:
         default, narrow = table(tmp_path / "default" / mode), table(tmp_path / "narrow" / mode)
         assert [list(row) for row in default] == [list(row) for row in narrow]
